@@ -266,6 +266,34 @@ def test_main_matches_golden_sweep_csv(tmp_path):
     assert out.read_bytes() == (DATA / "golden_sweep_p0.csv").read_bytes()
 
 
+GOLDEN_RUNS = {
+    "golden_memory_exact.json": (
+        "memory",
+        "[run]\nprotocol = memory\nmode = exact\n\n"
+        "[memory]\ntheta = 0.7\nphi = 1.9\nretrieval_efficiency = 0.9\n",
+    ),
+    "golden_event_ready_sampled.json": (
+        "event-ready",
+        "[run]\nprotocol = event-ready\nmode = sampled\ntrials = 2000\nseed = 2024\n\n"
+        "[source]\np0 = 0.05\n",
+    ),
+    "golden_memory_sampled.json": (
+        "memory",
+        "[run]\nprotocol = memory\nmode = sampled\ntrials = 2000\nseed = 77\n\n"
+        "[detector]\neta = 0.8\ndark_prob = 1e-3\n\n"
+        "[memory]\ntheta = 0.7\nphi = 1.9\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+def test_main_matches_golden_protocol_runs(tmp_path, golden):
+    command, text = GOLDEN_RUNS[golden]
+    out = tmp_path / golden
+    assert cli.main([command, "--config", write_ini(tmp_path, text), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 def test_main_sampled_serial_equals_parallel(tmp_path):
     ini = write_ini(
         tmp_path,
