@@ -12,8 +12,6 @@ from .detection import (  # noqa: F401
     DetectorSpec,
     HeraldRule,
     PreparedBellAnalyzer,
-    bell_analyzer,
-    classify,
     default_herald_rule,
     exact_outcome_distribution,
     measure,
@@ -22,10 +20,8 @@ from .elements import (  # noqa: F401
     attenuate_mode,
     beam_splitter,
     half_wave,
-    pbs_attenuator,
     pol_splitter,
     quarter_wave,
-    quarter_wave_inverse,
 )
 from .errors import ConfigError, RegistryError, StokesimError, ValidationError  # noqa: F401
 from .fock import (  # noqa: F401
@@ -49,14 +45,12 @@ from .fock import (  # noqa: F401
 from .metrics import QubitEncoding, concurrence, entropy, purity  # noqa: F401
 from .protocols import (  # noqa: F401
     ProtocolConfig,
-    TrialRecord,
     bell_decompose,
     event_ready_generation,
-    fidelity_report,
     generate_entanglement,
     memory_readout,
     memory_store,
     wilson_interval,
 )
 from .rng import trial_rng  # noqa: F401
-from .sources import SourceParams, dual_ensemble_source, epr_pair, raman_emit, single_ensemble_source  # noqa: F401
+from .sources import SourceParams, dual_ensemble_source, epr_pair, raman_emit  # noqa: F401

@@ -25,6 +25,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from . import __version__, protocols
@@ -240,11 +241,20 @@ def build_experiment(
                 f"sweep parameter {sweep_parameter!r} must be one of {', '.join(SWEEP_PARAMETERS)}"
             )
         sweep_values = _parse_values(str(swp["values"]))
+        try:
+            for value in sweep_values:
+                apply_sweep_value(config, sweep_parameter, value)
+        except ValidationError as exc:
+            raise ConfigError(f"sweep {sweep_parameter} = {value:g}: {exc}") from None
 
     fmt = str(overrides.get("format") or run.get("format", "json"))
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format {fmt!r} must be json or csv")
     out = overrides.get("out") or run.get("out")
+    jobs = overrides.get("jobs")
+    jobs = 1 if jobs is None else int(jobs)
+    if jobs < 1:
+        raise ConfigError(f"--jobs {jobs} must be >= 1")
     return ExperimentConfig(
         protocol=protocol,
         config=config,
@@ -252,7 +262,7 @@ def build_experiment(
         sweep_values=sweep_values,
         out=str(out) if out is not None else None,
         format=fmt,
-        jobs=int(overrides.get("jobs") or 1),
+        jobs=jobs,
     )
 
 
@@ -378,62 +388,22 @@ def config_echo(exp: ExperimentConfig) -> dict:
 # execution
 
 
-def _run_chunk(config: ProtocolConfig, kind: str, start: int, count: int):
-    return protocols.trial_outcomes(config, kind, start, count)
-
-
-def _sampled_outcomes(config: ProtocolConfig, kind: str, jobs: int):
-    if jobs <= 1:
-        return protocols.trial_outcomes(config, kind, 0, config.trials)
-    chunk = max(1, math.ceil(config.trials / (jobs * 4)))
-    spans = [(s, min(chunk, config.trials - s)) for s in range(0, config.trials, chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_run_chunk, *zip(*[(config, kind, s, n) for s, n in spans])))
-    merged: list = []
-    for part in parts:
-        merged.extend(part)
-    return merged
-
-
-def run_protocol(protocol: str, config: ProtocolConfig, jobs: int = 1) -> dict:
-    """Execute one protocol run and return its summary block."""
+def run_protocol(protocol: str, config: ProtocolConfig, chunk_map=map) -> dict:
+    """Execute one protocol run and return its summary block; sampled
+    trial chunks run through `chunk_map`."""
     if protocol == "generate":
-        _, summary = protocols.generate_entanglement(config)
-        return summary
+        return protocols.generate_entanglement(config)[1]
     if protocol == "event-ready":
-        if config.mode == "sampled":
-            outcomes = _sampled_outcomes(config, "event-ready", jobs)
-            summary = {
-                "protocol": "event-ready",
-                "mode": "sampled",
-                "p0": config.source.p0,
-                "emission_order": config.source.emission_order,
-                "leading_order_success_probability": config.source.p0 / 2.0,
-                "order1_success_probability": config.source.p0 / (2.0 * (1.0 + config.source.p0)),
-            }
-            summary.update(protocols.summarize_sampled(config, "event-ready", outcomes))
-            return summary
-        _, summary, _ = protocols.event_ready_generation(config)
-        return summary
+        return protocols.event_ready_generation(config, chunk_map)[1]
     if protocol == "memory":
-        if config.mode == "sampled":
-            outcomes = _sampled_outcomes(config, "memory", jobs)
-            summary = {
-                "protocol": "memory",
-                "mode": "sampled",
-                "theta": config.theta,
-                "phi": config.phi,
-            }
-            summary.update(protocols.summarize_sampled(config, "memory", outcomes))
-            return summary
-        _, summary, _ = protocols.memory_store(config)
-        return summary
+        return protocols.memory_store(config, chunk_map=chunk_map)[1]
     raise ConfigError(f"unknown protocol {protocol!r}")
 
 
 def run(exp: ExperimentConfig) -> dict:
     """Execute the experiment (single run or sweep) and assemble the
-    full report."""
+    full report; with more than one job, sampled trials run in a process
+    pool of at most one worker per CPU."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": "stokesim",
@@ -443,15 +413,18 @@ def run(exp: ExperimentConfig) -> dict:
         "seed": exp.config.seed,
         "config": config_echo(exp),
     }
-    if exp.sweep_parameter is None:
-        report["summary"] = run_protocol(exp.protocol, exp.config, exp.jobs)
-        return report
-    rows = []
-    for value in exp.sweep_values:
-        cfg = apply_sweep_value(exp.config, exp.sweep_parameter, value)
-        row = {exp.sweep_parameter: value}
-        row.update(run_protocol(exp.protocol, cfg, exp.jobs))
-        rows.append(row)
+    pool = ProcessPoolExecutor(max_workers=min(exp.jobs, os.cpu_count() or 1)) if exp.jobs > 1 else None
+    with pool or nullcontext():
+        chunk_map = pool.map if pool else map
+        if exp.sweep_parameter is None:
+            report["summary"] = run_protocol(exp.protocol, exp.config, chunk_map)
+            return report
+        rows = []
+        for value in exp.sweep_values:
+            cfg = apply_sweep_value(exp.config, exp.sweep_parameter, value)
+            row = {exp.sweep_parameter: value}
+            row.update(run_protocol(exp.protocol, cfg, chunk_map))
+            rows.append(row)
     report["sweep"] = {"parameter": exp.sweep_parameter, "values": list(exp.sweep_values)}
     report["rows"] = rows
     return report

@@ -96,10 +96,6 @@ def default_herald_rule() -> HeraldRule:
     )
 
 
-def classify(pattern, rule: HeraldRule | None = None) -> str:
-    return (rule or default_herald_rule()).classify(pattern)
-
-
 def exact_outcome_distribution(
     state: PureState | MixedState, modes: Sequence
 ) -> list[tuple[tuple[int, ...], float]]:
@@ -260,30 +256,3 @@ class PreparedBellAnalyzer:
                     branches.append((p / prob * w, st))
             out.append((outcome, MixedState(branches, check_weights=False), prob))
         return out
-
-
-def bell_analyzer(
-    state: PureState,
-    path_1: str,
-    path_2: str,
-    detector: DetectorSpec = DetectorSpec(),
-    rng=None,
-    exact: bool = False,
-    rule: HeraldRule | None = None,
-):
-    """One-shot Bell-state analysis on two linear-basis paths.
-
-    With `exact=True` returns the full outcome table
-    [(outcome, conditional, probability)]; otherwise samples one trial
-    and returns (outcome, conditional given the true photon numbers,
-    click-pattern probability).
-    """
-    prepared = PreparedBellAnalyzer(state, path_1, path_2, detector, rule)
-    if exact:
-        return prepared.exact_outcomes()
-    if rng is None:
-        raise ValidationError("sampled analysis needs a random generator")
-    outcome, pattern, true = prepared.sample(rng)
-    clicked = [lab in pattern.clicks for lab in prepared.labels]
-    prob = _pattern_probability(prepared.distribution, prepared.specs, clicked)
-    return outcome, prepared.conditional(true), prob

@@ -59,45 +59,6 @@ def quarter_wave(state: PureState, path: str) -> PureState:
     return state.with_registry(reg)
 
 
-def quarter_wave_inverse(state: PureState, path: str) -> PureState:
-    """Undo :func:`quarter_wave` (linear back to circular)."""
-    _require_pols(state, path, fock.LINEAR_POLS, "quarter_wave_inverse")
-    reg = state.registry.replace(
-        {
-            state.registry.path_mode(path, "H"): fock.photonic_mode(path, "L"),
-            state.registry.path_mode(path, "V"): fock.photonic_mode(path, "R"),
-        }
-    )
-    return state.with_registry(reg)
-
-
-def pbs_attenuator(state: PureState, path: str, t: float) -> PureState:
-    """Polarization-selective attenuator: pass R, transmit L with
-    probability `t`.
-
-    The L mode is coupled to a fresh loss mode by a beam-splitter unitary
-    with amplitude transmissivity sqrt(t), so the whole element stays
-    unitary on the extended space; the loss mode is traced out only at
-    measurement time.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"transmissivity t={t} outside [0, 1]")
-    if "L" not in state.registry.path_pols(path):
-        raise ValidationError(f"pbs_attenuator needs an L mode on path {path!r}")
-    if t == 1.0:
-        return state
-    reg, sink = state.registry.add_loss()
-    zeros = {occ + (0,): c for occ, c in state.amplitudes.items()}
-    grown = PureState(reg, zeros, state.truncation_loss)
-    u = np.array(
-        [
-            [math.sqrt(t), math.sqrt(1.0 - t)],
-            [math.sqrt(1.0 - t), -math.sqrt(t)],
-        ]
-    )
-    return fock.apply_mode_unitary(grown, [reg.path_mode(path, "L"), sink], u)
-
-
 def attenuate_mode(state: PureState, mode, t: float) -> PureState:
     """Couple any single mode to a fresh loss mode with transmissivity t."""
     if not 0.0 <= t <= 1.0:
@@ -156,15 +117,3 @@ def pol_splitter(state: PureState, path: str) -> tuple[PureState, str, str]:
         }
     )
     return state.with_registry(reg), out_h, out_v
-
-
-def filter(state: PureState, path: str | None = None) -> PureState:  # noqa: A001 - element name
-    """Frequency filter in front of the detectors.
-
-    The pump field is classical and never enters the state space, so the
-    filter has nothing to remove; it only checks the path exists (when
-    given) and passes the state through unchanged.
-    """
-    if path is not None and not state.registry.path_modes(path):
-        raise ValidationError(f"filter placed on unknown path {path!r}")
-    return state

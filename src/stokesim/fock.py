@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class ModeRegistry:
     def replace(self, mapping: Mapping[ModeId, ModeId]) -> "ModeRegistry":
         """Relabel modes in place (same basis positions, new identities)."""
         return ModeRegistry(tuple(mapping.get(m, m) for m in self.modes), self.cutoff)
-
-    def without(self, drop: Iterable[ModeId]) -> "ModeRegistry":
-        names = {self.mode(m).name for m in drop}
-        return ModeRegistry(tuple(m for m in self.modes if m.name not in names), self.cutoff)
 
     # -- lookup -----------------------------------------------------------
 

@@ -10,6 +10,11 @@ Three procedures built from the source, analyzer, and metric layers:
   collective atomic modes via Bell analysis against the heralded channel
   state, with an ideal readout back to a photon.
 
+The two heralded procedures share one shape: a `HeraldedSpec` holds the
+joint-state builder, analyzer paths, triplet-herald correction mode,
+fidelity functional and report header of each, and one exact and one
+sampled driver read it.
+
 Heralds come with correction operators fixed once for this beam-splitter
 sign convention (derived by brute force, pinned by tests): a triplet
 herald needs a phase flip on the surviving ancilla photon's H mode
@@ -20,14 +25,16 @@ global phase.
 
 Sampled runs draw one counter-based random stream per trial from
 (seed, trial index), which makes results independent of execution order
-and parallelism.
+and parallelism, so trial chunks may run through any chunk-map callable.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -42,6 +49,9 @@ SQRT_HALF = math.sqrt(0.5)
 
 #: z for a 95% Wilson score interval
 _WILSON_Z = 1.959963984540054
+
+#: chunks per sampled run: enough to keep a small process pool evenly busy
+_CHUNKS = 32
 
 
 @dataclass(frozen=True)
@@ -69,14 +79,9 @@ class ProtocolConfig:
             raise ValidationError(f"phi={self.phi} outside [0, 2*pi)")
         if not 0.0 <= self.retrieval_efficiency <= 1.0:
             raise ValidationError("retrieval_efficiency outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    outcome: str
-    success: bool
-    fidelity: float | None = None
+        order = self.source.emission_order
+        if 2 * order > self.cutoff:
+            raise ValidationError(f"emission_order {order} needs cutoff >= {2 * order}, got {self.cutoff}")
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -95,10 +100,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # qubit encodings used throughout
 
 ATOMIC_QUBIT = metrics.excitation_qubit("S1", "S2")
-
-
-def _b_qubit() -> metrics.QubitEncoding:
-    return metrics.pol_qubit("B")
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +219,20 @@ def _event_ready_input(config: ProtocolConfig) -> PureState:
     return fock.tensor(src, ancilla)
 
 
-def _mixture_fidelity(mixed: MixedState, target: PureState) -> float:
-    return fock.state_fidelity(mixed, target)
+def _event_ready_header(config: ProtocolConfig) -> dict:
+    p0 = config.source.p0
+    return {
+        "protocol": "event-ready",
+        "mode": config.mode,
+        "p0": p0,
+        "emission_order": config.source.emission_order,
+        "leading_order_success_probability": p0 / 2.0,
+        "order1_success_probability": p0 / (2.0 * (1.0 + p0)),
+    }
+
+
+def _heralded_fidelity(config: ProtocolConfig, heralded: MixedState) -> float:
+    return fock.state_fidelity(heralded, event_ready_target(heralded.registry))
 
 
 def false_herald_probability(rule: detection.HeraldRule, dark_prob: float, n_detectors: int = 4) -> float:
@@ -232,156 +245,6 @@ def false_herald_probability(rule: detection.HeraldRule, dark_prob: float, n_det
         k = len(pattern)
         total += dark_prob**k * (1.0 - dark_prob) ** (n_detectors - k)
     return total
-
-
-class _SampledProtocol:
-    """Prepared analyzer plus the per-outcome correction and fidelity
-    target for one protocol kind, with conditional fidelities cached per
-    true detection pattern."""
-
-    def __init__(self, config: ProtocolConfig, kind: str, channel: PureState | None = None):
-        self.kind = kind
-        if kind == "event-ready":
-            joint = _event_ready_input(config)
-            paths = ("p", "A")
-        elif kind == "memory":
-            chan = channel if channel is not None else ideal_channel(config.cutoff)
-            joint = fock.tensor(chan, input_qubit(config.theta, config.phi, config.cutoff))
-            paths = ("q", "B")
-            self._amps = (math.cos(config.theta), math.sin(config.theta) * np.exp(1j * config.phi))
-        else:
-            raise ValidationError(f"unknown sampled protocol {kind!r}")
-        self.truncation_loss = joint.truncation_loss
-        self.prep = PreparedBellAnalyzer(joint, *paths, config.detector)
-        self._fids: dict[tuple[tuple[int, ...], str], float] = {}
-        self._target: PureState | None = None
-
-    def corrected_conditional(self, true: tuple[int, ...], outcome: str) -> MixedState:
-        cond = self.prep.conditional(true)
-        if outcome == PSI_PLUS:
-            cond = _flip_phase(cond, "B:H" if self.kind == "event-ready" else "S2")
-        return cond
-
-    def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
-        key = (true, outcome)
-        fid = self._fids.get(key)
-        if fid is None:
-            cond = self.corrected_conditional(true, outcome)
-            if self.kind == "event-ready":
-                if self._target is None:
-                    self._target = event_ready_target(cond.registry)
-                fid = _mixture_fidelity(cond, self._target)
-            else:
-                fid = metrics.qubit_fidelity(cond, ATOMIC_QUBIT, *self._amps)
-            self._fids[key] = fid
-        return fid
-
-
-@lru_cache(maxsize=8)
-def _cached_protocol(config: ProtocolConfig, kind: str) -> _SampledProtocol:
-    return _SampledProtocol(config, kind)
-
-
-def trial_outcomes(
-    config: ProtocolConfig, kind: str, start: int, count: int, channel: PureState | None = None
-) -> list[tuple[str, float | None]]:
-    """Run trials [start, start+count) and return (outcome, fidelity)
-    per trial; fidelity is None on failures.
-
-    Each trial draws its own counter-based stream from (seed, index), so
-    any partition of the index range yields identical results.
-    """
-    sp = _SampledProtocol(config, kind, channel) if channel is not None else _cached_protocol(config, kind)
-    out: list[tuple[str, float | None]] = []
-    for i in range(start, start + count):
-        rng = trial_rng(config.seed, i)
-        outcome, _, true = sp.prep.sample(rng)
-        fid = sp.fidelity(true, outcome) if outcome != FAIL else None
-        out.append((outcome, fid))
-    return out
-
-
-def summarize_sampled(config: ProtocolConfig, kind: str, outcomes: list[tuple[str, float | None]]) -> dict:
-    """Aggregate per-trial outcomes (in trial order) into the summary
-    block shared by the sampled protocols."""
-    successes = 0
-    fid_sum = 0.0
-    counts = {PSI_MINUS: 0, PSI_PLUS: 0, FAIL: 0}
-    for outcome, fid in outcomes:
-        counts[outcome] += 1
-        if outcome != FAIL:
-            successes += 1
-            fid_sum += fid
-    trials = len(outcomes)
-    low, high = wilson_interval(successes, trials)
-    fid_key = "mean_heralded_fidelity" if kind == "event-ready" else "mean_stored_fidelity"
-    return {
-        "trials": trials,
-        "seed": config.seed,
-        "eta": config.detector.efficiency,
-        "dark_prob": config.detector.dark_prob,
-        "success_count": successes,
-        "success_rate": successes / trials,
-        "wilson_low": low,
-        "wilson_high": high,
-        "psi_minus_count": counts[PSI_MINUS],
-        "psi_plus_count": counts[PSI_PLUS],
-        fid_key: (fid_sum / successes) if successes else None,
-    }
-
-
-def event_ready_generation(
-    config: ProtocolConfig, return_records: bool = False
-) -> tuple[MixedState | None, dict, list[TrialRecord]]:
-    """Heralded entanglement between the ensembles and ancilla photon B.
-
-    Exact mode evolves the full state and reports closed-form
-    probabilities with ideal detectors; sampled mode draws per-trial
-    detector records with the configured efficiency and dark counts.
-    """
-    p0 = config.source.p0
-    report: dict = {
-        "protocol": "event-ready",
-        "mode": config.mode,
-        "p0": p0,
-        "emission_order": config.source.emission_order,
-        "leading_order_success_probability": p0 / 2.0,
-        "order1_success_probability": p0 / (2.0 * (1.0 + p0)),
-    }
-    records: list[TrialRecord] = []
-
-    if config.mode == "exact":
-        joint = _event_ready_input(config)
-        report["truncation_loss"] = joint.truncation_loss
-        prep = PreparedBellAnalyzer(joint, "p", "A")
-        outcomes = {name: (cond, prob) for name, cond, prob in prep.exact_outcomes()}
-        minus, p_minus = outcomes[PSI_MINUS]
-        plus, p_plus = outcomes[PSI_PLUS]
-        total = p_minus + p_plus
-        report["success_probability"] = total
-        report["psi_minus_probability"] = p_minus
-        report["psi_plus_probability"] = p_plus
-        if total <= 0.0:
-            report["heralded_fidelity"] = None
-            return None, report, records
-        branches: list[tuple[float, PureState]] = []
-        if minus is not None and p_minus > 0:
-            branches += [(w * p_minus / total, st) for w, st in minus.branches]
-        if plus is not None and p_plus > 0:
-            corrected = _flip_phase(plus, "B:H")
-            branches += [(w * p_plus / total, st) for w, st in corrected.branches]
-        heralded = MixedState(branches, check_weights=False)
-        target = event_ready_target(heralded.registry)
-        report["heralded_fidelity"] = _mixture_fidelity(heralded, target)
-        return heralded, report, records
-
-    outcomes_list = trial_outcomes(config, "event-ready", 0, config.trials)
-    report.update(summarize_sampled(config, "event-ready", outcomes_list))
-    if return_records:
-        records = [
-            TrialRecord(i, outcome, outcome != FAIL, fid) for i, (outcome, fid) in enumerate(outcomes_list)
-        ]
-    return None, report, records
 
 
 # ---------------------------------------------------------------------------
@@ -406,64 +269,23 @@ def input_qubit(theta: float, phi: float, cutoff: int = fock.DEFAULT_CUTOFF) -> 
     return PureState(reg, amps)
 
 
-def memory_store(
-    config: ProtocolConfig,
-    channel: PureState | None = None,
-    return_records: bool = False,
-) -> tuple[MixedState | None, dict, list[TrialRecord]]:
-    """Teleport an input photonic qubit into the collective atomic modes.
-
-    The channel defaults to the ideal heralded singlet; pass an
-    event-ready output to study the full chain.  Success is any
-    non-failure herald (probability 1/2 for an ideal channel).
-    """
+def _memory_input(config: ProtocolConfig, channel: PureState | None) -> PureState:
     chan = channel if channel is not None else ideal_channel(config.cutoff)
     if "B:H" not in {m.name for m in chan.registry.modes}:
         raise ValidationError("channel state must carry the B path")
-    qubit = input_qubit(config.theta, config.phi, config.cutoff)
-    joint = fock.tensor(chan, qubit)
-    a0 = math.cos(config.theta)
-    a1 = math.sin(config.theta) * np.exp(1j * config.phi)
+    return fock.tensor(chan, input_qubit(config.theta, config.phi, config.cutoff))
 
-    report: dict = {
-        "protocol": "memory",
-        "mode": config.mode,
-        "theta": config.theta,
-        "phi": config.phi,
-    }
-    records: list[TrialRecord] = []
 
-    if config.mode == "exact":
-        prep = PreparedBellAnalyzer(joint, "q", "B")
-        outcomes = {name: (cond, prob) for name, cond, prob in prep.exact_outcomes()}
-        minus, p_minus = outcomes[PSI_MINUS]
-        plus, p_plus = outcomes[PSI_PLUS]
-        total = p_minus + p_plus
-        report["success_probability"] = total
-        if total <= 0.0:
-            report["stored_fidelity"] = None
-            return None, report, records
-        branches: list[tuple[float, PureState]] = []
-        if minus is not None and p_minus > 0:
-            branches += [(w * p_minus / total, st) for w, st in minus.branches]
-        if plus is not None and p_plus > 0:
-            corrected = _flip_phase(plus, "S2")
-            branches += [(w * p_plus / total, st) for w, st in corrected.branches]
-        stored = MixedState(branches, check_weights=False)
-        report["stored_fidelity"] = metrics.qubit_fidelity(stored, ATOMIC_QUBIT, a0, a1)
-        readout = memory_readout(stored, config.retrieval_efficiency)
-        report["round_trip_fidelity"] = metrics.qubit_fidelity(
-            readout, metrics.pol_qubit("readout"), a0, a1
-        )
-        return stored, report, records
+def _memory_header(config: ProtocolConfig) -> dict:
+    return {"protocol": "memory", "mode": config.mode, "theta": config.theta, "phi": config.phi}
 
-    outcomes_list = trial_outcomes(config, "memory", 0, config.trials, channel=channel)
-    report.update(summarize_sampled(config, "memory", outcomes_list))
-    if return_records:
-        records = [
-            TrialRecord(i, outcome, outcome != FAIL, fid) for i, (outcome, fid) in enumerate(outcomes_list)
-        ]
-    return None, report, records
+
+def _qubit_amplitudes(config: ProtocolConfig) -> tuple[float, complex]:
+    return math.cos(config.theta), math.sin(config.theta) * np.exp(1j * config.phi)
+
+
+def _stored_fidelity(config: ProtocolConfig, stored: MixedState) -> float:
+    return metrics.qubit_fidelity(stored, ATOMIC_QUBIT, *_qubit_amplitudes(config))
 
 
 def memory_readout(stored: MixedState | PureState, retrieval_efficiency: float = 1.0) -> MixedState:
@@ -493,17 +315,204 @@ def memory_readout(stored: MixedState | PureState, retrieval_efficiency: float =
     return MixedState(branches, check_weights=False)
 
 
-def fidelity_report(
-    before: PureState,
-    before_enc: metrics.QubitEncoding,
-    after: MixedState | PureState,
-    after_enc: metrics.QubitEncoding,
-) -> float:
-    """<phi|rho|phi> between a pure qubit and a possibly-mixed qubit that
-    may live on different physical modes."""
-    a0 = before.amplitude(before_enc.pattern(0))
-    a1 = before.amplitude(before_enc.pattern(1))
-    n = abs(a0) ** 2 + abs(a1) ** 2
-    if abs(n - 1.0) > 1e-9:
-        raise ValidationError("reference state is not a normalized qubit in its encoding")
-    return metrics.qubit_fidelity(after, after_enc, a0, a1)
+# ---------------------------------------------------------------------------
+# the heralded-protocol drivers
+
+
+@dataclass(frozen=True)
+class HeraldedSpec:
+    """What distinguishes one heralded protocol from the other."""
+
+    name: str
+    #: report keys common to both modes
+    header: Callable[[ProtocolConfig], dict]
+    #: joint input state of the analyzer, given the config and an optional channel
+    joint_state: Callable[[ProtocolConfig, PureState | None], PureState]
+    #: analyzer inputs: the first path feeds D_H/D_V, the second D_H'/D_V'
+    paths: tuple[str, str]
+    #: mode whose phase is flipped by pi on a PsiPlus herald
+    flip_mode: str
+    #: fidelity of a corrected heralded state, reported under `fidelity_key`
+    fidelity: Callable[[ProtocolConfig, MixedState], float]
+    fidelity_key: str
+    #: exact-mode probability keys reported after the header, in order
+    exact_keys: tuple[str, ...]
+
+
+EVENT_READY = HeraldedSpec(
+    name="event-ready",
+    header=_event_ready_header,
+    joint_state=lambda config, channel: _event_ready_input(config),
+    paths=("p", "A"),
+    flip_mode="B:H",
+    fidelity=_heralded_fidelity,
+    fidelity_key="heralded_fidelity",
+    exact_keys=("truncation_loss", "success_probability", "psi_minus_probability", "psi_plus_probability"),
+)
+
+MEMORY = HeraldedSpec(
+    name="memory",
+    header=_memory_header,
+    joint_state=_memory_input,
+    paths=("q", "B"),
+    flip_mode="S2",
+    fidelity=_stored_fidelity,
+    fidelity_key="stored_fidelity",
+    exact_keys=("success_probability",),
+)
+
+HERALDED = {spec.name: spec for spec in (EVENT_READY, MEMORY)}
+
+
+def _corrected(spec: HeraldedSpec, conditional: MixedState, outcome: str) -> MixedState:
+    return _flip_phase(conditional, spec.flip_mode) if outcome == PSI_PLUS else conditional
+
+
+def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None) -> tuple[MixedState | None, dict]:
+    """Closed-form probabilities with ideal detectors, and the heralded
+    state: the corrected herald conditionals mixed by probability."""
+    joint = spec.joint_state(config, channel)
+    prep = PreparedBellAnalyzer(joint, *spec.paths)
+    heralds = [(outcome, cond, prob) for outcome, cond, prob in prep.exact_outcomes() if outcome != FAIL]
+    total = sum(prob for _, _, prob in heralds)
+    values = {
+        "truncation_loss": joint.truncation_loss,
+        "success_probability": total,
+        "psi_minus_probability": heralds[0][2],
+        "psi_plus_probability": heralds[1][2],
+    }
+    report = spec.header(config)
+    report.update((key, values[key]) for key in spec.exact_keys)
+    if total <= 0.0:
+        report[spec.fidelity_key] = None
+        return None, report
+    branches: list[tuple[float, PureState]] = []
+    for outcome, cond, prob in heralds:
+        if cond is not None and prob > 0:
+            branches += [(w * prob / total, st) for w, st in _corrected(spec, cond, outcome).branches]
+    heralded = MixedState(branches, check_weights=False)
+    report[spec.fidelity_key] = spec.fidelity(config, heralded)
+    return heralded, report
+
+
+class _SampledProtocol:
+    """Prepared analyzer of one heralded protocol, with the corrected
+    conditional's fidelity cached per (true detection pattern, outcome)."""
+
+    def __init__(self, config: ProtocolConfig, kind: str, channel: PureState | None = None):
+        self.config = config
+        self.spec = HERALDED[kind]
+        joint = self.spec.joint_state(config, channel)
+        self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
+        self._fids: dict[tuple[tuple[int, ...], str], float] = {}
+
+    def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
+        key = (true, outcome)
+        fid = self._fids.get(key)
+        if fid is None:
+            cond = _corrected(self.spec, self.prep.conditional(true), outcome)
+            fid = self._fids[key] = self.spec.fidelity(self.config, cond)
+        return fid
+
+
+@lru_cache(maxsize=8)
+def _cached_protocol(config: ProtocolConfig, kind: str, channel: PureState | None) -> _SampledProtocol:
+    # a channel state hashes by identity, so one run reuses its protocol
+    return _SampledProtocol(config, kind, channel)
+
+
+def trial_outcomes(
+    config: ProtocolConfig, kind: str, start: int, count: int, channel: PureState | None = None
+) -> list[tuple[str, float | None]]:
+    """Run trials [start, start+count) and return (outcome, fidelity)
+    per trial; fidelity is None on failures.
+
+    Each trial draws its own counter-based stream from (seed, index), so
+    any partition of the index range yields identical results.
+    """
+    sp = _cached_protocol(config, kind, channel)
+    out: list[tuple[str, float | None]] = []
+    for i in range(start, start + count):
+        rng = trial_rng(config.seed, i)
+        outcome, _, true = sp.prep.sample(rng)
+        fid = sp.fidelity(true, outcome) if outcome != FAIL else None
+        out.append((outcome, fid))
+    return out
+
+
+def summarize_sampled(config: ProtocolConfig, kind: str, outcomes: list[tuple[str, float | None]]) -> dict:
+    """Aggregate per-trial outcomes (in trial order) into the summary
+    block shared by the sampled protocols."""
+    successes = 0
+    fid_sum = 0.0
+    counts = {PSI_MINUS: 0, PSI_PLUS: 0, FAIL: 0}
+    for outcome, fid in outcomes:
+        counts[outcome] += 1
+        if outcome != FAIL:
+            successes += 1
+            fid_sum += fid
+    trials = len(outcomes)
+    low, high = wilson_interval(successes, trials)
+    return {
+        "trials": trials,
+        "seed": config.seed,
+        "eta": config.detector.efficiency,
+        "dark_prob": config.detector.dark_prob,
+        "success_count": successes,
+        "success_rate": successes / trials,
+        "wilson_low": low,
+        "wilson_high": high,
+        "psi_minus_count": counts[PSI_MINUS],
+        "psi_plus_count": counts[PSI_PLUS],
+        "mean_" + HERALDED[kind].fidelity_key: (fid_sum / successes) if successes else None,
+    }
+
+
+def _run_sampled(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None, chunk_map) -> dict:
+    """Monte Carlo run with the configured detectors: the trial range is
+    cut into chunks, `chunk_map` runs `trial_outcomes` on each, and the
+    outcomes are aggregated in trial order."""
+    size = math.ceil(config.trials / _CHUNKS)
+    starts = range(0, config.trials, size)
+    counts = [min(size, config.trials - s) for s in starts]
+    outcomes: list[tuple[str, float | None]] = []
+    for part in chunk_map(trial_outcomes, repeat(config), repeat(spec.name), starts, counts, repeat(channel)):
+        outcomes.extend(part)
+    report = spec.header(config)
+    report.update(summarize_sampled(config, spec.name, outcomes))
+    return report
+
+
+def event_ready_generation(config: ProtocolConfig, chunk_map=map) -> tuple[MixedState | None, dict]:
+    """Heralded entanglement between the ensembles and ancilla photon B.
+
+    Exact mode evolves the full state and reports closed-form
+    probabilities with ideal detectors; sampled mode draws per-trial
+    detector records with the configured efficiency and dark counts,
+    mapping trial chunks with `chunk_map` (`map` or a pool's `map`).
+    """
+    if config.mode == "sampled":
+        return None, _run_sampled(EVENT_READY, config, None, chunk_map)
+    return _run_exact(EVENT_READY, config, None)
+
+
+def memory_store(
+    config: ProtocolConfig, channel: PureState | None = None, chunk_map=map
+) -> tuple[MixedState | None, dict]:
+    """Teleport an input photonic qubit into the collective atomic modes.
+
+    The channel defaults to the ideal heralded singlet; pass an
+    event-ready output to study the full chain.  Success is any
+    non-failure herald (probability 1/2 for an ideal channel).  Exact
+    mode also reports the fidelity after readout; modes and `chunk_map`
+    are as in :func:`event_ready_generation`.
+    """
+    if config.mode == "sampled":
+        return None, _run_sampled(MEMORY, config, channel, chunk_map)
+    stored, report = _run_exact(MEMORY, config, channel)
+    if stored is not None:
+        readout = memory_readout(stored, config.retrieval_efficiency)
+        report["round_trip_fidelity"] = metrics.qubit_fidelity(
+            readout, metrics.pol_qubit("readout"), *_qubit_amplitudes(config)
+        )
+    return stored, report

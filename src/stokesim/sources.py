@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import elements, fock
 from .errors import ValidationError
-from .fock import MixedState, ModeRegistry, PureState
+from .fock import ModeRegistry, PureState
 
 P0_MAX = 0.2
 SQRT_HALF = math.sqrt(0.5)
@@ -146,7 +146,7 @@ def dual_ensemble_source(params: SourceParams, cutoff: int = fock.DEFAULT_CUTOFF
     if p1 > 0:
         st = raman_emit(st, "S1", "p:R", p1, order)
     st = elements.half_wave(st, "p")
-    st = elements.pbs_attenuator(st, "p", t)
+    st = elements.attenuate_mode(st, "p:L", t)
     if p2 > 0:
         st = raman_emit(st, "S2", "p:R", p2, order)
     # branch amplitudes come out real; the physical relative phase
@@ -162,52 +162,10 @@ def dual_ensemble_source(params: SourceParams, cutoff: int = fock.DEFAULT_CUTOFF
     return st.normalize()
 
 
-def single_ensemble_source(params: SourceParams, cutoff: int = fock.DEFAULT_CUTOFF) -> PureState:
-    """One ensemble with two collective modes emitting into orthogonal
-    circular polarizations: the single-excitation sector is
-    alpha |Sr>|1_R> + beta |Sl>|1_L>.
-    """
-    alpha, beta = params.branch_amplitudes()
-    reg = ModeRegistry(cutoff=cutoff).add_atomic("Sr").add_atomic("Sl").add_photonic_path("p", basis="circular")
-    st = fock.vacuum(reg)
-    order = params.emission_order
-    pr = abs(alpha) ** 2 * params.p0
-    pl = abs(beta) ** 2 * params.p0
-    if pr > 0:
-        st = raman_emit(st, "Sr", "p:R", pr, order)
-    if pl > 0:
-        st = raman_emit(st, "Sl", "p:L", pl, order)
-    rel = cmath.phase(beta) - cmath.phase(alpha) if (alpha and beta) else 0.0
-    if rel:
-        st = fock.apply_phase(st, "p:L", rel)
-    st, _ = fock.truncate_total_occupation(st, ["Sr", "Sl"], order)
-    return st.normalize()
-
-
-def epr_pair(
-    path_a: str = "A",
-    path_b: str = "B",
-    visibility: float = 1.0,
-    cutoff: int = fock.DEFAULT_CUTOFF,
-) -> PureState | MixedState:
-    """Polarization-entangled ancilla pair (|HH> + |VV>)/sqrt(2).
-
-    `visibility` scales the HH/VV coherence: 1 returns the pure pair,
-    v < 1 returns the partially dephased mixture
-    v |pair><pair| + (1-v)/2 (|HH><HH| + |VV><VV|).
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValidationError(f"visibility {visibility} outside [0, 1]")
+def epr_pair(path_a: str = "A", path_b: str = "B", cutoff: int = fock.DEFAULT_CUTOFF) -> PureState:
+    """Polarization-entangled ancilla pair (|HH> + |VV>)/sqrt(2)."""
     reg = ModeRegistry(cutoff=cutoff).add_photonic_path(path_a, basis="linear")
     reg = reg.add_photonic_path(path_b, basis="linear")
     hh = fock.basis_state(reg, {f"{path_a}:H": 1, f"{path_b}:H": 1})
     vv = fock.basis_state(reg, {f"{path_a}:V": 1, f"{path_b}:V": 1})
-    pair = PureState(reg, {occ: SQRT_HALF for occ in (*hh.amplitudes, *vv.amplitudes)})
-    if visibility == 1.0:
-        return pair
-    branches = [
-        (visibility, pair),
-        ((1.0 - visibility) / 2.0, fock.basis_state(reg, {f"{path_a}:H": 1, f"{path_b}:H": 1})),
-        ((1.0 - visibility) / 2.0, fock.basis_state(reg, {f"{path_a}:V": 1, f"{path_b}:V": 1})),
-    ]
-    return MixedState([(w, s) for w, s in branches if w > 0], check_weights=False)
+    return PureState(reg, {occ: SQRT_HALF for occ in (*hh.amplitudes, *vv.amplitudes)})

@@ -67,7 +67,7 @@ def test_criterion_03_event_ready_success_probability():
     lines = []
     for i, p0 in enumerate((0.005, 0.01, 0.02)):
         exact_cfg = ProtocolConfig(source=SourceParams(p0=p0), detector=ideal())
-        _, report, _ = protocols.event_ready_generation(exact_cfg)
+        _, report = protocols.event_ready_generation(exact_cfg)
         p_exact = p0 / (2.0 * (1.0 + p0))
         assert abs(report["success_probability"] - p_exact) <= TOL
         assert abs(report["leading_order_success_probability"] - p0 / 2.0) <= TOL
@@ -81,7 +81,7 @@ def test_criterion_03_event_ready_success_probability():
             trials=n,
             seed=2026 + i,
         )
-        _, sampled, _ = protocols.event_ready_generation(sampled_cfg)
+        _, sampled = protocols.event_ready_generation(sampled_cfg)
         elapsed = time.perf_counter() - start
         sigma = math.sqrt(n * p_exact * (1.0 - p_exact))
         dev = abs(sampled["success_count"] - n * p_exact)
@@ -108,7 +108,7 @@ def test_criterion_05_memory_protocol():
     sampled_cfg = ProtocolConfig(
         mode="sampled", trials=n, seed=515, theta=0.7, phi=1.9, detector=ideal()
     )
-    _, report, _ = protocols.memory_store(sampled_cfg)
+    _, report = protocols.memory_store(sampled_cfg)
     dev = abs(report["success_count"] - n / 2.0)
     sigma = math.sqrt(n * 0.25)
     assert dev <= 3.0 * sigma
@@ -117,7 +117,7 @@ def test_criterion_05_memory_protocol():
     for theta in np.linspace(0.0, math.pi, 5):
         for phi in np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False):
             cfg = ProtocolConfig(theta=float(theta), phi=float(phi), detector=ideal())
-            _, rep, _ = protocols.memory_store(cfg)
+            _, rep = protocols.memory_store(cfg)
             assert abs(rep["stored_fidelity"] - 1.0) <= TOL, (theta, phi)
             assert abs(rep["round_trip_fidelity"] - 1.0) <= TOL, (theta, phi)
             worst_store = min(worst_store, rep["stored_fidelity"])
@@ -144,7 +144,7 @@ def test_criterion_07_contamination_scaling():
     deltas = []
     for p0 in grid:
         cfg = ProtocolConfig(source=SourceParams(p0=p0, emission_order=2), detector=ideal())
-        _, report, _ = protocols.event_ready_generation(cfg)
+        _, report = protocols.event_ready_generation(cfg)
         deltas.append(1.0 - report["heralded_fidelity"])
     for lo, hi in zip(deltas, deltas[1:]):
         assert hi > lo, f"deficit not monotone: {deltas}"

@@ -1,11 +1,13 @@
 """CLI and report-format tests.
 
-Golden files under data/ pin the exact report bytes for one exact run
-and one exact sweep; regenerate them deliberately if the schema changes.
+Golden files under data/ pin the exact report bytes of exact and sampled
+event-ready and memory runs and of one exact sweep; regenerate them
+deliberately if the schema changes.
 """
 
 import json
 import math
+import os
 import pathlib
 
 import pytest
@@ -322,6 +324,56 @@ def test_main_validate_rejects_bad_config(tmp_path, capsys):
     ini = write_ini(tmp_path, "[source]\np0 = 0.9\n")
     assert cli.main(["validate", "--config", ini]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("sweep", "[sweep]\nparameter = p0\nvalues = 0.01, 0.5\n"),
+        ("event-ready", "[source]\ncutoff = 1\n"),
+        ("event-ready", "[source]\nemission_order = 4\n"),
+    ],
+    ids=["sweep-p0-out-of-range", "cutoff-1", "order-4-default-cutoff"],
+)
+def test_configs_failing_at_run_time_are_rejected_up_front(tmp_path, capsys, command, text):
+    ini = write_ini(tmp_path, text)
+    assert cli.main(["validate", "--config", ini]) == 2
+    assert cli.main([command, "--config", ini, "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.count("config error") == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_main_rejects_jobs_below_one(capsys, jobs):
+    assert cli.main(["memory", "--jobs", jobs]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
+def test_pool_workers_capped_at_cpu_count(tmp_path, monkeypatch):
+    opened = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    args = ["memory", "--mode", "sampled", "--seed", "4", "--trials", "100"]
+    serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+    assert cli.main(args + ["--out", str(serial)]) == 0
+    assert opened == []
+    assert cli.main(args + ["--out", str(pooled), "--jobs", "1000000"]) == 0
+    assert opened == [os.cpu_count()]
+    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_main_missing_config_file(capsys):

@@ -23,7 +23,6 @@ from stokesim.detection import (
     ClickPattern,
     DetectorSpec,
     PreparedBellAnalyzer,
-    bell_analyzer,
 )
 from stokesim.errors import ValidationError
 from stokesim.rng import trial_rng
@@ -94,7 +93,7 @@ def test_herald_rule_classification():
     assert rule.classify(frozenset()) == FAIL
     assert rule.classify(frozenset({D_H})) == FAIL
     assert rule.classify(frozenset({D_H, D_V, D_VP})) == FAIL
-    assert detection.classify(ClickPattern(frozenset({D_H, D_VP}))) == PSI_MINUS
+    assert rule.classify(ClickPattern(frozenset({D_H, D_VP}))) == PSI_MINUS
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +173,7 @@ def test_bell_outcome_table():
         "phi_minus": FAIL,
     }
     for kind, expected in expectations.items():
-        table = bell_analyzer(bell_state(kind), "a", "b", exact=True)
+        table = PreparedBellAnalyzer(bell_state(kind), "a", "b").exact_outcomes()
         probs = {outcome: prob for outcome, _, prob in table}
         np.testing.assert_allclose(probs[expected], 1.0, atol=1e-12, err_msg=kind)
         for outcome, p in probs.items():
@@ -193,7 +192,7 @@ def test_psi_minus_heralds_split_between_cross_patterns():
 
 def test_distinguishable_pair_is_half_psi_minus_half_psi_plus():
     st = fock.basis_state(two_path_registry(), {"a:H": 1, "b:V": 1})
-    probs = {outcome: p for outcome, _, p in bell_analyzer(st, "a", "b", exact=True)}
+    probs = {outcome: p for outcome, _, p in PreparedBellAnalyzer(st, "a", "b").exact_outcomes()}
     np.testing.assert_allclose(probs[PSI_MINUS], 0.5, atol=1e-12)
     np.testing.assert_allclose(probs[PSI_PLUS], 0.5, atol=1e-12)
     np.testing.assert_allclose(probs[FAIL], 0.0, atol=1e-12)
@@ -245,7 +244,7 @@ def test_analyzer_conditional_atomic_state_for_entangled_input():
             occ_of(reg, {"S": 0, "a:V": 1}): SQRT_HALF,
         },
     )
-    probs = {outcome: p for outcome, _, p in bell_analyzer(st, "a", "b", exact=True)}
+    probs = {outcome: p for outcome, _, p in PreparedBellAnalyzer(st, "a", "b").exact_outcomes()}
     np.testing.assert_allclose(probs[FAIL], 1.0, atol=1e-12)
 
 

@@ -57,10 +57,8 @@ def test_quarter_wave_relabels_to_linear():
     np.testing.assert_allclose(out.amplitude({"p:V": 1}), SQRT_HALF)
 
 
-def test_quarter_wave_round_trip_is_identity():
+def test_quarter_wave_rejects_linear_input():
     st = fock.basis_state(circular_path(), {"p:L": 2})
-    back = elements.quarter_wave_inverse(elements.quarter_wave(st, "p"), "p")
-    assert back.amplitudes == st.amplitudes
     with pytest.raises(ValidationError):
         elements.quarter_wave(elements.quarter_wave(st, "p"), "p")
 
@@ -71,13 +69,13 @@ def test_quarter_wave_round_trip_is_identity():
 
 def test_attenuator_identity_at_full_transmission():
     st = fock.basis_state(circular_path(), {"p:L": 1})
-    out = elements.pbs_attenuator(st, "p", 1.0)
+    out = elements.attenuate_mode(st, "p:L", 1.0)
     assert out is st
 
 
 def test_attenuator_blocks_everything_at_zero():
     st = fock.basis_state(circular_path(), {"p:L": 1})
-    out = elements.pbs_attenuator(st, "p", 0.0)
+    out = elements.attenuate_mode(st, "p:L", 0.0)
     _, prob = fock.project(out, {"p:L": 0, "loss0": 0})
     assert prob == 0.0
     _, lost = fock.project(out, {"loss0": 1})
@@ -87,7 +85,7 @@ def test_attenuator_blocks_everything_at_zero():
 def test_attenuator_rejects_out_of_range():
     st = fock.basis_state(circular_path(), {"p:L": 1})
     with pytest.raises(ValidationError):
-        elements.pbs_attenuator(st, "p", 1.2)
+        elements.attenuate_mode(st, "p:L", 1.2)
 
 
 def test_attenuator_postselected_amplitudes_third():
@@ -103,7 +101,7 @@ def test_attenuator_postselected_amplitudes_third():
             tuple(1 if m.name in ("S2", "p:R") else 0 for m in reg.modes): SQRT_HALF,
         },
     )
-    out = elements.pbs_attenuator(st, "p", 1.0 / 3.0)
+    out = elements.attenuate_mode(st, "p:L", 1.0 / 3.0)
     kept, prob = fock.project(out, {"loss0": 0})
     np.testing.assert_allclose(prob, 2.0 / 3.0)
     np.testing.assert_allclose(abs(kept.amplitude({"S1": 1, "p:L": 1})), 0.5, atol=1e-12)
@@ -118,8 +116,8 @@ def test_attenuator_postselected_amplitudes_third():
 
 def test_attenuators_compose_multiplicatively():
     st = fock.basis_state(circular_path(), {"p:L": 1})
-    twice = elements.pbs_attenuator(elements.pbs_attenuator(st, "p", 0.5), "p", 0.4)
-    once = elements.pbs_attenuator(st, "p", 0.2)
+    twice = elements.attenuate_mode(elements.attenuate_mode(st, "p:L", 0.5), "p:L", 0.4)
+    once = elements.attenuate_mode(st, "p:L", 0.2)
     post_twice, p_twice = fock.project(twice, {"loss0": 0, "loss1": 0})
     post_once, p_once = fock.project(once, {"loss0": 0})
     np.testing.assert_allclose(p_twice, p_once, atol=1e-10)
@@ -130,7 +128,7 @@ def test_attenuators_compose_multiplicatively():
 
 def test_attenuator_is_unitary_on_extended_space():
     st = fock.PureState(circular_path(), {(1, 1): SQRT_HALF, (2, 0): SQRT_HALF})
-    out = elements.pbs_attenuator(st, "p", 0.37)
+    out = elements.attenuate_mode(st, "p:L", 0.37)
     np.testing.assert_allclose(out.norm_sq(), 1.0, atol=1e-10)
 
 
@@ -227,10 +225,3 @@ def test_pol_splitter_rejects_circular_input():
     with pytest.raises(ValidationError):
         elements.pol_splitter(st, "p")
 
-
-def test_filter_is_identity():
-    st = fock.basis_state(circular_path(), {"p:R": 1})
-    assert elements.filter(st, "p") is st
-    assert elements.filter(fock.vacuum(circular_path())).is_vacuum()
-    with pytest.raises(ValidationError):
-        elements.filter(st, "nope")

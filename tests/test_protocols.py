@@ -143,7 +143,7 @@ def test_bell_decompose_rejects_non_qubit_sector():
 
 def test_event_ready_exact_closed_forms():
     cfg = ProtocolConfig(source=SourceParams(p0=0.01), detector=ideal_detector())
-    heralded, report, records = protocols.event_ready_generation(cfg)
+    heralded, report = protocols.event_ready_generation(cfg)
     np.testing.assert_allclose(report["success_probability"], SUCCESS_001, atol=1e-12)
     np.testing.assert_allclose(report["order1_success_probability"], SUCCESS_001, atol=1e-15)
     np.testing.assert_allclose(report["leading_order_success_probability"], 0.005, atol=1e-15)
@@ -151,7 +151,6 @@ def test_event_ready_exact_closed_forms():
         report["psi_minus_probability"], report["psi_plus_probability"], atol=1e-12
     )
     np.testing.assert_allclose(report["heralded_fidelity"], 1.0, atol=1e-9)
-    assert records == []
     target = protocols.event_ready_target(heralded.registry)
     np.testing.assert_allclose(fock.state_fidelity(heralded, target), 1.0, atol=1e-9)
 
@@ -159,7 +158,7 @@ def test_event_ready_exact_closed_forms():
 def test_event_ready_success_scales_with_pump():
     for p0 in (0.005, 0.02):
         cfg = ProtocolConfig(source=SourceParams(p0=p0), detector=ideal_detector())
-        _, report, _ = protocols.event_ready_generation(cfg)
+        _, report = protocols.event_ready_generation(cfg)
         np.testing.assert_allclose(
             report["success_probability"], p0 / (2 * (1 + p0)), atol=1e-12
         )
@@ -183,7 +182,7 @@ def test_event_ready_vacuum_source_never_heralds():
     cfg = ProtocolConfig(
         source=SourceParams(p0=0.0), detector=ideal_detector(), epr_enabled=False
     )
-    heralded, report, _ = protocols.event_ready_generation(cfg)
+    heralded, report = protocols.event_ready_generation(cfg)
     assert heralded is None
     assert report["success_probability"] == 0.0
     assert report["heralded_fidelity"] is None
@@ -197,16 +196,17 @@ def test_event_ready_sampled_counts_and_fidelity():
         trials=2000,
         seed=7,
     )
-    _, report, records = protocols.event_ready_generation(cfg, return_records=True)
+    _, report = protocols.event_ready_generation(cfg)
     # frozen for this (seed, trials): 9 heralds, expected 9.9
     assert report["success_count"] == 9
     assert report["psi_minus_count"] == 4
     assert report["psi_plus_count"] == 5
     np.testing.assert_allclose(report["mean_heralded_fidelity"], 1.0, atol=1e-9)
     assert report["wilson_low"] < report["success_rate"] < report["wilson_high"]
-    assert len(records) == 2000
-    assert sum(r.success for r in records) == 9
-    assert all((r.fidelity is None) == (r.outcome == FAIL) for r in records)
+    outcomes = protocols.trial_outcomes(cfg, "event-ready", 0, cfg.trials)
+    assert len(outcomes) == 2000
+    assert sum(outcome != FAIL for outcome, _ in outcomes) == 9
+    assert all((fid is None) == (outcome == FAIL) for outcome, fid in outcomes)
 
 
 def test_trial_partition_invariance():
@@ -242,7 +242,7 @@ def test_false_herald_probability_closed_form():
 
 def test_memory_exact_stores_arbitrary_qubit():
     cfg = ProtocolConfig(theta=0.7, phi=1.9, detector=ideal_detector())
-    stored, report, _ = protocols.memory_store(cfg)
+    stored, report = protocols.memory_store(cfg)
     np.testing.assert_allclose(report["success_probability"], 0.5, atol=1e-12)
     np.testing.assert_allclose(report["stored_fidelity"], 1.0, atol=1e-9)
     np.testing.assert_allclose(report["round_trip_fidelity"], 1.0, atol=1e-9)
@@ -252,7 +252,7 @@ def test_memory_exact_stores_arbitrary_qubit():
 
 def test_memory_exact_pole_states():
     for theta, pattern in ((0.0, {"S1": 1}), (math.pi / 2.0, {"S2": 1})):
-        stored, report, _ = protocols.memory_store(
+        stored, report = protocols.memory_store(
             ProtocolConfig(theta=theta, detector=ideal_detector())
         )
         np.testing.assert_allclose(report["stored_fidelity"], 1.0, atol=1e-9)
@@ -264,7 +264,7 @@ def test_memory_sampled_success_rate_and_fidelity():
     cfg = ProtocolConfig(
         mode="sampled", trials=2000, seed=11, theta=0.7, phi=1.9, detector=ideal_detector()
     )
-    _, report, _ = protocols.memory_store(cfg)
+    _, report = protocols.memory_store(cfg)
     assert report["success_count"] == 987  # frozen; expected 1000, sigma 22
     np.testing.assert_allclose(report["mean_stored_fidelity"], 1.0, atol=1e-9)
 
@@ -272,11 +272,11 @@ def test_memory_sampled_success_rate_and_fidelity():
 def test_memory_with_event_ready_channel():
     # feed the memory the actual heralded channel instead of the ideal one
     gen_cfg = ProtocolConfig(source=SourceParams(p0=0.01), detector=ideal_detector())
-    heralded, _, _ = protocols.event_ready_generation(gen_cfg)
+    heralded, _ = protocols.event_ready_generation(gen_cfg)
     # drop the spent A path and collapse to the dominant pure branch
     (w0, chan), *rest = heralded.branches
     chan = chan.normalize()
-    stored, report, _ = protocols.memory_store(
+    stored, report = protocols.memory_store(
         ProtocolConfig(theta=0.7, phi=1.9, detector=ideal_detector()), channel=chan
     )
     np.testing.assert_allclose(report["stored_fidelity"], 1.0, atol=1e-9)
@@ -309,20 +309,7 @@ def test_memory_readout_validation():
 
 def test_memory_requires_channel_with_ancilla_path():
     reg = fock.ModeRegistry(cutoff=4).add_atomic("S1").add_atomic("S2")
-    with pytest.raises(ValidationError):
-        protocols.memory_store(ProtocolConfig(), channel=fock.vacuum(reg))
+    for mode in ("exact", "sampled"):
+        with pytest.raises(ValidationError):
+            protocols.memory_store(ProtocolConfig(mode=mode), channel=fock.vacuum(reg))
 
-
-def test_fidelity_report_across_encodings():
-    qubit = protocols.input_qubit(0.7, 1.9)
-    stored, _, _ = protocols.memory_store(
-        ProtocolConfig(theta=0.7, phi=1.9, detector=ideal_detector())
-    )
-    fid = protocols.fidelity_report(
-        qubit, metrics.pol_qubit("q"), stored, protocols.ATOMIC_QUBIT
-    )
-    np.testing.assert_allclose(fid, 1.0, atol=1e-9)
-    with pytest.raises(ValidationError):
-        protocols.fidelity_report(
-            qubit.scaled(0.5), metrics.pol_qubit("q"), stored, protocols.ATOMIC_QUBIT
-        )

@@ -225,17 +225,7 @@ def test_dual_source_explicit_attenuator_knob():
 
 
 # ---------------------------------------------------------------------------
-# single-ensemble variant and photon-pair ancilla
-
-
-def test_single_ensemble_reduced_eigenvalues():
-    params = SourceParams(p0=0.01, alpha=math.sqrt(1.0 / 3.0), beta=math.sqrt(2.0 / 3.0))
-    st = sources.single_ensemble_source(params)
-    sector, _ = fock.restrict_total_occupation(st, ["Sr", "Sl"], 1)
-    rho, _ = fock.reduced_density(sector, ["Sr", "Sl"])
-    np.testing.assert_allclose(
-        np.sort(np.linalg.eigvalsh(rho)), [1.0 / 3.0, 2.0 / 3.0], atol=1e-12
-    )
+# photon-pair ancilla
 
 
 def test_epr_pair_is_maximally_entangled():
@@ -245,12 +235,3 @@ def test_epr_pair_is_maximally_entangled():
     rho = metrics.two_qubit_density(pair, metrics.pol_qubit("A"), metrics.pol_qubit("B"))
     np.testing.assert_allclose(metrics.concurrence(rho), 1.0, atol=1e-12)
 
-
-def test_epr_pair_visibility_dephases():
-    mixed = sources.epr_pair(visibility=0.8)
-    weights = sorted(w for w, _ in mixed.branches)
-    np.testing.assert_allclose(weights, [0.1, 0.1, 0.8], atol=1e-15)
-    rho = metrics.two_qubit_density(mixed, metrics.pol_qubit("A"), metrics.pol_qubit("B"))
-    np.testing.assert_allclose(metrics.concurrence(rho), 0.8, atol=1e-12)
-    with pytest.raises(ValidationError):
-        sources.epr_pair(visibility=1.2)
