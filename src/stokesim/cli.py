@@ -44,7 +44,7 @@ _SCHEMA = {
         "protocol": (str, "one of generate, event-ready, memory"),
         "mode": (str, "exact or sampled"),
         "trials": (int, ">= 1"),
-        "seed": (int, "64-bit integer"),
+        "seed": (int, "[0, 2^64)"),
         "out": (str, "output path"),
         "format": (str, "json or csv"),
     },

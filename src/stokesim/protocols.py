@@ -26,6 +26,9 @@ global phase.
 Sampled runs draw one counter-based random stream per trial from
 (seed, trial index), which makes results independent of execution order
 and parallelism, so trial chunks may run through any chunk-map callable.
+With detectors of unit efficiency the streams of a whole chunk are
+computed at once by `rng.trial_uniforms`, with the same outcome per trial
+as the per-trial generators used below unit efficiency.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from . import detection, elements, fock, metrics, sources
 from .detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
 from .errors import ValidationError
 from .fock import MixedState, ModeRegistry, PureState
-from .rng import trial_rng
+from .rng import trial_rng, trial_uniforms
 from .sources import SourceParams
 
 SQRT_HALF = math.sqrt(0.5)
@@ -52,6 +55,10 @@ _WILSON_Z = 1.959963984540054
 
 #: chunks per sampled run: enough to keep a small process pool evenly busy
 _CHUNKS = 32
+
+#: most trials whose uniforms are drawn at once on the ideal-efficiency
+#: path; larger blocks outgrow the CPU cache and run slower per trial
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,8 @@ class ProtocolConfig:
             raise ValidationError(f"mode {self.mode!r} must be 'exact' or 'sampled'")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed {self.seed} outside [0, 2^64)")
         if not 0.0 <= self.theta <= math.pi:
             raise ValidationError(f"theta={self.theta} outside [0, pi]")
         if not 0.0 <= self.phi < 2.0 * math.pi:
@@ -405,6 +414,12 @@ class _SampledProtocol:
         joint = self.spec.joint_state(config, channel)
         self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
         self._fids: dict[tuple[tuple[int, ...], str], float] = {}
+        #: outcome of each click code, bit j set when detector j clicked
+        labels = self.prep.labels
+        self._click_outcomes = [
+            self.prep.rule.classify(frozenset(lab for j, lab in enumerate(labels) if code >> j & 1))
+            for code in range(1 << len(labels))
+        ]
 
     def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
         key = (true, outcome)
@@ -413,6 +428,34 @@ class _SampledProtocol:
             cond = _corrected(self.spec, self.prep.conditional(true), outcome)
             fid = self._fids[key] = self.spec.fidelity(self.config, cond)
         return fid
+
+    def _result(self, pick: int, code: int) -> tuple[str, float | None]:
+        outcome = self._click_outcomes[code]
+        true = self.prep.distribution[pick][0]
+        return outcome, (self.fidelity(true, outcome) if outcome != FAIL else None)
+
+    def ideal_outcomes(self, start: int, count: int) -> list[tuple[str, float | None]]:
+        """`trial_outcomes` for detectors of unit efficiency, drawn in
+        bulk.  Each stream's layout is then fixed: word 0 picks the true
+        photon-number pattern as `PreparedBellAnalyzer.sample` does, and
+        one word per detector with dark counts follows, in detector order."""
+        prep = self.prep
+        dark = [(j, spec.dark_prob) for j, spec in enumerate(prep.specs) if spec.dark_prob > 0.0]
+        photons = np.array([occ for occ, _ in prep.distribution]) > 0
+        weights = 1 << np.arange(len(prep.labels))
+        codes = len(self._click_outcomes)
+        out: list[tuple[str, float | None]] = []
+        for lo in range(start, start + count, _BLOCK):
+            u = trial_uniforms(self.config.seed, lo, min(_BLOCK, start + count - lo), 1 + len(dark))
+            pick = np.minimum(np.searchsorted(prep._cum, u[:, 0], side="right"), len(prep._cum) - 1)
+            clicks = photons[pick]
+            for col, (j, dark_prob) in enumerate(dark, 1):
+                clicks[:, j] |= u[:, col] < dark_prob
+            # one (outcome, fidelity) per distinct (true pattern, click code)
+            keys, inverse = np.unique(pick * codes + clicks @ weights, return_inverse=True)
+            results = [self._result(*divmod(int(k), codes)) for k in keys]
+            out.extend(map(results.__getitem__, inverse.tolist()))
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -428,9 +471,16 @@ def trial_outcomes(
     per trial; fidelity is None on failures.
 
     Each trial draws its own counter-based stream from (seed, index), so
-    any partition of the index range yields identical results.
+    any partition of the index range yields identical results.  With
+    detectors of unit efficiency every stream uses a fixed number of
+    words, so the trials are drawn in bulk with `trial_uniforms`; below
+    unit efficiency the binomial loss draw uses a data-dependent number
+    of words, and each trial samples its own `trial_rng` generator.  Both
+    give the same outcome for the same (seed, index).
     """
     sp = _cached_protocol(config, kind, channel)
+    if all(spec.efficiency == 1.0 for spec in sp.prep.specs):
+        return sp.ideal_outcomes(start, count)
     out: list[tuple[str, float | None]] = []
     for i in range(start, start + count):
         rng = trial_rng(config.seed, i)

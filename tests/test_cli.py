@@ -399,3 +399,50 @@ def test_main_seed_env(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     assert cli.main(["memory", "--config", ini, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["seed"] == 9
+
+
+def _seed_from(source, seed, tmp_path, monkeypatch):
+    """Config path and flags of a sampled run given `seed` by `source`."""
+    text, flags = "[run]\nmode = sampled\ntrials = 10\n", []
+    if source == "flag":
+        flags = ["--seed", str(seed)]
+    elif source == "env":
+        monkeypatch.setenv("STOKESIM_SEED", str(seed))
+    else:
+        text += f"seed = {seed}\n"
+    return write_ini(tmp_path, text), flags
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_seed_outside_64_bits_is_rejected(tmp_path, capsys, monkeypatch, source, seed):
+    ini, flags = _seed_from(source, seed, tmp_path, monkeypatch)
+    out = tmp_path / "r.json"
+    assert cli.main(["validate", "--config", ini, *flags]) == 2
+    assert cli.main(["event-ready", "--config", ini, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("[0, 2^64)") == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_largest_seed_runs(tmp_path, monkeypatch, source):
+    seed = 2**64 - 1
+    ini, flags = _seed_from(source, seed, tmp_path, monkeypatch)
+    out = tmp_path / "r.json"
+    assert cli.main(["validate", "--config", ini, *flags]) == 0
+    assert cli.main(["event-ready", "--config", ini, *flags, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == seed
+
+
+def test_main_event_ready_ideal_serial_equals_parallel(tmp_path):
+    # eta = 1: trials are drawn in bulk, chunk by chunk in each worker
+    ini = write_ini(
+        tmp_path,
+        "[run]\nmode = sampled\ntrials = 20000\nseed = 8\n\n[source]\np0 = 0.1\n\n"
+        "[detector]\neta = 1.0\ndark_prob = 0.01\n",
+    )
+    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+    assert cli.main(["event-ready", "--config", ini, "--out", str(serial)]) == 0
+    assert cli.main(["event-ready", "--config", ini, "--out", str(parallel), "--jobs", "2"]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert json.loads(serial.read_text())["summary"]["success_count"] > 0

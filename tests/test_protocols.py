@@ -10,6 +10,7 @@ structure by hand:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stokesim import detection, fock, metrics, protocols, sources
 from stokesim.detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec
 from stokesim.errors import ValidationError
 from stokesim.protocols import ProtocolConfig
+from stokesim.rng import trial_rng
 from stokesim.sources import SourceParams
 
 SQRT_HALF = 0.7071067811865476
@@ -46,6 +48,10 @@ def test_config_validation():
         ProtocolConfig(phi=-0.1)
     with pytest.raises(ValidationError):
         ProtocolConfig(retrieval_efficiency=1.5)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match="seed"):
+            ProtocolConfig(seed=seed)
+    assert ProtocolConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_wilson_interval_frozen_values():
@@ -222,6 +228,61 @@ def test_trial_partition_invariance():
         cfg, "event-ready", 37, 63
     )
     assert whole == parts
+
+
+#: sampled configs with detectors of unit efficiency, run in bulk by
+#: `trial_outcomes`: one stream word per trial, five words with several
+#: photon-number patterns, the memory, and criterion 8's vacuum windows
+IDEAL_SAMPLED = {
+    "no-dark-counts": ("event-ready", ProtocolConfig(source=SourceParams(p0=0.05), detector=ideal_detector())),
+    "order-2": (
+        "event-ready",
+        ProtocolConfig(source=SourceParams(p0=0.15, emission_order=2), detector=DetectorSpec(dark_prob=0.02)),
+    ),
+    "memory": ("memory", ProtocolConfig(detector=ideal_detector(), theta=0.7, phi=1.9)),
+    "vacuum": (
+        "event-ready",
+        ProtocolConfig(source=SourceParams(p0=0.0), epr_enabled=False, detector=DetectorSpec(dark_prob=1e-3)),
+    ),
+}
+
+
+def _scalar_outcomes(config, kind, start, count):
+    """The per-trial oracle: one generator and one `sample` per trial."""
+    sp = protocols._SampledProtocol(config, kind)
+    out = []
+    for i in range(start, start + count):
+        outcome, _, true = sp.prep.sample(trial_rng(config.seed, i))
+        out.append((outcome, sp.fidelity(true, outcome) if outcome != FAIL else None))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(IDEAL_SAMPLED))
+def test_ideal_efficiency_outcomes_match_per_trial_sampling(name):
+    kind, base = IDEAL_SAMPLED[name]
+    for seed, start in ((11, 0), (2**64 - 1, 2**32 - 1000)):
+        cfg = replace(base, mode="sampled", seed=seed)
+        fast = protocols.trial_outcomes(cfg, kind, start, 3000)
+        assert fast == _scalar_outcomes(cfg, kind, start, 3000)
+    if name == "vacuum":
+        # forged heralds are rare (4e-6 per window): check the windows
+        # around the first one criterion 8's seed gives
+        cfg = replace(base, mode="sampled", seed=31)
+        outcomes = protocols.trial_outcomes(cfg, kind, 0, 1_000_000)
+        first = next(i for i, (outcome, _) in enumerate(outcomes) if outcome != FAIL)
+        start = max(0, first - 100)
+        assert protocols.trial_outcomes(cfg, kind, start, 200) == _scalar_outcomes(cfg, kind, start, 200)
+
+
+def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition(monkeypatch):
+    kind, base = IDEAL_SAMPLED["order-2"]
+    cfg = replace(base, mode="sampled", seed=5)
+    whole = protocols.trial_outcomes(cfg, kind, 0, 5000)
+    # odd-sized chunks, some split further into bulk blocks
+    monkeypatch.setattr(protocols, "_BLOCK", 97)
+    cuts = [0, 1, 212, 2000, 2001, 4999, 5000]
+    parts = [protocols.trial_outcomes(cfg, kind, a, b - a) for a, b in zip(cuts, cuts[1:])]
+    assert [r for part in parts for r in part] == whole
 
 
 def test_false_herald_probability_closed_form():
