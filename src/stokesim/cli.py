@@ -54,7 +54,7 @@ _SCHEMA = {
         "beta": (complex, "|alpha|^2 + |beta|^2 = 1"),
         "t": (float, "[0, 1]"),
         "emission_order": (int, ">= 1"),
-        "cutoff": (int, ">= 2"),
+        "cutoff": (int, ">= 2 * emission_order"),
         "epr_enabled": (bool, "true or false"),
     },
     "detector": {
@@ -264,6 +264,22 @@ def build_experiment(
         format=fmt,
         jobs=jobs,
     )
+
+
+def _ancilla_cut_warning(exp: ExperimentConfig) -> str | None:
+    """Event-ready runs tensor the source with a two-photon EPR ancilla,
+    and `fock.tensor` drops every term beyond the cutoff: name the
+    smallest cutoff that keeps the pair whole when the configured one
+    cuts it."""
+    c = exp.config
+    if exp.protocol != "event-ready" or not c.epr_enabled:
+        return None
+    orders = [int(v) for v in exp.sweep_values] if exp.sweep_parameter == "emission_order" else []
+    order = max(orders or [c.source.emission_order])
+    safe = 2 * order + 2
+    if safe <= c.cutoff:
+        return None
+    return f"cutoff {c.cutoff} cuts the EPR ancilla at emission_order {order}; cutoff >= {safe} keeps it whole"
 
 
 def apply_sweep_value(config: ProtocolConfig, parameter: str, value: float) -> ProtocolConfig:
@@ -491,22 +507,24 @@ def main(argv=None) -> int:
             "format": args.format,
             "jobs": args.jobs,
         }
-        command = args.command
+        command = target = args.command
         if command == "validate":
             if "sweep" in sections:
                 target = "sweep"
             else:
                 target = str(sections.get("run", {}).get("protocol", "event-ready"))
-            exp = build_experiment(sections, target, overrides)
-            echo = config_echo(exp)
-            sys.stdout.write("config ok\n")
-            for key, value in echo.items():
-                sys.stdout.write(f"{key} = {_csv_cell(value)}\n")
-            return 0
-        exp = build_experiment(sections, command, overrides)
+        exp = build_experiment(sections, target, overrides)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    warning = _ancilla_cut_warning(exp)
+    if warning is not None:
+        sys.stderr.write(f"warning: {warning}\n")
+    if command == "validate":
+        sys.stdout.write("config ok\n")
+        for key, value in config_echo(exp).items():
+            sys.stdout.write(f"{key} = {_csv_cell(value)}\n")
+        return 0
     try:
         report = run(exp)
         _write_output(render(report, exp.format), exp.out)

@@ -116,18 +116,21 @@ def exact_outcome_distribution(
     return sorted((occ, p / total) for occ, p in probs.items())
 
 
-def _condition_on_pattern(
-    state: PureState | MixedState, modes: Sequence, pattern: tuple[int, ...]
-) -> MixedState:
+def _split_branches(state: PureState | MixedState, modes: Sequence) -> list[tuple[float, dict]]:
+    """Each branch of `state` with its terms grouped by true photon
+    numbers on `modes` (see `fock.split_by_occupation`)."""
+    return [(w, fock.split_by_occupation(st, modes)) for w, st in as_mixed(state).branches]
+
+
+def _condition_on_pattern(split: list[tuple[float, dict]], pattern: tuple[int, ...]) -> MixedState:
     """State of the rest of the system given true photon numbers
-    `pattern` on `modes`: measured modes removed, loss modes traced."""
-    mixed = as_mixed(state)
-    target = dict(zip(modes, pattern))
+    `pattern` on the split modes: measured modes removed, loss modes
+    traced."""
     kept: list[tuple[float, PureState]] = []
-    for w, st in mixed.branches:
-        post, weight = fock.project(st, target)
-        if post is not None:
-            kept.append((w * weight, fock.remove_definite_modes(post, modes)))
+    for w, groups in split:
+        if pattern in groups:
+            weight, rest = groups[pattern]
+            kept.append((w * weight, rest))
     if not kept:
         raise ValidationError(f"pattern {pattern} has zero probability")
     total = sum(w for w, _ in kept)
@@ -185,7 +188,7 @@ def measure(
     pick = rng.choice(len(dist), p=np.array([p for _, p in dist]))
     true = dist[pick][0]
     pattern = _sample_clicks(true, specs, labels, rng)
-    conditional = _condition_on_pattern(state, modes, true)
+    conditional = _condition_on_pattern(_split_branches(state, modes), true)
     clicked = [lab in pattern.clicks for lab in labels]
     return pattern, conditional, _pattern_probability(dist, specs, clicked)
 
@@ -219,12 +222,13 @@ class PreparedBellAnalyzer:
         self.rule = rule or default_herald_rule()
         self.distribution = exact_outcome_distribution(st, self.modes)
         self._cum = np.cumsum([p for _, p in self.distribution])
+        self._split = _split_branches(st, self.modes)
         self._conditionals: dict[tuple[int, ...], MixedState] = {}
 
     def conditional(self, true_pattern: tuple[int, ...]) -> MixedState:
         cached = self._conditionals.get(true_pattern)
         if cached is None:
-            cached = _condition_on_pattern(self.state, self.modes, true_pattern)
+            cached = _condition_on_pattern(self._split, true_pattern)
             self._conditionals[true_pattern] = cached
         return cached
 

@@ -483,6 +483,35 @@ def remove_definite_modes(state: PureState, modes: Sequence[ModeId | str]) -> Pu
     return PureState(reg, amps, state.truncation_loss)
 
 
+def split_by_occupation(
+    state: PureState, modes: Sequence[ModeId | str]
+) -> dict[tuple[int, ...], tuple[float, PureState]]:
+    """Group the terms of `state` by their occupation of `modes`, in one
+    pass over the terms in stored order.
+
+    Maps each occupation pattern present (listed in the order of `modes`)
+    to the weight sum|c|^2 of its terms and the normalized state of the
+    remaining modes; patterns with zero weight are absent.  Each group is
+    what `project` followed by `remove_definite_modes` gives for its
+    pattern.
+    """
+    reg = state.registry
+    idx = [reg.index(m) for m in modes]
+    keep = [i for i in range(len(reg)) if i not in idx]
+    rest = ModeRegistry(tuple(reg.modes[i] for i in keep), reg.cutoff)
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = defaultdict(dict)
+    for occ, c in state.amplitudes.items():
+        groups[tuple(occ[i] for i in idx)][tuple(occ[i] for i in keep)] = c
+    out: dict[tuple[int, ...], tuple[float, PureState]] = {}
+    for pattern, amps in groups.items():
+        weight = sum(abs(c) ** 2 for c in amps.values())
+        if weight <= 0.0:
+            continue
+        scale = 1.0 / math.sqrt(weight)
+        out[pattern] = (weight, PureState(rest, {o: c * scale for o, c in amps.items()}, state.truncation_loss))
+    return out
+
+
 def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> MixedState:
     """Partial trace over `modes`, returned as an ensemble of pure states.
 
@@ -492,22 +521,13 @@ def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> M
     """
     mixed = as_mixed(state)
     reg = mixed.registry
-    idx = sorted(reg.index(m) for m in modes)
-    keep = [i for i in range(len(reg)) if i not in idx]
-    new_reg = ModeRegistry(tuple(reg.modes[i] for i in keep), reg.cutoff)
-
+    traced = [reg.modes[i] for i in sorted(reg.index(m) for m in modes)]
     out: list[tuple[float, PureState]] = []
     for w, st in mixed.branches:
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = defaultdict(dict)
-        for occ, c in st.amplitudes.items():
-            env = tuple(occ[i] for i in idx)
-            groups[env][tuple(occ[i] for i in keep)] = c
-        for env, amps in sorted(groups.items()):
-            bw = sum(abs(c) ** 2 for c in amps.values())
-            if bw <= 0.0:
-                continue
-            scale = 1.0 / math.sqrt(bw)
-            out.append((w * bw, PureState(new_reg, {o: c * scale for o, c in amps.items()}, st.truncation_loss)))
+        groups = split_by_occupation(st, traced)
+        for env in sorted(groups):
+            bw, rest = groups[env]
+            out.append((w * bw, rest))
     total = sum(w for w, _ in out)
     return MixedState([(w / total, s) for w, s in out], check_weights=False)
 

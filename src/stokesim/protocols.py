@@ -482,11 +482,13 @@ def trial_outcomes(
     if all(spec.efficiency == 1.0 for spec in sp.prep.specs):
         return sp.ideal_outcomes(start, count)
     out: list[tuple[str, float | None]] = []
+    # one result tuple per distinct (true pattern, outcome), shared by its
+    # trials, so a long run keeps a pointer per trial rather than a tuple
+    shared: dict[tuple[tuple[int, ...], str], tuple[str, float | None]] = {}
     for i in range(start, start + count):
-        rng = trial_rng(config.seed, i)
-        outcome, _, true = sp.prep.sample(rng)
+        outcome, _, true = sp.prep.sample(trial_rng(config.seed, i))
         fid = sp.fidelity(true, outcome) if outcome != FAIL else None
-        out.append((outcome, fid))
+        out.append(shared.setdefault((true, outcome), (outcome, fid)))
     return out
 
 

@@ -1,7 +1,7 @@
 """CLI and report-format tests.
 
 Golden files under data/ pin the exact report bytes of exact and sampled
-event-ready and memory runs and of one exact sweep; regenerate them
+event-ready and memory runs and of two exact sweeps; regenerate them
 deliberately if the schema changes.
 """
 
@@ -9,6 +9,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from stokesim import cli
 from stokesim.errors import ConfigError, ValidationError
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 FULL_INI = """
 [run]
@@ -285,6 +288,13 @@ GOLDEN_RUNS = {
         "[detector]\neta = 0.8\ndark_prob = 1e-3\n\n"
         "[memory]\ntheta = 0.7\nphi = 1.9\n",
     ),
+    "golden_sweep_multipair.json": (
+        "sweep",
+        "[run]\nprotocol = event-ready\nmode = exact\n\n"
+        "[source]\nemission_order = 5\ncutoff = 12\n\n"
+        "[detector]\neta = 1.0\ndark_prob = 0.0\n\n"
+        "[sweep]\nparameter = p0\nvalues = 0.01, 0.08, 0.2\n",
+    ),
 }
 
 
@@ -341,6 +351,44 @@ def test_configs_failing_at_run_time_are_rejected_up_front(tmp_path, capsys, com
     assert cli.main([command, "--config", ini, "--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err.count("config error") == 2
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "cutoff, warned, probability",
+    [
+        (6, "cutoff 6 cuts the EPR ancilla at emission_order 3; cutoff >= 8 keeps it whole", "0.0049872534217756115"),
+        (8, None, "0.0049874365827109034"),
+    ],
+)
+def test_ancilla_cut_is_reported_on_stderr(tmp_path, capsys, cutoff, warned, probability):
+    ini = write_ini(tmp_path, f"[run]\nprotocol = event-ready\n\n[source]\nemission_order = 3\ncutoff = {cutoff}\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["validate", "--config", ini]) == 0
+    assert cli.main(["event-ready", "--config", ini, "--out", str(out)]) == 0
+    expected = f"warning: {warned}\n" * 2 if warned else ""
+    assert capsys.readouterr().err == expected
+    # the report is unchanged: the cut shows only as truncation loss
+    assert f'"success_probability": {probability},' in out.read_text()
+
+
+def test_ancilla_cut_names_the_largest_swept_emission_order(tmp_path, capsys):
+    ini = write_ini(tmp_path, "[source]\ncutoff = 6\n\n[sweep]\nparameter = emission_order\nvalues = 1, 3, 2\n")
+    assert cli.main(["validate", "--config", ini]) == 0
+    assert capsys.readouterr().err == "warning: cutoff 6 cuts the EPR ancilla at emission_order 3; cutoff >= 8 keeps it whole\n"
+
+
+def test_python_m_stokesim_runs_the_cli(tmp_path):
+    ini = write_ini(tmp_path, "[run]\nprotocol = memory\n\n[memory]\ntheta = 0.7\n")
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stokesim", "validate", "--config", ini],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("config ok\nprotocol = memory\n")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
+from sparse_states import measured_modes, mixed_states, outcome, patterns, pure_states
 from stokesim import detection, fock
 from stokesim.detection import (
     D_H,
@@ -253,3 +256,31 @@ def test_analyzer_rejects_circular_paths():
     reg = reg.add_photonic_path("b", basis="circular")
     with pytest.raises(ValidationError):
         PreparedBellAnalyzer(fock.vacuum(reg), "a", "b")
+
+
+def _condition_by_projection(state, modes, pattern):
+    """Conditioning as it was before the split: one `fock.project` scan
+    of every branch per pattern."""
+    mixed = fock.as_mixed(state)
+    kept = []
+    for w, st in mixed.branches:
+        post, weight = fock.project(st, dict(zip(modes, pattern)))
+        if post is not None:
+            kept.append((w * weight, fock.remove_definite_modes(post, modes)))
+    if not kept:
+        raise ValidationError(f"pattern {pattern} has zero probability")
+    total = sum(w for w, _ in kept)
+    conditional = fock.MixedState([(w / total, s) for w, s in kept], check_weights=False)
+    lossy = [m.name for m in conditional.registry.modes if m.kind == fock.LOSS]
+    if lossy:
+        conditional = fock.trace_out(conditional, lossy)
+    return conditional
+
+
+@given(hs.one_of(pure_states(), mixed_states()), measured_modes)
+def test_conditioning_on_the_split_matches_per_pattern_projection(state, modes):
+    split = detection._split_branches(state, modes)
+    for pattern in patterns(len(modes)):
+        assert outcome(detection._condition_on_pattern, split, pattern) == outcome(
+            _condition_by_projection, state, modes, pattern
+        )

@@ -7,6 +7,7 @@ frozen numbers themselves.
 """
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import dense_oracle as oracle
+from sparse_states import bits, measured_modes, mixed_states, outcome, patterns, pure_states
 from stokesim import fock
 from stokesim.errors import RegistryError, ValidationError
 
@@ -310,6 +312,52 @@ def test_trace_out_agrees_with_reduced_density():
     rho_b, basis_b = fock.reduced_density(st, ["x", "y"])
     assert basis_a == basis_b
     np.testing.assert_allclose(rho_a, rho_b, atol=1e-12)
+
+
+@given(mixed_states(), measured_modes)
+def test_split_matches_projecting_each_pattern(mixed, modes):
+    for _, st in mixed.branches:
+        groups = fock.split_by_occupation(st, modes)
+        present = []
+        for pattern in patterns(len(modes)):
+            post, weight = fock.project(st, dict(zip(modes, pattern)))
+            if post is None:
+                assert pattern not in groups
+                continue
+            present.append(pattern)
+            got_weight, rest = groups[pattern]
+            assert got_weight.hex() == weight.hex()
+            assert bits(rest) == bits(fock.remove_definite_modes(post, modes))
+        assert sorted(groups) == present
+
+
+def _trace_out_before_split(state, modes):
+    """`trace_out` as it was before it called `split_by_occupation`."""
+    mixed = fock.as_mixed(state)
+    reg = mixed.registry
+    idx = sorted(reg.index(m) for m in modes)
+    keep = [i for i in range(len(reg)) if i not in idx]
+    new_reg = fock.ModeRegistry(tuple(reg.modes[i] for i in keep), reg.cutoff)
+
+    out = []
+    for w, st in mixed.branches:
+        groups = defaultdict(dict)
+        for occ, c in st.amplitudes.items():
+            env = tuple(occ[i] for i in idx)
+            groups[env][tuple(occ[i] for i in keep)] = c
+        for env, amps in sorted(groups.items()):
+            bw = sum(abs(c) ** 2 for c in amps.values())
+            if bw <= 0.0:
+                continue
+            scale = 1.0 / math.sqrt(bw)
+            out.append((w * bw, fock.PureState(new_reg, {o: c * scale for o, c in amps.items()}, st.truncation_loss)))
+    total = sum(w for w, _ in out)
+    return fock.MixedState([(w / total, s) for w, s in out], check_weights=False)
+
+
+@given(hs.one_of(pure_states(), mixed_states()), measured_modes)
+def test_trace_out_matches_its_previous_body(state, modes):
+    assert outcome(fock.trace_out, state, modes) == outcome(_trace_out_before_split, state, modes)
 
 
 def test_state_fidelity_on_mixture():
