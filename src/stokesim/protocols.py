@@ -26,9 +26,9 @@ global phase.
 Sampled runs draw one counter-based random stream per trial from
 (seed, trial index), which makes results independent of execution order
 and parallelism, so trial chunks may run through any chunk-map callable.
-With detectors of unit efficiency the streams of a whole chunk are
-computed at once by `rng.trial_uniforms`, with the same outcome per trial
-as the per-trial generators used below unit efficiency.
+The streams of a whole chunk are computed at once by `rng.trial_uniforms`
+and read as each trial's own generator reads them, binomial loss draws
+included (`rng.binomial_steps`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -45,7 +45,7 @@ from . import detection, elements, fock, metrics, sources
 from .detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
 from .errors import ValidationError
 from .fock import MixedState, ModeRegistry, PureState
-from .rng import trial_rng, trial_uniforms
+from .rng import binomial_steps, trial_rng, trial_uniforms
 from .sources import SourceParams
 
 SQRT_HALF = math.sqrt(0.5)
@@ -56,8 +56,8 @@ _WILSON_Z = 1.959963984540054
 #: chunks per sampled run: enough to keep a small process pool evenly busy
 _CHUNKS = 32
 
-#: most trials whose uniforms are drawn at once on the ideal-efficiency
-#: path; larger blocks outgrow the CPU cache and run slower per trial
+#: most trials whose uniforms are drawn at once; larger blocks outgrow
+#: the CPU cache and run slower per trial
 _BLOCK = 8192
 
 
@@ -420,6 +420,17 @@ class _SampledProtocol:
             self.prep.rule.classify(frozenset(lab for j, lab in enumerate(labels) if code >> j & 1))
             for code in range(1 << len(labels))
         ]
+        self._occupations = np.array([occ for occ, _ in self.prep.distribution])
+        #: binomial step tables of each detector with 0 < eta < 1, one per photon number it sees
+        steps = cache(binomial_steps)
+        self._tables = [
+            [(k, *steps(k, spec.efficiency)) for k in set(self._occupations[:, j].tolist()) - {0}]
+            if 0.0 < spec.efficiency < 1.0 else []
+            for j, spec in enumerate(self.prep.specs)
+        ]
+        loss_words = ((self._occupations > 0) & [bool(table) for table in self._tables]).sum(axis=1)
+        #: most words one trial's stream reads
+        self._width = 1 + int(loss_words.max()) + sum(spec.dark_prob > 0.0 for spec in self.prep.specs)
 
     def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
         key = (true, outcome)
@@ -434,25 +445,43 @@ class _SampledProtocol:
         true = self.prep.distribution[pick][0]
         return outcome, (self.fidelity(true, outcome) if outcome != FAIL else None)
 
-    def ideal_outcomes(self, start: int, count: int) -> list[tuple[str, float | None]]:
-        """`trial_outcomes` for detectors of unit efficiency, drawn in
-        bulk.  Each stream's layout is then fixed: word 0 picks the true
-        photon-number pattern as `PreparedBellAnalyzer.sample` does, and
-        one word per detector with dark counts follows, in detector order."""
-        prep = self.prep
-        dark = [(j, spec.dark_prob) for j, spec in enumerate(prep.specs) if spec.dark_prob > 0.0]
-        photons = np.array([occ for occ, _ in prep.distribution]) > 0
-        weights = 1 << np.arange(len(prep.labels))
+    def outcomes(self, start: int, count: int) -> list[tuple[str, float | None]]:
+        """`trial_outcomes`, drawn in bulk.  Word 0 of a stream picks the
+        true photon-number pattern as `PreparedBellAnalyzer.sample` does;
+        then each detector in turn reads one word for its binomial loss
+        draw if it saw photons and 0 < eta < 1, and one for its dark count
+        if dark_prob > 0.  A trial whose loss draw needs a second word runs
+        `sample` on its own generator."""
+        prep, occupations, tables, width = self.prep, self._occupations, self._tables, self._width
         codes = len(self._click_outcomes)
         out: list[tuple[str, float | None]] = []
         for lo in range(start, start + count, _BLOCK):
-            u = trial_uniforms(self.config.seed, lo, min(_BLOCK, start + count - lo), 1 + len(dark))
+            size = min(_BLOCK, start + count - lo)
+            u = trial_uniforms(self.config.seed, lo, size, width)
+            rows = np.arange(size)
             pick = np.minimum(np.searchsorted(prep._cum, u[:, 0], side="right"), len(prep._cum) - 1)
-            clicks = photons[pick]
-            for col, (j, dark_prob) in enumerate(dark, 1):
-                clicks[:, j] |= u[:, col] < dark_prob
+            col, code, redraw = np.ones(size, np.intp), np.zeros(size, np.intp), np.zeros(size, bool)
+            for j, spec in enumerate(prep.specs):
+                n = occupations[pick, j]
+                seen = n * (spec.efficiency == 1.0)
+                if tables[j]:
+                    # trials without photons here read a word they ignore
+                    word = u[rows, np.minimum(col, width - 1)]
+                    for k, edges, values in tables[j]:
+                        sel = n == k
+                        seen[sel] = values[np.searchsorted(edges, word[sel], side="right")]
+                    col += n > 0
+                    redraw |= seen < 0
+                click = seen != 0
+                if spec.dark_prob > 0.0:
+                    click |= u[rows, col] < spec.dark_prob
+                    col += 1
+                code |= click << j
+            for i in np.flatnonzero(redraw).tolist():
+                _, pattern, _ = prep.sample(trial_rng(self.config.seed, lo + i))
+                code[i] = sum(1 << j for j, lab in enumerate(prep.labels) if lab in pattern)
             # one (outcome, fidelity) per distinct (true pattern, click code)
-            keys, inverse = np.unique(pick * codes + clicks @ weights, return_inverse=True)
+            keys, inverse = np.unique(pick * codes + code, return_inverse=True)
             results = [self._result(*divmod(int(k), codes)) for k in keys]
             out.extend(map(results.__getitem__, inverse.tolist()))
         return out
@@ -468,28 +497,10 @@ def trial_outcomes(
     config: ProtocolConfig, kind: str, start: int, count: int, channel: PureState | None = None
 ) -> list[tuple[str, float | None]]:
     """Run trials [start, start+count) and return (outcome, fidelity)
-    per trial; fidelity is None on failures.
-
-    Each trial draws its own counter-based stream from (seed, index), so
-    any partition of the index range yields identical results.  With
-    detectors of unit efficiency every stream uses a fixed number of
-    words, so the trials are drawn in bulk with `trial_uniforms`; below
-    unit efficiency the binomial loss draw uses a data-dependent number
-    of words, and each trial samples its own `trial_rng` generator.  Both
-    give the same outcome for the same (seed, index).
-    """
-    sp = _cached_protocol(config, kind, channel)
-    if all(spec.efficiency == 1.0 for spec in sp.prep.specs):
-        return sp.ideal_outcomes(start, count)
-    out: list[tuple[str, float | None]] = []
-    # one result tuple per distinct (true pattern, outcome), shared by its
-    # trials, so a long run keeps a pointer per trial rather than a tuple
-    shared: dict[tuple[tuple[int, ...], str], tuple[str, float | None]] = {}
-    for i in range(start, start + count):
-        outcome, _, true = sp.prep.sample(trial_rng(config.seed, i))
-        fid = sp.fidelity(true, outcome) if outcome != FAIL else None
-        out.append(shared.setdefault((true, outcome), (outcome, fid)))
-    return out
+    per trial; fidelity is None on failures.  Trial i gets the outcome of
+    `PreparedBellAnalyzer.sample(trial_rng(seed, i))`, drawn in bulk by
+    `_SampledProtocol.outcomes`, so any partition of the range agrees."""
+    return _cached_protocol(config, kind, channel).outcomes(start, count)
 
 
 def summarize_sampled(config: ProtocolConfig, kind: str, outcomes: list[tuple[str, float | None]]) -> dict:

@@ -12,9 +12,15 @@ counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11), so word j of stream (seed, i) is word j % 4 of Philox4x64-10
 applied to counter (j // 4 + 1, 0, 0, 0) under key (seed, i), the layout
 numpy's `Philox` uses, and no generator object is needed.
+
+`binomial_steps` lets those words stand in for `Generator.binomial` too:
+for small n numpy draws a binomial by inversion from one uniform, so a
+table of the draw's steps in that uniform maps whole arrays of words.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,3 +66,44 @@ def trial_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
         key = key + _PHILOX_W
     words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(count, 4 * blocks)[:, :n]
     return (words >> 11) * 2.0**-53
+
+
+def binomial_draw(n: int, p: float, u: float) -> int:
+    """`Generator.binomial(n, p)` for n >= 1 and 0 < p < 1 when the next
+    word of the stream is the uniform `u`: numpy's inversion sampler on
+    r = min(p, 1 - p), with the same floating-point operations in the same
+    order.  -1 where numpy reads more words than that one: the inversion
+    discards `u` and draws again, or n * r > 30 selects BTPE."""
+    r = p if p <= 0.5 else 1.0 - p
+    q = 1.0 - r
+    mean = n * r
+    if mean > 30.0:
+        return -1
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = math.exp(n * math.log1p(-r))
+    x = 0
+    while u > px:
+        x += 1
+        if x > bound:
+            return -1
+        u -= px
+        px = ((n - x + 1) * r * px) / (x * q)
+    return x if p <= 0.5 else n - x
+
+
+def binomial_steps(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """`binomial_draw(n, p, u)` as a step function: `(edges, values)` with
+    `values[np.searchsorted(edges, u, side="right")]` equal to the draw
+    for every uniform u = m * 2^-53.  Each value holds on one interval of
+    m, so bisection finds where the next one starts."""
+    top = 2**53 - 1
+    edges: list[int] = []
+    values = [binomial_draw(n, p, 0.0)]
+    while binomial_draw(n, p, top * 2.0**-53) != values[-1]:
+        lo, hi = edges[-1] if edges else 0, top
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if binomial_draw(n, p, mid * 2.0**-53) != values[-1] else (mid, hi)
+        edges.append(hi)
+        values.append(binomial_draw(n, p, hi * 2.0**-53))
+    return np.array(edges) * 2.0**-53, np.array(values)

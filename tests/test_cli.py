@@ -282,6 +282,12 @@ GOLDEN_RUNS = {
         "[run]\nprotocol = event-ready\nmode = sampled\ntrials = 2000\nseed = 2024\n\n"
         "[source]\np0 = 0.05\n",
     ),
+    "golden_event_ready_lossy.json": (
+        "event-ready",
+        "[run]\nprotocol = event-ready\nmode = sampled\ntrials = 5000\nseed = 18446744073709551615\n\n"
+        "[source]\nemission_order = 2\n\n"
+        "[detector]\neta = 0.5\ndark_prob = 1e-2\n",
+    ),
     "golden_memory_sampled.json": (
         "memory",
         "[run]\nprotocol = memory\nmode = sampled\ntrials = 2000\nseed = 77\n\n"

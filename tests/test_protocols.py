@@ -285,6 +285,59 @@ def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition(monkeypatch):
     assert [r for part in parts for r in part] == whole
 
 
+#: below unit efficiency each detector that saw photons adds a binomial
+#: loss word to its trial's stream; the grid covers eta = 0 (no word),
+#: both inversion branches (eta <= 0.5 and eta > 0.5) and eta near 1
+LOSSY_BASES = {
+    "event-ready": ProtocolConfig(source=SourceParams(p0=0.1)),
+    "memory": ProtocolConfig(theta=0.7, phi=1.9),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOSSY_BASES))
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.8, 0.999])
+@pytest.mark.parametrize("dark_prob", [0.0, 1e-3, 0.05])
+def test_bulk_outcomes_match_per_trial_sampling(kind, eta, dark_prob):
+    base = replace(LOSSY_BASES[kind], detector=DetectorSpec(efficiency=eta, dark_prob=dark_prob), mode="sampled")
+    for seed, start in ((0, 0), (2**64 - 1, 2**32 - 300)):
+        cfg = replace(base, seed=seed)
+        assert protocols.trial_outcomes(cfg, kind, start, 600) == _scalar_outcomes(cfg, kind, start, 600)
+
+
+def test_bulk_outcomes_match_per_trial_sampling_at_emission_order_2():
+    # up to four photons reach one detector, so binomial draws of n = 1..4
+    cfg = ProtocolConfig(
+        source=SourceParams(p0=0.15, emission_order=2),
+        detector=DetectorSpec(efficiency=0.6, dark_prob=0.02),
+        mode="sampled",
+        seed=2**64 - 1,
+    )
+    assert protocols.trial_outcomes(cfg, "event-ready", 0, 3000) == _scalar_outcomes(cfg, "event-ready", 0, 3000)
+
+
+def test_lossy_outcomes_do_not_depend_on_the_partition(monkeypatch):
+    cfg = ProtocolConfig(
+        source=SourceParams(p0=0.15, emission_order=2),
+        detector=DetectorSpec(efficiency=0.8, dark_prob=1e-3),
+        mode="sampled",
+        seed=5,
+    )
+    whole = protocols.trial_outcomes(cfg, "event-ready", 0, 5000)
+    monkeypatch.setattr(protocols, "_BLOCK", 97)
+    cuts = [0, 1, 212, 2000, 2001, 4999, 5000]
+    parts = [protocols.trial_outcomes(cfg, "event-ready", a, b - a) for a, b in zip(cuts, cuts[1:])]
+    assert [r for part in parts for r in part] == whole
+
+
+def test_lossy_trials_build_no_generator(monkeypatch):
+    # guards against a per-trial loop coming back below unit efficiency
+    built = []
+    monkeypatch.setattr(protocols, "trial_rng", lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
+    cfg = ProtocolConfig(detector=DetectorSpec(efficiency=0.8, dark_prob=1e-3), mode="sampled", theta=0.7, phi=1.9)
+    outcomes = protocols.trial_outcomes(cfg, "memory", 0, 20_000)
+    assert len(outcomes) == 20_000 and built == []
+
+
 def test_false_herald_probability_closed_form():
     rule = detection.default_herald_rule()
     np.testing.assert_allclose(
