@@ -32,7 +32,6 @@ from .fock import (  # noqa: F401
     apply_mode_unitary,
     atomic_mode,
     basis_state,
-    create,
     inner_product,
     photonic_mode,
     project,

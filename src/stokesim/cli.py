@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import io
 import json
 import math
@@ -370,9 +371,7 @@ def to_csv(rows: list[dict]) -> str:
             if key not in columns:
                 columns.append(key)
     buf = io.StringIO()
-    import csv as _csv
-
-    writer = _csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_csv_cell(row.get(c)) for c in columns])
@@ -528,10 +527,7 @@ def main(argv=None) -> int:
     try:
         report = run(exp)
         _write_output(render(report, exp.format), exp.out)
-    except StokesimError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except OSError as exc:
+    except (StokesimError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     return 0

@@ -16,6 +16,14 @@ coincidences: one H click and one V click on opposite sides heralds the
 singlet, on the same side the triplet; every other pattern is a failure.
 Both same-polarization inputs bunch into one detector, which is why only
 two of the four Bell states are ever identified.
+
+`PreparedBellAnalyzer` is the one place where a trial becomes a click
+code (bit j set when detector `labels[j]` clicked) and an outcome: its
+`outcomes` table, built from `default_herald_rule()`, serves the exact
+outcome distribution, the scalar `sample` on a trial's own generator and
+`sample_block`, which draws many trials at once from the Philox words of
+their streams (`rng.trial_uniforms`), binomial loss draws included
+(`rng.binomial_steps`).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 from . import elements, fock
 from .errors import ValidationError
 from .fock import LOSS, MixedState, PureState, as_mixed
+from .rng import binomial_steps, trial_rng, trial_uniforms
 
 PSI_MINUS = "PsiMinus"
 PSI_PLUS = "PsiPlus"
@@ -45,7 +54,6 @@ class DetectorSpec:
     efficiency: float = 1.0
     dark_prob: float = 1e-5
     resolving: bool = False
-    label: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -183,7 +191,7 @@ def measure(
     """
     modes = list(detectors)
     specs = [detectors[m] for m in modes]
-    labels = [s.label or (m if isinstance(m, str) else m.name) for s, m in zip(specs, modes)]
+    labels = [m if isinstance(m, str) else m.name for m in modes]
     dist = exact_outcome_distribution(state, modes)
     pick = rng.choice(len(dist), p=np.array([p for _, p in dist]))
     true = dist[pick][0]
@@ -198,7 +206,8 @@ class PreparedBellAnalyzer:
     front, so repeated trials only sample detector clicks.
 
     The input must carry two linear-basis paths; the first named path
-    feeds detectors D_H/D_V, the second D_H'/D_V'.
+    feeds detectors D_H/D_V, the second D_H'/D_V'.  All four detectors
+    follow `detector`.
     """
 
     def __init__(
@@ -207,7 +216,6 @@ class PreparedBellAnalyzer:
         path_1: str,
         path_2: str,
         detector: DetectorSpec = DetectorSpec(),
-        rule: HeraldRule | None = None,
     ):
         st = elements.beam_splitter(state, path_1, path_2)
         st, out_1h, out_1v = elements.pol_splitter(st, path_1)
@@ -215,13 +223,25 @@ class PreparedBellAnalyzer:
         self.state = st
         self.modes = [f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V"]
         self.labels = [D_H, D_V, D_HP, D_VP]
-        self.specs = [
-            DetectorSpec(detector.efficiency, detector.dark_prob, detector.resolving, label)
-            for label in self.labels
-        ]
-        self.rule = rule or default_herald_rule()
+        self.detector = detector
+        rule = default_herald_rule()
+        #: outcome of each click code; bit j is set when labels[j] clicked
+        self.outcomes = tuple(
+            rule.classify(frozenset(lab for j, lab in enumerate(self.labels) if code >> j & 1))
+            for code in range(1 << len(self.labels))
+        )
         self.distribution = exact_outcome_distribution(st, self.modes)
         self._cum = np.cumsum([p for _, p in self.distribution])
+        self._occupations = np.array([occ for occ, _ in self.distribution])
+        eta = detector.efficiency
+        #: binomial step tables per photon number a detector sees, when 0 < eta < 1
+        self._steps = (
+            [(k, *binomial_steps(k, eta)) for k in sorted(set(self._occupations.flat) - {0})]
+            if 0.0 < eta < 1.0 else []
+        )
+        loss_words = int((self._occupations > 0).sum(axis=1).max()) if self._steps else 0
+        #: most words one trial's stream reads
+        self._width = 1 + loss_words + (len(self.labels) if detector.dark_prob > 0.0 else 0)
         self._split = _split_branches(st, self.modes)
         self._conditionals: dict[tuple[int, ...], MixedState] = {}
 
@@ -232,31 +252,78 @@ class PreparedBellAnalyzer:
             self._conditionals[true_pattern] = cached
         return cached
 
-    def sample(self, rng) -> tuple[str, ClickPattern, tuple[int, ...]]:
-        pick = min(int(np.searchsorted(self._cum, rng.random(), side="right")), len(self._cum) - 1)
-        true = self.distribution[pick][0]
-        pattern = _sample_clicks(true, self.specs, self.labels, rng)
-        return self.rule.classify(pattern), pattern, true
+    def pick(self, u):
+        """Index into `distribution` of the true pattern that uniform `u`
+        (a float or an array of them) selects by the Born rule."""
+        return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
+
+    def sample(self, rng) -> tuple[str, int, tuple[int, ...]]:
+        """One trial on generator `rng`: its outcome, click code and true
+        photon numbers."""
+        true = self.distribution[self.pick(rng.random())][0]
+        eta, dark = self.detector.efficiency, self.detector.dark_prob
+        code = 0
+        for j, n in enumerate(true):
+            seen = n if eta >= 1.0 else int(rng.binomial(n, eta)) if n else 0
+            if dark > 0.0 and rng.random() < dark:
+                seen += 1
+            code |= (seen > 0) << j
+        return self.outcomes[code], code, true
+
+    def sample_block(self, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """`sample` on the streams `trial_rng(seed, i)` of trials
+        [start, start+count), drawn in bulk: the index into `distribution`
+        and the click code of each trial.  Word 0 of a stream picks the
+        true pattern; then each detector in turn reads one word for its
+        binomial loss draw if it saw photons and 0 < eta < 1, and one for
+        its dark count if dark_prob > 0.  A trial whose loss draw needs a
+        second word runs `sample` on its own generator."""
+        occupations, width, dark = self._occupations, self._width, self.detector.dark_prob
+        u = trial_uniforms(seed, start, count, width)
+        rows = np.arange(count)
+        pick = self.pick(u[:, 0])
+        col, code, redraw = np.ones(count, np.intp), np.zeros(count, np.intp), np.zeros(count, bool)
+        for j in range(len(self.labels)):
+            n = occupations[pick, j]
+            seen = n * (self.detector.efficiency == 1.0)
+            if self._steps:
+                # trials without photons here read a word they ignore
+                word = u[rows, np.minimum(col, width - 1)]
+                for k, edges, values in self._steps:
+                    sel = n == k
+                    seen[sel] = values[np.searchsorted(edges, word[sel], side="right")]
+                col += n > 0
+                redraw |= seen < 0
+            click = seen != 0
+            if dark > 0.0:
+                click |= u[rows, col] < dark
+                col += 1
+            code |= click << j
+        for i in np.flatnonzero(redraw).tolist():
+            code[i] = self.sample(trial_rng(seed, start + i))[1]
+        return pick, code
 
     def exact_outcomes(self) -> list[tuple[str, MixedState | None, float]]:
         """Outcome distribution with ideal detectors: every mode with at
         least one photon clicks.  Returns (outcome, conditional state,
-        probability) with conditionals mixed over the click-degenerate
-        true patterns."""
+        probability) for PsiMinus, PsiPlus and Fail.  A herald's
+        conditional is mixed over its click-degenerate true patterns; the
+        failure's state, and that of an outcome that never occurs, is None."""
         grouped: dict[str, list[tuple[tuple[int, ...], float]]] = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
         for occ, p in self.distribution:
-            clicks = frozenset(lab for lab, n in zip(self.labels, occ) if n > 0)
-            grouped[self.rule.classify(ClickPattern(clicks))].append((occ, p))
+            grouped[self.outcomes[sum((n > 0) << j for j, n in enumerate(occ))]].append((occ, p))
         out = []
         for outcome in (PSI_MINUS, PSI_PLUS, FAIL):
             entries = grouped[outcome]
             prob = sum(p for _, p in entries)
             if prob <= 0.0:
                 out.append((outcome, None, 0.0))
-                continue
-            branches: list[tuple[float, PureState]] = []
-            for occ, p in entries:
-                for w, st in self.conditional(occ).branches:
-                    branches.append((p / prob * w, st))
-            out.append((outcome, MixedState(branches, check_weights=False), prob))
+            elif outcome == FAIL:
+                out.append((outcome, None, prob))
+            else:
+                branches: list[tuple[float, PureState]] = []
+                for occ, p in entries:
+                    for w, st in self.conditional(occ).branches:
+                        branches.append((p / prob * w, st))
+                out.append((outcome, MixedState(branches, check_weights=False), prob))
         return out

@@ -279,26 +279,6 @@ def basis_state(registry: ModeRegistry, occ: Mapping[ModeId | str, int]) -> Pure
 # mode-operator algebra
 
 
-def create(state: PureState, mode: ModeId | str) -> PureState:
-    """Apply the creation operator of `mode`.
-
-    Terms whose total excitation would exceed the cutoff are dropped and
-    their weight added to the result's truncation-loss counter.
-    """
-    i = state.registry.index(mode)
-    cutoff = state.registry.cutoff
-    amps: dict[tuple[int, ...], complex] = {}
-    lost = 0.0
-    for occ, c in state.amplitudes.items():
-        if sum(occ) + 1 > cutoff:
-            lost += abs(c) ** 2
-            continue
-        n = occ[i]
-        new = occ[:i] + (n + 1,) + occ[i + 1 :]
-        amps[new] = amps.get(new, 0.0) + c * math.sqrt(n + 1)
-    return PureState(state.registry, amps, state.truncation_loss + lost)
-
-
 def _compositions(n: int, k: int):
     """All tuples of k non-negative integers summing to n."""
     if k == 1:

@@ -99,17 +99,22 @@ def excitation_qubit(mode0: str, mode1: str) -> QubitEncoding:
     return QubitEncoding((mode0, mode1), (1, 0), (0, 1))
 
 
-def qubit_density(state: PureState | MixedState, enc: QubitEncoding) -> np.ndarray:
-    """2x2 density matrix of one encoded qubit (no renormalization: the
-    trace is the weight of the qubit sector)."""
-    rho, basis = fock.reduced_density(state, list(enc.modes))
-    out = np.zeros((2, 2), dtype=complex)
-    patterns = (enc.zero, enc.one)
+def _sector_density(state: PureState | MixedState, modes: list, patterns: list[tuple[int, ...]]) -> np.ndarray:
+    """Block of the reduced density matrix on `modes` spanned by the
+    occupation `patterns`, in that order; zero where a pattern is absent."""
+    rho, basis = fock.reduced_density(state, modes)
+    out = np.zeros((len(patterns), len(patterns)), dtype=complex)
     for i, pi in enumerate(patterns):
         for j, pj in enumerate(patterns):
             if pi in basis and pj in basis:
                 out[i, j] = rho[basis.index(pi), basis.index(pj)]
     return out
+
+
+def qubit_density(state: PureState | MixedState, enc: QubitEncoding) -> np.ndarray:
+    """2x2 density matrix of one encoded qubit (no renormalization: the
+    trace is the weight of the qubit sector)."""
+    return _sector_density(state, list(enc.modes), [enc.zero, enc.one])
 
 
 def two_qubit_density(
@@ -117,18 +122,8 @@ def two_qubit_density(
 ) -> np.ndarray:
     """4x4 density matrix on an encoded qubit pair, basis order
     |00>, |01>, |10>, |11>."""
-    modes = list(enc_a.modes) + list(enc_b.modes)
-    rho, basis = fock.reduced_density(state, modes)
-    patterns = []
-    for pa in (enc_a.zero, enc_a.one):
-        for pb in (enc_b.zero, enc_b.one):
-            patterns.append(pa + pb)
-    out = np.zeros((4, 4), dtype=complex)
-    for i, pi in enumerate(patterns):
-        for j, pj in enumerate(patterns):
-            if pi in basis and pj in basis:
-                out[i, j] = rho[basis.index(pi), basis.index(pj)]
-    return out
+    patterns = [pa + pb for pa in (enc_a.zero, enc_a.one) for pb in (enc_b.zero, enc_b.one)]
+    return _sector_density(state, list(enc_a.modes) + list(enc_b.modes), patterns)
 
 
 def qubit_fidelity(

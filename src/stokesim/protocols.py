@@ -26,9 +26,9 @@ global phase.
 Sampled runs draw one counter-based random stream per trial from
 (seed, trial index), which makes results independent of execution order
 and parallelism, so trial chunks may run through any chunk-map callable.
-The streams of a whole chunk are computed at once by `rng.trial_uniforms`
-and read as each trial's own generator reads them, binomial loss draws
-included (`rng.binomial_steps`).
+The analyzer turns blocks of trials into true patterns and click codes
+(`PreparedBellAnalyzer.sample_block`); the sampled driver only looks up
+each distinct pair's outcome and cached fidelity.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -45,7 +45,6 @@ from . import detection, elements, fock, metrics, sources
 from .detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
 from .errors import ValidationError
 from .fock import MixedState, ModeRegistry, PureState
-from .rng import binomial_steps, trial_rng, trial_uniforms
 from .sources import SourceParams
 
 SQRT_HALF = math.sqrt(0.5)
@@ -244,15 +243,15 @@ def _heralded_fidelity(config: ProtocolConfig, heralded: MixedState) -> float:
     return fock.state_fidelity(heralded, event_ready_target(heralded.registry))
 
 
-def false_herald_probability(rule: detection.HeraldRule, dark_prob: float, n_detectors: int = 4) -> float:
+def false_herald_probability(rule: detection.HeraldRule, dark_prob: float) -> float:
     """Per-window probability that dark counts alone forge a herald
-    (vacuum at every detector)."""
+    (vacuum at each of the analyzer's four detectors)."""
     total = 0.0
     for pattern, outcome in rule.patterns:
         if outcome == FAIL:
             continue
         k = len(pattern)
-        total += dark_prob**k * (1.0 - dark_prob) ** (n_detectors - k)
+        total += dark_prob**k * (1.0 - dark_prob) ** (4 - k)
     return total
 
 
@@ -414,23 +413,6 @@ class _SampledProtocol:
         joint = self.spec.joint_state(config, channel)
         self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
         self._fids: dict[tuple[tuple[int, ...], str], float] = {}
-        #: outcome of each click code, bit j set when detector j clicked
-        labels = self.prep.labels
-        self._click_outcomes = [
-            self.prep.rule.classify(frozenset(lab for j, lab in enumerate(labels) if code >> j & 1))
-            for code in range(1 << len(labels))
-        ]
-        self._occupations = np.array([occ for occ, _ in self.prep.distribution])
-        #: binomial step tables of each detector with 0 < eta < 1, one per photon number it sees
-        steps = cache(binomial_steps)
-        self._tables = [
-            [(k, *steps(k, spec.efficiency)) for k in set(self._occupations[:, j].tolist()) - {0}]
-            if 0.0 < spec.efficiency < 1.0 else []
-            for j, spec in enumerate(self.prep.specs)
-        ]
-        loss_words = ((self._occupations > 0) & [bool(table) for table in self._tables]).sum(axis=1)
-        #: most words one trial's stream reads
-        self._width = 1 + int(loss_words.max()) + sum(spec.dark_prob > 0.0 for spec in self.prep.specs)
 
     def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
         key = (true, outcome)
@@ -441,45 +423,17 @@ class _SampledProtocol:
         return fid
 
     def _result(self, pick: int, code: int) -> tuple[str, float | None]:
-        outcome = self._click_outcomes[code]
+        outcome = self.prep.outcomes[code]
         true = self.prep.distribution[pick][0]
         return outcome, (self.fidelity(true, outcome) if outcome != FAIL else None)
 
     def outcomes(self, start: int, count: int) -> list[tuple[str, float | None]]:
-        """`trial_outcomes`, drawn in bulk.  Word 0 of a stream picks the
-        true photon-number pattern as `PreparedBellAnalyzer.sample` does;
-        then each detector in turn reads one word for its binomial loss
-        draw if it saw photons and 0 < eta < 1, and one for its dark count
-        if dark_prob > 0.  A trial whose loss draw needs a second word runs
-        `sample` on its own generator."""
-        prep, occupations, tables, width = self.prep, self._occupations, self._tables, self._width
-        codes = len(self._click_outcomes)
+        """`trial_outcomes`, drawn in blocks of at most `_BLOCK` trials by
+        `PreparedBellAnalyzer.sample_block`."""
+        codes = len(self.prep.outcomes)
         out: list[tuple[str, float | None]] = []
         for lo in range(start, start + count, _BLOCK):
-            size = min(_BLOCK, start + count - lo)
-            u = trial_uniforms(self.config.seed, lo, size, width)
-            rows = np.arange(size)
-            pick = np.minimum(np.searchsorted(prep._cum, u[:, 0], side="right"), len(prep._cum) - 1)
-            col, code, redraw = np.ones(size, np.intp), np.zeros(size, np.intp), np.zeros(size, bool)
-            for j, spec in enumerate(prep.specs):
-                n = occupations[pick, j]
-                seen = n * (spec.efficiency == 1.0)
-                if tables[j]:
-                    # trials without photons here read a word they ignore
-                    word = u[rows, np.minimum(col, width - 1)]
-                    for k, edges, values in tables[j]:
-                        sel = n == k
-                        seen[sel] = values[np.searchsorted(edges, word[sel], side="right")]
-                    col += n > 0
-                    redraw |= seen < 0
-                click = seen != 0
-                if spec.dark_prob > 0.0:
-                    click |= u[rows, col] < spec.dark_prob
-                    col += 1
-                code |= click << j
-            for i in np.flatnonzero(redraw).tolist():
-                _, pattern, _ = prep.sample(trial_rng(self.config.seed, lo + i))
-                code[i] = sum(1 << j for j, lab in enumerate(prep.labels) if lab in pattern)
+            pick, code = self.prep.sample_block(self.config.seed, lo, min(_BLOCK, start + count - lo))
             # one (outcome, fidelity) per distinct (true pattern, click code)
             keys, inverse = np.unique(pick * codes + code, return_inverse=True)
             results = [self._result(*divmod(int(k), codes)) for k in keys]

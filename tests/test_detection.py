@@ -99,6 +99,16 @@ def test_herald_rule_classification():
     assert rule.classify(ClickPattern(frozenset({D_H, D_VP}))) == PSI_MINUS
 
 
+def test_click_code_table_follows_the_herald_rule():
+    analyzer = PreparedBellAnalyzer(fock.vacuum(two_path_registry()), "a", "b")
+    rule = detection.default_herald_rule()
+    assert len(analyzer.outcomes) == 16
+    for code, outcome in enumerate(analyzer.outcomes):
+        clicks = frozenset(lab for j, lab in enumerate(analyzer.labels) if code >> j & 1)
+        assert outcome == rule.classify(clicks), bin(code)
+    assert analyzer.outcomes.count(PSI_MINUS) == analyzer.outcomes.count(PSI_PLUS) == 2
+
+
 # ---------------------------------------------------------------------------
 # exact outcome distribution and conditional states
 

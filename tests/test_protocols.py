@@ -184,6 +184,42 @@ def test_event_ready_psi_plus_correction_matches_singlet_branch():
     np.testing.assert_allclose(overlap, 1.0, atol=1e-9)
 
 
+ORDER_2 = ProtocolConfig(source=SourceParams(p0=0.15, emission_order=2), detector=ideal_detector())
+
+
+def _clicks(prep, occ):
+    return frozenset(lab for lab, n in zip(prep.labels, occ) if n > 0)
+
+
+def test_exact_outcomes_group_the_distribution_through_the_rule():
+    prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(ORDER_2), "p", "A")
+    rule = detection.default_herald_rule()
+    grouped = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
+    for occ, p in prep.distribution:
+        grouped[rule.classify(_clicks(prep, occ))].append(p)
+    probs = {outcome: prob for outcome, _, prob in prep.exact_outcomes()}
+    assert probs == {outcome: sum(ps) for outcome, ps in grouped.items()}
+    assert probs[PSI_MINUS] > 0 and probs[PSI_PLUS] > 0
+
+
+def test_exact_outcomes_condition_only_on_herald_patterns(monkeypatch):
+    conditioned = []
+    condition = detection._condition_on_pattern
+
+    def recording(split, pattern):
+        conditioned.append(pattern)
+        return condition(split, pattern)
+
+    monkeypatch.setattr(detection, "_condition_on_pattern", recording)
+    prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(ORDER_2), "p", "A")
+    outcomes = {outcome: cond for outcome, cond, _ in prep.exact_outcomes()}
+    rule = detection.default_herald_rule()
+    heralds = [occ for occ, _ in prep.distribution if rule.classify(_clicks(prep, occ)) != FAIL]
+    assert sorted(conditioned) == heralds
+    assert len(heralds) < len(prep.distribution)
+    assert outcomes[FAIL] is None
+
+
 def test_event_ready_vacuum_source_never_heralds():
     cfg = ProtocolConfig(
         source=SourceParams(p0=0.0), detector=ideal_detector(), epr_enabled=False
@@ -332,7 +368,7 @@ def test_lossy_outcomes_do_not_depend_on_the_partition(monkeypatch):
 def test_lossy_trials_build_no_generator(monkeypatch):
     # guards against a per-trial loop coming back below unit efficiency
     built = []
-    monkeypatch.setattr(protocols, "trial_rng", lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
+    monkeypatch.setattr(detection, "trial_rng", lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
     cfg = ProtocolConfig(detector=DetectorSpec(efficiency=0.8, dark_prob=1e-3), mode="sampled", theta=0.7, phi=1.9)
     outcomes = protocols.trial_outcomes(cfg, "memory", 0, 20_000)
     assert len(outcomes) == 20_000 and built == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from stokesim import protocols
+from stokesim import detection, protocols
 from stokesim.detection import FAIL, DetectorSpec
 from stokesim.protocols import ProtocolConfig
 from stokesim.rng import binomial_draw, binomial_steps, trial_rng, trial_uniforms
@@ -161,7 +161,7 @@ def test_a_loss_word_at_a_redraw_edge_runs_the_trial_generator(monkeypatch):
     # stream reads a loss word for each detector with photons before that
     # one, and a dark-count word for every detector before it
     words = trial_uniforms(cfg.seed, 0, 1000, 1)[:, 0]
-    picks = np.minimum(np.searchsorted(sp.prep._cum, words, side="right"), len(sp.prep._cum) - 1)
+    picks = sp.prep.pick(words)
     trial = next(i for i, pick in enumerate(picks) if 2 in occupations[pick])
     occ = occupations[picks[trial]].tolist()
     j = occ.index(2)
@@ -173,8 +173,8 @@ def test_a_loss_word_at_a_redraw_edge_runs_the_trial_generator(monkeypatch):
         return u
 
     built = []
-    monkeypatch.setattr(protocols, "trial_uniforms", crafted)
-    monkeypatch.setattr(protocols, "trial_rng", lambda seed, i: built.append(i) or trial_rng(seed, i))
+    monkeypatch.setattr(detection, "trial_uniforms", crafted)
+    monkeypatch.setattr(detection, "trial_rng", lambda seed, i: built.append(i) or trial_rng(seed, i))
     bulk = sp.outcomes(0, trial + 10)
     assert built == [trial]
     # the scalar path read the trial's real stream, as every trial matches
