@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands `generate`, `event-ready`, `memory`, `sweep`, and `validate`
-read a flat INI-style config (every key optional, defaults documented in
-the schema below), run the protocol in exact or sampled mode, and emit a
-machine-readable report as JSON or CSV.
+read a flat INI-style config (every key optional: the schema below names
+its type and the config field it sets, whose dataclass holds its default),
+run the protocol in exact or sampled mode, and emit a machine-readable
+report as JSON or CSV.
 
 Reports are deterministic: keys appear in fixed order, floats are
 printed with 17 significant digits, trials derive their random streams
@@ -28,6 +29,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from . import __version__, protocols
 from .detection import DetectorSpec
@@ -39,38 +41,47 @@ SCHEMA_VERSION = 1
 
 SWEEP_PARAMETERS = ("p0", "theta", "phi", "t", "eta", "dark_prob", "emission_order")
 
-#: section -> key -> (type, range description)
+#: section -> key -> (type, range description, the `ProtocolConfig` field
+#: the key sets, dotted into `source` and `detector`, or None)
 _SCHEMA = {
     "run": {
-        "protocol": (str, "one of generate, event-ready, memory"),
-        "mode": (str, "exact or sampled"),
-        "trials": (int, ">= 1"),
-        "seed": (int, "[0, 2^64)"),
-        "out": (str, "output path"),
-        "format": (str, "json or csv"),
+        "protocol": (str, "one of generate, event-ready, memory", None),
+        "mode": (str, "exact or sampled", "mode"),
+        "trials": (int, ">= 1", "trials"),
+        "seed": (int, "[0, 2^64)", "seed"),
+        "out": (str, "output path", None),
+        "format": (str, "json or csv", None),
     },
     "source": {
-        "p0": (float, "[0, 0.2]"),
-        "alpha": (complex, "|alpha|^2 + |beta|^2 = 1"),
-        "beta": (complex, "|alpha|^2 + |beta|^2 = 1"),
-        "t": (float, "[0, 1]"),
-        "emission_order": (int, ">= 1"),
-        "cutoff": (int, ">= 2 * emission_order"),
-        "epr_enabled": (bool, "true or false"),
+        "p0": (float, "[0, 0.2]", "source.p0"),
+        "alpha": (complex, "|alpha|^2 + |beta|^2 = 1", "source.alpha"),
+        "beta": (complex, "|alpha|^2 + |beta|^2 = 1", "source.beta"),
+        "t": (float, "[0, 1]", "source.t"),
+        "emission_order": (int, ">= 1", "source.emission_order"),
+        "cutoff": (int, ">= 2 * emission_order", "cutoff"),
+        "epr_enabled": (bool, "true or false", "epr_enabled"),
     },
     "detector": {
-        "eta": (float, "[0, 1]"),
-        "dark_prob": (float, "[0, 1)"),
+        "eta": (float, "[0, 1]", "detector.efficiency"),
+        "dark_prob": (float, "[0, 1)", "detector.dark_prob"),
     },
     "memory": {
-        "theta": (float, "[0, pi]"),
-        "phi": (float, "[0, 2*pi)"),
-        "retrieval_efficiency": (float, "[0, 1]"),
+        "theta": (float, "[0, pi]", "theta"),
+        "phi": (float, "[0, 2*pi)", "phi"),
+        "retrieval_efficiency": (float, "[0, 1]", "retrieval_efficiency"),
     },
     "sweep": {
-        "parameter": (str, f"one of {', '.join(SWEEP_PARAMETERS)}"),
-        "values": (str, "comma- or space-separated numbers"),
+        "parameter": (str, f"one of {', '.join(SWEEP_PARAMETERS)}", None),
+        "values": (str, "comma- or space-separated numbers", None),
     },
+}
+
+#: key -> (type, target field) of every key that sets a `ProtocolConfig` field, in table order
+_FIELDS = {
+    key: (kind, target)
+    for keys in _SCHEMA.values()
+    for key, (kind, _, target) in keys.items()
+    if target is not None
 }
 
 _PROTOCOLS = ("generate", "event-ready", "memory")
@@ -78,8 +89,8 @@ _PROTOCOLS = ("generate", "event-ready", "memory")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    protocol: str
     config: ProtocolConfig
+    protocol: str = "event-ready"
     sweep_parameter: str | None = None
     sweep_values: tuple[float, ...] = ()
     out: str | None = None
@@ -105,7 +116,7 @@ def _line_map(text: str) -> dict[tuple[str, str | None], int]:
 
 
 def _convert(section: str, key: str, raw: str, lines) -> object:
-    kind, valid = _SCHEMA[section][key]
+    kind, valid, _ = _SCHEMA[section][key]
     where = _at(lines, section, key)
     try:
         if kind is bool:
@@ -172,61 +183,36 @@ def build_experiment(
     command: str,
     overrides: dict[str, object],
 ) -> ExperimentConfig:
-    """Merge config-file sections with command-line overrides into a
-    validated experiment description."""
-    run = dict(sections.get("run", {}))
-    src = dict(sections.get("source", {}))
-    det = dict(sections.get("detector", {}))
-    mem = dict(sections.get("memory", {}))
-    swp = dict(sections.get("sweep", {}))
-
-    protocol = command if command != "sweep" else str(run.get("protocol", "event-ready"))
+    """Merge command-line overrides over `STOKESIM_SEED` over the
+    config-file sections over the dataclass defaults into a validated
+    experiment description."""
+    values = {key: value for keys in sections.values() for key, value in keys.items()}
+    protocol = command if command != "sweep" else str(values.get("protocol", ExperimentConfig.protocol))
     if protocol not in _PROTOCOLS:
         raise ConfigError(f"protocol {protocol!r} must be one of {', '.join(_PROTOCOLS)}")
-    if command != "sweep" and "protocol" in run and run["protocol"] != command:
-        raise ConfigError(f"config names protocol {run['protocol']!r} but the {command!r} subcommand was invoked")
+    if command != "sweep" and values.get("protocol", command) != command:
+        raise ConfigError(f"config names protocol {values['protocol']!r} but the {command!r} subcommand was invoked")
 
-    mode = str(overrides.get("mode") or run.get("mode", "exact"))
-    trials = int(overrides["trials"] if overrides.get("trials") is not None else run.get("trials", 10_000))
+    env = os.environ.get("STOKESIM_SEED")
+    if env is not None and overrides.get("seed") is None:
+        try:
+            values["seed"] = int(env)
+        except ValueError:
+            raise ConfigError(f"STOKESIM_SEED={env!r} is not an integer") from None
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    if values.get("mode") == "sampled" and "seed" not in values:
+        raise ConfigError("sampled mode requires a seed (flag --seed, STOKESIM_SEED, or [run] seed)")
 
-    seed = overrides.get("seed")
-    if seed is None:
-        env = os.environ.get("STOKESIM_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigError(f"STOKESIM_SEED={env!r} is not an integer") from None
-    if seed is None:
-        seed = run.get("seed")
-    if seed is None:
-        if mode == "sampled":
-            raise ConfigError("sampled mode requires a seed (flag --seed, STOKESIM_SEED, or [run] seed)")
-        seed = 0
-
+    groups: dict[str, dict[str, object]] = {"": {}, "source": {}, "detector": {}}
+    for key, (_, target) in _FIELDS.items():
+        if key in values:
+            owner, _, name = target.rpartition(".")
+            groups[owner][name] = values[key]
     try:
-        source = SourceParams(
-            p0=float(src.get("p0", 0.01)),
-            emission_order=int(src.get("emission_order", 1)),
-            alpha=src.get("alpha", SourceParams.alpha),
-            beta=src.get("beta", SourceParams.beta),
-            t=float(src["t"]) if "t" in src else None,
-        )
-        detector = DetectorSpec(
-            efficiency=float(det.get("eta", 1.0)),
-            dark_prob=float(det.get("dark_prob", 1e-5)),
-        )
         config = ProtocolConfig(
-            source=source,
-            detector=detector,
-            trials=trials,
-            mode=mode,
-            seed=int(seed),
-            theta=float(mem.get("theta", 0.0)),
-            phi=float(mem.get("phi", 0.0)),
-            epr_enabled=bool(src.get("epr_enabled", True)),
-            retrieval_efficiency=float(mem.get("retrieval_efficiency", 1.0)),
-            cutoff=int(src.get("cutoff", 6)),
+            source=SourceParams(**groups["source"]),
+            detector=DetectorSpec(**groups["detector"]),
+            **groups[""],
         )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
@@ -234,26 +220,20 @@ def build_experiment(
     sweep_parameter = None
     sweep_values: tuple[float, ...] = ()
     if command == "sweep":
-        if "parameter" not in swp or "values" not in swp:
+        if "parameter" not in values or "values" not in values:
             raise ConfigError("sweep needs [sweep] parameter and values")
-        sweep_parameter = str(swp["parameter"])
-        if sweep_parameter not in SWEEP_PARAMETERS:
-            raise ConfigError(
-                f"sweep parameter {sweep_parameter!r} must be one of {', '.join(SWEEP_PARAMETERS)}"
-            )
-        sweep_values = _parse_values(str(swp["values"]))
+        sweep_parameter = str(values["parameter"])
+        sweep_values = _parse_values(str(values["values"]))
         try:
             for value in sweep_values:
                 apply_sweep_value(config, sweep_parameter, value)
         except ValidationError as exc:
             raise ConfigError(f"sweep {sweep_parameter} = {value:g}: {exc}") from None
 
-    fmt = str(overrides.get("format") or run.get("format", "json"))
+    fmt = str(values.get("format", ExperimentConfig.format))
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format {fmt!r} must be json or csv")
-    out = overrides.get("out") or run.get("out")
-    jobs = overrides.get("jobs")
-    jobs = 1 if jobs is None else int(jobs)
+    jobs = int(values.get("jobs", ExperimentConfig.jobs))
     if jobs < 1:
         raise ConfigError(f"--jobs {jobs} must be >= 1")
     return ExperimentConfig(
@@ -261,7 +241,7 @@ def build_experiment(
         config=config,
         sweep_parameter=sweep_parameter,
         sweep_values=sweep_values,
-        out=str(out) if out is not None else None,
+        out=values.get("out"),
         format=fmt,
         jobs=jobs,
     )
@@ -283,24 +263,20 @@ def _ancilla_cut_warning(exp: ExperimentConfig) -> str | None:
     return f"cutoff {c.cutoff} cuts the EPR ancilla at emission_order {order}; cutoff >= {safe} keeps it whole"
 
 
+def _with_field(config, target: str, value):
+    name, _, rest = target.partition(".")
+    return replace(config, **{name: _with_field(getattr(config, name), rest, value) if rest else value})
+
+
 def apply_sweep_value(config: ProtocolConfig, parameter: str, value: float) -> ProtocolConfig:
-    if parameter == "p0":
-        return replace(config, source=replace(config.source, p0=value))
-    if parameter == "t":
-        return replace(config, source=replace(config.source, t=value))
-    if parameter == "emission_order":
-        if value != int(value):
-            raise ConfigError(f"emission_order sweep value {value} is not an integer")
-        return replace(config, source=replace(config.source, emission_order=int(value)))
-    if parameter == "eta":
-        return replace(config, detector=replace(config.detector, efficiency=value))
-    if parameter == "dark_prob":
-        return replace(config, detector=replace(config.detector, dark_prob=value))
-    if parameter == "theta":
-        return replace(config, theta=value)
-    if parameter == "phi":
-        return replace(config, phi=value)
-    raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigError(f"sweep parameter {parameter!r} must be one of {', '.join(SWEEP_PARAMETERS)}")
+    kind, target = _FIELDS[parameter]
+    if kind is int:
+        if not float(value).is_integer():
+            raise ConfigError(f"{parameter} sweep value {value} is not an integer")
+        value = int(value)
+    return _with_field(config, target, value)
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +355,12 @@ def to_csv(rows: list[dict]) -> str:
 
 
 def config_echo(exp: ExperimentConfig) -> dict:
-    c = exp.config
-    return {
-        "protocol": exp.protocol,
-        "mode": c.mode,
-        "trials": c.trials,
-        "p0": c.source.p0,
-        "alpha": complex(c.source.alpha),
-        "beta": complex(c.source.beta),
-        "t": c.source.t,
-        "emission_order": c.source.emission_order,
-        "cutoff": c.cutoff,
-        "epr_enabled": c.epr_enabled,
-        "eta": c.detector.efficiency,
-        "dark_prob": c.detector.dark_prob,
-        "theta": c.theta,
-        "phi": c.phi,
-        "retrieval_efficiency": c.retrieval_efficiency,
-    }
+    echo: dict[str, object] = {"protocol": exp.protocol}
+    for key, (kind, target) in _FIELDS.items():
+        if key != "seed":
+            value = reduce(getattr, target.split("."), exp.config)
+            echo[key] = value if value is None else kind(value)
+    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +475,7 @@ def main(argv=None) -> int:
             if "sweep" in sections:
                 target = "sweep"
             else:
-                target = str(sections.get("run", {}).get("protocol", "event-ready"))
+                target = str(sections.get("run", {}).get("protocol", ExperimentConfig.protocol))
         exp = build_experiment(sections, target, overrides)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

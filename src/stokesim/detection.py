@@ -261,13 +261,8 @@ class PreparedBellAnalyzer:
         """One trial on generator `rng`: its outcome, click code and true
         photon numbers."""
         true = self.distribution[self.pick(rng.random())][0]
-        eta, dark = self.detector.efficiency, self.detector.dark_prob
-        code = 0
-        for j, n in enumerate(true):
-            seen = n if eta >= 1.0 else int(rng.binomial(n, eta)) if n else 0
-            if dark > 0.0 and rng.random() < dark:
-                seen += 1
-            code |= (seen > 0) << j
+        clicks = _sample_clicks(true, [self.detector] * len(true), self.labels, rng)
+        code = sum(1 << j for j, label in enumerate(self.labels) if label in clicks)
         return self.outcomes[code], code, true
 
     def sample_block(self, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -64,7 +64,9 @@ def concurrence(rho: np.ndarray) -> float:
     flip = np.kron(sy, sy)
     r = rho @ flip @ rho.conj() @ flip
     vals = np.linalg.eigvals(r).real
-    vals = np.sqrt(np.clip(vals, 0.0, None))
+    # eigenvalues within rounding of zero are zero: their square roots,
+    # ~1e-8, would swamp the concurrence of rank-deficient states
+    vals = np.sqrt(np.where(vals > 64 * np.finfo(float).eps, vals, 0.0))
     vals = np.sort(vals)[::-1]
     return float(max(0.0, vals[0] - vals[1] - vals[2] - vals[3]))
 

@@ -145,6 +145,9 @@ def generate_entanglement(config: ProtocolConfig) -> tuple[MixedState, dict]:
     if len(branches) > 1:
         excited = branches[1][1]
         pair = metrics.two_qubit_density(excited, ATOMIC_QUBIT, metrics.pol_qubit("p"))
+        if len(system) < len(mixed.registry):
+            # an active attenuator adds a photon-lost branch: condition on the photon reaching p
+            pair = pair / np.trace(pair).real
         report["excited_branch_concurrence"] = metrics.concurrence(pair)
         report["excited_branch_entropy"] = metrics.entropy(excited, ["S1", "S2"])
     return mixed, report

@@ -52,6 +52,8 @@ class SourceParams:
             raise ValidationError(f"p0={self.p0} outside [0, {P0_MAX}]")
         if self.emission_order < 1:
             raise ValidationError("emission_order must be >= 1")
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise ValidationError(f"alpha={self.alpha} and beta={self.beta} must be finite")
         if self.t is None:
             norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
             if abs(norm - 1.0) > 1e-12:

@@ -9,16 +9,22 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from stokesim import cli
+from stokesim.detection import DetectorSpec
 from stokesim.errors import ConfigError, ValidationError
+from stokesim.protocols import ProtocolConfig
+from stokesim.sources import SourceParams
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 FULL_INI = """
 [run]
@@ -30,8 +36,12 @@ format = json
 
 [source]
 p0 = 0.02
-emission_order = 1
-cutoff = 6
+alpha = 0.6
+beta = 0.8j
+t = 0.5
+emission_order = 2
+cutoff = 8
+epr_enabled = false
 
 [detector]
 eta = 0.9
@@ -100,14 +110,24 @@ def test_build_defaults_without_config():
     assert exp.config.mode == "exact"
     assert exp.config.seed == 0
     assert exp.format == "json"
+    assert exp.config == ProtocolConfig()
 
 
 def test_build_wires_all_sections():
     exp = cli.build_experiment(cli.parse_config(FULL_INI), "memory", {})
-    c = exp.config
-    assert (c.mode, c.trials, c.seed) == ("sampled", 500, 42)
-    assert (c.source.p0, c.detector.efficiency, c.detector.dark_prob) == (0.02, 0.9, 0.0001)
-    assert (c.theta, c.phi, c.retrieval_efficiency) == (0.7, 1.9, 0.8)
+    assert exp.config == ProtocolConfig(
+        source=SourceParams(p0=0.02, emission_order=2, alpha=0.6, beta=0.8j, t=0.5),
+        detector=DetectorSpec(efficiency=0.9, dark_prob=0.0001),
+        trials=500,
+        mode="sampled",
+        seed=42,
+        theta=0.7,
+        phi=1.9,
+        epr_enabled=False,
+        retrieval_efficiency=0.8,
+        cutoff=8,
+    )
+    assert (exp.protocol, exp.format, exp.out, exp.jobs) == ("memory", "json", None, 1)
 
 
 def test_build_rejects_protocol_mismatch():
@@ -348,8 +368,20 @@ def test_main_validate_rejects_bad_config(tmp_path, capsys):
         ("sweep", "[sweep]\nparameter = p0\nvalues = 0.01, 0.5\n"),
         ("event-ready", "[source]\ncutoff = 1\n"),
         ("event-ready", "[source]\nemission_order = 4\n"),
+        ("event-ready", "[source]\nalpha = nan\n"),
+        ("event-ready", "[source]\nalpha = nan\nt = 0.5\n"),
+        ("sweep", "[sweep]\nparameter = emission_order\nvalues = 1, nan\n"),
+        ("sweep", "[sweep]\nparameter = emission_order\nvalues = 1, inf\n"),
     ],
-    ids=["sweep-p0-out-of-range", "cutoff-1", "order-4-default-cutoff"],
+    ids=[
+        "sweep-p0-out-of-range",
+        "cutoff-1",
+        "order-4-default-cutoff",
+        "alpha-nan",
+        "alpha-nan-with-t",
+        "sweep-order-nan",
+        "sweep-order-inf",
+    ],
 )
 def test_configs_failing_at_run_time_are_rejected_up_front(tmp_path, capsys, command, text):
     ini = write_ini(tmp_path, text)
@@ -381,6 +413,32 @@ def test_ancilla_cut_names_the_largest_swept_emission_order(tmp_path, capsys):
     ini = write_ini(tmp_path, "[source]\ncutoff = 6\n\n[sweep]\nparameter = emission_order\nvalues = 1, 3, 2\n")
     assert cli.main(["validate", "--config", ini]) == 0
     assert capsys.readouterr().err == "warning: cutoff 6 cuts the EPR ancilla at emission_order 3; cutoff >= 8 keeps it whole\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, concurrences",
+    [
+        ("generate", "[source]\nalpha = 0.6\nbeta = 0.8\n", [2 * 0.6 * 0.8]),
+        ("sweep", "[run]\nprotocol = generate\n\n[sweep]\nparameter = t\nvalues = 1, 0.5\n",
+         [1.0, 2 * math.sqrt(0.5) / 1.5]),
+    ],
+    ids=["alpha-below-beta", "sweep-t"],
+)
+def test_generate_with_an_active_attenuator(tmp_path, command, text, concurrences):
+    # conditioned on the photon surviving the attenuator, the excited
+    # branch is alpha |S1 H> + beta |S2 V>, of concurrence 2|alpha beta|
+    out = tmp_path / "r.json"
+    assert cli.main([command, "--config", write_ini(tmp_path, text), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    rows = report["rows"] if command == "sweep" else [report["summary"]]
+    got = [row["excited_branch_concurrence"] for row in rows]
+    np.testing.assert_allclose(got, concurrences, rtol=0, atol=1e-12)
+
+
+def test_readme_config_validates(tmp_path, capsys):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    assert cli.main(["validate", "--config", write_ini(tmp_path, block)]) == 0
+    assert capsys.readouterr().out.startswith("config ok\n")
 
 
 def test_python_m_stokesim_runs_the_cli(tmp_path):

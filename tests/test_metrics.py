@@ -110,11 +110,12 @@ def test_concurrence_closed_forms():
     product = np.zeros((4, 4))
     product[0, 0] = 1.0
     assert metrics.concurrence(product) == 0.0
-    a, b = math.sqrt(0.2), math.sqrt(0.8)
-    v = np.array([a, 0.0, 0.0, b])
-    np.testing.assert_allclose(
-        metrics.concurrence(np.outer(v, v)), 2 * a * b, atol=1e-12
-    )
+    # (0.8, 0.6) leaves rounding-level eigenvalues whose square roots are ~7e-9
+    for a, b in ((math.sqrt(0.2), math.sqrt(0.8)), (0.8, 0.6)):
+        v = np.array([a, 0.0, 0.0, b])
+        np.testing.assert_allclose(
+            metrics.concurrence(np.outer(v, v)), 2 * a * b, rtol=0, atol=1e-12
+        )
 
 
 def test_concurrence_werner_state():

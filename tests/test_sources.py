@@ -99,6 +99,11 @@ def test_params_validation():
         SourceParams(alpha=1.0, beta=1.0)
     with pytest.raises(ValidationError):
         SourceParams(t=1.5)
+    # non-finite amplitudes are rejected even when t overrides them
+    with pytest.raises(ValidationError, match="finite"):
+        SourceParams(alpha=float("nan"))
+    with pytest.raises(ValidationError, match="finite"):
+        SourceParams(alpha=complex("nan"), t=0.5)
 
 
 def test_explicit_attenuation_overrides_branch_amplitudes():
