@@ -23,7 +23,8 @@ code (bit j set when detector `labels[j]` clicked) and an outcome: its
 outcome distribution, the scalar `sample` on a trial's own generator and
 `sample_block`, which draws many trials at once from the Philox words of
 their streams (`rng.trial_uniforms`), binomial loss draws included
-(`rng.binomial_steps`).
+(`rng.binomial_steps`), and keys each trial by its true pattern and
+click code.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ FAIL = "Fail"
 D_H, D_V, D_HP, D_VP = "D_H", "D_V", "D_H'", "D_V'"
 
 _MAX_OUTCOMES = 4096
+
+#: most trials whose uniforms are drawn at once; larger blocks outgrow
+#: the CPU cache and run slower per trial
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ def _condition_on_pattern(split: list[tuple[float, dict]], pattern: tuple[int, .
     if not kept:
         raise ValidationError(f"pattern {pattern} has zero probability")
     total = sum(w for w, _ in kept)
-    conditional = MixedState([(w / total, s) for w, s in kept], check_weights=False)
+    conditional = MixedState([(w / total, s) for w, s in kept])
     lossy = [m.name for m in conditional.registry.modes if m.kind == LOSS]
     if lossy:
         conditional = fock.trace_out(conditional, lossy)
@@ -265,14 +270,18 @@ class PreparedBellAnalyzer:
         code = sum(1 << j for j, label in enumerate(self.labels) if label in clicks)
         return self.outcomes[code], code, true
 
-    def sample_block(self, seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample_block(self, seed: int, start: int, count: int) -> np.ndarray:
         """`sample` on the streams `trial_rng(seed, i)` of trials
-        [start, start+count), drawn in bulk: the index into `distribution`
-        and the click code of each trial.  Word 0 of a stream picks the
-        true pattern; then each detector in turn reads one word for its
-        binomial loss draw if it saw photons and 0 < eta < 1, and one for
-        its dark count if dark_prob > 0.  A trial whose loss draw needs a
-        second word runs `sample` on its own generator."""
+        [start, start+count), drawn in bulk `_BLOCK` trials at a time: one
+        uint16 key per trial, its index into `distribution` times 16 plus
+        its click code (`_MAX_OUTCOMES` patterns fit).  Word 0 of a stream
+        picks the true pattern; then each detector in turn reads one word
+        for its binomial loss draw if it saw photons and 0 < eta < 1, and
+        one for its dark count if dark_prob > 0.  A trial whose loss draw
+        needs a second word runs `sample` on its own generator."""
+        if count > _BLOCK:
+            blocks = range(start, start + count, _BLOCK)
+            return np.concatenate([self.sample_block(seed, lo, min(_BLOCK, start + count - lo)) for lo in blocks])
         occupations, width, dark = self._occupations, self._width, self.detector.dark_prob
         u = trial_uniforms(seed, start, count, width)
         rows = np.arange(count)
@@ -296,7 +305,12 @@ class PreparedBellAnalyzer:
             code |= click << j
         for i in np.flatnonzero(redraw).tolist():
             code[i] = self.sample(trial_rng(seed, start + i))[1]
-        return pick, code
+        return (pick * len(self.outcomes) + code).astype(np.uint16)
+
+    def decode(self, key: int) -> tuple[tuple[int, ...], str]:
+        """True photon numbers and outcome of a `sample_block` key."""
+        pick, code = divmod(key, len(self.outcomes))
+        return self.distribution[pick][0], self.outcomes[code]
 
     def exact_outcomes(self) -> list[tuple[str, MixedState | None, float]]:
         """Outcome distribution with ideal detectors: every mode with at
@@ -320,5 +334,5 @@ class PreparedBellAnalyzer:
                 for occ, p in entries:
                     for w, st in self.conditional(occ).branches:
                         branches.append((p / prob * w, st))
-                out.append((outcome, MixedState(branches, check_weights=False), prob))
+                out.append((outcome, MixedState(branches), prob))
         return out

@@ -232,7 +232,7 @@ class MixedState:
 
     __slots__ = ("branches",)
 
-    def __init__(self, branches: Sequence[tuple[float, PureState]], check_weights: bool = True):
+    def __init__(self, branches: Sequence[tuple[float, PureState]]):
         if not branches:
             raise ValidationError("a mixed state needs at least one branch")
         reg = branches[0][1].registry
@@ -241,9 +241,6 @@ class MixedState:
                 raise ValidationError("branch weights must be positive")
             if st.registry != reg:
                 raise RegistryError("all branches of a mixed state must share one registry")
-        total = sum(w for w, _ in branches)
-        if check_weights and abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"branch weights sum to {total}, expected 1")
         self.branches: tuple[tuple[float, PureState], ...] = tuple((float(w), st) for w, st in branches)
 
     @property
@@ -257,7 +254,7 @@ class MixedState:
 def as_mixed(state: PureState | MixedState) -> MixedState:
     if isinstance(state, MixedState):
         return state
-    return MixedState([(1.0, state)], check_weights=False)
+    return MixedState([(1.0, state)])
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +506,7 @@ def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> M
             bw, rest = groups[env]
             out.append((w * bw, rest))
     total = sum(w for w, _ in out)
-    return MixedState([(w / total, s) for w, s in out], check_weights=False)
+    return MixedState([(w / total, s) for w, s in out])
 
 
 def reduced_density(

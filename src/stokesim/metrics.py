@@ -86,10 +86,6 @@ class QubitEncoding:
         if self.zero == self.one:
             raise ValidationError("basis patterns must differ")
 
-    def pattern(self, bit: int) -> dict:
-        occ = self.zero if bit == 0 else self.one
-        return dict(zip(self.modes, occ))
-
 
 def pol_qubit(path: str) -> QubitEncoding:
     """|0> = one H photon, |1> = one V photon on a path."""

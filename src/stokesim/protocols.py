@@ -26,9 +26,10 @@ global phase.
 Sampled runs draw one counter-based random stream per trial from
 (seed, trial index), which makes results independent of execution order
 and parallelism, so trial chunks may run through any chunk-map callable.
-The analyzer turns blocks of trials into true patterns and click codes
-(`PreparedBellAnalyzer.sample_block`); the sampled driver only looks up
-each distinct pair's outcome and cached fidelity.
+The analyzer turns each trial into one uint16 key, true-pattern index
+times 16 plus click code (`PreparedBellAnalyzer.sample_block`); chunks
+return only those keys, and `summarize_sampled` counts them and
+evaluates one fidelity per distinct herald key.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ _WILSON_Z = 1.959963984540054
 
 #: chunks per sampled run: enough to keep a small process pool evenly busy
 _CHUNKS = 32
-
-#: most trials whose uniforms are drawn at once; larger blocks outgrow
-#: the CPU cache and run slower per trial
-_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ def generate_entanglement(config: ProtocolConfig) -> tuple[MixedState, dict]:
         if sector is not None and w > 0.0:
             branches.append((w, sector))
             weights.append(w)
-    mixed = MixedState(branches, check_weights=False)
+    mixed = MixedState(branches)
 
     system = [m.name for m in mixed.registry.modes if m.kind != fock.LOSS]
     rho, _ = fock.reduced_density(mixed, system)
@@ -144,10 +141,11 @@ def generate_entanglement(config: ProtocolConfig) -> tuple[MixedState, dict]:
     }
     if len(branches) > 1:
         excited = branches[1][1]
-        pair = metrics.two_qubit_density(excited, ATOMIC_QUBIT, metrics.pol_qubit("p"))
-        if len(system) < len(mixed.registry):
+        lossy = [m.name for m in mixed.registry.modes if m.kind == fock.LOSS]
+        if lossy:
             # an active attenuator adds a photon-lost branch: condition on the photon reaching p
-            pair = pair / np.trace(pair).real
+            excited = fock.project(excited, dict.fromkeys(lossy, 0))[0]
+        pair = metrics.two_qubit_density(excited, ATOMIC_QUBIT, metrics.pol_qubit("p"))
         report["excited_branch_concurrence"] = metrics.concurrence(pair)
         report["excited_branch_entropy"] = metrics.entropy(excited, ["S1", "S2"])
     return mixed, report
@@ -207,10 +205,7 @@ def bell_decompose(
 
 
 def _flip_phase(mixed: MixedState, mode) -> MixedState:
-    return MixedState(
-        [(w, fock.apply_phase(st, mode, math.pi)) for w, st in mixed.branches],
-        check_weights=False,
-    )
+    return MixedState([(w, fock.apply_phase(st, mode, math.pi)) for w, st in mixed.branches])
 
 
 def event_ready_target(registry: ModeRegistry) -> PureState:
@@ -323,7 +318,7 @@ def memory_readout(stored: MixedState | PureState, retrieval_efficiency: float =
             out = elements.attenuate_mode(out, "readout:H", retrieval_efficiency)
             out = elements.attenuate_mode(out, "readout:V", retrieval_efficiency)
         branches.append((w, out))
-    return MixedState(branches, check_weights=False)
+    return MixedState(branches)
 
 
 # ---------------------------------------------------------------------------
@@ -401,47 +396,23 @@ def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | 
     for outcome, cond, prob in heralds:
         if cond is not None and prob > 0:
             branches += [(w * prob / total, st) for w, st in _corrected(spec, cond, outcome).branches]
-    heralded = MixedState(branches, check_weights=False)
+    heralded = MixedState(branches)
     report[spec.fidelity_key] = spec.fidelity(config, heralded)
     return heralded, report
 
 
 class _SampledProtocol:
-    """Prepared analyzer of one heralded protocol, with the corrected
-    conditional's fidelity cached per (true detection pattern, outcome)."""
+    """Prepared analyzer of one heralded protocol, and the fidelity of its
+    corrected conditional per (true detection pattern, outcome)."""
 
     def __init__(self, config: ProtocolConfig, kind: str, channel: PureState | None = None):
         self.config = config
         self.spec = HERALDED[kind]
         joint = self.spec.joint_state(config, channel)
         self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
-        self._fids: dict[tuple[tuple[int, ...], str], float] = {}
 
     def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
-        key = (true, outcome)
-        fid = self._fids.get(key)
-        if fid is None:
-            cond = _corrected(self.spec, self.prep.conditional(true), outcome)
-            fid = self._fids[key] = self.spec.fidelity(self.config, cond)
-        return fid
-
-    def _result(self, pick: int, code: int) -> tuple[str, float | None]:
-        outcome = self.prep.outcomes[code]
-        true = self.prep.distribution[pick][0]
-        return outcome, (self.fidelity(true, outcome) if outcome != FAIL else None)
-
-    def outcomes(self, start: int, count: int) -> list[tuple[str, float | None]]:
-        """`trial_outcomes`, drawn in blocks of at most `_BLOCK` trials by
-        `PreparedBellAnalyzer.sample_block`."""
-        codes = len(self.prep.outcomes)
-        out: list[tuple[str, float | None]] = []
-        for lo in range(start, start + count, _BLOCK):
-            pick, code = self.prep.sample_block(self.config.seed, lo, min(_BLOCK, start + count - lo))
-            # one (outcome, fidelity) per distinct (true pattern, click code)
-            keys, inverse = np.unique(pick * codes + code, return_inverse=True)
-            results = [self._result(*divmod(int(k), codes)) for k in keys]
-            out.extend(map(results.__getitem__, inverse.tolist()))
-        return out
+        return self.spec.fidelity(self.config, _corrected(self.spec, self.prep.conditional(true), outcome))
 
 
 @lru_cache(maxsize=8)
@@ -452,26 +423,32 @@ def _cached_protocol(config: ProtocolConfig, kind: str, channel: PureState | Non
 
 def trial_outcomes(
     config: ProtocolConfig, kind: str, start: int, count: int, channel: PureState | None = None
-) -> list[tuple[str, float | None]]:
-    """Run trials [start, start+count) and return (outcome, fidelity)
-    per trial; fidelity is None on failures.  Trial i gets the outcome of
-    `PreparedBellAnalyzer.sample(trial_rng(seed, i))`, drawn in bulk by
-    `_SampledProtocol.outcomes`, so any partition of the range agrees."""
-    return _cached_protocol(config, kind, channel).outcomes(start, count)
+) -> np.ndarray:
+    """Run trials [start, start+count) and return one uint16 key per
+    trial: true-pattern index times 16 plus click code.  Trial i gets the
+    outcome of `PreparedBellAnalyzer.sample(trial_rng(seed, i))`, drawn in
+    bulk by `PreparedBellAnalyzer.sample_block`, so any partition of the
+    range agrees."""
+    return _cached_protocol(config, kind, channel).prep.sample_block(config.seed, start, count)
 
 
-def summarize_sampled(config: ProtocolConfig, kind: str, outcomes: list[tuple[str, float | None]]) -> dict:
-    """Aggregate per-trial outcomes (in trial order) into the summary
-    block shared by the sampled protocols."""
-    successes = 0
-    fid_sum = 0.0
+def summarize_sampled(config: ProtocolConfig, kind: str, keys: np.ndarray, channel: PureState | None = None) -> dict:
+    """Aggregate the keys of a run's trials (in trial order) into the
+    summary block shared by the sampled protocols: counts by `bincount`,
+    one fidelity per distinct herald key, and their sum over the heralds
+    accumulated in trial order."""
+    sp = _cached_protocol(config, kind, channel)
+    tally = np.bincount(keys)
     counts = {PSI_MINUS: 0, PSI_PLUS: 0, FAIL: 0}
-    for outcome, fid in outcomes:
-        counts[outcome] += 1
+    fids = np.full(len(tally), np.nan)
+    for key in np.flatnonzero(tally).tolist():
+        true, outcome = sp.prep.decode(key)
+        counts[outcome] += int(tally[key])
         if outcome != FAIL:
-            successes += 1
-            fid_sum += fid
-    trials = len(outcomes)
+            fids[key] = sp.fidelity(true, outcome)
+    herald_fids = fids[keys[~np.isnan(fids)[keys]]]
+    successes = len(herald_fids)
+    trials = len(keys)
     low, high = wilson_interval(successes, trials)
     return {
         "trials": trials,
@@ -484,22 +461,20 @@ def summarize_sampled(config: ProtocolConfig, kind: str, outcomes: list[tuple[st
         "wilson_high": high,
         "psi_minus_count": counts[PSI_MINUS],
         "psi_plus_count": counts[PSI_PLUS],
-        "mean_" + HERALDED[kind].fidelity_key: (fid_sum / successes) if successes else None,
+        "mean_" + HERALDED[kind].fidelity_key: float(np.cumsum(herald_fids)[-1]) / successes if successes else None,
     }
 
 
 def _run_sampled(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None, chunk_map) -> dict:
     """Monte Carlo run with the configured detectors: the trial range is
     cut into chunks, `chunk_map` runs `trial_outcomes` on each, and the
-    outcomes are aggregated in trial order."""
+    joined keys are aggregated in trial order."""
     size = math.ceil(config.trials / _CHUNKS)
     starts = range(0, config.trials, size)
     counts = [min(size, config.trials - s) for s in starts]
-    outcomes: list[tuple[str, float | None]] = []
-    for part in chunk_map(trial_outcomes, repeat(config), repeat(spec.name), starts, counts, repeat(channel)):
-        outcomes.extend(part)
+    parts = chunk_map(trial_outcomes, repeat(config), repeat(spec.name), starts, counts, repeat(channel))
     report = spec.header(config)
-    report.update(summarize_sampled(config, spec.name, outcomes))
+    report.update(summarize_sampled(config, spec.name, np.concatenate(list(parts)), channel))
     return report
 
 

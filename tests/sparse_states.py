@@ -39,7 +39,7 @@ def pure_states(draw):
 @hs.composite
 def mixed_states(draw):
     branches = draw(hs.lists(hs.tuples(hs.floats(0.05, 1.0), pure_states()), min_size=1, max_size=3))
-    return fock.MixedState(branches, check_weights=False)
+    return fock.MixedState(branches)
 
 
 #: a non-empty subset of the modes, in random order, by name

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from stokesim import cli, detection, elements, fock, metrics, protocols, sources
-from stokesim.detection import FAIL, DetectorSpec, PreparedBellAnalyzer
+from stokesim.detection import DetectorSpec, PreparedBellAnalyzer
 from stokesim.protocols import ProtocolConfig
 from stokesim.rng import trial_rng
 from stokesim.sources import SourceParams
@@ -172,8 +172,8 @@ def test_criterion_08_dark_count_false_heralds():
             trials=windows,
             seed=seed,
         )
-        outcomes = protocols.trial_outcomes(cfg, "event-ready", 0, windows)
-        counts[d] = sum(o != FAIL for o, _ in outcomes)
+        keys = protocols.trial_outcomes(cfg, "event-ready", 0, windows)
+        counts[d] = protocols.summarize_sampled(cfg, "event-ready", keys)["success_count"]
         # observed count must be Poisson-consistent with the exact rate
         lam = windows * rates[d]
         assert counts[d] <= lam + 3.0 * math.sqrt(lam) + 1.0, (d, counts[d], lam)

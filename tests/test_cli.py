@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from stokesim import cli
+from stokesim import cli, detection
 from stokesim.detection import DetectorSpec
 from stokesim.errors import ConfigError, ValidationError
 from stokesim.protocols import ProtocolConfig
@@ -415,24 +415,31 @@ def test_ancilla_cut_names_the_largest_swept_emission_order(tmp_path, capsys):
     assert capsys.readouterr().err == "warning: cutoff 6 cuts the EPR ancilla at emission_order 3; cutoff >= 8 keeps it whole\n"
 
 
+def _binary_entropy(p):
+    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
 @pytest.mark.parametrize(
-    "command, text, concurrences",
+    "command, text, concurrences, entropies",
     [
-        ("generate", "[source]\nalpha = 0.6\nbeta = 0.8\n", [2 * 0.6 * 0.8]),
+        ("generate", "[source]\nalpha = 0.6\nbeta = 0.8\n", [2 * 0.6 * 0.8], [_binary_entropy(0.36)]),
         ("sweep", "[run]\nprotocol = generate\n\n[sweep]\nparameter = t\nvalues = 1, 0.5\n",
-         [1.0, 2 * math.sqrt(0.5) / 1.5]),
+         [1.0, 2 * math.sqrt(0.5) / 1.5], [1.0, _binary_entropy(1 / 3)]),
     ],
     ids=["alpha-below-beta", "sweep-t"],
 )
-def test_generate_with_an_active_attenuator(tmp_path, command, text, concurrences):
+def test_generate_with_an_active_attenuator(tmp_path, command, text, concurrences, entropies):
     # conditioned on the photon surviving the attenuator, the excited
     # branch is alpha |S1 H> + beta |S2 V>, of concurrence 2|alpha beta|
+    # and entanglement entropy h(|alpha|^2)
     out = tmp_path / "r.json"
     assert cli.main([command, "--config", write_ini(tmp_path, text), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     rows = report["rows"] if command == "sweep" else [report["summary"]]
     got = [row["excited_branch_concurrence"] for row in rows]
     np.testing.assert_allclose(got, concurrences, rtol=0, atol=1e-12)
+    got = [row["excited_branch_entropy"] for row in rows]
+    np.testing.assert_allclose(got, entropies, rtol=0, atol=1e-12)
 
 
 def test_readme_config_validates(tmp_path, capsys):
@@ -552,6 +559,22 @@ def test_main_event_ready_ideal_serial_equals_parallel(tmp_path):
         tmp_path,
         "[run]\nmode = sampled\ntrials = 20000\nseed = 8\n\n[source]\np0 = 0.1\n\n"
         "[detector]\neta = 1.0\ndark_prob = 0.01\n",
+    )
+    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+    assert cli.main(["event-ready", "--config", ini, "--out", str(serial)]) == 0
+    assert cli.main(["event-ready", "--config", ini, "--out", str(parallel), "--jobs", "2"]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert json.loads(serial.read_text())["summary"]["success_count"] > 0
+
+
+def test_main_event_ready_lossy_serial_equals_parallel(tmp_path, monkeypatch):
+    # eta < 1: binomial loss draws; a small bulk block cuts each chunk of
+    # 625 trials into several blocks (forked workers inherit it)
+    monkeypatch.setattr(detection, "_BLOCK", 97)
+    ini = write_ini(
+        tmp_path,
+        "[run]\nmode = sampled\ntrials = 20000\nseed = 8\n\n[source]\np0 = 0.1\n\n"
+        "[detector]\neta = 0.8\ndark_prob = 1e-3\n",
     )
     serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
     assert cli.main(["event-ready", "--config", ini, "--out", str(serial)]) == 0

@@ -280,7 +280,7 @@ def _condition_by_projection(state, modes, pattern):
     if not kept:
         raise ValidationError(f"pattern {pattern} has zero probability")
     total = sum(w for w, _ in kept)
-    conditional = fock.MixedState([(w / total, s) for w, s in kept], check_weights=False)
+    conditional = fock.MixedState([(w / total, s) for w, s in kept])
     lossy = [m.name for m in conditional.registry.modes if m.kind == fock.LOSS]
     if lossy:
         conditional = fock.trace_out(conditional, lossy)

@@ -331,7 +331,7 @@ def _trace_out_before_split(state, modes):
             scale = 1.0 / math.sqrt(bw)
             out.append((w * bw, fock.PureState(new_reg, {o: c * scale for o, c in amps.items()}, st.truncation_loss)))
     total = sum(w for w, _ in out)
-    return fock.MixedState([(w / total, s) for w, s in out], check_weights=False)
+    return fock.MixedState([(w / total, s) for w, s in out])
 
 
 @given(hs.one_of(pure_states(), mixed_states()), measured_modes)

@@ -134,8 +134,7 @@ def test_concurrence_werner_state():
 def test_encoding_validation_and_patterns():
     enc = metrics.pol_qubit("q")
     assert enc.modes == ("q:H", "q:V")
-    assert enc.pattern(0) == {"q:H": 1, "q:V": 0}
-    assert enc.pattern(1) == {"q:H": 0, "q:V": 1}
+    assert (enc.zero, enc.one) == ((1, 0), (0, 1))
     with pytest.raises(ValidationError):
         metrics.QubitEncoding(("m",), (1, 0), (0, 1))
     with pytest.raises(ValidationError):

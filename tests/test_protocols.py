@@ -245,10 +245,10 @@ def test_event_ready_sampled_counts_and_fidelity():
     assert report["psi_plus_count"] == 5
     np.testing.assert_allclose(report["mean_heralded_fidelity"], 1.0, atol=1e-9)
     assert report["wilson_low"] < report["success_rate"] < report["wilson_high"]
-    outcomes = protocols.trial_outcomes(cfg, "event-ready", 0, cfg.trials)
-    assert len(outcomes) == 2000
-    assert sum(outcome != FAIL for outcome, _ in outcomes) == 9
-    assert all((fid is None) == (outcome == FAIL) for outcome, fid in outcomes)
+    keys = protocols.trial_outcomes(cfg, "event-ready", 0, cfg.trials)
+    assert keys.dtype == np.uint16 and len(keys) == 2000
+    assert _is_herald(cfg, "event-ready", keys).sum() == 9
+    assert protocols.summarize_sampled(cfg, "event-ready", keys).items() <= report.items()
 
 
 def test_trial_partition_invariance():
@@ -260,10 +260,8 @@ def test_trial_partition_invariance():
         seed=3,
     )
     whole = protocols.trial_outcomes(cfg, "event-ready", 0, 100)
-    parts = protocols.trial_outcomes(cfg, "event-ready", 0, 37) + protocols.trial_outcomes(
-        cfg, "event-ready", 37, 63
-    )
-    assert whole == parts
+    parts = [protocols.trial_outcomes(cfg, "event-ready", a, b - a) for a, b in ((0, 37), (37, 100))]
+    np.testing.assert_array_equal(np.concatenate(parts), whole, strict=True)
 
 
 #: sampled configs with detectors of unit efficiency, run in bulk by
@@ -284,13 +282,21 @@ IDEAL_SAMPLED = {
 
 
 def _scalar_outcomes(config, kind, start, count):
-    """The per-trial oracle: one generator and one `sample` per trial."""
-    sp = protocols._SampledProtocol(config, kind)
+    """The per-trial oracle: one generator and one `sample` per trial,
+    each giving the key pattern index * 16 + click code."""
+    prep = protocols._SampledProtocol(config, kind).prep
+    index = {occ: i for i, (occ, _) in enumerate(prep.distribution)}
     out = []
     for i in range(start, start + count):
-        outcome, _, true = sp.prep.sample(trial_rng(config.seed, i))
-        out.append((outcome, sp.fidelity(true, outcome) if outcome != FAIL else None))
+        _, code, true = prep.sample(trial_rng(config.seed, i))
+        out.append(index[true] * 16 + code)
     return out
+
+
+def _is_herald(config, kind, keys):
+    """Whether each trial's click code (key mod 16) heralds."""
+    outcomes = protocols._SampledProtocol(config, kind).prep.outcomes
+    return np.array([outcome != FAIL for outcome in outcomes])[keys % 16]
 
 
 @pytest.mark.parametrize("name", sorted(IDEAL_SAMPLED))
@@ -299,15 +305,15 @@ def test_ideal_efficiency_outcomes_match_per_trial_sampling(name):
     for seed, start in ((11, 0), (2**64 - 1, 2**32 - 1000)):
         cfg = replace(base, mode="sampled", seed=seed)
         fast = protocols.trial_outcomes(cfg, kind, start, 3000)
-        assert fast == _scalar_outcomes(cfg, kind, start, 3000)
+        assert fast.tolist() == _scalar_outcomes(cfg, kind, start, 3000)
     if name == "vacuum":
         # forged heralds are rare (4e-6 per window): check the windows
         # around the first one criterion 8's seed gives
         cfg = replace(base, mode="sampled", seed=31)
-        outcomes = protocols.trial_outcomes(cfg, kind, 0, 1_000_000)
-        first = next(i for i, (outcome, _) in enumerate(outcomes) if outcome != FAIL)
+        keys = protocols.trial_outcomes(cfg, kind, 0, 1_000_000)
+        first = int(np.flatnonzero(_is_herald(cfg, kind, keys))[0])
         start = max(0, first - 100)
-        assert protocols.trial_outcomes(cfg, kind, start, 200) == _scalar_outcomes(cfg, kind, start, 200)
+        assert protocols.trial_outcomes(cfg, kind, start, 200).tolist() == _scalar_outcomes(cfg, kind, start, 200)
 
 
 def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition(monkeypatch):
@@ -315,10 +321,10 @@ def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition(monkeypatch):
     cfg = replace(base, mode="sampled", seed=5)
     whole = protocols.trial_outcomes(cfg, kind, 0, 5000)
     # odd-sized chunks, some split further into bulk blocks
-    monkeypatch.setattr(protocols, "_BLOCK", 97)
+    monkeypatch.setattr(detection, "_BLOCK", 97)
     cuts = [0, 1, 212, 2000, 2001, 4999, 5000]
     parts = [protocols.trial_outcomes(cfg, kind, a, b - a) for a, b in zip(cuts, cuts[1:])]
-    assert [r for part in parts for r in part] == whole
+    np.testing.assert_array_equal(np.concatenate(parts), whole, strict=True)
 
 
 #: below unit efficiency each detector that saw photons adds a binomial
@@ -337,7 +343,7 @@ def test_bulk_outcomes_match_per_trial_sampling(kind, eta, dark_prob):
     base = replace(LOSSY_BASES[kind], detector=DetectorSpec(efficiency=eta, dark_prob=dark_prob), mode="sampled")
     for seed, start in ((0, 0), (2**64 - 1, 2**32 - 300)):
         cfg = replace(base, seed=seed)
-        assert protocols.trial_outcomes(cfg, kind, start, 600) == _scalar_outcomes(cfg, kind, start, 600)
+        assert protocols.trial_outcomes(cfg, kind, start, 600).tolist() == _scalar_outcomes(cfg, kind, start, 600)
 
 
 def test_bulk_outcomes_match_per_trial_sampling_at_emission_order_2():
@@ -348,7 +354,8 @@ def test_bulk_outcomes_match_per_trial_sampling_at_emission_order_2():
         mode="sampled",
         seed=2**64 - 1,
     )
-    assert protocols.trial_outcomes(cfg, "event-ready", 0, 3000) == _scalar_outcomes(cfg, "event-ready", 0, 3000)
+    keys = protocols.trial_outcomes(cfg, "event-ready", 0, 3000)
+    assert keys.tolist() == _scalar_outcomes(cfg, "event-ready", 0, 3000)
 
 
 def test_lossy_outcomes_do_not_depend_on_the_partition(monkeypatch):
@@ -359,10 +366,10 @@ def test_lossy_outcomes_do_not_depend_on_the_partition(monkeypatch):
         seed=5,
     )
     whole = protocols.trial_outcomes(cfg, "event-ready", 0, 5000)
-    monkeypatch.setattr(protocols, "_BLOCK", 97)
+    monkeypatch.setattr(detection, "_BLOCK", 97)
     cuts = [0, 1, 212, 2000, 2001, 4999, 5000]
     parts = [protocols.trial_outcomes(cfg, "event-ready", a, b - a) for a, b in zip(cuts, cuts[1:])]
-    assert [r for part in parts for r in part] == whole
+    np.testing.assert_array_equal(np.concatenate(parts), whole, strict=True)
 
 
 def test_lossy_trials_build_no_generator(monkeypatch):
@@ -370,8 +377,36 @@ def test_lossy_trials_build_no_generator(monkeypatch):
     built = []
     monkeypatch.setattr(detection, "trial_rng", lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
     cfg = ProtocolConfig(detector=DetectorSpec(efficiency=0.8, dark_prob=1e-3), mode="sampled", theta=0.7, phi=1.9)
-    outcomes = protocols.trial_outcomes(cfg, "memory", 0, 20_000)
-    assert len(outcomes) == 20_000 and built == []
+    keys = protocols.trial_outcomes(cfg, "memory", 0, 20_000)
+    assert keys.dtype == np.uint16 and len(keys) == 20_000 and built == []
+
+
+def test_sampled_summary_adds_fidelities_in_trial_order():
+    # the per-trial oracle: decode each key and add its fidelity in trial
+    # order; a pairwise sum of the same values rounds differently here
+    cfg = ProtocolConfig(
+        detector=DetectorSpec(efficiency=0.8, dark_prob=1e-2),
+        mode="sampled",
+        trials=5000,
+        seed=1,
+        theta=0.7,
+        phi=1.9,
+    )
+    keys = protocols.trial_outcomes(cfg, "memory", 0, cfg.trials)
+    summary = protocols.summarize_sampled(cfg, "memory", keys)
+    sp = protocols._SampledProtocol(cfg, "memory")
+    counts = {PSI_MINUS: 0, PSI_PLUS: 0, FAIL: 0}
+    fid_sum = 0.0
+    for key in keys.tolist():
+        true, outcome = sp.prep.decode(key)
+        counts[outcome] += 1
+        if outcome != FAIL:
+            fid_sum += sp.fidelity(true, outcome)
+    successes = counts[PSI_MINUS] + counts[PSI_PLUS]
+    assert (summary["psi_minus_count"], summary["psi_plus_count"], summary["success_count"]) == (
+        counts[PSI_MINUS], counts[PSI_PLUS], successes
+    )
+    assert summary["mean_stored_fidelity"] == fid_sum / successes
 
 
 def test_false_herald_probability_closed_form():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from stokesim import detection, protocols
-from stokesim.detection import FAIL, DetectorSpec
+from stokesim.detection import DetectorSpec
 from stokesim.protocols import ProtocolConfig
 from stokesim.rng import binomial_draw, binomial_steps, trial_rng, trial_uniforms
 
@@ -175,11 +175,12 @@ def test_a_loss_word_at_a_redraw_edge_runs_the_trial_generator(monkeypatch):
     built = []
     monkeypatch.setattr(detection, "trial_uniforms", crafted)
     monkeypatch.setattr(detection, "trial_rng", lambda seed, i: built.append(i) or trial_rng(seed, i))
-    bulk = sp.outcomes(0, trial + 10)
+    bulk = sp.prep.sample_block(cfg.seed, 0, trial + 10)
     assert built == [trial]
     # the scalar path read the trial's real stream, as every trial matches
+    index = {occ: i for i, (occ, _) in enumerate(sp.prep.distribution)}
     oracle = []
     for i in range(trial + 10):
-        outcome, _, true = sp.prep.sample(trial_rng(cfg.seed, i))
-        oracle.append((outcome, sp.fidelity(true, outcome) if outcome != FAIL else None))
-    assert bulk == oracle
+        _, code, true = sp.prep.sample(trial_rng(cfg.seed, i))
+        oracle.append(index[true] * 16 + code)
+    assert bulk.tolist() == oracle
