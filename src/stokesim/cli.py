@@ -58,7 +58,7 @@ _SCHEMA = {
         "beta": (complex, "|alpha|^2 + |beta|^2 = 1", "source.beta"),
         "t": (float, "[0, 1]", "source.t"),
         "emission_order": (int, ">= 1", "source.emission_order"),
-        "cutoff": (int, ">= 2 * emission_order", "cutoff"),
+        "cutoff": (int, ">= 2 * emission_order; memory: >= 3", "cutoff"),
         "epr_enabled": (bool, "true or false", "epr_enabled"),
     },
     "detector": {
@@ -216,6 +216,8 @@ def build_experiment(
         )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
+    if protocol == "memory" and config.cutoff < 3:
+        raise ConfigError(f"memory needs cutoff >= 3 (channel plus input photon), got {config.cutoff}")
 
     sweep_parameter = None
     sweep_values: tuple[float, ...] = ()

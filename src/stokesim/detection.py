@@ -2,8 +2,10 @@
 
 Detection is a two-stage story.  The quantum part is a projective
 measurement of photon number on the measured modes, sampled by the Born
-rule; this fixes the conditional state of everything not measured.  The
-classical part turns true photon numbers into clicks: each photon is
+rule; this fixes the conditional state of everything not measured.  Both
+the Born weights and the conditional states come from one grouping of
+the state's terms by those photon numbers (`fock.split_by_occupation`).
+The classical part turns true photon numbers into clicks: each photon is
 seen with probability `efficiency`, a threshold detector reports only
 click/no-click, and a dark count ORs in a spurious click per window.
 Dark counts never alter the conditional state; they only corrupt the
@@ -112,27 +114,30 @@ def default_herald_rule() -> HeraldRule:
 def exact_outcome_distribution(
     state: PureState | MixedState, modes: Sequence
 ) -> list[tuple[tuple[int, ...], float]]:
-    """Exhaustive Born distribution of photon numbers on `modes`,
-    normalized, sorted by occupation pattern."""
-    mixed = as_mixed(state)
-    idx = [mixed.registry.index(m) for m in modes]
-    probs: dict[tuple[int, ...], float] = {}
-    for w, st in mixed.branches:
-        for occ, c in st.amplitudes.items():
-            key = tuple(occ[i] for i in idx)
-            probs[key] = probs.get(key, 0.0) + w * abs(c) ** 2
-    if len(probs) > _MAX_OUTCOMES:
-        raise ValidationError(f"outcome space has {len(probs)} patterns, bound is {_MAX_OUTCOMES}")
-    total = sum(probs.values())
-    if total <= 0.0:
-        raise ValidationError("state has no weight on the measured modes")
-    return sorted((occ, p / total) for occ, p in probs.items())
+    """Exhaustive Born distribution of photon numbers on `modes`: the
+    patterns of nonzero weight, normalized, sorted."""
+    return _distribution(_split_branches(state, modes))
 
 
 def _split_branches(state: PureState | MixedState, modes: Sequence) -> list[tuple[float, dict]]:
     """Each branch of `state` with its terms grouped by true photon
     numbers on `modes` (see `fock.split_by_occupation`)."""
     return [(w, fock.split_by_occupation(st, modes)) for w, st in as_mixed(state).branches]
+
+
+def _distribution(split: list[tuple[float, dict]]) -> list[tuple[tuple[int, ...], float]]:
+    """Born distribution of the split's patterns: branch weight times
+    group weight, summed per pattern, normalized, sorted by pattern."""
+    probs: dict[tuple[int, ...], float] = {}
+    for w, groups in split:
+        for pattern, (weight, _) in groups.items():
+            probs[pattern] = probs.get(pattern, 0.0) + w * weight
+    if len(probs) > _MAX_OUTCOMES:
+        raise ValidationError(f"outcome space has {len(probs)} patterns, bound is {_MAX_OUTCOMES}")
+    total = sum(probs.values())
+    if total <= 0.0:
+        raise ValidationError("state has no weight on the measured modes")
+    return sorted((occ, p / total) for occ, p in probs.items())
 
 
 def _condition_on_pattern(split: list[tuple[float, dict]], pattern: tuple[int, ...]) -> MixedState:
@@ -197,11 +202,12 @@ def measure(
     modes = list(detectors)
     specs = [detectors[m] for m in modes]
     labels = [m if isinstance(m, str) else m.name for m in modes]
-    dist = exact_outcome_distribution(state, modes)
+    split = _split_branches(state, modes)
+    dist = _distribution(split)
     pick = rng.choice(len(dist), p=np.array([p for _, p in dist]))
     true = dist[pick][0]
     pattern = _sample_clicks(true, specs, labels, rng)
-    conditional = _condition_on_pattern(_split_branches(state, modes), true)
+    conditional = _condition_on_pattern(split, true)
     clicked = [lab in pattern.clicks for lab in labels]
     return pattern, conditional, _pattern_probability(dist, specs, clicked)
 
@@ -235,7 +241,8 @@ class PreparedBellAnalyzer:
             rule.classify(frozenset(lab for j, lab in enumerate(self.labels) if code >> j & 1))
             for code in range(1 << len(self.labels))
         )
-        self.distribution = exact_outcome_distribution(st, self.modes)
+        self._split = _split_branches(st, self.modes)
+        self.distribution = _distribution(self._split)
         self._cum = np.cumsum([p for _, p in self.distribution])
         self._occupations = np.array([occ for occ, _ in self.distribution])
         eta = detector.efficiency
@@ -247,15 +254,9 @@ class PreparedBellAnalyzer:
         loss_words = int((self._occupations > 0).sum(axis=1).max()) if self._steps else 0
         #: most words one trial's stream reads
         self._width = 1 + loss_words + (len(self.labels) if detector.dark_prob > 0.0 else 0)
-        self._split = _split_branches(st, self.modes)
-        self._conditionals: dict[tuple[int, ...], MixedState] = {}
 
     def conditional(self, true_pattern: tuple[int, ...]) -> MixedState:
-        cached = self._conditionals.get(true_pattern)
-        if cached is None:
-            cached = _condition_on_pattern(self._split, true_pattern)
-            self._conditionals[true_pattern] = cached
-        return cached
+        return _condition_on_pattern(self._split, true_pattern)
 
     def pick(self, u):
         """Index into `distribution` of the true pattern that uniform `u`

@@ -120,9 +120,6 @@ class ModeRegistry:
     def mode(self, mode: ModeId | str) -> ModeId:
         return self.modes[self.index(mode)]
 
-    def path_modes(self, path: str) -> tuple[ModeId, ...]:
-        return tuple(m for m in self.modes if m.kind == PHOTONIC and m.path == path)
-
     def path_mode(self, path: str, pol: str) -> ModeId:
         for m in self.modes:
             if m.kind == PHOTONIC and m.path == path and m.pol == pol:
@@ -130,7 +127,7 @@ class ModeRegistry:
         raise RegistryError(f"path {path!r} has no {pol!r} mode")
 
     def path_pols(self, path: str) -> set[str]:
-        return {m.pol for m in self.path_modes(path)}
+        return {m.pol for m in self.modes if m.kind == PHOTONIC and m.path == path}
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -206,13 +203,6 @@ class PureState:
         return PureState(
             self.registry,
             {occ: c / n for occ, c in self.amplitudes.items()},
-            self.truncation_loss,
-        )
-
-    def scaled(self, factor: complex) -> "PureState":
-        return PureState(
-            self.registry,
-            {occ: c * factor for occ, c in self.amplitudes.items()},
             self.truncation_loss,
         )
 
@@ -364,6 +354,16 @@ def inner_product(a: PureState, b: PureState) -> complex:
     )
 
 
+def _normalized(registry: ModeRegistry, amps: Mapping, truncation_loss: float) -> tuple[PureState | None, float]:
+    """The state `amps` scaled to unit norm and its weight sum|c|^2;
+    (None, 0.0) when the weight is zero."""
+    weight = sum(abs(c) ** 2 for c in amps.values())
+    if weight <= 0.0:
+        return None, 0.0
+    scale = 1.0 / math.sqrt(weight)
+    return PureState(registry, {occ: c * scale for occ, c in amps.items()}, truncation_loss), weight
+
+
 def project(
     state: PureState, pattern: Mapping[ModeId | str, int]
 ) -> tuple[PureState | None, float]:
@@ -379,16 +379,7 @@ def project(
         for occ, c in state.amplitudes.items()
         if all(occ[i] == n for i, n in idx.items())
     }
-    weight = sum(abs(c) ** 2 for c in amps.values())
-    if weight <= 0.0:
-        return None, 0.0
-    scale = 1.0 / math.sqrt(weight)
-    post = PureState(
-        state.registry,
-        {occ: c * scale for occ, c in amps.items()},
-        state.truncation_loss,
-    )
-    return post, weight
+    return _normalized(state.registry, amps, state.truncation_loss)
 
 
 def restrict_total_occupation(
@@ -398,11 +389,7 @@ def restrict_total_occupation(
     count over `modes` (a sector filter, not a measurement)."""
     idx = [state.registry.index(m) for m in modes]
     amps = {occ: c for occ, c in state.amplitudes.items() if sum(occ[i] for i in idx) == total}
-    weight = sum(abs(c) ** 2 for c in amps.values())
-    if weight <= 0.0:
-        return None, 0.0
-    scale = 1.0 / math.sqrt(weight)
-    return PureState(state.registry, {o: c * scale for o, c in amps.items()}, state.truncation_loss), weight
+    return _normalized(state.registry, amps, state.truncation_loss)
 
 
 def truncate_total_occupation(
@@ -481,11 +468,9 @@ def split_by_occupation(
         groups[tuple(occ[i] for i in idx)][tuple(occ[i] for i in keep)] = c
     out: dict[tuple[int, ...], tuple[float, PureState]] = {}
     for pattern, amps in groups.items():
-        weight = sum(abs(c) ** 2 for c in amps.values())
-        if weight <= 0.0:
-            continue
-        scale = 1.0 / math.sqrt(weight)
-        out[pattern] = (weight, PureState(rest, {o: c * scale for o, c in amps.items()}, state.truncation_loss))
+        post, weight = _normalized(rest, amps, state.truncation_loss)
+        if post is not None:
+            out[pattern] = (weight, post)
     return out
 
 

@@ -434,11 +434,12 @@ def trial_outcomes(
 
 def summarize_sampled(config: ProtocolConfig, kind: str, keys: np.ndarray, channel: PureState | None = None) -> dict:
     """Aggregate the keys of a run's trials (in trial order) into the
-    summary block shared by the sampled protocols: counts by `bincount`,
-    one fidelity per distinct herald key, and their sum over the heralds
-    accumulated in trial order."""
+    summary block shared by the sampled protocols: counts tallied in
+    place, one fidelity per distinct herald key, and their sum over the
+    heralds accumulated in trial order."""
     sp = _cached_protocol(config, kind, channel)
-    tally = np.bincount(keys)
+    tally = np.zeros(int(keys.max()) + 1, np.intp)
+    np.add.at(tally, keys, 1)
     counts = {PSI_MINUS: 0, PSI_PLUS: 0, FAIL: 0}
     fids = np.full(len(tally), np.nan)
     for key in np.flatnonzero(tally).tolist():

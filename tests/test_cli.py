@@ -372,6 +372,7 @@ def test_main_validate_rejects_bad_config(tmp_path, capsys):
         ("event-ready", "[source]\nalpha = nan\nt = 0.5\n"),
         ("sweep", "[sweep]\nparameter = emission_order\nvalues = 1, nan\n"),
         ("sweep", "[sweep]\nparameter = emission_order\nvalues = 1, inf\n"),
+        ("memory", "[run]\nprotocol = memory\n\n[source]\ncutoff = 2\n"),
     ],
     ids=[
         "sweep-p0-out-of-range",
@@ -381,6 +382,7 @@ def test_main_validate_rejects_bad_config(tmp_path, capsys):
         "alpha-nan-with-t",
         "sweep-order-nan",
         "sweep-order-inf",
+        "memory-cutoff-2",
     ],
 )
 def test_configs_failing_at_run_time_are_rejected_up_front(tmp_path, capsys, command, text):

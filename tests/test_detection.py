@@ -294,3 +294,73 @@ def test_conditioning_on_the_split_matches_per_pattern_projection(state, modes):
         assert outcome(detection._condition_on_pattern, split, pattern) == outcome(
             _condition_by_projection, state, modes, pattern
         )
+
+
+
+def _distribution_by_terms(state, modes):
+    """The Born distribution as it was before the split: one scan of
+    every term, weighted by its branch, summed per pattern.  Patterns
+    whose terms all have zero amplitude stay in with probability 0; the
+    split leaves them out."""
+    mixed = fock.as_mixed(state)
+    idx = [mixed.registry.index(m) for m in modes]
+    probs = {}
+    for w, st in mixed.branches:
+        for occ, c in st.amplitudes.items():
+            key = tuple(occ[i] for i in idx)
+            probs[key] = probs.get(key, 0.0) + w * abs(c) ** 2
+    if len(probs) > detection._MAX_OUTCOMES:
+        raise ValidationError(f"outcome space has {len(probs)} patterns, bound is {detection._MAX_OUTCOMES}")
+    total = sum(probs.values())
+    if total <= 0.0:
+        raise ValidationError("state has no weight on the measured modes")
+    return sorted((occ, p / total) for occ, p in probs.items())
+
+
+def _nonzero_distribution(fn, state, modes):
+    """fn(state, modes) without its zero-probability patterns, or the
+    message of the error it raised."""
+    try:
+        return [(occ, p) for occ, p in fn(state, modes) if p > 0.0]
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(pure_states(), measured_modes)
+def test_split_distribution_is_the_per_term_distribution_bit_for_bit(state, modes):
+    split = _nonzero_distribution(detection.exact_outcome_distribution, state, modes)
+    oracle = _nonzero_distribution(_distribution_by_terms, state, modes)
+    if isinstance(oracle, str):
+        assert split == oracle
+    else:
+        assert [(occ, p.hex()) for occ, p in split] == [(occ, p.hex()) for occ, p in oracle]
+
+
+@given(mixed_states(), measured_modes)
+def test_split_distribution_of_a_mixed_state_is_the_per_term_distribution(state, modes):
+    # w * sum|c|^2 may round differently from sum w * |c|^2 in the last place
+    split = _nonzero_distribution(detection.exact_outcome_distribution, state, modes)
+    oracle = _nonzero_distribution(_distribution_by_terms, state, modes)
+    if isinstance(oracle, str):
+        assert split == oracle
+    else:
+        assert [occ for occ, _ in split] == [occ for occ, _ in oracle]
+        np.testing.assert_allclose([p for _, p in split], [p for _, p in oracle], rtol=1e-13, atol=0.0)
+
+
+def test_preparing_the_analyzer_groups_its_state_once(monkeypatch):
+    splits = []
+
+    def counted_split(state, modes):
+        splits.append(modes)
+        return split_by_occupation(state, modes)
+
+    def forbidden(*args):
+        raise AssertionError("the analyzer rescanned its state")
+
+    split_by_occupation = fock.split_by_occupation
+    monkeypatch.setattr(fock, "split_by_occupation", counted_split)
+    monkeypatch.setattr(detection, "exact_outcome_distribution", forbidden)
+    prep = PreparedBellAnalyzer(bell_state("psi_minus"), "a", "b")
+    assert len(splits) == 1
+    assert {outcome: p for outcome, _, p in prep.exact_outcomes()}[PSI_MINUS] == pytest.approx(1.0)

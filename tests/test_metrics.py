@@ -69,7 +69,9 @@ def test_entropy_matches_dense_oracle_on_random_state():
 
 def test_entropy_rejects_unnormalized_and_mixed():
     with pytest.raises(ValidationError):
-        metrics.entropy(correlated_state(0.9).scaled(0.5), ["a"])
+        st = correlated_state(0.9)
+        half_norm = fock.PureState(st.registry, {occ: 0.5 * c for occ, c in st.amplitudes.items()})
+        metrics.entropy(half_norm, ["a"])
     mixed = fock.as_mixed(correlated_state(0.9))
     with pytest.raises(ValidationError):
         metrics.entropy(mixed, ["a"])
