@@ -15,9 +15,12 @@ loss modes), never mutate their inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -178,6 +181,16 @@ class PureState:
         self.amplitudes = amps
         self.truncation_loss = float(truncation_loss)
 
+    @classmethod
+    def _trusted(cls, registry: ModeRegistry, amplitudes: Mapping, truncation_loss: float) -> "PureState":
+        """Construct without the length, sign and cutoff checks, for internal
+        results that cannot break them; tiny amplitudes are still dropped."""
+        st = cls.__new__(cls)
+        st.registry = registry
+        st.amplitudes = {occ: complex(c) for occ, c in amplitudes.items() if abs(c) >= AMPLITUDE_EPS}
+        st.truncation_loss = float(truncation_loss)
+        return st
+
     # -- basic queries ----------------------------------------------------
 
     def norm_sq(self) -> float:
@@ -210,7 +223,7 @@ class PureState:
         """Reattach the same amplitudes to a relabeled registry."""
         if len(registry) != len(self.registry):
             raise RegistryError("relabeled registry must keep the mode count")
-        return PureState(registry, self.amplitudes, self.truncation_loss)
+        return PureState._trusted(registry, self.amplitudes, self.truncation_loss)
 
     def __repr__(self):
         parts = ", ".join(f"{occ}: {c:.4g}" for occ, c in sorted(self.amplitudes.items()))
@@ -266,16 +279,6 @@ def basis_state(registry: ModeRegistry, occ: Mapping[ModeId | str, int]) -> Pure
 # mode-operator algebra
 
 
-def _compositions(n: int, k: int):
-    """All tuples of k non-negative integers summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
 def check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -286,11 +289,51 @@ def check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return u
 
 
+def _picker(idx: Sequence[int]):
+    """occ -> tuple(occ[i] for i in idx); `itemgetter` gives a tuple for 2+ indices."""
+    return operator.itemgetter(*idx) if len(idx) > 1 else lambda occ: tuple(occ[i] for i in idx)
+
+
+@lru_cache(maxsize=4096)
+def _expansion_plan(ubytes: bytes, k: int, ns: tuple[int, ...]) -> tuple:
+    """How a term with photon numbers `ns` expands under the k x k matrix of
+    bytes `ubytes` (not values: 0.0 == -0.0): the start scale sqrt(prod n!),
+    one (size, ops) stage per nonzero n_i, each op (dst, src, coeff) adding
+    coeff times entry src of the last stage to entry dst, and the final
+    (acc, sqrt(prod m!)) pairs; compositions run in lexicographic order."""
+    u = np.frombuffer(ubytes, dtype=complex).reshape(k, k)
+    fact = [math.factorial(n) for n in range(sum(ns) + 1)]
+    keys = [(0,) * k]
+    stages = []
+    for i, n in enumerate(ns):
+        if n == 0:
+            continue
+        # expand (sum_j U[j,i] a_j^dag)^{n_i} onto every partial term
+        pos: dict[tuple[int, ...], int] = {}
+        ops = []
+        for comp in (c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n):
+            coeff = 1.0 + 0.0j
+            for j, m in enumerate(comp):
+                if m:
+                    coeff *= u[j, i] ** m / fact[m]
+            if abs(coeff) < AMPLITUDE_EPS:
+                continue
+            coeff = complex(coeff)
+            for src, acc in enumerate(keys):
+                ops.append((pos.setdefault(tuple(a + b for a, b in zip(acc, comp)), len(pos)), src, coeff))
+        keys = list(pos)
+        stages.append((len(keys), tuple(ops)))
+    final = tuple((acc, math.sqrt(math.prod(fact[m] for m in acc))) for acc in keys)
+    return math.sqrt(math.prod(fact[n] for n in ns)), tuple(stages), final
+
+
 def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u: np.ndarray) -> PureState:
     """Substitute a_i^dag -> sum_j U[j,i] a_j^dag on every basis term.
 
     The matrix acts on the listed modes only; passive linear optics
     conserves the total excitation number, so no truncation occurs.
+    Terms replay cached plans in built-in `complex` arithmetic, which rounds
+    as numpy's scalars do; numpy's vector loops (fused multiply-adds) do not.
     """
     u = check_unitary(u)
     idx = [state.registry.index(m) for m in modes]
@@ -298,40 +341,30 @@ def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u: np.nd
         raise ValidationError("modes for a mode unitary must be distinct")
     if u.shape[0] != len(idx):
         raise ValidationError(f"matrix size {u.shape[0]} does not match {len(idx)} modes")
-    k = len(idx)
-    fact = [math.factorial(n) for n in range(state.registry.cutoff + 1)]
+    k, ubytes, ns_of = len(idx), u.tobytes(), _picker(idx)
 
     amps: dict[tuple[int, ...], complex] = defaultdict(complex)
     for occ, c in state.amplitudes.items():
-        ns = [occ[i] for i in idx]
+        ns = ns_of(occ)
         if sum(ns) == 0:
             amps[occ] += c
             continue
-        # expand prod_i (sum_j U[j,i] a_j^dag)^{n_i} term by term
-        partial: dict[tuple[int, ...], complex] = {(0,) * k: c * math.sqrt(math.prod(fact[n] for n in ns))}
-        for i, n in enumerate(ns):
-            if n == 0:
-                continue
-            nxt: dict[tuple[int, ...], complex] = defaultdict(complex)
-            for comp in _compositions(n, k):
-                coeff = 1.0 + 0.0j
-                for j, m in enumerate(comp):
-                    if m:
-                        coeff *= u[j, i] ** m / fact[m]
-                if abs(coeff) < AMPLITUDE_EPS:
-                    continue
-                for acc, cc in partial.items():
-                    nxt[tuple(a + b for a, b in zip(acc, comp))] += cc * coeff
-            partial = nxt
-        for acc, cc in partial.items():
-            cc *= math.sqrt(math.prod(fact[m] for m in acc))
+        start, stages, final = _expansion_plan(ubytes, k, ns)
+        vals = [c * start]
+        for size, ops in stages:
+            nxt = [0j] * size
+            for dst, src, coeff in ops:
+                nxt[dst] += vals[src] * coeff
+            vals = nxt
+        for (acc, scale), cc in zip(final, vals):
+            cc *= scale
             if abs(cc) < AMPLITUDE_EPS:
                 continue
             new = list(occ)
             for pos, m in zip(idx, acc):
                 new[pos] = m
             amps[tuple(new)] += cc
-    return PureState(state.registry, amps, state.truncation_loss)
+    return PureState._trusted(state.registry, amps, state.truncation_loss)
 
 
 def apply_phase(state: PureState, mode: ModeId | str, phase: float) -> PureState:
@@ -361,7 +394,7 @@ def _normalized(registry: ModeRegistry, amps: Mapping, truncation_loss: float) -
     if weight <= 0.0:
         return None, 0.0
     scale = 1.0 / math.sqrt(weight)
-    return PureState(registry, {occ: c * scale for occ, c in amps.items()}, truncation_loss), weight
+    return PureState._trusted(registry, {occ: c * scale for occ, c in amps.items()}, truncation_loss), weight
 
 
 def project(
@@ -426,8 +459,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
     amps: dict[tuple[int, ...], complex] = {}
     lost = 0.0
     for occ_a, ca in a.amplitudes.items():
+        na = sum(occ_a)
         for occ_b, cb in b.amplitudes.items():
-            if sum(occ_a) + sum(occ_b) > cutoff:
+            if na + sum(occ_b) > cutoff:
                 lost += abs(ca * cb) ** 2
                 continue
             amps[occ_a + occ_b] = ca * cb
@@ -463,9 +497,10 @@ def split_by_occupation(
     idx = [reg.index(m) for m in modes]
     keep = [i for i in range(len(reg)) if i not in idx]
     rest = ModeRegistry(tuple(reg.modes[i] for i in keep), reg.cutoff)
+    pattern_of, rest_of = _picker(idx), _picker(keep)
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = defaultdict(dict)
     for occ, c in state.amplitudes.items():
-        groups[tuple(occ[i] for i in idx)][tuple(occ[i] for i in keep)] = c
+        groups[pattern_of(occ)][rest_of(occ)] = c
     out: dict[tuple[int, ...], tuple[float, PureState]] = {}
     for pattern, amps in groups.items():
         post, weight = _normalized(rest, amps, state.truncation_loss)

@@ -6,6 +6,7 @@ frozen here; a handful of cases re-run the oracle inline to guard the
 frozen numbers themselves.
 """
 
+import dataclasses
 import math
 from collections import defaultdict
 
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import dense_oracle as oracle
-from sparse_states import bits, measured_modes, mixed_states, outcome, patterns, pure_states
-from stokesim import fock
+from sparse_states import MODES, bits, measured_modes, mixed_states, outcome, patterns, pure_states
+from stokesim import detection, elements, fock, protocols
 from stokesim.errors import RegistryError, ValidationError
 
 SQRT_HALF = 0.7071067811865476
@@ -95,6 +96,16 @@ def test_states_reject_cutoff_violations():
     reg = two_path_registry(cutoff=2)
     with pytest.raises(ValidationError):
         fock.basis_state(reg, {"a:R": 3})
+
+
+@pytest.mark.parametrize(
+    "occ, message", [((1,), "does not match"), ((1, -1), "negative"), ((2, 1), "exceeds cutoff")]
+)
+def test_public_constructor_checks_every_term(occ, message):
+    # a bad term fails even beside a good one and even when it would be dropped
+    for c in (1.0, 1e-16):
+        with pytest.raises(ValidationError, match=message):
+            fock.PureState(two_path_registry(cutoff=2), {(1, 0): 1.0, occ: c})
 
 
 def test_tiny_amplitudes_are_dropped():
@@ -190,6 +201,127 @@ def test_norm_preserved_under_any_two_mode_rotation(theta, phi):
     )
     out = fock.apply_mode_unitary(st, ["a:R", "b:R"], u)
     np.testing.assert_allclose(out.norm_sq(), 1.0, atol=1e-9)
+
+
+def _compositions(n, k):
+    """All tuples of k non-negative integers summing to n."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def _apply_by_terms(state, modes, u):
+    """`fock.apply_mode_unitary` as it was before expansion plans: every
+    term expanded afresh in numpy scalars.  The reference the cached plans
+    must match bit for bit, term order included."""
+    u = fock.check_unitary(u)
+    idx = [state.registry.index(m) for m in modes]
+    k = len(idx)
+    fact = [math.factorial(n) for n in range(state.registry.cutoff + 1)]
+
+    amps = defaultdict(complex)
+    for occ, c in state.amplitudes.items():
+        ns = [occ[i] for i in idx]
+        if sum(ns) == 0:
+            amps[occ] += c
+            continue
+        partial = {(0,) * k: c * math.sqrt(math.prod(fact[n] for n in ns))}
+        for i, n in enumerate(ns):
+            if n == 0:
+                continue
+            nxt = defaultdict(complex)
+            for comp in _compositions(n, k):
+                coeff = 1.0 + 0.0j
+                for j, m in enumerate(comp):
+                    if m:
+                        coeff *= u[j, i] ** m / fact[m]
+                if abs(coeff) < fock.AMPLITUDE_EPS:
+                    continue
+                for acc, cc in partial.items():
+                    nxt[tuple(a + b for a, b in zip(acc, comp))] += cc * coeff
+            partial = nxt
+        for acc, cc in partial.items():
+            cc *= math.sqrt(math.prod(fact[m] for m in acc))
+            if abs(cc) < fock.AMPLITUDE_EPS:
+                continue
+            new = list(occ)
+            for pos, m in zip(idx, acc):
+                new[pos] = m
+            amps[tuple(new)] += cc
+    return fock.PureState(state.registry, amps, state.truncation_loss)
+
+
+_MATRICES = hs.one_of(
+    hs.tuples(hs.integers(1, 3), hs.integers(0, 2**32 - 1)).map(
+        lambda a: oracle.haar_unitary(a[0], np.random.default_rng(a[1]))
+    ),
+    hs.just(beam_splitter_matrix()),  # real, with a negative entry
+    hs.just(np.array([[np.exp(1j * np.pi)]])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pure_states(), _MATRICES, hs.data())
+def test_mode_unitary_matches_the_per_term_expansion_bit_for_bit(state, u, data):
+    modes = data.draw(hs.permutations([m.name for m in MODES]))[: len(u)]
+    assert bits(fock.apply_mode_unitary(state, modes, u)) == bits(_apply_by_terms(state, modes, u))
+
+
+def _multipair_config(p0):
+    base = protocols.ProtocolConfig(cutoff=12)
+    return dataclasses.replace(base, source=dataclasses.replace(base.source, p0=p0, emission_order=5))
+
+
+def test_beam_splitter_on_a_multipair_state_matches_the_per_term_expansion(monkeypatch):
+    # photon numbers up to 10 per mode, beyond the small states above
+    joint = protocols._event_ready_input(_multipair_config(0.2))
+    planned = elements.beam_splitter(joint, "p", "A")
+    monkeypatch.setattr(fock, "apply_mode_unitary", _apply_by_terms)
+    assert bits(planned) == bits(elements.beam_splitter(joint, "p", "A"))
+
+
+def test_matrices_equal_but_for_the_sign_of_a_zero_get_their_own_plans():
+    u = np.array([[0.6, 0.8], [0.8, -0.6]], dtype=complex)
+    v = u.conj()  # every imaginary part -0.0
+    assert np.array_equal(u, v) and u.tobytes() != v.tobytes()
+    reg = two_path_registry(cutoff=4)
+    st = fock.PureState(reg, {(2, 1): -1.0 - 0.0j, (1, 0): 0.5j, (0, 3): complex(-0.0, 1.0)})
+    fock._expansion_plan.cache_clear()
+    for w in (u, v):
+        misses = fock._expansion_plan.cache_info().misses
+        assert bits(fock.apply_mode_unitary(st, ["a:R", "b:R"], w)) == bits(_apply_by_terms(st, ["a:R", "b:R"], w))
+        assert fock._expansion_plan.cache_info().misses == misses + 3
+
+
+def test_exact_sweep_points_after_the_first_reuse_every_plan():
+    fock._expansion_plan.cache_clear()
+    infos = []
+    for p0 in (0.01, 0.08, 0.2):
+        protocols.event_ready_generation(_multipair_config(p0))
+        infos.append(fock._expansion_plan.cache_info())
+    first, second, third = infos
+    assert first.misses > 0
+    assert second.misses == third.misses == first.misses
+    assert second.hits - first.hits == third.hits - second.hits == first.hits + first.misses
+
+
+def test_internal_results_hold_builtin_complex_amplitudes_above_eps():
+    joint = protocols._event_ready_input(_multipair_config(0.2))
+    st = elements.beam_splitter(joint, "p", "A")
+    states = [st]
+    for path in ("p", "A"):
+        st, _, _ = elements.pol_splitter(st, path)
+        states.append(st)
+    modes = ["p1:H", "p2:V", "A1:H", "A2:V"]
+    for measured in (modes, [m.name for m in st.registry.modes]):  # some modes left, and none
+        states += [rest for _, rest in fock.split_by_occupation(st, measured).values()]
+    for s in states:
+        assert s.amplitudes
+        for c in s.amplitudes.values():
+            assert type(c) is complex and abs(c) >= fock.AMPLITUDE_EPS
 
 
 # ---------------------------------------------------------------------------
