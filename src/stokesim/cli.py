@@ -26,7 +26,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -381,6 +380,14 @@ def run_protocol(protocol: str, config: ProtocolConfig, chunk_map=map) -> dict:
     raise ConfigError(f"unknown protocol {protocol!r}")
 
 
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported when a pool first needs it; one set on the module wins."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return globals().setdefault(name, ProcessPoolExecutor)
+
+
 def run(exp: ExperimentConfig) -> dict:
     """Execute the experiment (single run or sweep) and assemble the
     full report; with more than one job, sampled trials run in a process
@@ -394,7 +401,7 @@ def run(exp: ExperimentConfig) -> dict:
         "seed": exp.config.seed,
         "config": config_echo(exp),
     }
-    pool = ProcessPoolExecutor(max_workers=min(exp.jobs, os.cpu_count() or 1)) if exp.jobs > 1 else None
+    pool = __getattr__("ProcessPoolExecutor")(max_workers=min(exp.jobs, os.cpu_count() or 1)) if exp.jobs > 1 else None
     with pool or nullcontext():
         chunk_map = pool.map if pool else map
         if exp.sweep_parameter is None:
@@ -464,14 +471,7 @@ def main(argv=None) -> int:
             sections = parse_config(text)
         else:
             sections = {}
-        overrides = {
-            "seed": args.seed,
-            "mode": args.mode,
-            "trials": args.trials,
-            "out": args.out,
-            "format": args.format,
-            "jobs": args.jobs,
-        }
+        overrides = {key: getattr(args, key) for key in ("seed", "mode", "trials", "out", "format", "jobs")}
         command = target = args.command
         if command == "validate":
             if "sweep" in sections:

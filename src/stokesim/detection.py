@@ -111,26 +111,24 @@ def default_herald_rule() -> HeraldRule:
     )
 
 
-def exact_outcome_distribution(
-    state: PureState | MixedState, modes: Sequence
-) -> list[tuple[tuple[int, ...], float]]:
+def exact_outcome_distribution(state: PureState | MixedState, modes: Sequence) -> list[tuple[tuple[int, ...], float]]:
     """Exhaustive Born distribution of photon numbers on `modes`: the
     patterns of nonzero weight, normalized, sorted."""
     return _distribution(_split_branches(state, modes))
 
 
-def _split_branches(state: PureState | MixedState, modes: Sequence) -> list[tuple[float, dict]]:
+def _split_branches(state: PureState | MixedState, modes: Sequence) -> list[tuple[float, fock.Split]]:
     """Each branch of `state` with its terms grouped by true photon
     numbers on `modes` (see `fock.split_by_occupation`)."""
     return [(w, fock.split_by_occupation(st, modes)) for w, st in as_mixed(state).branches]
 
 
-def _distribution(split: list[tuple[float, dict]]) -> list[tuple[tuple[int, ...], float]]:
-    """Born distribution of the split's patterns: branch weight times
-    group weight, summed per pattern, normalized, sorted by pattern."""
+def _distribution(split: list[tuple[float, fock.Split]]) -> list[tuple[tuple[int, ...], float]]:
+    """Born distribution of the split's patterns from their weights alone:
+    branch weight times group weight, summed per pattern, normalized, sorted."""
     probs: dict[tuple[int, ...], float] = {}
     for w, groups in split:
-        for pattern, (weight, _) in groups.items():
+        for pattern, weight in groups.weights.items():
             probs[pattern] = probs.get(pattern, 0.0) + w * weight
     if len(probs) > _MAX_OUTCOMES:
         raise ValidationError(f"outcome space has {len(probs)} patterns, bound is {_MAX_OUTCOMES}")
@@ -140,7 +138,7 @@ def _distribution(split: list[tuple[float, dict]]) -> list[tuple[tuple[int, ...]
     return sorted((occ, p / total) for occ, p in probs.items())
 
 
-def _condition_on_pattern(split: list[tuple[float, dict]], pattern: tuple[int, ...]) -> MixedState:
+def _condition_on_pattern(split: list[tuple[float, fock.Split]], pattern: tuple[int, ...]) -> MixedState:
     """State of the rest of the system given true photon numbers
     `pattern` on the split modes: measured modes removed, loss modes
     traced."""
@@ -162,19 +160,14 @@ def _condition_on_pattern(split: list[tuple[float, dict]], pattern: tuple[int, .
 def _sample_clicks(
     true_counts: Sequence[int], specs: Sequence[DetectorSpec], labels: Sequence[str], rng
 ) -> ClickPattern:
-    clicks = set()
     counts = []
-    resolving = False
     for n, spec, label in zip(true_counts, specs, labels):
         seen = n if spec.efficiency >= 1.0 else int(rng.binomial(n, spec.efficiency)) if n else 0
         if spec.dark_prob > 0.0 and rng.random() < spec.dark_prob:
             seen += 1
-        if seen:
-            clicks.add(label)
-        if spec.resolving:
-            resolving = True
         counts.append((label, seen))
-    return ClickPattern(frozenset(clicks), tuple(counts) if resolving else ())
+    clicks = frozenset(label for label, seen in counts if seen)
+    return ClickPattern(clicks, tuple(counts) if any(spec.resolving for spec in specs) else ())
 
 
 def _pattern_probability(
@@ -190,9 +183,7 @@ def _pattern_probability(
     return total
 
 
-def measure(
-    state: PureState | MixedState, detectors: Mapping, rng
-) -> tuple[ClickPattern, MixedState, float]:
+def measure(state: PureState | MixedState, detectors: Mapping, rng) -> tuple[ClickPattern, MixedState, float]:
     """Measure the modes named in `detectors` (mode -> DetectorSpec).
 
     Returns the observed click pattern, the conditional state given the
@@ -320,20 +311,16 @@ class PreparedBellAnalyzer:
         conditional is mixed over its click-degenerate true patterns; the
         failure's state, and that of an outcome that never occurs, is None."""
         grouped: dict[str, list[tuple[tuple[int, ...], float]]] = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
-        for occ, p in self.distribution:
-            grouped[self.outcomes[sum((n > 0) << j for j, n in enumerate(occ))]].append((occ, p))
+        codes = ((self._occupations > 0) << np.arange(len(self.labels))).sum(axis=1)
+        for entry, code in zip(self.distribution, codes.tolist()):
+            grouped[self.outcomes[code]].append(entry)
         out = []
         for outcome in (PSI_MINUS, PSI_PLUS, FAIL):
             entries = grouped[outcome]
-            prob = sum(p for _, p in entries)
-            if prob <= 0.0:
-                out.append((outcome, None, 0.0))
-            elif outcome == FAIL:
+            prob = float(sum(p for _, p in entries))
+            if outcome == FAIL or prob <= 0.0:
                 out.append((outcome, None, prob))
             else:
-                branches: list[tuple[float, PureState]] = []
-                for occ, p in entries:
-                    for w, st in self.conditional(occ).branches:
-                        branches.append((p / prob * w, st))
+                branches = [(p / prob * w, st) for occ, p in entries for w, st in self.conditional(occ).branches]
                 out.append((outcome, MixedState(branches), prob))
         return out

@@ -19,9 +19,9 @@ import itertools
 import math
 import operator
 from collections import defaultdict
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -220,10 +220,13 @@ class PureState:
         )
 
     def with_registry(self, registry: ModeRegistry) -> "PureState":
-        """Reattach the same amplitudes to a relabeled registry."""
+        """The same state on a relabeled registry.  States never change
+        their amplitude map, so the new state shares this one's."""
         if len(registry) != len(self.registry):
             raise RegistryError("relabeled registry must keep the mode count")
-        return PureState._trusted(registry, self.amplitudes, self.truncation_loss)
+        st = PureState.__new__(PureState)
+        st.registry, st.amplitudes, st.truncation_loss = registry, self.amplitudes, self.truncation_loss
+        return st
 
     def __repr__(self):
         parts = ", ".join(f"{occ}: {c:.4g}" for occ, c in sorted(self.amplitudes.items()))
@@ -280,13 +283,22 @@ def basis_state(registry: ModeRegistry, occ: Mapping[ModeId | str, int]) -> Pure
 
 
 def check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """`u` as a complex array, checked to be square with max|U^dag U - 1|
+    <= tol (a NaN deviation fails); the deviation is memoized per matrix."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("mode matrix must be square")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > tol:
+    dev = _unitary_deviation(u.tobytes(), u.shape[0])
+    if not dev <= tol:
         raise ValidationError(f"matrix is not unitary (deviation {dev:.2e})")
     return u
+
+
+@lru_cache(maxsize=256)
+def _unitary_deviation(ubytes: bytes, k: int) -> float:
+    """max|U^dag U - 1| of the k x k matrix of bytes `ubytes`."""
+    u = np.frombuffer(ubytes, dtype=complex).reshape(k, k)
+    return np.max(np.abs(u.conj().T @ u - np.eye(k)))
 
 
 def _picker(idx: Sequence[int]):
@@ -376,30 +388,26 @@ def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b> over a shared registry."""
     if a.registry != b.registry:
         raise RegistryError("inner product requires matching registries")
-    if len(a.amplitudes) <= len(b.amplitudes):
-        return sum(
-            (c.conjugate() * b.amplitudes[occ] for occ, c in a.amplitudes.items() if occ in b.amplitudes),
-            start=0.0 + 0.0j,
-        )
-    return sum(
-        (a.amplitudes[occ].conjugate() * c for occ, c in b.amplitudes.items() if occ in a.amplitudes),
-        start=0.0 + 0.0j,
-    )
+    if len(a.amplitudes) > len(b.amplitudes):
+        return inner_product(b, a).conjugate()
+    bs = b.amplitudes
+    return sum((c.conjugate() * bs[occ] for occ, c in a.amplitudes.items() if occ in bs), start=0.0 + 0.0j)
 
 
-def _normalized(registry: ModeRegistry, amps: Mapping, truncation_loss: float) -> tuple[PureState | None, float]:
-    """The state `amps` scaled to unit norm and its weight sum|c|^2;
-    (None, 0.0) when the weight is zero."""
-    weight = sum(abs(c) ** 2 for c in amps.values())
+def _normalized(
+    registry: ModeRegistry, amps: Mapping, truncation_loss: float, weight: float | None = None
+) -> tuple[PureState | None, float]:
+    """The state `amps` scaled to unit norm and its weight sum|c|^2 (summed
+    here unless given); (None, 0.0) when the weight is zero."""
+    if weight is None:
+        weight = sum(abs(c) ** 2 for c in amps.values())
     if weight <= 0.0:
         return None, 0.0
     scale = 1.0 / math.sqrt(weight)
     return PureState._trusted(registry, {occ: c * scale for occ, c in amps.items()}, truncation_loss), weight
 
 
-def project(
-    state: PureState, pattern: Mapping[ModeId | str, int]
-) -> tuple[PureState | None, float]:
+def project(state: PureState, pattern: Mapping[ModeId | str, int]) -> tuple[PureState | None, float]:
     """Condition on an exact occupation pattern over a subset of modes.
 
     Returns the normalized post-measurement state (None when the outcome
@@ -468,30 +476,40 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(reg, amps, a.truncation_loss + b.truncation_loss + lost)
 
 
-def remove_definite_modes(state: PureState, modes: Sequence[ModeId | str]) -> PureState:
-    """Drop modes whose occupation is identical across every stored term
-    (e.g. measured modes after projection)."""
-    idx = sorted(state.registry.index(m) for m in modes)
-    occs = {tuple(occ[i] for i in idx) for occ in state.amplitudes}
-    if len(occs) > 1:
-        raise ValidationError("modes to remove are not in a definite occupation")
-    keep = [i for i in range(len(state.registry)) if i not in idx]
-    reg = ModeRegistry(tuple(state.registry.modes[i] for i in keep), state.registry.cutoff)
-    amps = {tuple(occ[i] for i in keep): c for occ, c in state.amplitudes.items()}
-    return PureState(reg, amps, state.truncation_loss)
+class Split(Mapping):
+    """Pattern -> (weight sum|c|^2, normalized state of the other modes), as
+    `split_by_occupation` groups a state's terms.  `weights` holds every
+    pattern's weight; a group's raw terms are replaced by its scaled state when first read."""
+
+    def __init__(self, registry: ModeRegistry, groups: dict, truncation_loss: float):
+        self.registry, self._groups, self._loss, self._read = registry, groups, truncation_loss, {}
+        self.weights = {p: w for p, amps in groups.items() if (w := sum(abs(c) ** 2 for c in amps.values())) > 0.0}
+
+    def __getitem__(self, pattern: tuple[int, ...]) -> tuple[float, PureState]:
+        if pattern not in self._read:
+            weight = self.weights[pattern]
+            self._read[pattern] = weight, _normalized(self.registry, self._groups.pop(pattern), self._loss, weight)[0]
+        return self._read[pattern]
+
+    def __contains__(self, pattern) -> bool:
+        return pattern in self.weights
+
+    def __iter__(self):
+        return iter(self.weights)
+
+    def __len__(self) -> int:
+        return len(self.weights)
 
 
-def split_by_occupation(
-    state: PureState, modes: Sequence[ModeId | str]
-) -> dict[tuple[int, ...], tuple[float, PureState]]:
+def split_by_occupation(state: PureState, modes: Sequence[ModeId | str]) -> Split:
     """Group the terms of `state` by their occupation of `modes`, in one
     pass over the terms in stored order.
 
     Maps each occupation pattern present (listed in the order of `modes`)
     to the weight sum|c|^2 of its terms and the normalized state of the
     remaining modes; patterns with zero weight are absent.  Each group is
-    what `project` followed by `remove_definite_modes` gives for its
-    pattern.
+    what `project` gives for its pattern with the measured modes dropped,
+    and is normalized only when first read (`Split`).
     """
     reg = state.registry
     idx = [reg.index(m) for m in modes]
@@ -501,12 +519,7 @@ def split_by_occupation(
     groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = defaultdict(dict)
     for occ, c in state.amplitudes.items():
         groups[pattern_of(occ)][rest_of(occ)] = c
-    out: dict[tuple[int, ...], tuple[float, PureState]] = {}
-    for pattern, amps in groups.items():
-        post, weight = _normalized(rest, amps, state.truncation_loss)
-        if post is not None:
-            out[pattern] = (weight, post)
-    return out
+    return Split(rest, groups, state.truncation_loss)
 
 
 def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> MixedState:

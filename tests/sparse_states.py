@@ -52,6 +52,18 @@ def patterns(k: int) -> list[tuple[int, ...]]:
     return [p for p in itertools.product(range(REGISTRY.cutoff + 1), repeat=k) if sum(p) <= REGISTRY.cutoff]
 
 
+def without_modes(state, modes):
+    """`state` with `modes` dropped from its registry and every term, built
+    by the public constructor; those modes must hold one occupation across
+    the terms, as they do after a projection."""
+    reg = state.registry
+    idx = sorted(reg.index(m) for m in modes)
+    assert len({tuple(occ[i] for i in idx) for occ in state.amplitudes}) <= 1
+    keep = [i for i in range(len(reg)) if i not in idx]
+    rest = fock.ModeRegistry(tuple(reg.modes[i] for i in keep), reg.cutoff)
+    return fock.PureState(rest, {tuple(occ[i] for i in keep): c for occ, c in state.amplitudes.items()}, state.truncation_loss)
+
+
 def bits(state):
     """Registry, weights, term order and the exact bits of every number."""
     if isinstance(state, fock.MixedState):

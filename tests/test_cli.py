@@ -464,6 +464,17 @@ def test_python_m_stokesim_runs_the_cli(tmp_path):
     assert proc.stdout.startswith("config ok\nprotocol = memory\n")
 
 
+def test_importing_the_cli_leaves_the_pool_unimported():
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, stokesim.cli as c; print('concurrent.futures' in sys.modules, c.ProcessPoolExecutor.__name__)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    # absent after the import; read on the module, the class is imported then
+    assert proc.stdout == "False ProcessPoolExecutor\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_main_rejects_jobs_below_one(capsys, jobs):
     assert cli.main(["memory", "--jobs", jobs]) == 2

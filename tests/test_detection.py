@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from sparse_states import measured_modes, mixed_states, outcome, patterns, pure_states
+from sparse_states import measured_modes, mixed_states, outcome, patterns, pure_states, without_modes
 from stokesim import detection, fock
 from stokesim.detection import (
     D_H,
@@ -276,7 +276,7 @@ def _condition_by_projection(state, modes, pattern):
     for w, st in mixed.branches:
         post, weight = fock.project(st, dict(zip(modes, pattern)))
         if post is not None:
-            kept.append((w * weight, fock.remove_definite_modes(post, modes)))
+            kept.append((w * weight, without_modes(post, modes)))
     if not kept:
         raise ValidationError(f"pattern {pattern} has zero probability")
     total = sum(w for w, _ in kept)

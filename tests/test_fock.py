@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import dense_oracle as oracle
-from sparse_states import MODES, bits, measured_modes, mixed_states, outcome, patterns, pure_states
+from sparse_states import MODES, bits, measured_modes, mixed_states, outcome, patterns, pure_states, without_modes
 from stokesim import detection, elements, fock, protocols
 from stokesim.errors import RegistryError, ValidationError
 
@@ -181,6 +181,17 @@ def test_mode_unitary_rejects_nonunitary_matrix():
         fock.apply_mode_unitary(st, ["a:R", "b:R"], np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("u", [np.array([[np.nan]]), np.array([[1.0, 0.0], [0.0, 2.0]])], ids=["nan", "scaled"])
+def test_a_non_unitary_matrix_fails_every_check(u):
+    # the check is memoized: a repeated matrix must fail again, not pass from the cache
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not unitary"):
+            fock.check_unitary(u)
+    st = fock.basis_state(two_path_registry(), {"a:R": 1})
+    with pytest.raises(ValidationError, match="not unitary"):
+        fock.apply_phase(st, "a:R", float("nan"))
+
+
 def test_phase_plate_scales_by_photon_number():
     reg = two_path_registry()
     st = fock.basis_state(reg, {"a:R": 3})
@@ -308,6 +319,38 @@ def test_exact_sweep_points_after_the_first_reuse_every_plan():
     assert second.hits - first.hits == third.hits - second.hits == first.hits + first.misses
 
 
+def test_an_exact_sweep_checks_each_distinct_matrix_once():
+    # the beam splitter, the half-wave plate and the pi phase plate of a
+    # PsiPlus correction are the same matrices at every point
+    fock._unitary_deviation.cache_clear()
+    grid = np.linspace(0.002, 0.2, 24)
+    protocols.event_ready_generation(_multipair_config(grid[0]))
+    first = fock._unitary_deviation.cache_info()
+    for p0 in grid[1:]:
+        protocols.event_ready_generation(_multipair_config(p0))
+    assert first.misses > 0
+    assert fock._unitary_deviation.cache_info().misses == first.misses
+
+
+def test_exact_event_ready_normalizes_only_the_groups_it_reads(monkeypatch):
+    config = _multipair_config(0.2)
+    prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(config), "p", "A")
+    clicks = [sum(1 << j for j, n in enumerate(occ) if n) for occ, _ in prep.distribution]
+    heralds = sum(prep.outcomes[code] != detection.FAIL for code in clicks)
+    normalized, _normalized = [], fock._normalized
+    monkeypatch.setattr(fock, "_normalized", lambda *args: normalized.append(args) or _normalized(*args))
+    protocols.event_ready_generation(config)
+    # one conditional per herald pattern; the weights of the others suffice
+    assert len(normalized) == heralds < len(prep.distribution) / 2
+
+
+def test_relabeling_shares_the_amplitude_map():
+    st = fock.PureState(fock.ModeRegistry(cutoff=2).add_photonic_path("a"), {(1, 0): 0.6, (0, 1): 0.8j})
+    relabeled = elements.quarter_wave(st, "a")
+    assert relabeled.amplitudes is st.amplitudes
+    assert [m.name for m in relabeled.registry.modes] == ["a:V", "a:H"]
+
+
 def test_internal_results_hold_builtin_complex_amplitudes_above_eps():
     joint = protocols._event_ready_input(_multipair_config(0.2))
     st = elements.beam_splitter(joint, "p", "A")
@@ -335,6 +378,19 @@ def test_inner_product_is_sesquilinear():
     ip = fock.inner_product(x, y)
     np.testing.assert_allclose(ip, 0.6j)
     np.testing.assert_allclose(fock.inner_product(y, x), np.conj(ip))
+
+
+def _inner_product_before(a, b):
+    """`inner_product` as it was before it called itself on swapped factors."""
+    if len(a.amplitudes) <= len(b.amplitudes):
+        return sum((c.conjugate() * b.amplitudes[o] for o, c in a.amplitudes.items() if o in b.amplitudes), start=0j)
+    return sum((a.amplitudes[o].conjugate() * c for o, c in b.amplitudes.items() if o in a.amplitudes), start=0j)
+
+
+@given(pure_states(), pure_states())
+def test_inner_product_matches_its_previous_body(a, b):
+    # equal values; only the sign of a zero imaginary part may differ
+    assert fock.inner_product(a, b) == _inner_product_before(a, b)
 
 
 def test_project_returns_born_weights():
@@ -388,16 +444,6 @@ def test_tensor_of_disjoint_registries():
         fock.tensor(a, a)
 
 
-def test_remove_definite_modes_round_trip():
-    reg = two_path_registry().add_atomic("s")
-    st = fock.PureState(reg, {(1, 0, 1): 0.6, (0, 1, 1): 0.8})
-    smaller = fock.remove_definite_modes(st, ["s"])
-    assert [m.name for m in smaller.registry.modes] == ["a:R", "b:R"]
-    np.testing.assert_allclose(smaller.amplitude({"a:R": 1}), 0.6)
-    with pytest.raises(ValidationError):
-        fock.remove_definite_modes(fock.PureState(reg, {(1, 0, 1): 0.6, (0, 1, 0): 0.8}), ["s"])
-
-
 def test_reduced_density_matches_dense_partial_trace():
     # entangle two pairs of modes, keep one of each pair
     reg = fock.ModeRegistry(tuple(fock.atomic_mode(n) for n in "wxyz"), cutoff=3)
@@ -438,7 +484,7 @@ def test_split_matches_projecting_each_pattern(mixed, modes):
             present.append(pattern)
             got_weight, rest = groups[pattern]
             assert got_weight.hex() == weight.hex()
-            assert bits(rest) == bits(fock.remove_definite_modes(post, modes))
+            assert bits(rest) == bits(without_modes(post, modes))
         assert sorted(groups) == present
 
 
