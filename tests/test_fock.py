@@ -337,8 +337,14 @@ def test_exact_event_ready_normalizes_only_the_groups_it_reads(monkeypatch):
     prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(config), "p", "A")
     clicks = [sum(1 << j for j, n in enumerate(occ) if n) for occ, _ in prep.distribution]
     heralds = sum(prep.outcomes[code] != detection.FAIL for code in clicks)
-    normalized, _normalized = [], fock._normalized
-    monkeypatch.setattr(fock, "_normalized", lambda *args: normalized.append(args) or _normalized(*args))
+    normalized = []
+
+    def counted(*args):
+        normalized.append(args[1])
+        return _normalized(*args)
+
+    _normalized = fock._normalized
+    monkeypatch.setattr(fock, "_normalized", counted)
     protocols.event_ready_generation(config)
     # one conditional per herald pattern; the weights of the others suffice
     assert len(normalized) == heralds < len(prep.distribution) / 2
