@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import io
 import json
 import math
@@ -339,7 +338,10 @@ def _csv_cell(value) -> str:
 
 def to_csv(rows: list[dict]) -> str:
     """One header row plus one row per dict, using the same float
-    formatting as the JSON reports."""
+    formatting as the JSON reports.  `csv` is imported here, so a JSON
+    run never loads it."""
+    import csv
+
     if not rows:
         return "\n"
     columns = list(rows[0].keys())

@@ -213,11 +213,8 @@ class PureState:
         n = self.norm()
         if n < 1e-300:
             raise ValidationError("cannot normalize a zero state")
-        return PureState(
-            self.registry,
-            {occ: c / n for occ, c in self.amplitudes.items()},
-            self.truncation_loss,
-        )
+        amps = {occ: c / n for occ, c in self.amplitudes.items()}
+        return PureState._trusted(self.registry, amps, self.truncation_loss)
 
     def with_registry(self, registry: ModeRegistry) -> "PureState":
         """The same state on a relabeled registry.  States never change
@@ -245,7 +242,7 @@ class MixedState:
         for w, st in branches:
             if w <= 0:
                 raise ValidationError("branch weights must be positive")
-            if st.registry != reg:
+            if st.registry is not reg and st.registry != reg:
                 raise RegistryError("all branches of a mixed state must share one registry")
         self.branches: tuple[tuple[float, PureState], ...] = tuple((float(w), st) for w, st in branches)
 
@@ -450,7 +447,7 @@ def truncate_total_occupation(
             dropped += abs(c) ** 2
     if not kept:
         raise ValidationError("truncation removed every term")
-    return PureState(state.registry, kept, state.truncation_loss + dropped), dropped
+    return PureState._trusted(state.registry, kept, state.truncation_loss + dropped), dropped
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -473,7 +470,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
                 lost += abs(ca * cb) ** 2
                 continue
             amps[occ_a + occ_b] = ca * cb
-    return PureState(reg, amps, a.truncation_loss + b.truncation_loss + lost)
+    return PureState._trusted(reg, amps, a.truncation_loss + b.truncation_loss + lost)
 
 
 class Split(Mapping):

@@ -11,7 +11,10 @@ at once, bit for bit equal to `trial_rng(seed, i).random(n)`: Philox is
 counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11), so word j of stream (seed, i) is word j % 4 of Philox4x64-10
 applied to counter (j // 4 + 1, 0, 0, 0) under key (seed, i), the layout
-numpy's `Philox` uses, and no generator object is needed.
+numpy's `Philox` uses, and no generator object is needed.  The ten rounds
+run on a fixed set of uint64 buffers, one per counter word plus scratch,
+rewritten in place by `out=` ufuncs (`_mulhilo`), so a round allocates
+nothing and the working set stays small enough for the CPU cache.
 
 `binomial_steps` lets those words stand in for `Generator.binomial` too:
 for small n numpy draws a binomial by inversion from one uniform, so a
@@ -24,12 +27,12 @@ import math
 
 import numpy as np
 
-#: Philox4x64 round multipliers and Weyl key increments, stacked so one
-#: array operation handles both halves of the counter; shape (2, 1, 1)
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
-_M_LO, _M_HI = _PHILOX_M & 0xFFFFFFFF, _PHILOX_M >> 32
+#: Philox4x64 round multipliers, for counter words c0 and c2, and Weyl
+#: increments, for key words k0 and k1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
+_LOW, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -39,33 +42,62 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products `_PHILOX_M * b`,
-    the high word assembled from 32-bit halves."""
-    b_lo, b_hi = b & 0xFFFFFFFF, b >> 32
-    lo_hi, hi_lo = b_lo * _M_HI, b_hi * _M_LO
-    mid = (b_lo * _M_LO >> 32) + (lo_hi & 0xFFFFFFFF) + (hi_lo & 0xFFFFFFFF)
-    hi = b_hi * _M_HI + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
-    return hi, b * _PHILOX_M
+def _mulhilo(m: int, b: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """The 128-bit products `m * b` in place: `hi` gets their high and `b`
+    their low 64-bit words.  The high word is a carry chain over the
+    32-bit-half products p0..p3: x = p1 + (p0 >> 32), y = p2 + (x & low),
+    hi = p3 + (x >> 32) + (y >> 32).  `t`, `u` and `v` are scratch."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    np.bitwise_and(b, _LOW, out=t)
+    np.right_shift(b, _HALF, out=hi)
+    np.multiply(t, m_lo, out=u)
+    np.multiply(t, m_hi, out=t)
+    np.right_shift(u, _HALF, out=u)
+    np.add(t, u, out=t)
+    np.multiply(hi, m_lo, out=u)
+    np.multiply(hi, m_hi, out=hi)
+    np.bitwise_and(t, _LOW, out=v)
+    np.add(u, v, out=u)
+    np.right_shift(t, _HALF, out=t)
+    np.right_shift(u, _HALF, out=u)
+    np.add(hi, t, out=hi)
+    np.add(hi, u, out=hi)
+    np.multiply(b, np.uint64(m), out=b)
 
 
 def trial_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
     """The first `n` uniforms of the streams of trials [start, start+count)
     as a (count, n) float64 array: row k equals
-    `trial_rng(seed, start + k).random(n)` bit for bit."""
+    `trial_rng(seed, start + k).random(n)` bit for bit.  Each counter word
+    is one (blocks, count) uint64 buffer, allocated once with two
+    high-word and three scratch buffers: a round multiplies c0 and c2 in
+    place, XORs the high words with c1, c3 and the key into the spare
+    buffers and renames the six, so the rounds copy and allocate nothing."""
     blocks = -(-n // 4)
-    trials = np.uint64(start) + np.arange(count, dtype=np.uint64)
-    # counter words (c0, c2) and (c1, c3), shape (2, count, blocks)
-    even = np.zeros((2, count, blocks), dtype=np.uint64)
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)
-    key = np.stack([np.full(count, seed, dtype=np.uint64), trials])[:, :, None]
+    c0 = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64), count).reshape(blocks, count)
+    c1, c2, c3, hi0, hi1, t, u, v = np.zeros((8, blocks, count), dtype=np.uint64)
+    # k0, the seed, is one word: a Python int, so its increment wraps
+    # without numpy's scalar-overflow warning
+    k0, k1 = seed, np.uint64(start) + np.arange(count, dtype=np.uint64)
     for _ in range(_ROUNDS):
-        hi, lo = _mulhilo(even)
-        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
-        key = key + _PHILOX_W
-    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(count, 4 * blocks)[:, :n]
-    return (words >> 11) * 2.0**-53
+        _mulhilo(_PHILOX_M[0], c0, hi0, t, u, v)
+        _mulhilo(_PHILOX_M[1], c2, hi1, t, u, v)
+        np.bitwise_xor(hi1, c1, out=hi1)
+        np.bitwise_xor(hi1, np.uint64(k0), out=hi1)
+        np.bitwise_xor(hi0, c3, out=hi0)
+        np.bitwise_xor(hi0, k1, out=hi0)
+        c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
+        k0 = (k0 + _PHILOX_W[0]) % 2**64
+        np.add(k1, np.uint64(_PHILOX_W[1]), out=k1)
+    # filled word by word and returned transposed, so word j of every
+    # stream is one contiguous column
+    out = np.empty((n, count))
+    for w, c in enumerate((c0, c1, c2, c3)):
+        rows = out[w::4]
+        word = c[: len(rows)]
+        np.right_shift(word, np.uint64(11), out=word)
+        np.multiply(word, 2.0**-53, out=rows)
+    return out.T
 
 
 def binomial_draw(n: int, p: float, u: float) -> int:

@@ -101,7 +101,7 @@ def raman_emit(state: PureState, ensemble, stokes, p0: float, order: int) -> Pur
             new[ie] = n
             new[ip] = n
             amps[tuple(new)] = c * a / norm
-    return PureState(reg, amps, state.truncation_loss + lost)
+    return PureState._trusted(reg, amps, state.truncation_loss + lost)
 
 
 def _source_registry(cutoff: int) -> ModeRegistry:
@@ -170,4 +170,4 @@ def epr_pair(path_a: str = "A", path_b: str = "B", cutoff: int = fock.DEFAULT_CU
     reg = reg.add_photonic_path(path_b, basis="linear")
     hh = fock.basis_state(reg, {f"{path_a}:H": 1, f"{path_b}:H": 1})
     vv = fock.basis_state(reg, {f"{path_a}:V": 1, f"{path_b}:V": 1})
-    return PureState(reg, {occ: SQRT_HALF for occ in (*hh.amplitudes, *vv.amplitudes)})
+    return PureState._trusted(reg, {occ: SQRT_HALF for occ in (*hh.amplitudes, *vv.amplitudes)}, 0.0)

@@ -475,6 +475,17 @@ def test_importing_the_cli_leaves_the_pool_unimported():
     assert proc.stdout == "False ProcessPoolExecutor\n"
 
 
+def test_importing_the_cli_leaves_csv_unimported():
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, stokesim.cli as c; print('csv' in sys.modules, c.to_csv([{'a': 1}]) == 'a\\n1\\n', 'csv' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    # absent after the import; CSV output imports it
+    assert proc.stdout == "False True True\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_main_rejects_jobs_below_one(capsys, jobs):
     assert cli.main(["memory", "--jobs", jobs]) == 2

@@ -8,7 +8,10 @@ frozen numbers themselves.
 
 import dataclasses
 import math
+import sys
 from collections import defaultdict
+from contextlib import contextmanager, suppress
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as hs
 
 import dense_oracle as oracle
 from sparse_states import MODES, bits, measured_modes, mixed_states, outcome, patterns, pure_states, without_modes
-from stokesim import detection, elements, fock, protocols
+from stokesim import detection, elements, fock, protocols, sources
 from stokesim.errors import RegistryError, ValidationError
 
 SQRT_HALF = 0.7071067811865476
@@ -112,6 +115,66 @@ def test_tiny_amplitudes_are_dropped():
     reg = two_path_registry()
     st = fock.PureState(reg, {(1, 0): 1.0, (0, 1): 1e-16})
     assert set(st.amplitudes) == {(1, 0)}
+
+
+#: the modes of `sparse_states.REGISTRY` renamed, for a second tensor factor
+_OTHER = fock.ModeRegistry(
+    (fock.atomic_mode("t0"), fock.atomic_mode("t1"), fock.photonic_mode("q", "H"), fock.loss_mode("loss1")), cutoff=3
+)
+#: an empty ensemble and Stokes mode for `raman_emit` to write into
+_EMIT = fock.ModeRegistry((fock.atomic_mode("e"), fock.photonic_mode("x", "R")), cutoff=3)
+
+
+@contextmanager
+def _recording_trusted():
+    """Record every `PureState._trusted` call: its caller's name, its
+    arguments (the map copied) and its result."""
+    original, calls = fock.PureState._trusted, []
+
+    def recording(registry, amplitudes, truncation_loss):
+        amplitudes = dict(amplitudes)
+        st = original(registry, amplitudes, truncation_loss)
+        calls.append((sys._getframe(1).f_code.co_name, registry, amplitudes, truncation_loss, st))
+        return st
+
+    with mock.patch.object(fock.PureState, "_trusted", staticmethod(recording)):
+        yield calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_states(), pure_states(), measured_modes, hs.integers(0, 3), hs.floats(0.0, sources.P0_MAX))
+def test_internal_results_match_the_checking_constructor(a, b, modes, max_total, p0):
+    expected = {"tensor", "raman_emit", "epr_pair"}
+    with _recording_trusted() as calls:
+        fock.tensor(a, b.with_registry(_OTHER))
+        sources.raman_emit(fock.tensor(a, fock.vacuum(_EMIT)), "e", "x:R", p0, 1)
+        sources.epr_pair()
+        with suppress(ValidationError):  # every term over max_total
+            fock.truncate_total_occupation(a, modes, max_total)
+            expected.add("truncate_total_occupation")
+        with suppress(ValidationError):  # a zero state
+            a.normalize()
+            expected.add("normalize")
+    assert expected <= {name for name, *_ in calls}
+    for _, registry, amplitudes, loss, st in calls:
+        # the same keys in the same order, and the same bits
+        assert bits(st) == bits(fock.PureState(registry, amplitudes, loss))
+
+
+def test_mixed_branches_compare_registries_only_when_distinct(monkeypatch):
+    compared = []
+    eq = fock.ModeRegistry.__eq__
+    monkeypatch.setattr(fock.ModeRegistry, "__eq__", lambda self, other: compared.append(other) or eq(self, other))
+    reg = two_path_registry()
+    x, y = fock.PureState(reg, {(1, 0): 1.0}), fock.PureState(reg, {(0, 1): 1.0})
+    assert len(fock.MixedState([(0.5, x), (0.5, y), (0.25, x)]).branches) == 3
+    assert compared == []
+    # an equal registry that is another object is compared, and accepted
+    twin = fock.PureState(two_path_registry(), {(0, 1): 1.0})
+    assert len(fock.MixedState([(0.5, x), (0.5, twin)]).branches) == 2
+    assert compared == [reg]
+    with pytest.raises(RegistryError):
+        fock.MixedState([(0.5, x), (0.5, fock.PureState(two_path_registry(cutoff=3), {(0, 1): 1.0}))])
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,18 @@ def test_trial_uniforms_match_each_trial_generator_anywhere(seed, start, count, 
     _assert_bits_equal(trial_uniforms(seed, start, count, n), _reference(seed, start, count, n))
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 2**63 - detection._BLOCK // 2])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_trial_uniforms_match_at_the_full_block_size(seed, start, extra):
+    count = detection._BLOCK + extra
+    for n in range(1, 10):
+        u = trial_uniforms(seed, start, count, n)
+        assert u.shape == (count, n)
+        for k in (0, 1, count // 2, count - 1):
+            _assert_bits_equal(u[k : k + 1], trial_rng(seed, start + k).random((1, n)))
+
+
 def test_trial_uniforms_rows_do_not_depend_on_the_range():
     whole = trial_uniforms(9, 100, 50, 3)
     _assert_bits_equal(np.vstack([trial_uniforms(9, 100, 13, 3), trial_uniforms(9, 113, 37, 3)]), whole)
