@@ -49,10 +49,10 @@ D_H, D_V, D_HP, D_VP = "D_H", "D_V", "D_H'", "D_V'"
 
 _MAX_OUTCOMES = 4096
 
-#: most trials whose uniforms are drawn at once: `trial_uniforms` then
-#: works on nine 64 KB uint64 buffers per Philox block of four words,
-#: 1.2 MB at widths 5 to 8, inside a 2 MB L2 cache; of 2048 to 12288
-#: trials, 8192 timed best per trial
+#: most trials whose uniforms are drawn at once, and the chunk of a
+#: sampled run (one pool task): `trial_uniforms` then works on nine 64 KB
+#: uint64 buffers per Philox block of four words, 1.2 MB at widths 5 to 8,
+#: inside a 2 MB L2 cache; of 2048 to 12288 trials, 8192 timed best per trial
 _BLOCK = 8192
 
 

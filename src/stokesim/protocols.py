@@ -53,9 +53,6 @@ SQRT_HALF = math.sqrt(0.5)
 #: z for a 95% Wilson score interval
 _WILSON_Z = 1.959963984540054
 
-#: chunks per sampled run: enough to keep a small process pool evenly busy
-_CHUNKS = 32
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -90,7 +87,7 @@ class ProtocolConfig:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial rate."""
+    """95% Wilson score interval for a binomial rate, exactly 0 or 1 at the ends."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     z2 = _WILSON_Z * _WILSON_Z
@@ -98,7 +95,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z2 / trials
     center = phat + z2 / (2.0 * trials)
     half = _WILSON_Z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
-    return (center - half) / denom, (center + half) / denom
+    low = (center - half) / denom if successes else 0.0
+    return low, (center + half) / denom if successes < trials else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +465,12 @@ def summarize_sampled(config: ProtocolConfig, kind: str, keys: np.ndarray, chann
 
 
 def _run_sampled(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None, chunk_map) -> dict:
-    """Monte Carlo run with the configured detectors: the trial range is
-    cut into chunks, `chunk_map` runs `trial_outcomes` on each, and the
-    joined keys are aggregated in trial order."""
-    size = math.ceil(config.trials / _CHUNKS)
-    starts = range(0, config.trials, size)
-    counts = [min(size, config.trials - s) for s in starts]
+    """Monte Carlo run with the configured detectors: `chunk_map` runs
+    `trial_outcomes` on consecutive chunks of `detection._BLOCK` trials, one
+    pool task each (so a pool gives a run of at most one block to one
+    worker), and the joined keys are aggregated in trial order."""
+    starts = range(0, config.trials, detection._BLOCK)
+    counts = [min(detection._BLOCK, config.trials - s) for s in starts]
     parts = chunk_map(trial_outcomes, repeat(config), repeat(spec.name), starts, counts, repeat(channel))
     report = spec.header(config)
     report.update(summarize_sampled(config, spec.name, np.concatenate(list(parts)), channel))

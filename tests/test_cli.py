@@ -578,22 +578,25 @@ def test_largest_seed_runs(tmp_path, monkeypatch, source):
 
 
 def test_main_event_ready_ideal_serial_equals_parallel(tmp_path):
-    # eta = 1: trials are drawn in bulk, chunk by chunk in each worker
-    ini = write_ini(
-        tmp_path,
-        "[run]\nmode = sampled\ntrials = 20000\nseed = 8\n\n[source]\np0 = 0.1\n\n"
-        "[detector]\neta = 1.0\ndark_prob = 0.01\n",
-    )
-    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
-    assert cli.main(["event-ready", "--config", ini, "--out", str(serial)]) == 0
-    assert cli.main(["event-ready", "--config", ini, "--out", str(parallel), "--jobs", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-    assert json.loads(serial.read_text())["summary"]["success_count"] > 0
+    # eta = 1: trials are drawn in bulk, one block per pool task; at
+    # _BLOCK trials the run is one task, at _BLOCK + 1 a full block and one trial
+    for trials in (20000, detection._BLOCK, detection._BLOCK + 1):
+        ini = write_ini(
+            tmp_path,
+            f"[run]\nmode = sampled\ntrials = {trials}\nseed = 8\n\n[source]\np0 = 0.1\n\n"
+            "[detector]\neta = 1.0\ndark_prob = 0.01\n",
+        )
+        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+        assert cli.main(["event-ready", "--config", ini, "--out", str(serial)]) == 0
+        assert cli.main(["event-ready", "--config", ini, "--out", str(parallel), "--jobs", "2"]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        summary = json.loads(serial.read_text())["summary"]
+        assert summary["trials"] == trials and summary["success_count"] > 0
 
 
 def test_main_event_ready_lossy_serial_equals_parallel(tmp_path, monkeypatch):
-    # eta < 1: binomial loss draws; a small bulk block cuts each chunk of
-    # 625 trials into several blocks (forked workers inherit it)
+    # eta < 1: binomial loss draws; a small bulk block cuts the run into
+    # 207 pool tasks, the last one of 18 trials
     monkeypatch.setattr(detection, "_BLOCK", 97)
     ini = write_ini(
         tmp_path,

@@ -19,7 +19,7 @@ from stokesim import detection, fock, metrics, protocols, sources
 from stokesim.detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec
 from stokesim.errors import ValidationError
 from stokesim.protocols import ProtocolConfig
-from stokesim.rng import trial_rng
+from stokesim.rng import trial_rng, trial_uniforms
 from stokesim.sources import SourceParams
 
 SQRT_HALF = 0.7071067811865476
@@ -58,10 +58,12 @@ def test_wilson_interval_frozen_values():
     low, high = protocols.wilson_interval(50, 100)
     np.testing.assert_allclose(low, 0.4038315303659957, atol=1e-15)
     np.testing.assert_allclose(high, 0.5961684696340044, atol=1e-15)
-    low, high = protocols.wilson_interval(0, 10)
-    assert low == 0.0 and 0.0 < high < 0.35
-    low, high = protocols.wilson_interval(10, 10)
-    assert high <= 1.0 + 1e-12 and low > 0.65
+    # the ends are exact where floating point would step outside [0, 1]
+    for n in (10, 21, 1000, 75_000):
+        low, high = protocols.wilson_interval(0, n)
+        assert low == 0.0 and 0.0 < high < 0.35
+        low, high = protocols.wilson_interval(n, n)
+        assert high == 1.0 and 0.65 < low < 1.0
     with pytest.raises(ValidationError):
         protocols.wilson_interval(0, 0)
 
@@ -379,6 +381,21 @@ def test_lossy_trials_build_no_generator(monkeypatch):
     cfg = ProtocolConfig(detector=DetectorSpec(efficiency=0.8, dark_prob=1e-3), mode="sampled", theta=0.7, phi=1.9)
     keys = protocols.trial_outcomes(cfg, "memory", 0, 20_000)
     assert keys.dtype == np.uint16 and len(keys) == 20_000 and built == []
+
+
+def test_sampled_run_draws_whole_bulk_blocks(monkeypatch):
+    # a run is cut at the bulk block, so each draw but the last fills one
+    drawn = []
+
+    def recording(seed, start, count, width):
+        drawn.append(count)
+        return trial_uniforms(seed, start, count, width)
+
+    monkeypatch.setattr(detection, "trial_uniforms", recording)
+    cfg = ProtocolConfig(source=SourceParams(p0=0.1), mode="sampled", trials=20_000, seed=3)
+    _, report = protocols.event_ready_generation(cfg)
+    assert report["trials"] == 20_000
+    assert drawn == [8192, 8192, 3616]
 
 
 def test_sampled_summary_adds_fidelities_in_trial_order():
