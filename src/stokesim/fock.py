@@ -185,10 +185,14 @@ class PureState:
     def _trusted(cls, registry: ModeRegistry, amplitudes: Mapping, truncation_loss: float) -> "PureState":
         """Construct without the length, sign and cutoff checks, for internal
         results that cannot break them; tiny amplitudes are still dropped."""
+        amps = {occ: complex(c) for occ, c in amplitudes.items() if abs(c) >= AMPLITUDE_EPS}
+        return cls._wrap(registry, amps, float(truncation_loss))
+
+    @classmethod
+    def _wrap(cls, registry: ModeRegistry, amplitudes: dict, truncation_loss: float) -> "PureState":
+        """Share a map that holds only built-in complex amplitudes >= AMPLITUDE_EPS."""
         st = cls.__new__(cls)
-        st.registry = registry
-        st.amplitudes = {occ: complex(c) for occ, c in amplitudes.items() if abs(c) >= AMPLITUDE_EPS}
-        st.truncation_loss = float(truncation_loss)
+        st.registry, st.amplitudes, st.truncation_loss = registry, amplitudes, truncation_loss
         return st
 
     # -- basic queries ----------------------------------------------------
@@ -221,9 +225,7 @@ class PureState:
         their amplitude map, so the new state shares this one's."""
         if len(registry) != len(self.registry):
             raise RegistryError("relabeled registry must keep the mode count")
-        st = PureState.__new__(PureState)
-        st.registry, st.amplitudes, st.truncation_loss = registry, self.amplitudes, self.truncation_loss
-        return st
+        return PureState._wrap(registry, self.amplitudes, self.truncation_loss)
 
     def __repr__(self):
         parts = ", ".join(f"{occ}: {c:.4g}" for occ, c in sorted(self.amplitudes.items()))
@@ -336,49 +338,85 @@ def _expansion_plan(ubytes: bytes, k: int, ns: tuple[int, ...]) -> tuple:
     return math.sqrt(math.prod(fact[n] for n in ns)), tuple(stages), final
 
 
+@lru_cache(maxsize=64)
+def _state_plan(ubytes: bytes, idx: tuple[int, ...], keys: tuple[tuple[int, ...], ...]) -> tuple:
+    """The `_expansion_plan`s of the terms `keys` (in stored order) under the
+    matrix of bytes `ubytes` on positions `idx`, as a program over one buffer:
+    (position, start) per term, every stage's ops (dst, src, coeff) and
+    (output slot, src, scale) per final entry, with start and scale None for
+    a term without photons there; then the buffer size and the slots' keys."""
+    k, ns_of = len(idx), _picker(idx)
+    slots: dict[tuple[int, ...], int] = {}
+    starts, ops, finals, size = [], [], [], 0
+    for occ in keys:
+        ns = ns_of(occ)
+        if sum(ns) == 0:
+            starts.append((size, None))
+            finals.append((slots.setdefault(occ, len(slots)), size, None))
+            size += 1
+            continue
+        start, stages, final = _expansion_plan(ubytes, k, ns)
+        starts.append((size, start))
+        base, size = size, size + 1
+        for n, stage_ops in stages:
+            ops += [(size + dst, base + src, coeff) for dst, src, coeff in stage_ops]
+            base, size = size, size + n
+        for j, (acc, scale) in enumerate(final):
+            new = list(occ)
+            for pos, m in zip(idx, acc):
+                new[pos] = m
+            finals.append((slots.setdefault(tuple(new), len(slots)), base + j, scale))
+    return tuple(starts), tuple(ops), tuple(finals), size, tuple(slots)
+
+
 def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u: np.ndarray) -> PureState:
     """Substitute a_i^dag -> sum_j U[j,i] a_j^dag on every basis term.
 
     The matrix acts on the listed modes only; passive linear optics
     conserves the total excitation number, so no truncation occurs.
-    Terms replay cached plans in built-in `complex` arithmetic, which rounds
-    as numpy's scalars do; numpy's vector loops (fused multiply-adds) do not.
+    Plans are cached per matrix, acted modes and key layout of the state
+    (`_state_plan`), so a call replays only the arithmetic, in built-in
+    `complex`, which rounds as numpy's scalars do; numpy's vector loops
+    (fused multiply-adds) do not.  A key's first contribution of at least
+    AMPLITUDE_EPS fixes its place, and sums below it are dropped.
     """
     u = check_unitary(u)
-    idx = [state.registry.index(m) for m in modes]
+    idx = tuple(state.registry.index(m) for m in modes)
     if len(set(idx)) != len(idx):
         raise ValidationError("modes for a mode unitary must be distinct")
     if u.shape[0] != len(idx):
         raise ValidationError(f"matrix size {u.shape[0]} does not match {len(idx)} modes")
-    k, ubytes, ns_of = len(idx), u.tobytes(), _picker(idx)
+    starts, ops, finals, size, out_keys = _state_plan(u.tobytes(), idx, tuple(state.amplitudes))
 
-    amps: dict[tuple[int, ...], complex] = defaultdict(complex)
-    for occ, c in state.amplitudes.items():
-        ns = ns_of(occ)
-        if sum(ns) == 0:
-            amps[occ] += c
-            continue
-        start, stages, final = _expansion_plan(ubytes, k, ns)
-        vals = [c * start]
-        for size, ops in stages:
-            nxt = [0j] * size
-            for dst, src, coeff in ops:
-                nxt[dst] += vals[src] * coeff
-            vals = nxt
-        for (acc, scale), cc in zip(final, vals):
+    buf = [0j] * size
+    for (pos, start), c in zip(starts, state.amplitudes.values()):
+        buf[pos] = c if start is None else c * start
+    for dst, src, coeff in ops:
+        buf[dst] += buf[src] * coeff
+    acc: dict[int, complex] = {}
+    for slot, src, scale in finals:
+        cc = buf[src]
+        if scale is not None:
             cc *= scale
             if abs(cc) < AMPLITUDE_EPS:
                 continue
-            new = list(occ)
-            for pos, m in zip(idx, acc):
-                new[pos] = m
-            amps[tuple(new)] += cc
-    return PureState._trusted(state.registry, amps, state.truncation_loss)
+        acc[slot] = acc.get(slot, 0j) + cc
+    amps = {out_keys[slot]: c for slot, c in acc.items() if abs(c) >= AMPLITUDE_EPS}
+    return PureState._wrap(state.registry, amps, state.truncation_loss)
+
+
+@lru_cache(maxsize=64)
+def _phase_matrix(phase: float) -> np.ndarray:
+    """[[e^{i phase}]], read-only."""
+    u = np.array([[np.exp(1j * phase)]])
+    u.flags.writeable = False
+    return u
 
 
 def apply_phase(state: PureState, mode: ModeId | str, phase: float) -> PureState:
-    """Phase plate: each photon in `mode` acquires e^{i*phase}."""
-    return apply_mode_unitary(state, [mode], np.array([[np.exp(1j * phase)]]))
+    """Phase plate: each photon in `mode` acquires e^{i*phase}; the matrix is
+    built once per phase."""
+    return apply_mode_unitary(state, [mode], _phase_matrix(phase))
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -476,16 +514,17 @@ def tensor(a: PureState, b: PureState) -> PureState:
 class Split(Mapping):
     """Pattern -> (weight sum|c|^2, normalized state of the other modes), as
     `split_by_occupation` groups a state's terms.  `weights` holds every
-    pattern's weight; a group's raw terms are replaced by its scaled state when first read."""
+    pattern's weight; a group's state is built and scaled when first read."""
 
-    def __init__(self, registry: ModeRegistry, groups: dict, truncation_loss: float):
-        self.registry, self._groups, self._loss, self._read = registry, groups, truncation_loss, {}
-        self.weights = {p: w for p, amps in groups.items() if (w := sum(abs(c) ** 2 for c in amps.values())) > 0.0}
+    def __init__(self, registry: ModeRegistry, groups: dict, values: list, truncation_loss: float):
+        self.registry, self._groups, self._values, self._loss, self._read = registry, groups, values, truncation_loss, {}
+        self.weights = {p: w for p, terms in groups.items() if (w := sum(abs(values[i]) ** 2 for i, _ in terms)) > 0.0}
 
     def __getitem__(self, pattern: tuple[int, ...]) -> tuple[float, PureState]:
         if pattern not in self._read:
-            weight = self.weights[pattern]
-            self._read[pattern] = weight, _normalized(self.registry, self._groups.pop(pattern), self._loss, weight)[0]
+            weight, values = self.weights[pattern], self._values
+            amps = {rest: values[i] for i, rest in self._groups[pattern]}
+            self._read[pattern] = weight, _normalized(self.registry, amps, self._loss, weight)[0]
         return self._read[pattern]
 
     def __contains__(self, pattern) -> bool:
@@ -498,25 +537,33 @@ class Split(Mapping):
         return len(self.weights)
 
 
+@lru_cache(maxsize=64)
+def _split_plan(idx: tuple[int, ...], keep: tuple[int, ...], keys: tuple[tuple[int, ...], ...]) -> dict:
+    """pattern -> ((position, key on `keep`), ...) of the terms `keys` in
+    stored order, grouped by occupation of `idx`; cached, so never mutated."""
+    pattern_of, rest_of = _picker(idx), _picker(keep)
+    groups: dict[tuple[int, ...], list] = defaultdict(list)
+    for i, occ in enumerate(keys):
+        groups[pattern_of(occ)].append((i, rest_of(occ)))
+    return {p: tuple(terms) for p, terms in groups.items()}
+
+
 def split_by_occupation(state: PureState, modes: Sequence[ModeId | str]) -> Split:
-    """Group the terms of `state` by their occupation of `modes`, in one
-    pass over the terms in stored order.
+    """Group the terms of `state` by their occupation of `modes`.
 
     Maps each occupation pattern present (listed in the order of `modes`)
     to the weight sum|c|^2 of its terms and the normalized state of the
     remaining modes; patterns with zero weight are absent.  Each group is
-    what `project` gives for its pattern with the measured modes dropped,
-    and is normalized only when first read (`Split`).
+    what `project` gives for its pattern with the measured modes dropped.
+    The grouping is cached per measured modes and key layout of the state
+    (`_split_plan`); a group is normalized only when first read (`Split`).
     """
     reg = state.registry
-    idx = [reg.index(m) for m in modes]
-    keep = [i for i in range(len(reg)) if i not in idx]
+    idx = tuple(reg.index(m) for m in modes)
+    keep = tuple(i for i in range(len(reg)) if i not in idx)
     rest = ModeRegistry(tuple(reg.modes[i] for i in keep), reg.cutoff)
-    pattern_of, rest_of = _picker(idx), _picker(keep)
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = defaultdict(dict)
-    for occ, c in state.amplitudes.items():
-        groups[pattern_of(occ)][rest_of(occ)] = c
-    return Split(rest, groups, state.truncation_loss)
+    groups = _split_plan(idx, keep, tuple(state.amplitudes))
+    return Split(rest, groups, list(state.amplitudes.values()), state.truncation_loss)
 
 
 def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> MixedState:

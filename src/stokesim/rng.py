@@ -72,23 +72,38 @@ def trial_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
     is one (blocks, count) uint64 buffer, allocated once with two
     high-word and three scratch buffers: a round multiplies c0 and c2 in
     place, XORs the high words with c1, c3 and the key into the spare
-    buffers and renames the six, so the rounds copy and allocate nothing."""
+    buffers and renames the six, so the rounds copy and allocate nothing.
+    Round 1 sees counter (b + 1, 0, 0, 0) and key word k0 = seed, so it
+    leaves c0 = seed, c1 = 0, c3 = lo(M0 (b + 1)) and c2 = hi(M0 (b + 1)) ^ k1
+    for block b, and the c0 half of round 2 is one product too: both run on
+    per-block scalars, and the buffers start at round 2's c2 half."""
     blocks = -(-n // 4)
-    c0 = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64), count).reshape(blocks, count)
-    c1, c2, c3, hi0, hi1, t, u, v = np.zeros((8, blocks, count), dtype=np.uint64)
-    # k0, the seed, is one word: a Python int, so its increment wraps
-    # without numpy's scalar-overflow warning
-    k0, k1 = seed, np.uint64(start) + np.arange(count, dtype=np.uint64)
-    for _ in range(_ROUNDS):
-        _mulhilo(_PHILOX_M[0], c0, hi0, t, u, v)
-        _mulhilo(_PHILOX_M[1], c2, hi1, t, u, v)
+    c0, c1, c2, c3, hi0, hi1, t, u, v = np.empty((9, blocks, count), dtype=np.uint64)
+    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
+    hi_b, lo_b = np.array([divmod(m0 * b, 2**64) for b in range(1, blocks + 1)], dtype=np.uint64).T[:, :, None]
+    hi_seed, lo_seed = divmod(m0 * seed, 2**64)
+    k1 = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    np.bitwise_xor(hi_b, k1, out=c2)
+    np.add(k1, np.uint64(w1), out=k1)
+    # round 2, under key (seed + w0, k1)
+    _mulhilo(m1, c2, hi1, t, u, v)
+    np.bitwise_xor(hi1, np.uint64((seed + w0) % 2**64), out=c0)
+    np.bitwise_xor(lo_b ^ np.uint64(hi_seed), k1, out=c3)
+    c1.fill(lo_seed)
+    c1, c2, c3 = c2, c3, c1
+    np.add(k1, np.uint64(w1), out=k1)
+    # k0 is one word, a Python int, so it wraps without numpy's overflow warning
+    k0 = (seed + 2 * w0) % 2**64
+    for _ in range(_ROUNDS - 2):
+        _mulhilo(m0, c0, hi0, t, u, v)
+        _mulhilo(m1, c2, hi1, t, u, v)
         np.bitwise_xor(hi1, c1, out=hi1)
         np.bitwise_xor(hi1, np.uint64(k0), out=hi1)
         np.bitwise_xor(hi0, c3, out=hi0)
         np.bitwise_xor(hi0, k1, out=hi0)
         c0, c1, c2, c3, hi0, hi1 = hi1, c2, hi0, c0, c1, c3
-        k0 = (k0 + _PHILOX_W[0]) % 2**64
-        np.add(k1, np.uint64(_PHILOX_W[1]), out=k1)
+        k0 = (k0 + w0) % 2**64
+        np.add(k1, np.uint64(w1), out=k1)
     # filled word by word and returned transposed, so word j of every
     # stream is one contiguous column
     out = np.empty((n, count))

@@ -7,6 +7,7 @@ frozen numbers themselves.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 from collections import defaultdict
@@ -363,6 +364,7 @@ def test_matrices_equal_but_for_the_sign_of_a_zero_get_their_own_plans():
     assert np.array_equal(u, v) and u.tobytes() != v.tobytes()
     reg = two_path_registry(cutoff=4)
     st = fock.PureState(reg, {(2, 1): -1.0 - 0.0j, (1, 0): 0.5j, (0, 3): complex(-0.0, 1.0)})
+    fock._state_plan.cache_clear()
     fock._expansion_plan.cache_clear()
     for w in (u, v):
         misses = fock._expansion_plan.cache_info().misses
@@ -370,16 +372,71 @@ def test_matrices_equal_but_for_the_sign_of_a_zero_get_their_own_plans():
         assert fock._expansion_plan.cache_info().misses == misses + 3
 
 
+_PLAN_CACHES = (fock._state_plan, fock._split_plan, fock._expansion_plan)
+
+
 def test_exact_sweep_points_after_the_first_reuse_every_plan():
-    fock._expansion_plan.cache_clear()
+    # every point of a p0 sweep has one term layout: later points find
+    # every state and split plan cached and never expand a term
+    for cache in _PLAN_CACHES:
+        cache.cache_clear()
     infos = []
     for p0 in (0.01, 0.08, 0.2):
         protocols.event_ready_generation(_multipair_config(p0))
-        infos.append(fock._expansion_plan.cache_info())
-    first, second, third = infos
-    assert first.misses > 0
-    assert second.misses == third.misses == first.misses
-    assert second.hits - first.hits == third.hits - second.hits == first.hits + first.misses
+        infos.append([cache.cache_info() for cache in _PLAN_CACHES])
+    first = infos[0]
+    assert all(info.misses > 0 for info in first)
+    for before, after in zip(infos, infos[1:]):
+        for cache, info, prev, new in zip(_PLAN_CACHES, first, before, after):
+            assert new.misses == info.misses
+            if cache is fock._expansion_plan:
+                assert new.hits == info.hits
+            else:
+                assert new.hits - prev.hits == info.hits + info.misses
+
+
+def _layout_pair():
+    """Two states with one key layout.  In the second the first term is so
+    small that every contribution it makes falls below AMPLITUDE_EPS under
+    a 50:50 splitter on a:R and b:R, so the keys it reaches first either
+    vanish or move behind the vacuum term's; |1,1> cancels exactly in both
+    (Hong-Ou-Mandel)."""
+    reg = fock.ModeRegistry((fock.photonic_mode("a", "R"), fock.photonic_mode("b", "R"), fock.atomic_mode("s")), 4)
+    layout = [(0, 2, 1), (0, 0, 1), (1, 1, 1), (1, 0, 0)]
+    amps = [(0.5, 0.5j, -0.5, 0.5), (1.2e-14, 0.6, 0.48j, -0.64)]
+    return [fock.PureState(reg, dict(zip(layout, a))) for a in amps]
+
+
+def test_a_cached_plan_replays_the_new_amplitudes_and_key_order():
+    first, second = _layout_pair()
+    u, modes = beam_splitter_matrix(), ["a:R", "b:R"]
+    fock._state_plan.cache_clear()
+    outs = []
+    for st in (first, second):
+        out = fock.apply_mode_unitary(st, modes, u)
+        assert bits(out) == bits(_apply_by_terms(st, modes, u))
+        outs.append(list(out.amplitudes))
+    assert fock._state_plan.cache_info()[:2] == (1, 1)
+    assert outs[0] == [(0, 2, 1), (1, 1, 1), (2, 0, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert outs[1] == [(0, 0, 1), (0, 2, 1), (2, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_a_cached_split_groups_the_new_amplitudes():
+    measured = ["s", "a:R"]
+    fock._split_plan.cache_clear()
+    for st in _layout_pair():
+        groups = fock.split_by_occupation(st, measured)
+        present = []
+        for pattern in itertools.product(range(5), repeat=2):
+            post, weight = fock.project(st, dict(zip(measured, pattern)))
+            if post is None:
+                continue
+            present.append(pattern)
+            got_weight, rest = groups[pattern]
+            assert got_weight.hex() == weight.hex()
+            assert bits(rest) == bits(without_modes(post, measured))
+        assert sorted(groups) == present
+    assert fock._split_plan.cache_info()[:2] == (1, 1)
 
 
 def test_an_exact_sweep_checks_each_distinct_matrix_once():
