@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands `generate`, `event-ready`, `memory`, `sweep`, and `validate`
+Commands `generate`, `event-ready`, `memory`, `sweep`, and `validate`
 read a flat INI-style config (every key optional: the schema below names
-its type and the config field it sets, whose dataclass holds its default),
-run the protocol in exact or sampled mode, and emit a machine-readable
-report as JSON or CSV.
+its type and the config field it sets, whose record class holds its
+default), run the protocol in exact or sampled mode, and emit a
+machine-readable report as JSON or CSV.  All five take the same options,
+before or after the command.
 
 Reports are deterministic: keys appear in fixed order, floats are
 printed with 17 significant digits, trials derive their random streams
@@ -26,12 +27,12 @@ import os
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from functools import reduce
 
 from . import __version__, protocols
 from .detection import DetectorSpec
 from .errors import ConfigError, StokesimError, ValidationError
+from .fock import Record
 from .protocols import ProtocolConfig
 from .sources import SourceParams
 
@@ -85,8 +86,7 @@ _FIELDS = {
 _PROTOCOLS = ("generate", "event-ready", "memory")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     config: ProtocolConfig
     protocol: str = "event-ready"
     sweep_parameter: str | None = None
@@ -182,7 +182,7 @@ def build_experiment(
     overrides: dict[str, object],
 ) -> ExperimentConfig:
     """Merge command-line overrides over `STOKESIM_SEED` over the
-    config-file sections over the dataclass defaults into a validated
+    config-file sections over the record defaults into a validated
     experiment description."""
     values = {key: value for keys in sections.values() for key, value in keys.items()}
     protocol = command if command != "sweep" else str(values.get("protocol", ExperimentConfig.protocol))
@@ -265,7 +265,7 @@ def _ancilla_cut_warning(exp: ExperimentConfig) -> str | None:
 
 def _with_field(config, target: str, value):
     name, _, rest = target.partition(".")
-    return replace(config, **{name: _with_field(getattr(config, name), rest, value) if rest else value})
+    return config.replace(**{name: _with_field(getattr(config, name), rest, value) if rest else value})
 
 
 def apply_sweep_value(config: ProtocolConfig, parameter: str, value: float) -> ProtocolConfig:
@@ -442,22 +442,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stokesim",
         description="Exact and Monte Carlo simulation of heralded photon/atomic-ensemble entanglement",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("generate", "post-selected source mixture and its branch weights"),
-        ("event-ready", "heralded entanglement generation"),
-        ("memory", "teleportation-based storage of a photonic qubit"),
-        ("sweep", "run one protocol across a parameter grid"),
-        ("validate", "parse and check a config file, run nothing"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--config", help="INI config path")
-        p.add_argument("--seed", type=int, help="master seed (overrides config; env STOKESIM_SEED also works)")
-        p.add_argument("--mode", choices=("exact", "sampled"), help="evaluation mode")
-        p.add_argument("--trials", type=int, help="sampled-mode trial count")
-        p.add_argument("--out", help="report path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes for sampled trials")
+    parser.add_argument(
+        "command",
+        choices=("generate", "event-ready", "memory", "sweep", "validate"),
+        help="run one protocol, sweep one across a parameter grid, or validate a config and run nothing",
+    )
+    parser.add_argument("--config", help="INI config path")
+    parser.add_argument("--seed", type=int, help="master seed (overrides config; env STOKESIM_SEED also works)")
+    parser.add_argument("--mode", choices=("exact", "sampled"), help="evaluation mode")
+    parser.add_argument("--trials", type=int, help="sampled-mode trial count")
+    parser.add_argument("--out", help="report path (default stdout)")
+    parser.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes for sampled trials")
     return parser
 
 

@@ -31,14 +31,13 @@ click code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import elements, fock
 from .errors import ValidationError
-from .fock import LOSS, MixedState, PureState, as_mixed
+from .fock import LOSS, MixedState, PureState, Record, as_mixed
 from .rng import binomial_steps, trial_rng, trial_uniforms
 
 PSI_MINUS = "PsiMinus"
@@ -56,15 +55,14 @@ _MAX_OUTCOMES = 4096
 _BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(Record):
     """Threshold single-photon detector model."""
 
     efficiency: float = 1.0
     dark_prob: float = 1e-5
     resolving: bool = False
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValidationError(f"efficiency {self.efficiency} outside [0, 1]")
         if not 0.0 <= self.dark_prob < 1.0:
@@ -75,8 +73,7 @@ class DetectorSpec:
         return 1.0 - (1.0 - self.efficiency) ** n * (1.0 - self.dark_prob)
 
 
-@dataclass(frozen=True)
-class ClickPattern:
+class ClickPattern(Record):
     """Set of detectors that fired; `counts` present only when a
     number-resolving detector took part."""
 
@@ -87,8 +84,7 @@ class ClickPattern:
         return label in self.clicks
 
 
-@dataclass(frozen=True)
-class HeraldRule:
+class HeraldRule(Record):
     """Mapping from click patterns to protocol outcomes; unlisted
     patterns are failures."""
 

@@ -20,7 +20,6 @@ import math
 import operator
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,8 +41,51 @@ AMPLITUDE_EPS = 1e-14
 DEFAULT_CUTOFF = 6
 
 
-@dataclass(frozen=True)
-class ModeId:
+class Record:
+    """Immutable value: the class annotations, in order, are its fields and
+    class attributes their defaults.  Construction and `replace` run
+    `_validate`.  A record equals only records of its own type, hashes by
+    its field values in order, and pickles through `__dict__`."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names) or not kwargs.keys().isdisjoint(names[: len(args)]):
+            raise TypeError(f"{cls.__name__}{names}: too many positional arguments, or a field given twice")
+        kwargs.update(zip(names, args))
+        try:
+            values = {k: kwargs[k] if k in kwargs else getattr(cls, k) for k in names}
+        except AttributeError as exc:
+            raise TypeError(f"{cls.__name__}{names}: missing field {exc.name!r}") from None
+        if not kwargs.keys() <= values.keys():
+            raise TypeError(f"{cls.__name__}{names}: unknown fields {sorted(kwargs.keys() - values.keys())}")
+        self.__dict__.update(values)
+        self._validate()
+
+    def _validate(self):
+        """Raise on invalid field values."""
+
+    def replace(self, **changes):
+        return type(self)(**{**self.__dict__, **changes})
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self.__dict__.items())})"
+
+
+class ModeId(Record):
     """One bosonic mode: a photonic path/polarization slot, a collective
     atomic mode, or a loss mode."""
 
@@ -52,7 +94,7 @@ class ModeId:
     path: str | None = None
     pol: str | None = None
 
-    def __post_init__(self):
+    def _validate(self):
         if self.kind not in (PHOTONIC, ATOMIC, LOSS):
             raise RegistryError(f"unknown mode kind {self.kind!r}")
         if self.kind == PHOTONIC:

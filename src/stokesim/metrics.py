@@ -7,14 +7,13 @@ eigensolver is accurate far beyond every tolerance used by the callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import fock
 from .errors import ValidationError
-from .fock import MixedState, PureState
+from .fock import MixedState, PureState, Record
 
 _PSD_TOL = 1e-9
 
@@ -71,8 +70,7 @@ def concurrence(rho: np.ndarray) -> float:
     return float(max(0.0, vals[0] - vals[1] - vals[2] - vals[3]))
 
 
-@dataclass(frozen=True)
-class QubitEncoding:
+class QubitEncoding(Record):
     """A logical qubit carved out of mode occupations: `zero`/`one` are
     the occupation patterns of `modes` encoding the two basis states."""
 
@@ -80,7 +78,7 @@ class QubitEncoding:
     zero: tuple[int, ...]
     one: tuple[int, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.zero) != len(self.modes) or len(self.one) != len(self.modes):
             raise ValidationError("basis patterns must cover exactly the encoding modes")
         if self.zero == self.one:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 
@@ -45,7 +44,7 @@ import numpy as np
 from . import detection, elements, fock, metrics, sources
 from .detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
 from .errors import ValidationError
-from .fock import MixedState, ModeRegistry, PureState
+from .fock import MixedState, ModeRegistry, PureState, Record
 from .sources import SourceParams
 
 SQRT_HALF = math.sqrt(0.5)
@@ -54,10 +53,9 @@ SQRT_HALF = math.sqrt(0.5)
 _WILSON_Z = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    source: SourceParams = field(default_factory=SourceParams)
-    detector: DetectorSpec = field(default_factory=DetectorSpec)
+class ProtocolConfig(Record):
+    source: SourceParams = SourceParams()
+    detector: DetectorSpec = DetectorSpec()
     trials: int = 10_000
     mode: str = "exact"
     seed: int = 0
@@ -68,7 +66,7 @@ class ProtocolConfig:
     retrieval_efficiency: float = 1.0
     cutoff: int = fock.DEFAULT_CUTOFF
 
-    def __post_init__(self):
+    def _validate(self):
         if self.mode not in ("exact", "sampled"):
             raise ValidationError(f"mode {self.mode!r} must be 'exact' or 'sampled'")
         if self.trials < 1:
@@ -323,8 +321,7 @@ def memory_readout(stored: MixedState | PureState, retrieval_efficiency: float =
 # the heralded-protocol drivers
 
 
-@dataclass(frozen=True)
-class HeraldedSpec:
+class HeraldedSpec(Record):
     """What distinguishes one heralded protocol from the other."""
 
     name: str

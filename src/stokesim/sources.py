@@ -25,18 +25,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import elements, fock
 from .errors import ValidationError
-from .fock import ModeRegistry, PureState
+from .fock import ModeRegistry, PureState, Record
 
 P0_MAX = 0.2
 SQRT_HALF = math.sqrt(0.5)
 
 
-@dataclass(frozen=True)
-class SourceParams:
+class SourceParams(Record):
     """Emission parameters for the entangled photon/ensemble source."""
 
     p0: float = 0.01
@@ -47,7 +45,7 @@ class SourceParams:
     #: keeps both pumps at p0 (the raw experimental knob)
     t: float | None = None
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0.0 <= self.p0 <= P0_MAX:
             raise ValidationError(f"p0={self.p0} outside [0, {P0_MAX}]")
         if self.emission_order < 1:

@@ -486,6 +486,50 @@ def test_importing_the_cli_leaves_csv_unimported():
     assert proc.stdout == "False True True\n"
 
 
+COMMANDS = ("generate", "event-ready", "memory", "sweep", "validate")
+ALL_OPTIONS = {"config": "c.ini", "seed": 3, "mode": "sampled", "trials": 7, "out": "r.csv", "format": "csv", "jobs": 2}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("before", [False, True], ids=["options-after", "options-before"])
+def test_every_command_takes_all_seven_options(command, before):
+    options = [arg for key, value in ALL_OPTIONS.items() for arg in (f"--{key}", str(value))]
+    argv = [*options, command] if before else [command, *options]
+    assert vars(cli._build_parser().parse_args(argv)) == {"command": command, **ALL_OPTIONS}
+
+
+def test_jobs_defaults_to_one():
+    assert cli._build_parser().parse_args(["memory"]).jobs == 1
+
+
+def test_unknown_command_exits_2_with_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["teleport"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stokesim") and "invalid choice: 'teleport'" in err
+
+
+def test_an_option_before_the_command_is_accepted(capsys):
+    assert cli.main(["--mode", "exact", "validate"]) == 0
+    assert capsys.readouterr().out.startswith("config ok\nprotocol = event-ready\nmode = exact\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_builds_one_argument_parser(command, monkeypatch, capsys):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_main_rejects_jobs_below_one(capsys, jobs):
     assert cli.main(["memory", "--jobs", jobs]) == 2

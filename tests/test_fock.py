@@ -6,7 +6,6 @@ frozen here; a handful of cases re-run the oracle inline to guard the
 frozen numbers themselves.
 """
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -347,7 +346,7 @@ def test_mode_unitary_matches_the_per_term_expansion_bit_for_bit(state, u, data)
 
 def _multipair_config(p0):
     base = protocols.ProtocolConfig(cutoff=12)
-    return dataclasses.replace(base, source=dataclasses.replace(base.source, p0=p0, emission_order=5))
+    return base.replace(source=base.source.replace(p0=p0, emission_order=5))
 
 
 def test_beam_splitter_on_a_multipair_state_matches_the_per_term_expansion(monkeypatch):

@@ -10,7 +10,6 @@ structure by hand:
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,13 +304,13 @@ def _is_herald(config, kind, keys):
 def test_ideal_efficiency_outcomes_match_per_trial_sampling(name):
     kind, base = IDEAL_SAMPLED[name]
     for seed, start in ((11, 0), (2**64 - 1, 2**32 - 1000)):
-        cfg = replace(base, mode="sampled", seed=seed)
+        cfg = base.replace(mode="sampled", seed=seed)
         fast = protocols.trial_outcomes(cfg, kind, start, 3000)
         assert fast.tolist() == _scalar_outcomes(cfg, kind, start, 3000)
     if name == "vacuum":
         # forged heralds are rare (4e-6 per window): check the windows
         # around the first one criterion 8's seed gives
-        cfg = replace(base, mode="sampled", seed=31)
+        cfg = base.replace(mode="sampled", seed=31)
         keys = protocols.trial_outcomes(cfg, kind, 0, 1_000_000)
         first = int(np.flatnonzero(_is_herald(cfg, kind, keys))[0])
         start = max(0, first - 100)
@@ -320,7 +319,7 @@ def test_ideal_efficiency_outcomes_match_per_trial_sampling(name):
 
 def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition(monkeypatch):
     kind, base = IDEAL_SAMPLED["order-2"]
-    cfg = replace(base, mode="sampled", seed=5)
+    cfg = base.replace(mode="sampled", seed=5)
     whole = protocols.trial_outcomes(cfg, kind, 0, 5000)
     # odd-sized chunks, some split further into bulk blocks
     monkeypatch.setattr(detection, "_BLOCK", 97)
@@ -342,9 +341,9 @@ LOSSY_BASES = {
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.8, 0.999])
 @pytest.mark.parametrize("dark_prob", [0.0, 1e-3, 0.05])
 def test_bulk_outcomes_match_per_trial_sampling(kind, eta, dark_prob):
-    base = replace(LOSSY_BASES[kind], detector=DetectorSpec(efficiency=eta, dark_prob=dark_prob), mode="sampled")
+    base = LOSSY_BASES[kind].replace(detector=DetectorSpec(efficiency=eta, dark_prob=dark_prob), mode="sampled")
     for seed, start in ((0, 0), (2**64 - 1, 2**32 - 300)):
-        cfg = replace(base, seed=seed)
+        cfg = base.replace(seed=seed)
         assert protocols.trial_outcomes(cfg, kind, start, 600).tolist() == _scalar_outcomes(cfg, kind, start, 600)
 
 
