@@ -392,8 +392,9 @@ def __getattr__(name: str):
 
 def run(exp: ExperimentConfig) -> dict:
     """Execute the experiment (single run or sweep) and assemble the
-    full report; with more than one job, sampled trials run in a process
-    pool of at most one worker per CPU."""
+    full report; with more than one job, the trials of sampled
+    `event-ready` and `memory` runs, the only ones mapped in chunks, go to
+    a process pool of at most one worker per CPU."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": "stokesim",
@@ -403,7 +404,8 @@ def run(exp: ExperimentConfig) -> dict:
         "seed": exp.config.seed,
         "config": config_echo(exp),
     }
-    pool = __getattr__("ProcessPoolExecutor")(max_workers=min(exp.jobs, os.cpu_count() or 1)) if exp.jobs > 1 else None
+    pooled = exp.jobs > 1 and exp.config.mode == "sampled" and exp.protocol != "generate"
+    pool = __getattr__("ProcessPoolExecutor")(max_workers=min(exp.jobs, os.cpu_count() or 1)) if pooled else None
     with pool or nullcontext():
         chunk_map = pool.map if pool else map
         if exp.sweep_parameter is None:

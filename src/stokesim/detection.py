@@ -21,16 +21,17 @@ two of the four Bell states are ever identified.
 
 `PreparedBellAnalyzer` is the one place where a trial becomes a click
 code (bit j set when detector `labels[j]` clicked) and an outcome: its
-`outcomes` table, built from `default_herald_rule()`, serves the exact
-outcome distribution, the scalar `sample` on a trial's own generator and
-`sample_block`, which draws many trials at once from the Philox words of
-their streams (`rng.trial_uniforms`), binomial loss draws included
-(`rng.binomial_steps`), and keys each trial by its true pattern and
-click code.
+`outcomes` table, built from `default_herald_rule()` once per pattern
+set, serves the exact outcome distribution, the scalar `sample` on a
+trial's own generator and `sample_block`, which draws many trials at once
+from the Philox words of their streams (`rng.trial_uniforms`), binomial
+loss draws included (step tables built once per photon number and
+efficiency), and keys each trial by its true pattern and click code.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -133,7 +134,42 @@ def _distribution(split: list[tuple[float, fock.Split]]) -> list[tuple[tuple[int
     total = sum(probs.values())
     if total <= 0.0:
         raise ValidationError("state has no weight on the measured modes")
-    return sorted((occ, p / total) for occ, p in probs.items())
+    return [(occ, probs[occ] / total) for occ in _sorted(tuple(probs))]
+
+
+#: `sorted` as a tuple, cached per pattern set: a sweep over amplitudes keeps its patterns
+_sorted = lru_cache(maxsize=16)(lambda patterns: tuple(sorted(patterns)))
+
+
+@lru_cache(maxsize=16)
+def _click_layout(patterns: tuple, labels: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray, dict]:
+    """The outcome of each click code (bit j set when labels[j] clicked) under
+    `default_herald_rule()`, the photon numbers of `patterns` as a read-only
+    array, and each outcome's pattern indices when every occupied detector clicks."""
+    rule = default_herald_rule()
+    outcomes = tuple(
+        rule.classify(frozenset(lab for j, lab in enumerate(labels) if code >> j & 1))
+        for code in range(1 << len(labels))
+    )
+    occupations = np.array(patterns)
+    occupations.flags.writeable = False
+    grouped: dict[str, list[int]] = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
+    for i, code in enumerate(((occupations > 0) << np.arange(len(labels))).sum(axis=1).tolist()):
+        grouped[outcomes[code]].append(i)
+    return outcomes, occupations, {outcome: tuple(members) for outcome, members in grouped.items()}
+
+
+@lru_cache(maxsize=16)
+def _analyzer_registry(registry: fock.ModeRegistry, path_1: str, path_2: str) -> tuple[fock.ModeRegistry, tuple]:
+    """The registry after both polarizing splitters, relabelings found on a
+    state without terms, and the four measured modes."""
+    st, out_1h, out_1v = elements.pol_splitter(PureState._wrap(registry, {}, 0.0), path_1)
+    st, out_2h, out_2v = elements.pol_splitter(st, path_2)
+    return st.registry, (f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V")
+
+
+#: n and the read-only `binomial_steps(n, eta)`, built once per (n, eta)
+_step_table = lru_cache(maxsize=64)(lambda n, eta: (n, *binomial_steps(n, eta)))
 
 
 def _condition_on_pattern(split: list[tuple[float, fock.Split]], pattern: tuple[int, ...]) -> MixedState:
@@ -207,7 +243,8 @@ class PreparedBellAnalyzer:
 
     The input must carry two linear-basis paths; the first named path
     feeds detectors D_H/D_V, the second D_H'/D_V'.  All four detectors
-    follow `detector`.
+    follow `detector`.  What depends only on the input's registry, the
+    measured patterns or the labels is built once per process and shared.
     """
 
     def __init__(
@@ -217,35 +254,29 @@ class PreparedBellAnalyzer:
         path_2: str,
         detector: DetectorSpec = DetectorSpec(),
     ):
-        st = elements.beam_splitter(state, path_1, path_2)
-        st, out_1h, out_1v = elements.pol_splitter(st, path_1)
-        st, out_2h, out_2v = elements.pol_splitter(st, path_2)
-        self.state = st
-        self.modes = [f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V"]
-        self.labels = [D_H, D_V, D_HP, D_VP]
+        registry, self.modes = _analyzer_registry(state.registry, path_1, path_2)
+        self.state = elements.beam_splitter(state, path_1, path_2).with_registry(registry)
+        self.labels = (D_H, D_V, D_HP, D_VP)
         self.detector = detector
-        rule = default_herald_rule()
-        #: outcome of each click code; bit j is set when labels[j] clicked
-        self.outcomes = tuple(
-            rule.classify(frozenset(lab for j, lab in enumerate(self.labels) if code >> j & 1))
-            for code in range(1 << len(self.labels))
-        )
-        self._split = _split_branches(st, self.modes)
+        self._split = _split_branches(self.state, self.modes)
         self.distribution = _distribution(self._split)
-        self._cum = np.cumsum([p for _, p in self.distribution])
-        self._occupations = np.array([occ for occ, _ in self.distribution])
+        #: outcome of each click code; bit j is set when labels[j] clicked
+        self.outcomes, self._occupations, self._grouped = _click_layout(
+            tuple(occ for occ, _ in self.distribution), self.labels
+        )
         eta = detector.efficiency
         #: binomial step tables per photon number a detector sees, when 0 < eta < 1
-        self._steps = (
-            [(k, *binomial_steps(k, eta)) for k in sorted(set(self._occupations.flat) - {0})]
-            if 0.0 < eta < 1.0 else []
-        )
+        self._steps = [_step_table(k, eta) for k in sorted(set(self._occupations.flat) - {0})] if 0.0 < eta < 1.0 else []
         loss_words = int((self._occupations > 0).sum(axis=1).max()) if self._steps else 0
         #: most words one trial's stream reads
         self._width = 1 + loss_words + (len(self.labels) if detector.dark_prob > 0.0 else 0)
 
     def conditional(self, true_pattern: tuple[int, ...]) -> MixedState:
         return _condition_on_pattern(self._split, true_pattern)
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        return np.cumsum([p for _, p in self.distribution])
 
     def pick(self, u):
         """Index into `distribution` of the true pattern that uniform `u`
@@ -308,13 +339,9 @@ class PreparedBellAnalyzer:
         probability) for PsiMinus, PsiPlus and Fail.  A herald's
         conditional is mixed over its click-degenerate true patterns; the
         failure's state, and that of an outcome that never occurs, is None."""
-        grouped: dict[str, list[tuple[tuple[int, ...], float]]] = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
-        codes = ((self._occupations > 0) << np.arange(len(self.labels))).sum(axis=1)
-        for entry, code in zip(self.distribution, codes.tolist()):
-            grouped[self.outcomes[code]].append(entry)
         out = []
-        for outcome in (PSI_MINUS, PSI_PLUS, FAIL):
-            entries = grouped[outcome]
+        for outcome, members in self._grouped.items():
+            entries = [self.distribution[i] for i in members]
             prob = float(sum(p for _, p in entries))
             if outcome == FAIL or prob <= 0.0:
                 out.append((outcome, None, prob))

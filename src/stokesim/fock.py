@@ -428,8 +428,12 @@ def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u: np.nd
         raise ValidationError("modes for a mode unitary must be distinct")
     if u.shape[0] != len(idx):
         raise ValidationError(f"matrix size {u.shape[0]} does not match {len(idx)} modes")
-    starts, ops, finals, size, out_keys = _state_plan(u.tobytes(), idx, tuple(state.amplitudes))
+    return _replay(state, u.tobytes(), idx)
 
+
+def _replay(state: PureState, ubytes: bytes, idx: tuple[int, ...]) -> PureState:
+    """`apply_mode_unitary` by the cached plan of a checked matrix `ubytes` on distinct positions `idx`."""
+    starts, ops, finals, size, out_keys = _state_plan(ubytes, idx, tuple(state.amplitudes))
     buf = [0j] * size
     for (pos, start), c in zip(starts, state.amplitudes.values()):
         buf[pos] = c if start is None else c * start
@@ -448,17 +452,15 @@ def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u: np.nd
 
 
 @lru_cache(maxsize=64)
-def _phase_matrix(phase: float) -> np.ndarray:
-    """[[e^{i phase}]], read-only."""
-    u = np.array([[np.exp(1j * phase)]])
-    u.flags.writeable = False
-    return u
+def _phase_bytes(phase: float) -> bytes:
+    """The bytes of [[e^{i phase}]], checked unitary."""
+    return check_unitary(np.array([[np.exp(1j * phase)]])).tobytes()
 
 
 def apply_phase(state: PureState, mode: ModeId | str, phase: float) -> PureState:
     """Phase plate: each photon in `mode` acquires e^{i*phase}; the matrix is
-    built once per phase."""
-    return apply_mode_unitary(state, [mode], _phase_matrix(phase))
+    built and checked once per phase."""
+    return _replay(state, _phase_bytes(phase), (state.registry.index(mode),))
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -481,7 +483,8 @@ def _normalized(
     if weight <= 0.0:
         return None, 0.0
     scale = 1.0 / math.sqrt(weight)
-    return PureState._trusted(registry, {occ: c * scale for occ, c in amps.items()}, truncation_loss), weight
+    amps = {occ: v for occ, c in amps.items() if abs(v := c * scale) >= AMPLITUDE_EPS}
+    return PureState._wrap(registry, amps, float(truncation_loss)), weight
 
 
 def project(state: PureState, pattern: Mapping[ModeId | str, int]) -> tuple[PureState | None, float]:

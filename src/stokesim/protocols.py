@@ -211,10 +211,15 @@ def event_ready_target(registry: ModeRegistry) -> PureState:
     return PureState(registry, {**{o: SQRT_HALF for o in v.amplitudes}, **{o: -SQRT_HALF for o in h.amplitudes}})
 
 
+#: the EPR ancilla per cutoff and the target per registry, which every point of a sweep shares
+_ancilla = lru_cache(maxsize=8)(lambda cutoff: sources.epr_pair("A", "B", cutoff=cutoff))
+_target = lru_cache(maxsize=8)(lambda registry: event_ready_target(registry))
+
+
 def _event_ready_input(config: ProtocolConfig) -> PureState:
     src = sources.dual_ensemble_source(config.source, config.cutoff)
     if config.epr_enabled:
-        ancilla = sources.epr_pair("A", "B", cutoff=config.cutoff)
+        ancilla = _ancilla(config.cutoff)
     else:
         reg = ModeRegistry(cutoff=config.cutoff).add_photonic_path("A", basis="linear")
         ancilla = fock.vacuum(reg.add_photonic_path("B", basis="linear"))
@@ -234,7 +239,7 @@ def _event_ready_header(config: ProtocolConfig) -> dict:
 
 
 def _heralded_fidelity(config: ProtocolConfig, heralded: MixedState) -> float:
-    return fock.state_fidelity(heralded, event_ready_target(heralded.registry))
+    return fock.state_fidelity(heralded, _target(heralded.registry))
 
 
 def false_herald_probability(rule: detection.HeraldRule, dark_prob: float) -> float:
@@ -371,7 +376,8 @@ def _corrected(spec: HeraldedSpec, conditional: MixedState, outcome: str) -> Mix
 
 def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None) -> tuple[MixedState | None, dict]:
     """Closed-form probabilities with ideal detectors, and the heralded
-    state: the corrected herald conditionals mixed by probability."""
+    state: the corrected herald conditionals mixed by probability.  The
+    ancilla, target and analyzer layout are shared by points of one layout."""
     joint = spec.joint_state(config, channel)
     prep = PreparedBellAnalyzer(joint, *spec.paths)
     heralds = [(outcome, cond, prob) for outcome, cond, prob in prep.exact_outcomes() if outcome != FAIL]

@@ -141,8 +141,8 @@ def binomial_draw(n: int, p: float, u: float) -> int:
 def binomial_steps(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """`binomial_draw(n, p, u)` as a step function: `(edges, values)` with
     `values[np.searchsorted(edges, u, side="right")]` equal to the draw
-    for every uniform u = m * 2^-53.  Each value holds on one interval of
-    m, so bisection finds where the next one starts."""
+    for every uniform u = m * 2^-53, both read-only.  Each value holds on
+    one interval of m, so bisection finds where the next one starts."""
     top = 2**53 - 1
     edges: list[int] = []
     values = [binomial_draw(n, p, 0.0)]
@@ -153,4 +153,6 @@ def binomial_steps(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
             lo, hi = (lo, mid) if binomial_draw(n, p, mid * 2.0**-53) != values[-1] else (mid, hi)
         edges.append(hi)
         values.append(binomial_draw(n, p, hi * 2.0**-53))
-    return np.array(edges) * 2.0**-53, np.array(values)
+    steps = np.array(edges) * 2.0**-53, np.array(values)
+    steps[0].flags.writeable = steps[1].flags.writeable = False
+    return steps

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 from . import elements, fock
 from .errors import ValidationError
@@ -102,6 +103,7 @@ def raman_emit(state: PureState, ensemble, stokes, p0: float, order: int) -> Pur
     return PureState._trusted(reg, amps, state.truncation_loss + lost)
 
 
+@lru_cache(maxsize=8)
 def _source_registry(cutoff: int) -> ModeRegistry:
     reg = ModeRegistry(cutoff=cutoff)
     reg = reg.add_atomic("S1").add_atomic("S2")

@@ -564,6 +564,34 @@ def test_pool_workers_capped_at_cpu_count(tmp_path, monkeypatch):
     assert serial.read_bytes() == pooled.read_bytes()
 
 
+def test_exact_runs_open_no_pool(tmp_path, monkeypatch):
+    # only sampled event-ready and memory trials are mapped in chunks
+    opened = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: opened.append(max_workers))
+    sweep = ["sweep", "--config", write_ini(tmp_path, "[sweep]\nparameter = p0\nvalues = 0.01, 0.1\n")]
+    runs = (sweep, sweep + ["--jobs", "2"], ["event-ready", "--jobs", "2"], ["generate", "--mode", "sampled", "--seed", "1", "--jobs", "2"])
+    reports = [tmp_path / f"{i}.json" for i in range(len(runs))]
+    for argv, out in zip(runs, reports):
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    assert opened == []
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+def test_an_exact_sweep_with_jobs_leaves_the_pool_unimported(tmp_path):
+    ini = write_ini(tmp_path, "[sweep]\nparameter = p0\nvalues = 0.01\n")
+    serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+    assert cli.main(["sweep", "--config", ini, "--out", str(serial)]) == 0
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    argv = ["sweep", "--config", ini, "--out", str(pooled), "--jobs", "2"]
+    probe = f"import sys; from stokesim import cli; cli.main({argv!r}); print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    assert serial.read_bytes() == pooled.read_bytes()
+
+
 def test_main_missing_config_file(capsys):
     assert cli.main(["generate", "--config", "/nonexistent/cfg.ini"]) == 2
     assert "cannot read config" in capsys.readouterr().err

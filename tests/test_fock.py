@@ -344,6 +344,14 @@ def test_mode_unitary_matches_the_per_term_expansion_bit_for_bit(state, u, data)
     assert bits(fock.apply_mode_unitary(state, modes, u)) == bits(_apply_by_terms(state, modes, u))
 
 
+@settings(max_examples=100, deadline=None)
+@given(pure_states(), hs.sampled_from([m.name for m in MODES]), hs.just(math.pi) | hs.floats(0.0, 2.0 * math.pi))
+def test_phase_plate_matches_the_per_term_expansion_bit_for_bit(state, mode, phase):
+    # apply_phase replays the plan of a matrix it checked once, skipping apply_mode_unitary
+    u = np.array([[np.exp(1j * phase)]])
+    assert bits(fock.apply_phase(state, mode, phase)) == bits(_apply_by_terms(state, [mode], u))
+
+
 def _multipair_config(p0):
     base = protocols.ProtocolConfig(cutoff=12)
     return base.replace(source=base.source.replace(p0=p0, emission_order=5))

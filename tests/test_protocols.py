@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from stokesim import detection, fock, metrics, protocols, sources
+from stokesim import cli, detection, fock, metrics, protocols, sources
 from stokesim.detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec
 from stokesim.errors import ValidationError
 from stokesim.protocols import ProtocolConfig
@@ -231,6 +231,56 @@ def test_event_ready_vacuum_source_never_heralds():
     assert report["heralded_fidelity"] is None
 
 
+MULTIPAIR = ProtocolConfig(source=SourceParams(emission_order=5), cutoff=12)
+P0_GRID = np.linspace(0.002, 0.2, 24).tolist()
+#: caches of what an exact point reads off its term layout, paths, labels and registries
+LAYOUT_CACHES = (
+    sources._source_registry,
+    protocols._ancilla,
+    detection._analyzer_registry,
+    detection._sorted,
+    detection._click_layout,
+    protocols._target,
+)
+
+
+def _multipair(p0, order=5):
+    return MULTIPAIR.replace(source=MULTIPAIR.source.replace(p0=p0, emission_order=order))
+
+
+def test_an_exact_sweep_builds_each_layout_skeleton_once(monkeypatch):
+    # only the amplitudes change from one p0 to the next
+    rules = []
+    rule = detection.default_herald_rule
+    monkeypatch.setattr(detection, "default_herald_rule", lambda: rules.append(1) or rule())
+    for cache in LAYOUT_CACHES:
+        cache.cache_clear()
+    for p0 in P0_GRID:
+        protocols.event_ready_generation(_multipair(p0))
+    assert len(rules) == 1  # the outcome table
+    for cache in LAYOUT_CACHES:
+        assert cache.cache_info()[:2] == (len(P0_GRID) - 1, 1)
+
+
+def test_exact_points_do_not_depend_on_the_order_they_run_in():
+    # no cache carries a value from one point to the next: each point run
+    # from cold caches, then all of them forward, reversed and each after an
+    # order-1 point (another layout), give the same report bytes
+    def report(point):
+        return cli.to_json(protocols.event_ready_generation(_multipair(point[1], point[0]))[1])
+
+    points = [(5, p0) for p0 in P0_GRID[::3]]
+    cold = {}
+    for point in points:
+        for cache in LAYOUT_CACHES:
+            cache.cache_clear()
+        cold[point] = report(point)
+    assert len(set(cold.values())) == len(points)
+    for run in (points, points[::-1], [q for point in points for q in ((1, point[1]), point)]):
+        texts = {point: report(point) for point in run}
+        assert {point: texts[point] for point in points} == cold
+
+
 def test_event_ready_sampled_counts_and_fidelity():
     cfg = ProtocolConfig(
         source=SourceParams(p0=0.01),
@@ -395,6 +445,26 @@ def test_sampled_run_draws_whole_bulk_blocks(monkeypatch):
     _, report = protocols.event_ready_generation(cfg)
     assert report["trials"] == 20_000
     assert drawn == [8192, 8192, 3616]
+
+
+def test_step_tables_are_built_once_per_photon_number_and_efficiency(monkeypatch):
+    # every point of a sampled p0 sweep below unit efficiency asks for the
+    # tables of n = 1..6 photons at one detector
+    built = []
+    steps = detection.binomial_steps
+    monkeypatch.setattr(detection, "binomial_steps", lambda n, p: built.append((n, p)) or steps(n, p))
+    detection._step_table.cache_clear()
+    protocols._cached_protocol.cache_clear()
+    lossy = _multipair(0.01).replace(mode="sampled", trials=100, seed=3, detector=DetectorSpec(efficiency=0.8))
+    for p0 in (0.01, 0.1, 0.2):
+        protocols.event_ready_generation(lossy.replace(source=lossy.source.replace(p0=p0)))
+    assert sorted(built) == [(n, 0.8) for n in range(1, 7)]
+    for n, eta in built:
+        _, *arrays = detection._step_table(n, eta)
+        for array, fresh in zip(arrays, steps(n, eta)):
+            assert not array.flags.writeable
+            assert array.tobytes() == fresh.tobytes()
+    assert detection._step_table.cache_info().misses == 6
 
 
 def test_sampled_summary_adds_fidelities_in_trial_order():
