@@ -254,8 +254,9 @@ class PreparedBellAnalyzer:
         path_2: str,
         detector: DetectorSpec = DetectorSpec(),
     ):
-        registry, self.modes = _analyzer_registry(state.registry, path_1, path_2)
-        self.state = elements.beam_splitter(state, path_1, path_2).with_registry(registry)
+        st = elements.beam_splitter(state, path_1, path_2)
+        registry, self.modes = _analyzer_registry(st.registry, path_1, path_2)
+        self.state = st.with_registry(registry)
         self.labels = (D_H, D_V, D_HP, D_VP)
         self.detector = detector
         self._split = _split_branches(self.state, self.modes)

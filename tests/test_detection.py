@@ -268,6 +268,15 @@ def test_analyzer_rejects_circular_paths():
         PreparedBellAnalyzer(fock.vacuum(reg), "a", "b")
 
 
+def test_analyzer_checks_the_beam_splitter_before_the_polarizing_splitters():
+    # the splitters' relabeled registry is cached, but a bad input still
+    # fails on the first element it meets
+    reg = fock.ModeRegistry(cutoff=4).add_photonic_path("a", basis="linear")
+    reg = reg.add_photonic_path("b", basis="circular")
+    with pytest.raises(ValidationError, match="beam_splitter"):
+        PreparedBellAnalyzer(fock.vacuum(reg), "a", "b")
+
+
 def _condition_by_projection(state, modes, pattern):
     """Conditioning as it was before the split: one `fock.project` scan
     of every branch per pattern."""
