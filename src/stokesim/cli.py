@@ -3,7 +3,7 @@
 Commands `generate`, `event-ready`, `memory`, `sweep`, and `validate`
 read a flat INI-style config (every key optional: the schema below names
 its type and the config field it sets, whose record class holds its
-default), run the protocol in exact or sampled mode, and emit a
+default and range), run the protocol in exact or sampled mode, and emit a
 machine-readable report as JSON or CSV.  All five take the same options,
 before or after the command.
 
@@ -40,38 +40,38 @@ SCHEMA_VERSION = 1
 
 SWEEP_PARAMETERS = ("p0", "theta", "phi", "t", "eta", "dark_prob", "emission_order")
 
-#: section -> key -> (type, range description, the `ProtocolConfig` field
-#: the key sets, dotted into `source` and `detector`, or None)
+#: section -> key -> (type, the `ProtocolConfig` field the key sets, dotted
+#: into `source` and `detector`, or None); the field's owner states its range
 _SCHEMA = {
     "run": {
-        "protocol": (str, "one of generate, event-ready, memory", None),
-        "mode": (str, "exact or sampled", "mode"),
-        "trials": (int, ">= 1", "trials"),
-        "seed": (int, "[0, 2^64)", "seed"),
-        "out": (str, "output path", None),
-        "format": (str, "json or csv", None),
+        "protocol": (str, None),
+        "mode": (str, "mode"),
+        "trials": (int, "trials"),
+        "seed": (int, "seed"),
+        "out": (str, None),
+        "format": (str, None),
     },
     "source": {
-        "p0": (float, "[0, 0.2]", "source.p0"),
-        "alpha": (complex, "|alpha|^2 + |beta|^2 = 1", "source.alpha"),
-        "beta": (complex, "|alpha|^2 + |beta|^2 = 1", "source.beta"),
-        "t": (float, "[0, 1]", "source.t"),
-        "emission_order": (int, ">= 1", "source.emission_order"),
-        "cutoff": (int, ">= 2 * emission_order; memory: >= 3", "cutoff"),
-        "epr_enabled": (bool, "true or false", "epr_enabled"),
+        "p0": (float, "source.p0"),
+        "alpha": (complex, "source.alpha"),
+        "beta": (complex, "source.beta"),
+        "t": (float, "source.t"),
+        "emission_order": (int, "source.emission_order"),
+        "cutoff": (int, "cutoff"),
+        "epr_enabled": (bool, "epr_enabled"),
     },
     "detector": {
-        "eta": (float, "[0, 1]", "detector.efficiency"),
-        "dark_prob": (float, "[0, 1)", "detector.dark_prob"),
+        "eta": (float, "detector.efficiency"),
+        "dark_prob": (float, "detector.dark_prob"),
     },
     "memory": {
-        "theta": (float, "[0, pi]", "theta"),
-        "phi": (float, "[0, 2*pi)", "phi"),
-        "retrieval_efficiency": (float, "[0, 1]", "retrieval_efficiency"),
+        "theta": (float, "theta"),
+        "phi": (float, "phi"),
+        "retrieval_efficiency": (float, "retrieval_efficiency"),
     },
     "sweep": {
-        "parameter": (str, f"one of {', '.join(SWEEP_PARAMETERS)}", None),
-        "values": (str, "comma- or space-separated numbers", None),
+        "parameter": (str, None),
+        "values": (str, None),
     },
 }
 
@@ -79,11 +79,15 @@ _SCHEMA = {
 _FIELDS = {
     key: (kind, target)
     for keys in _SCHEMA.values()
-    for key, (kind, _, target) in keys.items()
+    for key, (kind, target) in keys.items()
     if target is not None
 }
 
+#: target prefix -> the record that owns the fields under it and states their ranges
+_OWNERS = {"source": SourceParams, "detector": DetectorSpec, "": ProtocolConfig}
+
 _PROTOCOLS = ("generate", "event-ready", "memory")
+_FORMATS = ("json", "csv")
 
 
 class ExperimentConfig(Record):
@@ -114,22 +118,20 @@ def _line_map(text: str) -> dict[tuple[str, str | None], int]:
 
 
 def _convert(section: str, key: str, raw: str, lines) -> object:
-    kind, valid, _ = _SCHEMA[section][key]
-    where = _at(lines, section, key)
+    kind, target = _SCHEMA[section][key]
+    spellings = configparser.ConfigParser.BOOLEAN_STATES
     try:
         if kind is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return spellings[raw.strip().lower()]
         if kind is complex:
             return complex(raw.replace(" ", ""))
         return kind(raw)
-    except ValueError:
+    except (KeyError, ValueError):
+        owner, _, name = target.rpartition(".")
+        bounds = _OWNERS[owner]._ranges.get(name)
+        valid = f" (one of {', '.join(spellings)})" if kind is bool else f" in {bounds[2]}" if bounds else ""
         raise ConfigError(
-            f"bad value {raw!r} for {key} in [{section}]{where}: expected {kind.__name__} ({valid})"
+            f"bad value {raw!r} for {key} in [{section}]{_at(lines, section, key)}: expected {kind.__name__}{valid}"
         ) from None
 
 
@@ -201,17 +203,14 @@ def build_experiment(
     if values.get("mode") == "sampled" and "seed" not in values:
         raise ConfigError("sampled mode requires a seed (flag --seed, STOKESIM_SEED, or [run] seed)")
 
-    groups: dict[str, dict[str, object]] = {"": {}, "source": {}, "detector": {}}
+    groups: dict[str, dict[str, object]] = {owner: {} for owner in _OWNERS}
     for key, (_, target) in _FIELDS.items():
         if key in values:
             owner, _, name = target.rpartition(".")
             groups[owner][name] = values[key]
     try:
-        config = ProtocolConfig(
-            source=SourceParams(**groups["source"]),
-            detector=DetectorSpec(**groups["detector"]),
-            **groups[""],
-        )
+        parts = {owner: record(**groups[owner]) for owner, record in _OWNERS.items() if owner}
+        config = ProtocolConfig(**parts, **groups[""])
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
     if protocol == "memory" and config.cutoff < 3:
@@ -231,8 +230,8 @@ def build_experiment(
             raise ConfigError(f"sweep {sweep_parameter} = {value:g}: {exc}") from None
 
     fmt = str(values.get("format", ExperimentConfig.format))
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format {fmt!r} must be json or csv")
+    if fmt not in _FORMATS:
+        raise ConfigError(f"format {fmt!r} must be one of {', '.join(_FORMATS)}")
     jobs = int(values.get("jobs", ExperimentConfig.jobs))
     if jobs < 1:
         raise ConfigError(f"--jobs {jobs} must be >= 1")
@@ -446,15 +445,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "command",
-        choices=("generate", "event-ready", "memory", "sweep", "validate"),
+        choices=(*_PROTOCOLS, "sweep", "validate"),
         help="run one protocol, sweep one across a parameter grid, or validate a config and run nothing",
     )
     parser.add_argument("--config", help="INI config path")
     parser.add_argument("--seed", type=int, help="master seed (overrides config; env STOKESIM_SEED also works)")
-    parser.add_argument("--mode", choices=("exact", "sampled"), help="evaluation mode")
+    parser.add_argument("--mode", choices=ProtocolConfig.MODES, help="evaluation mode")
     parser.add_argument("--trials", type=int, help="sampled-mode trial count")
     parser.add_argument("--out", help="report path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
+    parser.add_argument("--format", choices=_FORMATS, help="report format (default json)")
     parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes for sampled trials")
     return parser
 
@@ -466,7 +465,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.config, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
             sections = parse_config(text)
         else:

@@ -63,11 +63,7 @@ class DetectorSpec(Record):
     dark_prob: float = 1e-5
     resolving: bool = False
 
-    def _validate(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValidationError(f"efficiency {self.efficiency} outside [0, 1]")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ValidationError(f"dark_prob {self.dark_prob} outside [0, 1)")
+    _ranges = {"efficiency": (0.0, 1.0, "[0, 1]"), "dark_prob": (0.0, 1.0, "[0, 1)")}
 
     def click_prob(self, n: int) -> float:
         """Probability this detector clicks on n incident photons."""

@@ -43,9 +43,12 @@ DEFAULT_CUTOFF = 6
 
 class Record:
     """Immutable value: the class annotations, in order, are its fields and
-    class attributes their defaults.  Construction and `replace` run
-    `_validate`.  A record equals only records of its own type, hashes by
-    its field values in order, and pickles through `__dict__`."""
+    class attributes their defaults.  Construction and `replace` check each
+    set field against its interval in `_ranges` (NaN lies outside), then
+    run `_validate`.  A record equals only records of its own type, hashes
+    by its field values in order, and pickles through `__dict__`."""
+
+    _ranges = {}
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
@@ -62,10 +65,16 @@ class Record:
         if not kwargs.keys() <= values.keys():
             raise TypeError(f"{cls.__name__}{names}: unknown fields {sorted(kwargs.keys() - values.keys())}")
         self.__dict__.update(values)
+        for name, (low, high, text) in cls._ranges.items():
+            value = values[name]
+            above = value is None or (low < value if text[0] == "(" else low <= value)
+            below = value is None or (value < high if text[-1] == ")" else value <= high)
+            if not (above and below):
+                raise ValidationError(f"{name}={value} outside {text}")
         self._validate()
 
     def _validate(self):
-        """Raise on invalid field values."""
+        """Raise on invalid values of fields taken together."""
 
     def replace(self, **changes):
         return type(self)(**{**self.__dict__, **changes})

@@ -66,19 +66,18 @@ class ProtocolConfig(Record):
     retrieval_efficiency: float = 1.0
     cutoff: int = fock.DEFAULT_CUTOFF
 
+    MODES = ("exact", "sampled")
+    _ranges = {
+        "trials": (1, math.inf, "[1, inf)"),
+        "seed": (0, 2**64, "[0, 2^64)"),
+        "theta": (0.0, math.pi, "[0, pi]"),
+        "phi": (0.0, 2.0 * math.pi, "[0, 2*pi)"),
+        "retrieval_efficiency": (0.0, 1.0, "[0, 1]"),
+    }
+
     def _validate(self):
-        if self.mode not in ("exact", "sampled"):
-            raise ValidationError(f"mode {self.mode!r} must be 'exact' or 'sampled'")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed {self.seed} outside [0, 2^64)")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValidationError(f"theta={self.theta} outside [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValidationError(f"phi={self.phi} outside [0, 2*pi)")
-        if not 0.0 <= self.retrieval_efficiency <= 1.0:
-            raise ValidationError("retrieval_efficiency outside [0, 1]")
+        if self.mode not in self.MODES:
+            raise ValidationError(f"mode {self.mode!r} must be one of {', '.join(self.MODES)}")
         order = self.source.emission_order
         if 2 * order > self.cutoff:
             raise ValidationError(f"emission_order {order} needs cutoff >= {2 * order}, got {self.cutoff}")

@@ -31,7 +31,6 @@ from . import elements, fock
 from .errors import ValidationError
 from .fock import ModeRegistry, PureState, Record
 
-P0_MAX = 0.2
 SQRT_HALF = math.sqrt(0.5)
 
 
@@ -46,19 +45,19 @@ class SourceParams(Record):
     #: keeps both pumps at p0 (the raw experimental knob)
     t: float | None = None
 
+    _ranges = {
+        "p0": (0.0, 0.2, "[0, 0.2]"),
+        "emission_order": (1, math.inf, "[1, inf)"),
+        "t": (0.0, 1.0, "[0, 1]"),
+    }
+
     def _validate(self):
-        if not 0.0 <= self.p0 <= P0_MAX:
-            raise ValidationError(f"p0={self.p0} outside [0, {P0_MAX}]")
-        if self.emission_order < 1:
-            raise ValidationError("emission_order must be >= 1")
         if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
             raise ValidationError(f"alpha={self.alpha} and beta={self.beta} must be finite")
         if self.t is None:
             norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
             if abs(norm - 1.0) > 1e-12:
                 raise ValidationError(f"|alpha|^2 + |beta|^2 = {norm}, expected 1")
-        elif not 0.0 <= self.t <= 1.0:
-            raise ValidationError(f"t={self.t} outside [0, 1]")
 
     def branch_amplitudes(self) -> tuple[complex, complex]:
         """The (alpha, beta) actually realized, including an explicit t."""
@@ -75,10 +74,7 @@ def raman_emit(state: PureState, ensemble, stokes, p0: float, order: int) -> Pur
 
     Both target modes must be empty in the input state.
     """
-    if not 0.0 <= p0 <= P0_MAX:
-        raise ValidationError(f"p0={p0} outside [0, {P0_MAX}]")
-    if order < 1:
-        raise ValidationError("emission order must be >= 1")
+    SourceParams(p0=p0, emission_order=order)  # checks both against the source's ranges
     reg = state.registry
     ie, ip = reg.index(ensemble), reg.index(stokes)
     if 2 * order > reg.cutoff:

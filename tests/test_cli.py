@@ -393,6 +393,72 @@ def test_configs_failing_at_run_time_are_rejected_up_front(tmp_path, capsys, com
     assert not (tmp_path / "r.json").exists()
 
 
+def _ranged_keys():
+    """key -> (section, type, (low, high, text)) of every config key whose
+    field has an interval in its record's range table."""
+    ranged = {}
+    for key, (kind, target) in cli._FIELDS.items():
+        owner, _, name = target.rpartition(".")
+        bounds = cli._OWNERS[owner]._ranges.get(name)
+        if bounds is not None:
+            section = next(s for s, keys in cli._SCHEMA.items() if key in keys)
+            ranged[key] = (section, kind, bounds)
+    return ranged
+
+
+RANGED = _ranged_keys()
+
+
+def _ini(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+
+
+def _step(kind, x, toward):
+    return x + (1 if toward > x else -1) if kind is int else math.nextafter(x, toward)
+
+
+def _edge_values(kind, low, high, text):
+    """Values that lie just inside and just outside each finite end; a
+    float key is also given NaN and both infinities."""
+    inside, outside = [], []
+    for end, is_open, outward in ((low, text[0] == "(", -math.inf), (high, text[-1] == ")", math.inf)):
+        if math.isinf(end):
+            continue
+        inside.append(_step(kind, end, -outward) if is_open else end)
+        outside.append(end if is_open else _step(kind, end, outward))
+    if kind is float:
+        outside += [math.nan, math.inf, -math.inf]
+    return inside, outside
+
+
+def test_the_range_tables_cover_the_ten_intervals():
+    assert sorted(RANGED) == sorted(
+        ["trials", "seed", "p0", "t", "emission_order", "eta", "dark_prob", "theta", "phi", "retrieval_efficiency"]
+    )
+
+
+@pytest.mark.parametrize("key", sorted(RANGED))
+@pytest.mark.parametrize("mode", ProtocolConfig.MODES)
+@pytest.mark.parametrize("protocol", cli._PROTOCOLS)
+def test_each_range_end_runs_inside_and_is_a_config_error_outside(tmp_path, capsys, protocol, mode, key):
+    section, kind, (low, high, text) = RANGED[key]
+    inside, outside = _edge_values(kind, low, high, text)
+    out = tmp_path / "r.json"
+    for value, ok in [(v, True) for v in inside] + [(v, False) for v in outside]:
+        sections = {"run": {"protocol": protocol, "mode": mode, "trials": 200, "seed": 1}}
+        sections.setdefault(section, {})[key] = value
+        ini = write_ini(tmp_path, _ini(sections))
+        codes = cli.main(["validate", "--config", ini]), cli.main([protocol, "--config", ini, "--out", str(out)])
+        err = capsys.readouterr().err
+        if ok:
+            assert codes == (0, 0), (key, value, err)
+            out.unlink()
+        else:
+            assert codes == (2, 2), (key, value)
+            assert err.count(text) == 2, (key, value, err)
+            assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "cutoff, warned, probability",
     [
@@ -448,6 +514,19 @@ def test_readme_config_validates(tmp_path, capsys):
     block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
     assert cli.main(["validate", "--config", write_ini(tmp_path, block)]) == 0
     assert capsys.readouterr().out.startswith("config ok\n")
+    # each ranged key's line states the interval of its record's table
+    for key, (_, _, (_, _, text)) in RANGED.items():
+        line = re.search(rf"^[;\s]*{key}\s*=.*$", block, re.M).group(0)
+        assert text in line, key
+
+
+@pytest.mark.parametrize("command", ["validate", "memory"])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"[source]\np0 = 0.01 ; \xe9t\xe9\n")
+    assert cli.main([command, "--config", str(ini), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {str(ini)!r}: 'utf-8' codec")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_python_m_stokesim_runs_the_cli(tmp_path):

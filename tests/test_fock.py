@@ -142,7 +142,7 @@ def _recording_trusted():
 
 
 @settings(max_examples=60, deadline=None)
-@given(pure_states(), pure_states(), measured_modes, hs.integers(0, 3), hs.floats(0.0, sources.P0_MAX))
+@given(pure_states(), pure_states(), measured_modes, hs.integers(0, 3), hs.floats(0.0, sources.SourceParams._ranges["p0"][1]))
 def test_internal_results_match_the_checking_constructor(a, b, modes, max_total, p0):
     expected = {"tensor", "raman_emit", "epr_pair"}
     with _recording_trusted() as calls:

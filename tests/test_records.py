@@ -169,6 +169,12 @@ def test_unknown_repeated_and_extra_arguments_raise(cls, fields, required, chang
 
 
 @records
+def test_a_range_table_names_fields_and_stays_off_the_instance(cls, fields, required, change, bad):
+    assert set(cls._ranges) <= set(cls._fields)
+    assert "_ranges" not in cls(**fields).__dict__
+
+
+@records
 def test_equality_and_hash_by_type_and_values(cls, fields, required, change, bad):
     a, b = cls(**fields), cls(**fields)
     assert a == b and not a != b
