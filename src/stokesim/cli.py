@@ -127,12 +127,21 @@ def _convert(section: str, key: str, raw: str, lines) -> object:
             return complex(raw.replace(" ", ""))
         return kind(raw)
     except (KeyError, ValueError):
-        owner, _, name = target.rpartition(".")
-        bounds = _OWNERS[owner]._ranges.get(name)
-        valid = f" (one of {', '.join(spellings)})" if kind is bool else f" in {bounds[2]}" if bounds else ""
-        raise ConfigError(
-            f"bad value {raw!r} for {key} in [{section}]{_at(lines, section, key)}: expected {kind.__name__}{valid}"
-        ) from None
+        valid = f" (one of {', '.join(spellings)})" if kind is bool else ""
+        raise _bad_value(key, repr(raw), lines, valid) from None
+
+
+def _bad_value(key: str, value, lines, valid: str = "") -> ConfigError:
+    """The error for `value` of `key`, with its section and line if `lines`
+    (the config's line map) is given: the expected type, and the range of
+    its field if the field's owner states one."""
+    section = next(s for s, keys in _SCHEMA.items() if key in keys)
+    kind, target = _SCHEMA[section][key]
+    owner, _, name = target.rpartition(".")
+    bounds = _OWNERS[owner]._ranges.get(name)
+    where = f" in [{section}]{_at(lines, section, key)}" if lines is not None else ""
+    valid += f" in {bounds[2]}" if bounds else ""
+    return ConfigError(f"bad value {value} for {key}{where}: expected {kind.__name__}{valid}")
 
 
 def _at(lines, section: str, key: str | None) -> str:
@@ -182,10 +191,12 @@ def build_experiment(
     sections: dict[str, dict[str, object]],
     command: str,
     overrides: dict[str, object],
+    lines: dict | None = None,
 ) -> ExperimentConfig:
     """Merge command-line overrides over `STOKESIM_SEED` over the
     config-file sections over the record defaults into a validated
-    experiment description."""
+    experiment description; `lines` maps (section, key) to a line of the
+    config for diagnostics."""
     values = {key: value for keys in sections.values() for key, value in keys.items()}
     protocol = command if command != "sweep" else str(values.get("protocol", ExperimentConfig.protocol))
     if protocol not in _PROTOCOLS:
@@ -212,7 +223,12 @@ def build_experiment(
         parts = {owner: record(**groups[owner]) for owner, record in _OWNERS.items() if owner}
         config = ProtocolConfig(**parts, **groups[""])
     except ValidationError as exc:
-        raise ConfigError(str(exc)) from None
+        # a value outside its field's range: name the key, and its line when the value came from the file
+        key = next((k for k, (_, target) in _FIELDS.items() if target.rpartition(".")[2] == exc.field), None)
+        if key is None:
+            raise ConfigError(str(exc)) from None
+        from_file = any(keys.get(key) is values[key] for keys in sections.values())
+        raise _bad_value(key, values[key], lines if from_file else None) from None
     if protocol == "memory" and config.cutoff < 3:
         raise ConfigError(f"memory needs cutoff >= 3 (channel plus input photon), got {config.cutoff}")
 
@@ -375,7 +391,7 @@ def run_protocol(protocol: str, config: ProtocolConfig, chunk_map=map) -> dict:
     if protocol == "generate":
         return protocols.generate_entanglement(config)[1]
     if protocol == "event-ready":
-        return protocols.event_ready_generation(config, chunk_map)[1]
+        return protocols.event_ready_generation(config, chunk_map, with_state=False)[1]
     if protocol == "memory":
         return protocols.memory_store(config, chunk_map=chunk_map)[1]
     raise ConfigError(f"unknown protocol {protocol!r}")
@@ -467,9 +483,9 @@ def main(argv=None) -> int:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-            sections = parse_config(text)
+            sections, lines = parse_config(text), _line_map(text)
         else:
-            sections = {}
+            sections, lines = {}, {}
         overrides = {key: getattr(args, key) for key in ("seed", "mode", "trials", "out", "format", "jobs")}
         command = target = args.command
         if command == "validate":
@@ -477,7 +493,7 @@ def main(argv=None) -> int:
                 target = "sweep"
             else:
                 target = str(sections.get("run", {}).get("protocol", ExperimentConfig.protocol))
-        exp = build_experiment(sections, target, overrides)
+        exp = build_experiment(sections, target, overrides, lines)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -31,6 +31,7 @@ efficiency), and keys each trial by its true pattern and click code.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import elements, fock
 from .errors import ValidationError
-from .fock import LOSS, MixedState, PureState, Record, as_mixed
+from .fock import LOSS, MixedState, PureState, Record
 from .rng import binomial_steps, trial_rng, trial_uniforms
 
 PSI_MINUS = "PsiMinus"
@@ -114,8 +115,10 @@ def exact_outcome_distribution(state: PureState | MixedState, modes: Sequence) -
 
 def _split_branches(state: PureState | MixedState, modes: Sequence) -> list[tuple[float, fock.Split]]:
     """Each branch of `state` with its terms grouped by true photon
-    numbers on `modes` (see `fock.split_by_occupation`)."""
-    return [(w, fock.split_by_occupation(st, modes)) for w, st in as_mixed(state).branches]
+    numbers on `modes` (see `fock.split_by_occupation`); a pure state is
+    one branch of weight 1, not wrapped in a `MixedState`."""
+    branches = state.branches if isinstance(state, MixedState) else [(1.0, state)]
+    return [(w, fock.split_by_occupation(st, modes)) for w, st in branches]
 
 
 def _distribution(split: list[tuple[float, fock.Split]]) -> list[tuple[tuple[int, ...], float]]:
@@ -156,12 +159,17 @@ def _click_layout(patterns: tuple, labels: tuple[str, ...]) -> tuple[tuple[str, 
 
 
 @lru_cache(maxsize=16)
-def _analyzer_registry(registry: fock.ModeRegistry, path_1: str, path_2: str) -> tuple[fock.ModeRegistry, tuple]:
+def _analyzer_registry(registry: fock.ModeRegistry, path_1: str, path_2: str) -> tuple[fock.ModeRegistry, tuple, tuple]:
     """The registry after both polarizing splitters, relabelings found on a
-    state without terms, and the four measured modes."""
+    state without terms; the four measured modes; and the loss modes of the
+    rest, and the picker and registry of its other modes (the conditionals')."""
     st, out_1h, out_1v = elements.pol_splitter(PureState._wrap(registry, {}, 0.0), path_1)
     st, out_2h, out_2v = elements.pol_splitter(st, path_2)
-    return st.registry, (f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V")
+    modes = (f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V")
+    rest = fock._rest(st.registry, tuple(st.registry.index(m) for m in modes))[0]
+    loss = tuple(i for i, m in enumerate(rest.modes) if m.kind == LOSS)
+    conditional, keep = fock._rest(rest, loss)
+    return st.registry, modes, (tuple(rest.modes[i] for i in loss), fock._picker(keep), conditional)
 
 
 #: n and the read-only `binomial_steps(n, eta)`, built once per (n, eta)
@@ -251,7 +259,8 @@ class PreparedBellAnalyzer:
         detector: DetectorSpec = DetectorSpec(),
     ):
         st = elements.beam_splitter(state, path_1, path_2)
-        registry, self.modes = _analyzer_registry(st.registry, path_1, path_2)
+        registry, self.modes, self._traced = _analyzer_registry(st.registry, path_1, path_2)
+        self.conditional_registry = self._traced[2]
         self.state = st.with_registry(registry)
         self.labels = (D_H, D_V, D_HP, D_VP)
         self.detector = detector
@@ -270,6 +279,38 @@ class PreparedBellAnalyzer:
 
     def conditional(self, true_pattern: tuple[int, ...]) -> MixedState:
         return _condition_on_pattern(self._split, true_pattern)
+
+    def overlaps(self, pattern: tuple[int, ...], target: PureState, flip: str | None = None) -> list[tuple[float, float]]:
+        """The nonzero terms (weight, |<target|branch>|^2) of
+        `fock.state_fidelity(conditional(pattern), target)`, each branch first
+        flipped by pi on mode `flip` if one is named, read off the split with
+        the same floating-point operations in the same order.  Only the terms
+        that the pure `target` (on `conditional_registry`) reaches are scaled
+        and flipped; tracing loss modes scales them all, for the weights.  A
+        branch's size picks the side `fock.inner_product` sums over; it is
+        its group's, as conditioning on a pattern (weight below 1) scales the
+        terms up and a flip keeps their magnitudes, so none is dropped."""
+        ((_, split),) = self._split
+        loss, rest_of, registry = self._traced
+        terms, values, keys = split._groups[pattern], split._values, target.amplitudes
+        if not any(rest_of(rest) in keys for _, rest in terms):
+            return []
+        scale = 1.0 / math.sqrt(split.weights[pattern])
+        branches = [(1.0, terms, values, scale)]
+        if loss:  # as `fock.trace_out`: a branch per loss occupation, scaled to unit norm again
+            amps = {rest: v for i, rest in terms if abs(v := values[i] * scale) >= fock.AMPLITUDE_EPS}
+            st = PureState._wrap(split.registry, amps, 0.0)
+            envs = fock.split_by_occupation(st, loss)
+            total = sum(envs.weights[env] for env in sorted(envs.weights))
+            branches = [(w / total, envs._groups[env], envs._values, 1.0 / math.sqrt(w)) for env, w in sorted(envs.weights.items())]
+        out = []
+        for weight, group, vals, rescale in branches:
+            amps = {key: vals[i] * rescale for i, key in group if key in keys}
+            if amps and flip is not None:
+                amps = fock._replay(PureState._wrap(registry, amps, 0.0), fock._phase_bytes(math.pi), (registry.index(flip),)).amplitudes
+            if amps:
+                out.append((weight, abs(fock._overlap(keys, amps, len(group))) ** 2))
+        return out
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -330,19 +371,21 @@ class PreparedBellAnalyzer:
         pick, code = divmod(key, len(self.outcomes))
         return self.distribution[pick][0], self.outcomes[code]
 
-    def exact_outcomes(self) -> list[tuple[str, MixedState | None, float]]:
+    def ideal_outcomes(self) -> list[tuple[str, list[tuple[tuple[int, ...], float]], float]]:
         """Outcome distribution with ideal detectors: every mode with at
-        least one photon clicks.  Returns (outcome, conditional state,
-        probability) for PsiMinus, PsiPlus and Fail.  A herald's
-        conditional is mixed over its click-degenerate true patterns; the
-        failure's state, and that of an outcome that never occurs, is None."""
+        least one photon clicks.  Returns (outcome, its true patterns'
+        `distribution` entries, probability) for PsiMinus, PsiPlus and Fail."""
+        grouped = [(outcome, [self.distribution[i] for i in members]) for outcome, members in self._grouped.items()]
+        return [(outcome, entries, float(sum(p for _, p in entries))) for outcome, entries in grouped]
+
+    def exact_outcomes(self) -> list[tuple[str, MixedState | None, float]]:
+        """`ideal_outcomes` as (outcome, conditional state, probability).  A
+        herald's conditional is mixed over its click-degenerate true patterns;
+        the failure's state, and that of an outcome that never occurs, is None."""
         out = []
-        for outcome, members in self._grouped.items():
-            entries = [self.distribution[i] for i in members]
-            prob = float(sum(p for _, p in entries))
-            if outcome == FAIL or prob <= 0.0:
-                out.append((outcome, None, prob))
-            else:
-                branches = [(p / prob * w, st) for occ, p in entries for w, st in self.conditional(occ).branches]
-                out.append((outcome, MixedState(branches), prob))
+        for outcome, entries, prob in self.ideal_outcomes():
+            state = None
+            if outcome != FAIL and prob > 0.0:
+                state = MixedState([(p / prob * w, st) for occ, p in entries for w, st in self.conditional(occ).branches])
+            out.append((outcome, state, prob))
         return out

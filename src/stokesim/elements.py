@@ -67,7 +67,7 @@ def attenuate_mode(state: PureState, mode, t: float) -> PureState:
         return state
     reg, sink = state.registry.add_loss()
     target = reg.mode(mode)
-    grown = PureState(reg, {occ + (0,): c for occ, c in state.amplitudes.items()}, state.truncation_loss)
+    grown = PureState._wrap(reg, {occ + (0,): c for occ, c in state.amplitudes.items()}, state.truncation_loss)
     u = np.array(
         [
             [math.sqrt(t), math.sqrt(1.0 - t)],

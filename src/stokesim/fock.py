@@ -70,7 +70,7 @@ class Record:
             above = value is None or (low < value if text[0] == "(" else low <= value)
             below = value is None or (value < high if text[-1] == ")" else value <= high)
             if not (above and below):
-                raise ValidationError(f"{name}={value} outside {text}")
+                raise ValidationError(f"{name}={value} outside {text}", name)
         self._validate()
 
     def _validate(self):
@@ -233,15 +233,10 @@ class PureState:
         self.truncation_loss = float(truncation_loss)
 
     @classmethod
-    def _trusted(cls, registry: ModeRegistry, amplitudes: Mapping, truncation_loss: float) -> "PureState":
-        """Construct without the length, sign and cutoff checks, for internal
-        results that cannot break them; tiny amplitudes are still dropped."""
-        amps = {occ: complex(c) for occ, c in amplitudes.items() if abs(c) >= AMPLITUDE_EPS}
-        return cls._wrap(registry, amps, float(truncation_loss))
-
-    @classmethod
     def _wrap(cls, registry: ModeRegistry, amplitudes: dict, truncation_loss: float) -> "PureState":
-        """Share a map that holds only built-in complex amplitudes >= AMPLITUDE_EPS."""
+        """Share a map that holds only built-in complex amplitudes >= AMPLITUDE_EPS
+        on valid terms: the trusted path of internal results, which drop tiny
+        amplitudes as they build the map and skip the public checks."""
         st = cls.__new__(cls)
         st.registry, st.amplitudes, st.truncation_loss = registry, amplitudes, truncation_loss
         return st
@@ -268,8 +263,8 @@ class PureState:
         n = self.norm()
         if n < 1e-300:
             raise ValidationError("cannot normalize a zero state")
-        amps = {occ: c / n for occ, c in self.amplitudes.items()}
-        return PureState._trusted(self.registry, amps, self.truncation_loss)
+        amps = {occ: v for occ, c in self.amplitudes.items() if abs(v := c / n) >= AMPLITUDE_EPS}
+        return PureState._wrap(self.registry, amps, self.truncation_loss)
 
     def with_registry(self, registry: ModeRegistry) -> "PureState":
         """The same state on a relabeled registry.  States never change
@@ -474,12 +469,17 @@ def apply_phase(state: PureState, mode: ModeId | str, phase: float) -> PureState
 
 def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b> over a shared registry."""
-    if a.registry != b.registry:
+    if a.registry is not b.registry and a.registry != b.registry:
         raise RegistryError("inner product requires matching registries")
-    if len(a.amplitudes) > len(b.amplitudes):
-        return inner_product(b, a).conjugate()
-    bs = b.amplitudes
-    return sum((c.conjugate() * bs[occ] for occ, c in a.amplitudes.items() if occ in bs), start=0.0 + 0.0j)
+    return _overlap(a.amplitudes, b.amplitudes, len(b.amplitudes))
+
+
+def _overlap(a: Mapping, b: Mapping, size: int) -> complex:
+    """<a|b> of amplitude maps, where `b` holds at least the terms that `a`
+    reaches of a ket with `size` terms: summed over the smaller side."""
+    if len(a) > size:
+        return sum((c.conjugate() * a[occ] for occ, c in b.items() if occ in a), start=0.0 + 0.0j).conjugate()
+    return sum((c.conjugate() * b[occ] for occ, c in a.items() if occ in b), start=0.0 + 0.0j)
 
 
 def _normalized(
@@ -533,13 +533,13 @@ def truncate_total_occupation(
     kept: dict[tuple[int, ...], complex] = {}
     dropped = 0.0
     for occ, c in state.amplitudes.items():
-        if sum(occ[i] for i in idx) <= max_total:
-            kept[occ] = c
-        else:
+        if sum(occ[i] for i in idx) > max_total:
             dropped += abs(c) ** 2
+        elif abs(c) >= AMPLITUDE_EPS:
+            kept[occ] = c
     if not kept:
         raise ValidationError("truncation removed every term")
-    return PureState._trusted(state.registry, kept, state.truncation_loss + dropped), dropped
+    return PureState._wrap(state.registry, kept, state.truncation_loss + dropped), dropped
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -561,8 +561,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
             if na + sum(occ_b) > cutoff:
                 lost += abs(ca * cb) ** 2
                 continue
-            amps[occ_a + occ_b] = ca * cb
-    return PureState._trusted(reg, amps, a.truncation_loss + b.truncation_loss + lost)
+            if abs(c := ca * cb) >= AMPLITUDE_EPS:
+                amps[occ_a + occ_b] = c
+    return PureState._wrap(reg, amps, a.truncation_loss + b.truncation_loss + lost)
 
 
 class Split(Mapping):
@@ -614,10 +615,16 @@ def split_by_occupation(state: PureState, modes: Sequence[ModeId | str]) -> Spli
     """
     reg = state.registry
     idx = tuple(reg.index(m) for m in modes)
-    keep = tuple(i for i in range(len(reg)) if i not in idx)
-    rest = ModeRegistry(tuple(reg.modes[i] for i in keep), reg.cutoff)
+    rest, keep = _rest(reg, idx)
     groups = _split_plan(idx, keep, tuple(state.amplitudes))
     return Split(rest, groups, list(state.amplitudes.values()), state.truncation_loss)
+
+
+@lru_cache(maxsize=16)
+def _rest(registry: ModeRegistry, idx: tuple[int, ...]) -> tuple[ModeRegistry, tuple[int, ...]]:
+    """The registry of the modes of `registry` not at positions `idx`, and their positions."""
+    keep = tuple(i for i in range(len(registry)) if i not in idx)
+    return ModeRegistry(tuple(registry.modes[i] for i in keep), registry.cutoff), keep
 
 
 def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> MixedState:

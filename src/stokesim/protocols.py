@@ -12,8 +12,8 @@ Three procedures built from the source, analyzer, and metric layers:
 
 The two heralded procedures share one shape: a `HeraldedSpec` holds the
 joint-state builder, analyzer paths, triplet-herald correction mode,
-fidelity functional and report header of each, and one exact and one
-sampled driver read it.
+fidelity (a functional of the state, or a target read off the split) and
+report header of each, and one exact and one sampled driver read it.
 
 Heralds come with correction operators fixed once for this beam-splitter
 sign convention (derived by brute force, pinned by tests): a triplet
@@ -237,10 +237,6 @@ def _event_ready_header(config: ProtocolConfig) -> dict:
     }
 
 
-def _heralded_fidelity(config: ProtocolConfig, heralded: MixedState) -> float:
-    return fock.state_fidelity(heralded, _target(heralded.registry))
-
-
 def false_herald_probability(rule: detection.HeraldRule, dark_prob: float) -> float:
     """Per-window probability that dark counts alone forge a herald
     (vacuum at each of the analyzer's four detectors)."""
@@ -337,11 +333,13 @@ class HeraldedSpec(Record):
     paths: tuple[str, str]
     #: mode whose phase is flipped by pi on a PsiPlus herald
     flip_mode: str
-    #: fidelity of a corrected heralded state, reported under `fidelity_key`
-    fidelity: Callable[[ProtocolConfig, MixedState], float]
+    #: fidelity of a corrected heralded state, reported under `fidelity_key`; None with a `target`
+    fidelity: Callable[[ProtocolConfig, MixedState], float] | None
     fidelity_key: str
     #: exact-mode probability keys reported after the header, in order
     exact_keys: tuple[str, ...]
+    #: if given, the fidelity is the overlap with this pure state, read off the analyzer's split
+    target: Callable[[ModeRegistry], PureState] | None = None
 
 
 EVENT_READY = HeraldedSpec(
@@ -350,9 +348,10 @@ EVENT_READY = HeraldedSpec(
     joint_state=lambda config, channel: _event_ready_input(config),
     paths=("p", "A"),
     flip_mode="B:H",
-    fidelity=_heralded_fidelity,
+    fidelity=None,
     fidelity_key="heralded_fidelity",
     exact_keys=("truncation_loss", "success_probability", "psi_minus_probability", "psi_plus_probability"),
+    target=_target,
 )
 
 MEMORY = HeraldedSpec(
@@ -373,14 +372,34 @@ def _corrected(spec: HeraldedSpec, conditional: MixedState, outcome: str) -> Mix
     return _flip_phase(conditional, spec.flip_mode) if outcome == PSI_PLUS else conditional
 
 
-def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None) -> tuple[MixedState | None, dict]:
+def _mixed(spec: HeraldedSpec, prep: PreparedBellAnalyzer, mixture: list) -> MixedState:
+    """The corrected conditionals of `mixture`'s (true pattern, outcome, weight of a branch given its own)."""
+    return MixedState(
+        [(weigh(w), st) for occ, outcome, weigh in mixture for w, st in _corrected(spec, prep.conditional(occ), outcome).branches]
+    )
+
+
+def _fidelity(spec: HeraldedSpec, config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list, state=None) -> float:
+    """The fidelity of `state`, or of `_mixed(spec, prep, mixture)`; with a `target`, summed
+    branch by branch off the analyzer's split as `fock.state_fidelity` sums, building nothing."""
+    if spec.target is None:
+        return spec.fidelity(config, state if state is not None else _mixed(spec, prep, mixture))
+    target, fid = spec.target(prep.conditional_registry), 0.0
+    for occ, outcome, weigh in mixture:
+        for w, f in prep.overlaps(occ, target, spec.flip_mode if outcome == PSI_PLUS else None):
+            fid += weigh(w) * f
+    return fid
+
+
+def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None, with_state=True) -> tuple[MixedState | None, dict]:
     """Closed-form probabilities with ideal detectors, and the heralded
-    state: the corrected herald conditionals mixed by probability.  The
-    ancilla, target and analyzer layout are shared by points of one layout."""
+    state, the corrected herald conditionals mixed by probability, if
+    `with_state` or the fidelity reads it.  The ancilla, target and
+    analyzer layout are shared by points of one layout."""
     joint = spec.joint_state(config, channel)
     prep = PreparedBellAnalyzer(joint, *spec.paths)
-    heralds = [(outcome, cond, prob) for outcome, cond, prob in prep.exact_outcomes() if outcome != FAIL]
-    total = sum(prob for _, _, prob in heralds)
+    heralds = [herald for herald in prep.ideal_outcomes() if herald[0] != FAIL]
+    total = sum(prob for *_, prob in heralds)
     values = {
         "truncation_loss": joint.truncation_loss,
         "success_probability": total,
@@ -392,12 +411,12 @@ def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | 
     if total <= 0.0:
         report[spec.fidelity_key] = None
         return None, report
-    branches: list[tuple[float, PureState]] = []
-    for outcome, cond, prob in heralds:
-        if cond is not None and prob > 0:
-            branches += [(w * prob / total, st) for w, st in _corrected(spec, cond, outcome).branches]
-    heralded = MixedState(branches)
-    report[spec.fidelity_key] = spec.fidelity(config, heralded)
+    mixture = [
+        (occ, outcome, lambda w, p=p, prob=prob: p / prob * w * prob / total)
+        for outcome, entries, prob in heralds if prob > 0 for occ, p in entries
+    ]
+    heralded = _mixed(spec, prep, mixture) if with_state or spec.target is None else None
+    report[spec.fidelity_key] = _fidelity(spec, config, prep, mixture, heralded)
     return heralded, report
 
 
@@ -412,7 +431,7 @@ class _SampledProtocol:
         self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
 
     def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
-        return self.spec.fidelity(self.config, _corrected(self.spec, self.prep.conditional(true), outcome))
+        return _fidelity(self.spec, self.config, self.prep, [(true, outcome, float)])  # branches keep their weights
 
 
 @lru_cache(maxsize=8)
@@ -479,17 +498,18 @@ def _run_sampled(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState 
     return report
 
 
-def event_ready_generation(config: ProtocolConfig, chunk_map=map) -> tuple[MixedState | None, dict]:
+def event_ready_generation(config: ProtocolConfig, chunk_map=map, with_state=True) -> tuple[MixedState | None, dict]:
     """Heralded entanglement between the ensembles and ancilla photon B.
 
     Exact mode evolves the full state and reports closed-form
-    probabilities with ideal detectors; sampled mode draws per-trial
-    detector records with the configured efficiency and dark counts,
-    mapping trial chunks with `chunk_map` (`map` or a pool's `map`).
+    probabilities with ideal detectors, and the heralded state unless not
+    `with_state`; sampled mode draws per-trial detector records with the
+    configured efficiency and dark counts, mapping trial chunks with
+    `chunk_map` (`map` or a pool's `map`).
     """
     if config.mode == "sampled":
         return None, _run_sampled(EVENT_READY, config, None, chunk_map)
-    return _run_exact(EVENT_READY, config, None)
+    return _run_exact(EVENT_READY, config, None, with_state)
 
 
 def memory_store(

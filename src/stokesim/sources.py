@@ -95,8 +95,9 @@ def raman_emit(state: PureState, ensemble, stokes, p0: float, order: int) -> Pur
             new = list(occ)
             new[ie] = n
             new[ip] = n
-            amps[tuple(new)] = c * a / norm
-    return PureState._trusted(reg, amps, state.truncation_loss + lost)
+            if abs(v := c * a / norm) >= fock.AMPLITUDE_EPS:
+                amps[tuple(new)] = v
+    return PureState._wrap(reg, amps, state.truncation_loss + lost)
 
 
 @lru_cache(maxsize=8)
@@ -166,4 +167,4 @@ def epr_pair(path_a: str = "A", path_b: str = "B", cutoff: int = fock.DEFAULT_CU
     reg = reg.add_photonic_path(path_b, basis="linear")
     hh = fock.basis_state(reg, {f"{path_a}:H": 1, f"{path_b}:H": 1})
     vv = fock.basis_state(reg, {f"{path_a}:V": 1, f"{path_b}:V": 1})
-    return PureState._trusted(reg, {occ: SQRT_HALF for occ in (*hh.amplitudes, *vv.amplitudes)}, 0.0)
+    return PureState._wrap(reg, {occ: complex(SQRT_HALF) for occ in (*hh.amplitudes, *vv.amplitudes)}, 0.0)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from stokesim import cli, detection
+from stokesim import cli, detection, fock, protocols
 from stokesim.detection import DetectorSpec
 from stokesim.errors import ConfigError, ValidationError
 from stokesim.protocols import ProtocolConfig
@@ -456,6 +456,9 @@ def test_each_range_end_runs_inside_and_is_a_config_error_outside(tmp_path, caps
         else:
             assert codes == (2, 2), (key, value)
             assert err.count(text) == 2, (key, value, err)
+            # the message names the config key, its section and its line, not the record field
+            line = _ini(sections).splitlines().index(f"{key} = {value}") + 1
+            assert err.count(f" for {key} in [{section}] (line {line}): expected {kind.__name__} in {text}") == 2, err
             assert not out.exists()
 
 
@@ -671,6 +674,35 @@ def test_an_exact_sweep_with_jobs_leaves_the_pool_unimported(tmp_path):
     assert serial.read_bytes() == pooled.read_bytes()
 
 
+def test_an_exact_event_ready_sweep_builds_no_herald_state(tmp_path, monkeypatch):
+    # the report reads each point's herald probabilities and fidelity off the
+    # analyzer's split: no conditional, phase-flip replay or mixed state
+    calls = dict.fromkeys(["_condition_on_pattern", "Split.__getitem__", "apply_phase", "MixedState"], 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(detection, "_condition_on_pattern", counting("_condition_on_pattern", detection._condition_on_pattern))
+    monkeypatch.setattr(fock.Split, "__getitem__", counting("Split.__getitem__", fock.Split.__getitem__))
+    monkeypatch.setattr(fock, "apply_phase", counting("apply_phase", fock.apply_phase))
+    monkeypatch.setattr(fock.MixedState, "__init__", counting("MixedState", fock.MixedState.__init__))
+    ini = write_ini(tmp_path, "[source]\nemission_order = 5\ncutoff = 12\n\n[sweep]\nparameter = p0\nvalues = 0.01, 0.1, 0.2\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["sweep", "--config", ini, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["p0"] for row in rows] == [0.01, 0.1, 0.2] and all(row["heralded_fidelity"] > 0.5 for row in rows)
+    assert calls == dict.fromkeys(calls, 0)
+    # an API caller still gets the heralded state, built from the conditionals, beside the same report
+    heralded, report = protocols.event_ready_generation(ProtocolConfig(source=SourceParams(p0=0.1, emission_order=5), cutoff=12))
+    assert isinstance(heralded, fock.MixedState) and len(heralded.branches) > 2
+    assert min(calls.values()) > 0
+    assert rows[1] == {"p0": 0.1, **report}
+
+
 def test_main_missing_config_file(capsys):
     assert cli.main(["generate", "--config", "/nonexistent/cfg.ini"]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -717,6 +749,16 @@ def test_seed_outside_64_bits_is_rejected(tmp_path, capsys, monkeypatch, source,
     assert cli.main(["event-ready", "--config", ini, *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("[0, 2^64)") == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_a_range_error_from_outside_the_file_names_no_line(tmp_path, capsys, monkeypatch, source):
+    # the file's own seed line holds a valid seed; the bad one came from elsewhere
+    ini, flags = _seed_from(source, -1, tmp_path, monkeypatch)
+    with open(ini, "a", encoding="utf-8") as fh:
+        fh.write("seed = 5\n")
+    assert cli.main(["validate", "--config", ini, *flags]) == 2
+    assert capsys.readouterr().err == "config error: bad value -1 for seed: expected int in [0, 2^64)\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "config"])

@@ -126,39 +126,54 @@ _EMIT = fock.ModeRegistry((fock.atomic_mode("e"), fock.photonic_mode("x", "R")),
 
 
 @contextmanager
-def _recording_trusted():
-    """Record every `PureState._trusted` call: its caller's name, its
+def _recording_wrap():
+    """Record every `PureState._wrap` call: its caller's name, its
     arguments (the map copied) and its result."""
-    original, calls = fock.PureState._trusted, []
+    original, calls = fock.PureState._wrap, []
 
     def recording(registry, amplitudes, truncation_loss):
-        amplitudes = dict(amplitudes)
         st = original(registry, amplitudes, truncation_loss)
-        calls.append((sys._getframe(1).f_code.co_name, registry, amplitudes, truncation_loss, st))
+        calls.append((sys._getframe(1).f_code.co_name, registry, dict(amplitudes), truncation_loss, st))
         return st
 
-    with mock.patch.object(fock.PureState, "_trusted", staticmethod(recording)):
+    with mock.patch.object(fock.PureState, "_wrap", staticmethod(recording)):
         yield calls
+
+
+#: the functions whose results take the trusted path, each building its map once
+_TRUSTED = {"tensor", "raman_emit", "epr_pair", "truncate_total_occupation", "normalize"}
 
 
 @settings(max_examples=60, deadline=None)
 @given(pure_states(), pure_states(), measured_modes, hs.integers(0, 3), hs.floats(0.0, sources.SourceParams._ranges["p0"][1]))
 def test_internal_results_match_the_checking_constructor(a, b, modes, max_total, p0):
-    expected = {"tensor", "raman_emit", "epr_pair"}
-    with _recording_trusted() as calls:
-        fock.tensor(a, b.with_registry(_OTHER))
+    expected, results = {"tensor", "raman_emit", "epr_pair"}, []
+    other = b.with_registry(_OTHER)
+    with _recording_wrap() as calls:
+        st = fock.tensor(a, other)
+        terms = {oa + ob: ca * cb for oa, ca in a.amplitudes.items() for ob, cb in other.amplitudes.items()}
+        results.append((st, {occ: c for occ, c in terms.items() if sum(occ) <= st.registry.cutoff}))
         sources.raman_emit(fock.tensor(a, fock.vacuum(_EMIT)), "e", "x:R", p0, 1)
         sources.epr_pair()
         with suppress(ValidationError):  # every term over max_total
-            fock.truncate_total_occupation(a, modes, max_total)
+            st, _ = fock.truncate_total_occupation(a, modes, max_total)
+            idx = [a.registry.index(m) for m in modes]
+            results.append((st, {occ: c for occ, c in a.amplitudes.items() if sum(occ[i] for i in idx) <= max_total}))
             expected.add("truncate_total_occupation")
         with suppress(ValidationError):  # a zero state
-            a.normalize()
+            st = a.normalize()
+            results.append((st, {occ: c / a.norm() for occ, c in a.amplitudes.items()}))
             expected.add("normalize")
     assert expected <= {name for name, *_ in calls}
-    for _, registry, amplitudes, loss, st in calls:
-        # the same keys in the same order, and the same bits
-        assert bits(st) == bits(fock.PureState(registry, amplitudes, loss))
+    for name, registry, amplitudes, loss, st in calls:
+        if name in _TRUSTED:
+            # built-in complex amplitudes, kept as the constructor keeps them
+            assert all(type(c) is complex for c in amplitudes.values()) and type(loss) is float
+            assert bits(st) == bits(fock.PureState(registry, amplitudes, loss))
+    for st, terms in results:
+        # the same keys in the same order, and the same bits, as the
+        # constructor makes of every term before any is dropped
+        assert bits(st) == bits(fock.PureState(st.registry, terms, st.truncation_loss))
 
 
 def test_mixed_branches_compare_registries_only_when_distinct(monkeypatch):
@@ -502,6 +517,33 @@ def test_internal_results_hold_builtin_complex_amplitudes_above_eps():
 
 # ---------------------------------------------------------------------------
 # inner products and projection
+
+
+def test_inner_product_compares_registries_only_when_distinct(monkeypatch):
+    compared = []
+    eq = fock.ModeRegistry.__eq__
+    monkeypatch.setattr(fock.ModeRegistry, "__eq__", lambda self, other: compared.append(other) or eq(self, other))
+    reg = two_path_registry()
+    x, y = fock.PureState(reg, {(1, 0): 0.6, (0, 1): 0.8}), fock.PureState(reg, {(1, 0): 1.0})
+    assert fock.inner_product(x, y) == 0.6
+    assert compared == []
+    # an equal registry that is another object is compared, and accepted
+    assert fock.inner_product(x, fock.PureState(two_path_registry(), {(0, 1): 1.0})) == 0.8
+    assert len(compared) == 1
+    with pytest.raises(RegistryError):
+        fock.inner_product(x, fock.PureState(two_path_registry(cutoff=3), {(0, 1): 1.0}))
+
+
+def test_splits_of_one_layout_share_their_rest_registry():
+    # the registry of the unmeasured modes is built once per registry and
+    # measured positions, so conditionals of two states share one object
+    reg = fock.ModeRegistry((fock.atomic_mode("s"), *two_path_registry().modes), cutoff=4)
+    a = fock.PureState(reg, {(1, 1, 0): 0.6, (0, 0, 1): 0.8})
+    b = fock.PureState(reg, {(1, 0, 1): 1.0})
+    first, second = (fock.split_by_occupation(st, ["a:R"]) for st in (a, b))
+    assert first.registry is second.registry
+    assert [m.name for m in first.registry.modes] == ["s", "b:R"]
+    assert fock.split_by_occupation(a, ["b:R"]).registry is not first.registry
 
 
 def test_inner_product_is_sesquilinear():

@@ -9,6 +9,7 @@ structure by hand:
 * teleportation success probability 1/2 with unit stored fidelity.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -279,6 +280,54 @@ def test_exact_points_do_not_depend_on_the_order_they_run_in():
     for run in (points, points[::-1], [q for point in points for q in ((1, point[1]), point)]):
         texts = {point: report(point) for point in run}
         assert {point: texts[point] for point in points} == cold
+
+
+def _event_ready_grid():
+    """Exact event-ready configs over emission order 1-5 and cutoffs up to
+    12 (one that cuts the ancilla), pump strengths from zero, branch
+    amplitudes with and without an attenuator (a loss mode to trace) and
+    a relative phase, and the ancilla on and off."""
+    amplitudes = [
+        {},
+        {"alpha": 0.6, "beta": 0.8},
+        {"alpha": 0.8, "beta": 0.6j},
+        {"alpha": 0.6, "beta": 0.8 * cmath.exp(0.7j)},
+        {"t": 0.3},
+    ]
+    for order, cutoff in [(1, 4), (2, 6), (3, 6), (3, 8), (4, 10), (5, 12)]:
+        for p0 in (0.0, 0.003, 0.07, 0.2):
+            for ab in amplitudes:
+                for epr in (True, False):
+                    yield ProtocolConfig(
+                        source=SourceParams(p0=p0, emission_order=order, **ab), cutoff=cutoff, epr_enabled=epr
+                    )
+
+
+def test_exact_fidelity_read_off_the_split_is_the_heralded_states():
+    nulls = 0
+    for cfg in _event_ready_grid():
+        heralded, report = protocols.event_ready_generation(cfg)
+        assert protocols.event_ready_generation(cfg, with_state=False) == (None, report)
+        if heralded is None:
+            # a point that never heralds reports no fidelity
+            assert report["success_probability"] == 0.0 and report["heralded_fidelity"] is None
+            nulls += 1
+            continue
+        expected = fock.state_fidelity(heralded, protocols._target(heralded.registry))
+        assert report["heralded_fidelity"].hex() == expected.hex(), cfg
+    assert 0 < nulls < 100
+
+
+def test_sampled_fidelity_read_off_the_split_is_the_conditional_states():
+    # every true pattern, not only herald ones: dark counts and losses
+    # herald on any of them
+    for cfg in list(_event_ready_grid())[1::7]:
+        sp = protocols._SampledProtocol(cfg.replace(mode="sampled", seed=3), "event-ready")
+        for occ, _ in sp.prep.distribution:
+            for outcome in (PSI_MINUS, PSI_PLUS):
+                state = protocols._corrected(protocols.EVENT_READY, sp.prep.conditional(occ), outcome)
+                expected = fock.state_fidelity(state, protocols._target(state.registry))
+                assert sp.fidelity(occ, outcome).hex() == expected.hex(), (cfg, occ, outcome)
 
 
 def test_event_ready_sampled_counts_and_fidelity():
