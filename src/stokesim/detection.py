@@ -39,7 +39,7 @@ import numpy as np
 
 from . import elements, fock
 from .errors import ValidationError
-from .fock import LOSS, MixedState, PureState, Record
+from .fock import LOSS, MixedState, PureState, Record, as_mixed
 from .rng import binomial_steps, trial_rng, trial_uniforms
 
 PSI_MINUS = "PsiMinus"
@@ -115,10 +115,8 @@ def exact_outcome_distribution(state: PureState | MixedState, modes: Sequence) -
 
 def _split_branches(state: PureState | MixedState, modes: Sequence) -> list[tuple[float, fock.Split]]:
     """Each branch of `state` with its terms grouped by true photon
-    numbers on `modes` (see `fock.split_by_occupation`); a pure state is
-    one branch of weight 1, not wrapped in a `MixedState`."""
-    branches = state.branches if isinstance(state, MixedState) else [(1.0, state)]
-    return [(w, fock.split_by_occupation(st, modes)) for w, st in branches]
+    numbers on `modes` (see `fock.split_by_occupation`)."""
+    return [(w, fock.split_by_occupation(st, modes)) for w, st in as_mixed(state).branches]
 
 
 def _distribution(split: list[tuple[float, fock.Split]]) -> list[tuple[tuple[int, ...], float]]:
@@ -264,7 +262,7 @@ class PreparedBellAnalyzer:
         self.state = st.with_registry(registry)
         self.labels = (D_H, D_V, D_HP, D_VP)
         self.detector = detector
-        self._split = _split_branches(self.state, self.modes)
+        self._split = [(1.0, fock.split_by_occupation(self.state, self.modes))]
         self.distribution = _distribution(self._split)
         #: outcome of each click code; bit j is set when labels[j] clicked
         self.outcomes, self._occupations, self._grouped = _click_layout(

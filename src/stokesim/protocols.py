@@ -12,8 +12,9 @@ Three procedures built from the source, analyzer, and metric layers:
 
 The two heralded procedures share one shape: a `HeraldedSpec` holds the
 joint-state builder, analyzer paths, triplet-herald correction mode,
-fidelity (a functional of the state, or a target read off the split) and
-report header of each, and one exact and one sampled driver read it.
+fidelity functional and report header of each, and one exact and one
+sampled driver read it.  The event-ready fidelity is read off the
+analyzer's split pattern by pattern, without building a state.
 
 Heralds come with correction operators fixed once for this beam-splitter
 sign convention (derived by brute force, pinned by tests): a triplet
@@ -237,6 +238,16 @@ def _event_ready_header(config: ProtocolConfig) -> dict:
     }
 
 
+def _heralded_fidelity(config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list, heralded=None) -> float:
+    """`fock.state_fidelity(heralded, target)` for the singlet target, summed
+    branch by branch off the analyzer's split in the same order: no state is read."""
+    target, fid = _target(prep.conditional_registry), 0.0
+    for occ, outcome, weigh in mixture:
+        for w, f in prep.overlaps(occ, target, EVENT_READY.flip_mode if outcome == PSI_PLUS else None):
+            fid += weigh(w) * f
+    return fid
+
+
 def false_herald_probability(rule: detection.HeraldRule, dark_prob: float) -> float:
     """Per-window probability that dark counts alone forge a herald
     (vacuum at each of the analyzer's four detectors)."""
@@ -286,7 +297,8 @@ def _qubit_amplitudes(config: ProtocolConfig) -> tuple[float, complex]:
     return math.cos(config.theta), math.sin(config.theta) * np.exp(1j * config.phi)
 
 
-def _stored_fidelity(config: ProtocolConfig, stored: MixedState) -> float:
+def _stored_fidelity(config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list, stored: MixedState | None = None) -> float:
+    stored = stored if stored is not None else _mixed(MEMORY, prep, mixture)
     return metrics.qubit_fidelity(stored, ATOMIC_QUBIT, *_qubit_amplitudes(config))
 
 
@@ -333,13 +345,12 @@ class HeraldedSpec(Record):
     paths: tuple[str, str]
     #: mode whose phase is flipped by pi on a PsiPlus herald
     flip_mode: str
-    #: fidelity of a corrected heralded state, reported under `fidelity_key`; None with a `target`
-    fidelity: Callable[[ProtocolConfig, MixedState], float] | None
+    #: fidelity of the heralded state, reported under `fidelity_key`, given the config, the
+    #: analyzer, the mixture of corrected conditionals (see `_mixed`) and the state if built
+    fidelity: Callable[[ProtocolConfig, PreparedBellAnalyzer, list, MixedState | None], float]
     fidelity_key: str
     #: exact-mode probability keys reported after the header, in order
     exact_keys: tuple[str, ...]
-    #: if given, the fidelity is the overlap with this pure state, read off the analyzer's split
-    target: Callable[[ModeRegistry], PureState] | None = None
 
 
 EVENT_READY = HeraldedSpec(
@@ -348,10 +359,9 @@ EVENT_READY = HeraldedSpec(
     joint_state=lambda config, channel: _event_ready_input(config),
     paths=("p", "A"),
     flip_mode="B:H",
-    fidelity=None,
+    fidelity=_heralded_fidelity,
     fidelity_key="heralded_fidelity",
     exact_keys=("truncation_loss", "success_probability", "psi_minus_probability", "psi_plus_probability"),
-    target=_target,
 )
 
 MEMORY = HeraldedSpec(
@@ -373,28 +383,17 @@ def _corrected(spec: HeraldedSpec, conditional: MixedState, outcome: str) -> Mix
 
 
 def _mixed(spec: HeraldedSpec, prep: PreparedBellAnalyzer, mixture: list) -> MixedState:
-    """The corrected conditionals of `mixture`'s (true pattern, outcome, weight of a branch given its own)."""
+    """The corrected conditionals of a mixture's (true pattern, outcome,
+    weight in the mixture of a branch, given its weight in the conditional)."""
     return MixedState(
         [(weigh(w), st) for occ, outcome, weigh in mixture for w, st in _corrected(spec, prep.conditional(occ), outcome).branches]
     )
 
 
-def _fidelity(spec: HeraldedSpec, config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list, state=None) -> float:
-    """The fidelity of `state`, or of `_mixed(spec, prep, mixture)`; with a `target`, summed
-    branch by branch off the analyzer's split as `fock.state_fidelity` sums, building nothing."""
-    if spec.target is None:
-        return spec.fidelity(config, state if state is not None else _mixed(spec, prep, mixture))
-    target, fid = spec.target(prep.conditional_registry), 0.0
-    for occ, outcome, weigh in mixture:
-        for w, f in prep.overlaps(occ, target, spec.flip_mode if outcome == PSI_PLUS else None):
-            fid += weigh(w) * f
-    return fid
-
-
 def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None, with_state=True) -> tuple[MixedState | None, dict]:
-    """Closed-form probabilities with ideal detectors, and the heralded
-    state, the corrected herald conditionals mixed by probability, if
-    `with_state` or the fidelity reads it.  The ancilla, target and
+    """Closed-form probabilities with ideal detectors, the fidelity of the
+    heralded state (the corrected herald conditionals mixed by
+    probability) and, if `with_state`, the state.  The ancilla, target and
     analyzer layout are shared by points of one layout."""
     joint = spec.joint_state(config, channel)
     prep = PreparedBellAnalyzer(joint, *spec.paths)
@@ -415,8 +414,8 @@ def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | 
         (occ, outcome, lambda w, p=p, prob=prob: p / prob * w * prob / total)
         for outcome, entries, prob in heralds if prob > 0 for occ, p in entries
     ]
-    heralded = _mixed(spec, prep, mixture) if with_state or spec.target is None else None
-    report[spec.fidelity_key] = _fidelity(spec, config, prep, mixture, heralded)
+    heralded = _mixed(spec, prep, mixture) if with_state else None
+    report[spec.fidelity_key] = spec.fidelity(config, prep, mixture, heralded)
     return heralded, report
 
 
@@ -431,7 +430,7 @@ class _SampledProtocol:
         self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
 
     def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
-        return _fidelity(self.spec, self.config, self.prep, [(true, outcome, float)])  # branches keep their weights
+        return self.spec.fidelity(self.config, self.prep, [(true, outcome, float)])  # branches keep their weights
 
 
 @lru_cache(maxsize=8)

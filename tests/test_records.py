@@ -24,7 +24,7 @@ SRC = pathlib.Path(__file__).parent.parent / "src"
 
 MEMORY_SPEC = {
     name: getattr(protocols.MEMORY, name)
-    for name in ("name", "header", "joint_state", "paths", "flip_mode", "fidelity", "fidelity_key", "exact_keys", "target")
+    for name in ("name", "header", "joint_state", "paths", "flip_mode", "fidelity", "fidelity_key", "exact_keys")
 }
 
 #: class, every field in declaration order, the fields without a default,
@@ -93,7 +93,7 @@ RECORDS = [
     (
         HeraldedSpec,
         MEMORY_SPEC,
-        tuple(MEMORY_SPEC)[:-1],
+        tuple(MEMORY_SPEC),
         dict(flip_mode="S1"),
         None,
     ),
