@@ -118,30 +118,23 @@ def _line_map(text: str) -> dict[tuple[str, str | None], int]:
 
 
 def _convert(section: str, key: str, raw: str, lines) -> object:
+    """The value of `raw`, of the key's type and in its field's range, if the owner states one."""
     kind, target = _SCHEMA[section][key]
+    owner, _, name = (target or "").rpartition(".")
+    bounds = _OWNERS[owner]._ranges.get(name)
     spellings = configparser.ConfigParser.BOOLEAN_STATES
     try:
         if kind is bool:
             return spellings[raw.strip().lower()]
-        if kind is complex:
-            return complex(raw.replace(" ", ""))
-        return kind(raw)
+        value = complex(raw.replace(" ", "")) if kind is complex else kind(raw)
+        if bounds:
+            _OWNERS[owner]._check_range(name, value)
+        return value
     except (KeyError, ValueError):
-        valid = f" (one of {', '.join(spellings)})" if kind is bool else ""
-        raise _bad_value(key, repr(raw), lines, valid) from None
-
-
-def _bad_value(key: str, value, lines, valid: str = "") -> ConfigError:
-    """The error for `value` of `key`, with its section and line if `lines`
-    (the config's line map) is given: the expected type, and the range of
-    its field if the field's owner states one."""
-    section = next(s for s, keys in _SCHEMA.items() if key in keys)
-    kind, target = _SCHEMA[section][key]
-    owner, _, name = target.rpartition(".")
-    bounds = _OWNERS[owner]._ranges.get(name)
-    where = f" in [{section}]{_at(lines, section, key)}" if lines is not None else ""
-    valid += f" in {bounds[2]}" if bounds else ""
-    return ConfigError(f"bad value {value} for {key}{where}: expected {kind.__name__}{valid}")
+        valid = f" (one of {', '.join(spellings)})" if kind is bool else f" in {bounds[2]}" if bounds else ""
+        raise ConfigError(
+            f"bad value {raw!r} for {key} in [{section}]{_at(lines, section, key)}: expected {kind.__name__}{valid}"
+        ) from None
 
 
 def _at(lines, section: str, key: str | None) -> str:
@@ -191,12 +184,10 @@ def build_experiment(
     sections: dict[str, dict[str, object]],
     command: str,
     overrides: dict[str, object],
-    lines: dict | None = None,
 ) -> ExperimentConfig:
     """Merge command-line overrides over `STOKESIM_SEED` over the
     config-file sections over the record defaults into a validated
-    experiment description; `lines` maps (section, key) to a line of the
-    config for diagnostics."""
+    experiment description."""
     values = {key: value for keys in sections.values() for key, value in keys.items()}
     protocol = command if command != "sweep" else str(values.get("protocol", ExperimentConfig.protocol))
     if protocol not in _PROTOCOLS:
@@ -223,12 +214,7 @@ def build_experiment(
         parts = {owner: record(**groups[owner]) for owner, record in _OWNERS.items() if owner}
         config = ProtocolConfig(**parts, **groups[""])
     except ValidationError as exc:
-        # a value outside its field's range: name the key, and its line when the value came from the file
-        key = next((k for k, (_, target) in _FIELDS.items() if target.rpartition(".")[2] == exc.field), None)
-        if key is None:
-            raise ConfigError(str(exc)) from None
-        from_file = any(keys.get(key) is values[key] for keys in sections.values())
-        raise _bad_value(key, values[key], lines if from_file else None) from None
+        raise ConfigError(str(exc)) from None
     if protocol == "memory" and config.cutoff < 3:
         raise ConfigError(f"memory needs cutoff >= 3 (channel plus input photon), got {config.cutoff}")
 
@@ -483,9 +469,9 @@ def main(argv=None) -> int:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-            sections, lines = parse_config(text), _line_map(text)
+            sections = parse_config(text)
         else:
-            sections, lines = {}, {}
+            sections = {}
         overrides = {key: getattr(args, key) for key in ("seed", "mode", "trials", "out", "format", "jobs")}
         command = target = args.command
         if command == "validate":
@@ -493,7 +479,7 @@ def main(argv=None) -> int:
                 target = "sweep"
             else:
                 target = str(sections.get("run", {}).get("protocol", ExperimentConfig.protocol))
-        exp = build_experiment(sections, target, overrides, lines)
+        exp = build_experiment(sections, target, overrides)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -10,12 +10,7 @@ class RegistryError(StokesimError):
 
 
 class ValidationError(StokesimError):
-    """A value or matrix failed a physical or numerical precondition; `field`
-    names the record field whose range the value left, if any."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
+    """A value or matrix failed a physical or numerical precondition."""
 
 
 class ConfigError(StokesimError):

@@ -65,13 +65,18 @@ class Record:
         if not kwargs.keys() <= values.keys():
             raise TypeError(f"{cls.__name__}{names}: unknown fields {sorted(kwargs.keys() - values.keys())}")
         self.__dict__.update(values)
-        for name, (low, high, text) in cls._ranges.items():
-            value = values[name]
-            above = value is None or (low < value if text[0] == "(" else low <= value)
-            below = value is None or (value < high if text[-1] == ")" else value <= high)
-            if not (above and below):
-                raise ValidationError(f"{name}={value} outside {text}", name)
+        for name in cls._ranges:
+            cls._check_range(name, values[name])
         self._validate()
+
+    @classmethod
+    def _check_range(cls, name: str, value) -> None:
+        """Raise unless `value` lies in field `name`'s interval in `_ranges`."""
+        low, high, text = cls._ranges[name]
+        above = value is None or (low < value if text[0] == "(" else low <= value)
+        below = value is None or (value < high if text[-1] == ")" else value <= high)
+        if not (above and below):
+            raise ValidationError(f"{name}={value} outside {text}")
 
     def _validate(self):
         """Raise on invalid values of fields taken together."""

@@ -751,14 +751,15 @@ def test_seed_outside_64_bits_is_rejected(tmp_path, capsys, monkeypatch, source,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_a_range_error_from_outside_the_file_names_no_line(tmp_path, capsys, monkeypatch, source):
-    # the file's own seed line holds a valid seed; the bad one came from elsewhere
-    ini, flags = _seed_from(source, -1, tmp_path, monkeypatch)
-    with open(ini, "a", encoding="utf-8") as fh:
-        fh.write("seed = 5\n")
-    assert cli.main(["validate", "--config", ini, *flags]) == 2
-    assert capsys.readouterr().err == "config error: bad value -1 for seed: expected int in [0, 2^64)\n"
+def test_a_config_value_outside_its_range_is_an_error_even_where_a_flag_overrides_it(tmp_path, capsys):
+    # the file is checked on its own, and its error names the key and line
+    ini = write_ini(tmp_path, "[run]\nmode = sampled\ntrials = 0\nseed = 1\n")
+    assert cli.main(["validate", "--config", ini, "--trials", "5"]) == 2
+    assert capsys.readouterr().err == "config error: bad value '0' for trials in [run] (line 3): expected int in [1, inf)\n"
+    # a flag's value is checked by its record, under the same name
+    ini = write_ini(tmp_path, "[run]\nseed = 5\n")
+    assert cli.main(["validate", "--config", ini, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed=-1 outside [0, 2^64)\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "config"])
