@@ -383,8 +383,8 @@ def _corrected(spec: HeraldedSpec, conditional: MixedState, outcome: str) -> Mix
 
 
 def _mixed(spec: HeraldedSpec, prep: PreparedBellAnalyzer, mixture: list) -> MixedState:
-    """The corrected conditionals of a mixture's (true pattern, outcome,
-    weight in the mixture of a branch, given its weight in the conditional)."""
+    """The corrected conditionals that a mixture lists as (true pattern,
+    outcome, map from a branch's weight in its conditional to the mixture's)."""
     return MixedState(
         [(weigh(w), st) for occ, outcome, weigh in mixture for w, st in _corrected(spec, prep.conditional(occ), outcome).branches]
     )
@@ -501,7 +501,7 @@ def event_ready_generation(config: ProtocolConfig, chunk_map=map, with_state=Tru
     """Heralded entanglement between the ensembles and ancilla photon B.
 
     Exact mode evolves the full state and reports closed-form
-    probabilities with ideal detectors, and the heralded state unless not
+    probabilities with ideal detectors, and the heralded state if
     `with_state`; sampled mode draws per-trial detector records with the
     configured efficiency and dark counts, mapping trial chunks with
     `chunk_map` (`map` or a pool's `map`).
