@@ -1,11 +1,17 @@
 """Command-line front end.
 
 Commands `generate`, `event-ready`, `memory`, `sweep`, and `validate`
-read a flat INI-style config (every key optional: the schema below names
-its type and the config field it sets, whose record class holds its
-default and range), run the protocol in exact or sampled mode, and emit a
-machine-readable report as JSON or CSV.  All five take the same options,
-before or after the command.
+read a flat INI-style config (every key optional), run the protocol in
+exact or sampled mode, and emit a machine-readable report as JSON or CSV.
+All five take the same options, before or after the command.
+
+The key table `_KEYS` gives each key its section, type, the field it sets
+and the values it may take; the field's record holds its default and
+range.  One converter, `_convert`, checks every value against it, whether
+it comes from a config line, an item of `[sweep] values`, a flag or
+`STOKESIM_SEED`, and its error names the key and where the value came
+from.  The records check each value again for library callers; the rules
+that join two keys stay in the records and in `build_experiment`.
 
 Reports are deterministic: keys appear in fixed order, floats are
 printed with 17 significant digits, trials derive their random streams
@@ -38,59 +44,38 @@ from .sources import SourceParams
 
 SCHEMA_VERSION = 1
 
-SWEEP_PARAMETERS = ("p0", "theta", "phi", "t", "eta", "dark_prob", "emission_order")
-
-#: section -> key -> (type, the `ProtocolConfig` field the key sets, dotted
-#: into `source` and `detector`, or None); the field's owner states its range
-_SCHEMA = {
-    "run": {
-        "protocol": (str, None),
-        "mode": (str, "mode"),
-        "trials": (int, "trials"),
-        "seed": (int, "seed"),
-        "out": (str, None),
-        "format": (str, None),
-    },
-    "source": {
-        "p0": (float, "source.p0"),
-        "alpha": (complex, "source.alpha"),
-        "beta": (complex, "source.beta"),
-        "t": (float, "source.t"),
-        "emission_order": (int, "source.emission_order"),
-        "cutoff": (int, "cutoff"),
-        "epr_enabled": (bool, "epr_enabled"),
-    },
-    "detector": {
-        "eta": (float, "detector.efficiency"),
-        "dark_prob": (float, "detector.dark_prob"),
-    },
-    "memory": {
-        "theta": (float, "theta"),
-        "phi": (float, "phi"),
-        "retrieval_efficiency": (float, "retrieval_efficiency"),
-    },
-    "sweep": {
-        "parameter": (str, None),
-        "values": (str, None),
-    },
+#: key -> (its config section, or None for `jobs`, which only a flag sets; its type;
+#: the `ExperimentConfig` field it sets, dotted into `config`; the values it may
+#: take, where it names them).  The field's owner in `_OWNERS` states its range.
+#: Each item of `[sweep] values` is a value of the key that `parameter` names.
+_KEYS = {
+    "protocol": ("run", str, "protocol", ("generate", "event-ready", "memory")),
+    "mode": ("run", str, "config.mode", ProtocolConfig.MODES),
+    "trials": ("run", int, "config.trials", ()),
+    "seed": ("run", int, "config.seed", ()),
+    "out": ("run", str, "out", ()),
+    "format": ("run", str, "format", ("json", "csv")),
+    "jobs": (None, int, "jobs", ()),
+    "p0": ("source", float, "config.source.p0", ()),
+    "alpha": ("source", complex, "config.source.alpha", ()),
+    "beta": ("source", complex, "config.source.beta", ()),
+    "t": ("source", float, "config.source.t", ()),
+    "emission_order": ("source", int, "config.source.emission_order", ()),
+    "cutoff": ("source", int, "config.cutoff", ()),
+    "epr_enabled": ("source", bool, "config.epr_enabled", tuple(configparser.ConfigParser.BOOLEAN_STATES)),
+    "eta": ("detector", float, "config.detector.efficiency", ()),
+    "dark_prob": ("detector", float, "config.detector.dark_prob", ()),
+    "theta": ("memory", float, "config.theta", ()),
+    "phi": ("memory", float, "config.phi", ()),
+    "retrieval_efficiency": ("memory", float, "config.retrieval_efficiency", ()),
+    "parameter": ("sweep", str, "sweep_parameter", ("p0", "theta", "phi", "t", "eta", "dark_prob", "emission_order")),
+    "values": ("sweep", tuple, "sweep_values", ()),
 }
-
-#: key -> (type, target field) of every key that sets a `ProtocolConfig` field, in table order
-_FIELDS = {
-    key: (kind, target)
-    for keys in _SCHEMA.values()
-    for key, (kind, target) in keys.items()
-    if target is not None
-}
-
-#: target prefix -> the record that owns the fields under it and states their ranges
-_OWNERS = {"source": SourceParams, "detector": DetectorSpec, "": ProtocolConfig}
-
-_PROTOCOLS = ("generate", "event-ready", "memory")
-_FORMATS = ("json", "csv")
 
 
 class ExperimentConfig(Record):
+    """One command's experiment: the protocol, its config, the sweep and the report's form."""
+
     config: ProtocolConfig
     protocol: str = "event-ready"
     sweep_parameter: str | None = None
@@ -98,6 +83,17 @@ class ExperimentConfig(Record):
     out: str | None = None
     format: str = "json"
     jobs: int = 1
+
+    _ranges = {"jobs": (1, math.inf, "[1, inf)")}
+
+    def _validate(self):
+        for key, value in ("protocol", self.protocol), ("format", self.format), ("parameter", self.sweep_parameter):
+            if value not in _KEYS[key][3] and (key, value) != ("parameter", None):
+                raise ValidationError(f"{key} {value!r} must be one of {', '.join(_KEYS[key][3])}")
+
+
+#: target prefix -> the record that owns the fields under it and states their ranges
+_OWNERS = {"config.source": SourceParams, "config.detector": DetectorSpec, "config": ProtocolConfig, "": ExperimentConfig}
 
 
 def _line_map(text: str) -> dict[tuple[str, str | None], int]:
@@ -117,24 +113,29 @@ def _line_map(text: str) -> dict[tuple[str, str | None], int]:
     return lines
 
 
-def _convert(section: str, key: str, raw: str, lines) -> object:
-    """The value of `raw`, of the key's type and in its field's range, if the owner states one."""
-    kind, target = _SCHEMA[section][key]
-    owner, _, name = (target or "").rpartition(".")
+def _convert(key: str, raw: str, origin: str, item: bool = False) -> object:
+    """`raw`, which came `origin`, as a value of `key`: of the key's type,
+    among its choices and in its field's range.  A sweep `item` of an int
+    key may also be an integral decimal, such as 2.0."""
+    _, kind, target, choices = _KEYS[key]
+    owner, _, name = target.rpartition(".")
     bounds = _OWNERS[owner]._ranges.get(name)
-    spellings = configparser.ConfigParser.BOOLEAN_STATES
     try:
         if kind is bool:
-            return spellings[raw.strip().lower()]
-        value = complex(raw.replace(" ", "")) if kind is complex else kind(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        value = complex(raw.replace(" ", "")) if kind is complex else float(raw) if item else kind(raw)
+        if item and kind is int:
+            if not value.is_integer():
+                raise ValueError
+            value = int(value)
+        if choices and value not in choices:
+            raise ValueError
         if bounds:
             _OWNERS[owner]._check_range(name, value)
         return value
     except (KeyError, ValueError):
-        valid = f" (one of {', '.join(spellings)})" if kind is bool else f" in {bounds[2]}" if bounds else ""
-        raise ConfigError(
-            f"bad value {raw!r} for {key} in [{section}]{_at(lines, section, key)}: expected {kind.__name__}{valid}"
-        ) from None
+        valid = f" (one of {', '.join(choices)})" if choices else f" in {bounds[2]}" if bounds else ""
+        raise ConfigError(f"bad value {raw!r} for {key} {origin}: expected {kind.__name__}{valid}") from None
 
 
 def _at(lines, section: str, key: str | None) -> str:
@@ -142,42 +143,44 @@ def _at(lines, section: str, key: str | None) -> str:
     return f" (line {no})" if no else ""
 
 
-def parse_config(text: str) -> dict[str, dict[str, object]]:
-    """Parse and validate the INI text into typed {section: {key: value}};
-    unknown sections or keys are errors that name the offending line."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+def parse_config(text: str, sweep: bool = True) -> dict[str, dict[str, object]]:
+    """Parse and check the INI text into typed {section: {key: value}}.
+    Unknown sections or keys, and a header that repeats another in another
+    case, are errors that name their line.  With `sweep` false, as in a run
+    of one protocol, the [sweep] section's key names are checked and its
+    values left out."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
     lines = _line_map(text)
+    known = {s for s, *_ in _KEYS.values() if s}
     out: dict[str, dict[str, object]] = {}
     for section in parser.sections():
         low = section.lower()
-        if low not in _SCHEMA:
+        if low in out:
+            raise ConfigError(f"duplicate section [{section}]{_at(lines, low, None)}: section names ignore case")
+        if low not in known:
             raise ConfigError(
-                f"unknown section [{section}]{_at(lines, low, None)}; "
-                f"expected one of {', '.join(sorted(_SCHEMA))}"
+                f"unknown section [{section}]{_at(lines, low, None)}; expected one of {', '.join(sorted(known))}"
             )
-        out[low] = {}
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[low]:
+        out[low] = dict(parser.items(section))
+        for key, raw in out[low].items():
+            if _KEYS.get(key, (None,))[0] != low:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}]{_at(lines, low, key)}; "
-                    f"valid keys: {', '.join(sorted(_SCHEMA[low]))}"
+                    f"valid keys: {', '.join(sorted(k for k, (s, *_) in _KEYS.items() if s == low))}"
                 )
-            out[low][key] = _convert(low, key, raw, lines)
+            if low != "sweep" or key == "parameter" and sweep:
+                out[low][key] = _convert(key, raw, f"in [{low}]{_at(lines, low, key)}")
+    if not sweep:
+        out.pop("sweep", None)
+    elif {"parameter", "values"} <= out.get("sweep", {}).keys():
+        given, origin = out["sweep"], f"in [sweep] values{_at(lines, 'sweep', 'values')}"
+        items = re.split(r"[,\s]+", given["values"])
+        given["values"] = tuple(_convert(given["parameter"], item, origin, True) for item in items if item)
     return out
-
-
-def _parse_values(raw: str) -> tuple[float, ...]:
-    parts = [p for p in re.split(r"[,\s]+", raw.strip()) if p]
-    if not parts:
-        raise ConfigError("sweep values list is empty")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep value: {exc}") from None
 
 
 def build_experiment(
@@ -187,65 +190,36 @@ def build_experiment(
 ) -> ExperimentConfig:
     """Merge command-line overrides over `STOKESIM_SEED` over the
     config-file sections over the record defaults into a validated
-    experiment description."""
-    values = {key: value for keys in sections.values() for key, value in keys.items()}
-    protocol = command if command != "sweep" else str(values.get("protocol", ExperimentConfig.protocol))
-    if protocol not in _PROTOCOLS:
-        raise ConfigError(f"protocol {protocol!r} must be one of {', '.join(_PROTOCOLS)}")
-    if command != "sweep" and values.get("protocol", command) != command:
+    experiment description.  The records check each value again, as they
+    do for any caller; the seed of a sampled run, memory's cutoff and
+    each sweep point are checked here."""
+    swept = command == "sweep"
+    values = {key: value for name, keys in sections.items() if name != "sweep" or swept for key, value in keys.items()}
+    if swept and not (values.get("parameter") and values.get("values")):
+        raise ConfigError("sweep needs [sweep] parameter and values")
+    if not swept and values.setdefault("protocol", command) != command:
         raise ConfigError(f"config names protocol {values['protocol']!r} but the {command!r} subcommand was invoked")
-
     env = os.environ.get("STOKESIM_SEED")
     if env is not None and overrides.get("seed") is None:
-        try:
-            values["seed"] = int(env)
-        except ValueError:
-            raise ConfigError(f"STOKESIM_SEED={env!r} is not an integer") from None
+        values["seed"] = _convert("seed", env, "from STOKESIM_SEED")
     values.update((key, value) for key, value in overrides.items() if value is not None)
     if values.get("mode") == "sampled" and "seed" not in values:
         raise ConfigError("sampled mode requires a seed (flag --seed, STOKESIM_SEED, or [run] seed)")
 
     groups: dict[str, dict[str, object]] = {owner: {} for owner in _OWNERS}
-    for key, (_, target) in _FIELDS.items():
-        if key in values:
-            owner, _, name = target.rpartition(".")
-            groups[owner][name] = values[key]
+    for key, value in values.items():
+        owner, _, name = _KEYS[key][2].rpartition(".")
+        groups[owner][name] = value
     try:
-        parts = {owner: record(**groups[owner]) for owner, record in _OWNERS.items() if owner}
-        config = ProtocolConfig(**parts, **groups[""])
+        parts = {"source": SourceParams(**groups["config.source"]), "detector": DetectorSpec(**groups["config.detector"])}
+        exp = ExperimentConfig(config=ProtocolConfig(**parts, **groups["config"]), **groups[""])
+        for value in exp.sweep_values:
+            apply_sweep_value(exp.config, exp.sweep_parameter, value)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
-    if protocol == "memory" and config.cutoff < 3:
-        raise ConfigError(f"memory needs cutoff >= 3 (channel plus input photon), got {config.cutoff}")
-
-    sweep_parameter = None
-    sweep_values: tuple[float, ...] = ()
-    if command == "sweep":
-        if "parameter" not in values or "values" not in values:
-            raise ConfigError("sweep needs [sweep] parameter and values")
-        sweep_parameter = str(values["parameter"])
-        sweep_values = _parse_values(str(values["values"]))
-        try:
-            for value in sweep_values:
-                apply_sweep_value(config, sweep_parameter, value)
-        except ValidationError as exc:
-            raise ConfigError(f"sweep {sweep_parameter} = {value:g}: {exc}") from None
-
-    fmt = str(values.get("format", ExperimentConfig.format))
-    if fmt not in _FORMATS:
-        raise ConfigError(f"format {fmt!r} must be one of {', '.join(_FORMATS)}")
-    jobs = int(values.get("jobs", ExperimentConfig.jobs))
-    if jobs < 1:
-        raise ConfigError(f"--jobs {jobs} must be >= 1")
-    return ExperimentConfig(
-        protocol=protocol,
-        config=config,
-        sweep_parameter=sweep_parameter,
-        sweep_values=sweep_values,
-        out=values.get("out"),
-        format=fmt,
-        jobs=jobs,
-    )
+    if exp.protocol == "memory" and exp.config.cutoff < 3:
+        raise ConfigError(f"memory needs cutoff >= 3 (channel plus input photon), got {exp.config.cutoff}")
+    return exp
 
 
 def _ancilla_cut_warning(exp: ExperimentConfig) -> str | None:
@@ -270,14 +244,8 @@ def _with_field(config, target: str, value):
 
 
 def apply_sweep_value(config: ProtocolConfig, parameter: str, value: float) -> ProtocolConfig:
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep parameter {parameter!r} must be one of {', '.join(SWEEP_PARAMETERS)}")
-    kind, target = _FIELDS[parameter]
-    if kind is int:
-        if not float(value).is_integer():
-            raise ConfigError(f"{parameter} sweep value {value} is not an integer")
-        value = int(value)
-    return _with_field(config, target, value)
+    """`config` with the field that sweep `parameter` sets at `value`."""
+    return _with_field(config, _KEYS[parameter][2].partition(".")[2], value)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +328,9 @@ def to_csv(rows: list[dict]) -> str:
 
 def config_echo(exp: ExperimentConfig) -> dict:
     echo: dict[str, object] = {"protocol": exp.protocol}
-    for key, (kind, target) in _FIELDS.items():
-        if key != "seed":
-            value = reduce(getattr, target.split("."), exp.config)
+    for key, (_, kind, target, _) in _KEYS.items():
+        if target.startswith("config.") and key != "seed":
+            value = reduce(getattr, target.split("."), exp)
             echo[key] = value if value is None else kind(value)
     return echo
 
@@ -447,38 +415,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "command",
-        choices=(*_PROTOCOLS, "sweep", "validate"),
+        choices=(*_KEYS["protocol"][3], "sweep", "validate"),
         help="run one protocol, sweep one across a parameter grid, or validate a config and run nothing",
     )
     parser.add_argument("--config", help="INI config path")
-    parser.add_argument("--seed", type=int, help="master seed (overrides config; env STOKESIM_SEED also works)")
-    parser.add_argument("--mode", choices=ProtocolConfig.MODES, help="evaluation mode")
-    parser.add_argument("--trials", type=int, help="sampled-mode trial count")
+    parser.add_argument("--seed", help="master seed (overrides config; env STOKESIM_SEED also works)")
+    parser.add_argument("--mode", help="evaluation mode: exact or sampled")
+    parser.add_argument("--trials", help="sampled-mode trial count")
     parser.add_argument("--out", help="report path (default stdout)")
-    parser.add_argument("--format", choices=_FORMATS, help="report format (default json)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes for sampled trials")
+    parser.add_argument("--format", help="report format: json (default) or csv")
+    parser.add_argument("--jobs", help="parallel worker processes for sampled trials (default 1)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = target = args.command
     try:
+        sections = {}
         if args.config is not None:
             try:
                 with open(args.config, encoding="utf-8") as fh:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-            sections = parse_config(text)
-        else:
-            sections = {}
-        overrides = {key: getattr(args, key) for key in ("seed", "mode", "trials", "out", "format", "jobs")}
-        command = target = args.command
+            sections = parse_config(text, sweep=command in ("sweep", "validate"))
+        flags = {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
+        overrides = {key: _convert(key, value, f"from --{key}") for key, value in flags.items()}
         if command == "validate":
-            if "sweep" in sections:
-                target = "sweep"
-            else:
-                target = str(sections.get("run", {}).get("protocol", ExperimentConfig.protocol))
+            target = "sweep" if "sweep" in sections else sections.get("run", {}).get("protocol", ExperimentConfig.protocol)
         exp = build_experiment(sections, target, overrides)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -71,6 +71,30 @@ def test_parse_rejects_unknown_section_with_line():
         cli.parse_config("[sources]\np0 = 0.01\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\np0 = 0.9\n", "[DEFAULT]\neta = 0.5\n\n[detector]\ndark_prob = 0\n", "[DEFAULT]\np0 = 0.05\n\n[run]\nmode = exact\n"],
+    ids=["alone", "beside-detector", "beside-run"],
+)
+@pytest.mark.parametrize("command", ["validate", "event-ready"])
+def test_a_default_section_is_an_unknown_section(tmp_path, capsys, command, text):
+    # configparser would read [DEFAULT] as defaults for every section, unchecked
+    out = tmp_path / "r.json"
+    assert cli.main([command, "--config", write_ini(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown section [DEFAULT] (line 1); expected one of")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "event-ready"])
+def test_two_headers_that_differ_in_case_are_rejected(tmp_path, capsys, command):
+    # both name [source]; read one after the other, the second would drop the first's keys
+    ini = write_ini(tmp_path, "[Source]\np0 = 0.05\n\n[source]\ncutoff = 8\n")
+    out = tmp_path / "r.json"
+    assert cli.main([command, "--config", ini, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: duplicate section [source] (line 4): section names ignore case\n"
+    assert not out.exists()
+
+
 def test_parse_rejects_unknown_key_with_line():
     with pytest.raises(ConfigError, match=r"unknown key 'pump' in \[source\] \(line 2\)"):
         cli.parse_config("[source]\npump = 0.01\n")
@@ -93,11 +117,21 @@ def test_parse_bool_and_complex_forms():
 
 
 def test_parse_sweep_values():
-    assert cli._parse_values("1, 2 3,4") == (1.0, 2.0, 3.0, 4.0)
-    with pytest.raises(ConfigError):
-        cli._parse_values("  ")
-    with pytest.raises(ConfigError):
-        cli._parse_values("1, two")
+    sweep = cli.parse_config("[sweep]\nparameter = p0\nvalues = 0, 0.1 0.2,0.05\n")["sweep"]
+    assert sweep == {"parameter": "p0", "values": (0.0, 0.1, 0.2, 0.05)}
+    # an int key's item may be an integral decimal
+    order = cli.parse_config("[sweep]\nparameter = emission_order\nvalues = 2.0, 3\n")["sweep"]["values"]
+    assert order == (2, 3) and all(type(v) is int for v in order)
+    with pytest.raises(ConfigError, match=r"^bad value '1.5' for emission_order in \[sweep\] values \(line 3\): expected int"):
+        cli.parse_config("[sweep]\nparameter = emission_order\nvalues = 1, 1.5\n")
+    with pytest.raises(ConfigError, match=r"^bad value 'two' for p0 in \[sweep\] values \(line 3\): expected float"):
+        cli.parse_config("[sweep]\nparameter = p0\nvalues = 0.01, two\n")
+    with pytest.raises(ConfigError, match="sweep needs"):
+        cli.build_experiment(cli.parse_config("[sweep]\nparameter = p0\nvalues =  \n"), "sweep", {})
+    # a run of one protocol reads no [sweep] values, but still checks its key names
+    assert "sweep" not in cli.parse_config("[sweep]\nparameter = voltage\nvalues = two\n", sweep=False)
+    with pytest.raises(ConfigError, match="unknown key 'value'"):
+        cli.parse_config("[sweep]\nvalue = 1\n", sweep=False)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +200,7 @@ def test_sweep_needs_parameter_and_values():
             {"sweep": {"parameter": "voltage", "values": "1 2"}}, "sweep", {}
         )
     exp = cli.build_experiment(
-        {"sweep": {"parameter": "p0", "values": "0.01 0.02"}}, "sweep", {}
+        {"sweep": {"parameter": "p0", "values": (0.01, 0.02)}}, "sweep", {}
     )
     assert exp.protocol == "event-ready"  # sweep default
     assert exp.sweep_values == (0.01, 0.02)
@@ -181,8 +215,6 @@ def test_apply_sweep_value_each_parameter():
     assert cli.apply_sweep_value(base, "dark_prob", 1e-3).detector.dark_prob == 1e-3
     assert cli.apply_sweep_value(base, "theta", 0.3).theta == 0.3
     assert cli.apply_sweep_value(base, "phi", 0.4).phi == 0.4
-    with pytest.raises(ConfigError, match="not an integer"):
-        cli.apply_sweep_value(base, "emission_order", 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +429,10 @@ def _ranged_keys():
     """key -> (section, type, (low, high, text)) of every config key whose
     field has an interval in its record's range table."""
     ranged = {}
-    for key, (kind, target) in cli._FIELDS.items():
+    for key, (section, kind, target, _) in cli._KEYS.items():
         owner, _, name = target.rpartition(".")
         bounds = cli._OWNERS[owner]._ranges.get(name)
-        if bounds is not None:
-            section = next(s for s, keys in cli._SCHEMA.items() if key in keys)
+        if bounds is not None and section is not None:
             ranged[key] = (section, kind, bounds)
     return ranged
 
@@ -439,7 +470,7 @@ def test_the_range_tables_cover_the_ten_intervals():
 
 @pytest.mark.parametrize("key", sorted(RANGED))
 @pytest.mark.parametrize("mode", ProtocolConfig.MODES)
-@pytest.mark.parametrize("protocol", cli._PROTOCOLS)
+@pytest.mark.parametrize("protocol", cli._KEYS["protocol"][3])
 def test_each_range_end_runs_inside_and_is_a_config_error_outside(tmp_path, capsys, protocol, mode, key):
     section, kind, (low, high, text) = RANGED[key]
     inside, outside = _edge_values(kind, low, high, text)
@@ -460,6 +491,48 @@ def test_each_range_end_runs_inside_and_is_a_config_error_outside(tmp_path, caps
             line = _ini(sections).splitlines().index(f"{key} = {value}") + 1
             assert err.count(f" for {key} in [{section}] (line {line}): expected {kind.__name__} in {text}") == 2, err
             assert not out.exists()
+
+
+def _bad_values():
+    """(command, config text, flags, STOKESIM_SEED, message) of a value out of
+    its range or off its choices, given by each source a value can come from."""
+    cases = []
+    for key in cli._KEYS["parameter"][3]:
+        _, kind, (low, high, text) = RANGED[key]
+        inside, outside = _edge_values(kind, low, high, text)
+        for value in outside:
+            ini = f"[sweep]\nparameter = {key}\nvalues = {inside[0]}, {value}\n"
+            cases.append(("sweep", ini, [], None, f"'{value}' for {key} in [sweep] values (line 3): expected {kind.__name__} in {text}"))
+    cases.append(("sweep", "[sweep]\nparameter = emission_order\nvalues = 2.5\n", [], None,
+                  "'2.5' for emission_order in [sweep] values (line 3): expected int in [1, inf)"))
+    ranges = {"seed": "[0, 2^64)", "trials": "[1, inf)", "jobs": "[1, inf)"}
+    for key, value in [("seed", "-1"), ("seed", str(2**64)), ("seed", "x"), ("trials", "0"), ("trials", "1.0"), ("jobs", "0")]:
+        cases.append(("event-ready", "", [f"--{key}", value], None, f"'{value}' for {key} from --{key}: expected int in {ranges[key]}"))
+    for value in ["-1", str(2**64), "x", ""]:
+        cases.append(("event-ready", "", [], value, f"'{value}' for seed from STOKESIM_SEED: expected int in [0, 2^64)"))
+    choices = {"protocol": "generate, event-ready, memory", "mode": "exact, sampled", "format": "json, csv"}
+    for key, value in [("mode", "exakt"), ("format", "yaml")]:
+        cases.append(("event-ready", "", [f"--{key}", value], None, f"'{value}' for {key} from --{key}: expected str (one of {choices[key]})"))
+    for key, value in [("protocol", "teleport"), ("mode", "exakt"), ("format", "yaml")]:
+        cases.append(("event-ready", f"[run]\n{key} = {value}\n", [], None,
+                      f"'{value}' for {key} in [run] (line 2): expected str (one of {choices[key]})"))
+    cases.append(("sweep", "[sweep]\nparameter = voltage\nvalues = 1\n", [], None,
+                  "'voltage' for parameter in [sweep] (line 2): expected str (one of p0, theta, phi, t, eta, dark_prob, emission_order)"))
+    return cases
+
+
+@pytest.mark.parametrize("command, text, flags, env, message", _bad_values())
+def test_every_bad_value_names_its_key_and_where_it_came_from(tmp_path, capsys, monkeypatch, command, text, flags, env, message):
+    # one converter checks a value from a config line, a sweep item, a flag
+    # or STOKESIM_SEED, and its one message names the key and the value's origin
+    if env is not None:
+        monkeypatch.setenv("STOKESIM_SEED", env)
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "r.json"
+    assert cli.main(["validate", "--config", ini, *flags]) == 2
+    assert cli.main([command, "--config", ini, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: bad value {message}\n" * 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -523,6 +596,41 @@ def test_readme_config_validates(tmp_path, capsys):
         assert text in line, key
 
 
+ECHOED = {
+    "generate-exact": ("generate", "[run]\nprotocol = generate\n"),
+    "generate-sampled": ("generate", "[run]\nprotocol = generate\nmode = sampled\ntrials = 50\nseed = 3\n"),
+    "event-ready-exact": ("event-ready", "[source]\np0 = 0.05\nemission_order = 2\n"),
+    "event-ready-sampled": ("event-ready", "[run]\nmode = sampled\ntrials = 300\nseed = 5\n\n[detector]\neta = 0.8\ndark_prob = 1e-3\n"),
+    "memory-exact": ("memory", "[run]\nprotocol = memory\n\n[memory]\ntheta = 0.7\nphi = 1.9\nretrieval_efficiency = 0.9\n"),
+    "memory-sampled": ("memory", "[run]\nprotocol = memory\nmode = sampled\ntrials = 300\nseed = 6\n\n[memory]\ntheta = 0.4\n"),
+    "readme": ("sweep", None),
+    "complex-beta": ("event-ready", "[source]\nalpha = 0.6\nbeta = 0.8j\n"),
+    "explicit-t": ("generate", "[run]\nprotocol = generate\n\n[source]\nt = 0.3\n"),
+    "no-epr": ("event-ready", "[source]\nepr_enabled = false\n\n[detector]\ndark_prob = 0.01\n"),
+    "sweep-two-values": ("sweep", "[run]\nprotocol = memory\n\n[sweep]\nparameter = theta\nvalues = 0.3, 1.2\n"),
+}
+
+
+@pytest.mark.parametrize("name", ECHOED)
+def test_the_config_echo_reruns_to_the_same_report(tmp_path, name):
+    # the report's config echo, written back as INI with the seed and the
+    # sweep, must mean the same experiment: its rerun gives the same bytes
+    command, text = ECHOED[name]
+    if text is None:
+        text = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert cli.main([command, "--config", write_ini(tmp_path, text), "--out", str(first)]) == 0
+    report = json.loads(first.read_text())
+    sections: dict = {}
+    for key, value in {**report["config"], "seed": report["seed"]}.items():
+        if value is not None:
+            sections.setdefault(cli._KEYS[key][0], {})[key] = cli._csv_cell(value)
+    if "sweep" in report:
+        sections["sweep"] = {"parameter": report["sweep"]["parameter"], "values": ", ".join(map(cli._csv_cell, report["sweep"]["values"]))}
+    assert cli.main([command, "--config", write_ini(tmp_path, _ini(sections), "echo.ini"), "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["validate", "memory"])
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
     ini = tmp_path / "bad.ini"
@@ -569,7 +677,7 @@ def test_importing_the_cli_leaves_csv_unimported():
 
 
 COMMANDS = ("generate", "event-ready", "memory", "sweep", "validate")
-ALL_OPTIONS = {"config": "c.ini", "seed": 3, "mode": "sampled", "trials": 7, "out": "r.csv", "format": "csv", "jobs": 2}
+ALL_OPTIONS = {"config": "c.ini", "seed": "3", "mode": "sampled", "trials": "7", "out": "r.csv", "format": "csv", "jobs": "2"}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -581,7 +689,8 @@ def test_every_command_takes_all_seven_options(command, before):
 
 
 def test_jobs_defaults_to_one():
-    assert cli._build_parser().parse_args(["memory"]).jobs == 1
+    assert cli._build_parser().parse_args(["memory"]).jobs is None
+    assert cli.build_experiment({}, "memory", {}).jobs == 1
 
 
 def test_unknown_command_exits_2_with_usage(capsys):
@@ -756,10 +865,14 @@ def test_a_config_value_outside_its_range_is_an_error_even_where_a_flag_override
     ini = write_ini(tmp_path, "[run]\nmode = sampled\ntrials = 0\nseed = 1\n")
     assert cli.main(["validate", "--config", ini, "--trials", "5"]) == 2
     assert capsys.readouterr().err == "config error: bad value '0' for trials in [run] (line 3): expected int in [1, inf)\n"
-    # a flag's value is checked by its record, under the same name
+    # so is a value off its key's choices
+    ini = write_ini(tmp_path, "[run]\nmode = exakt\n")
+    assert cli.main(["validate", "--config", ini, "--mode", "exact"]) == 2
+    assert capsys.readouterr().err == "config error: bad value 'exakt' for mode in [run] (line 2): expected str (one of exact, sampled)\n"
+    # a flag's value is checked by the same converter, and its error names the flag
     ini = write_ini(tmp_path, "[run]\nseed = 5\n")
     assert cli.main(["validate", "--config", ini, "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: seed=-1 outside [0, 2^64)\n"
+    assert capsys.readouterr().err == "config error: bad value '-1' for seed from --seed: expected int in [0, 2^64)\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "config"])

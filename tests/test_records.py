@@ -225,7 +225,8 @@ def test_pickle_round_trip(cls, fields, required, change, bad):
     b = pickle.loads(pickle.dumps(a))
     assert type(b) is cls
     assert b == a and hash(b) == hash(a)
-    assert repr(b) == repr(a)
+    # the fields in order; a rebuilt frozenset may list its members in another order
+    assert list(vars(b)) == list(vars(a)) == list(cls._fields)
 
 
 def test_repr_names_the_fields_in_order():
