@@ -113,10 +113,11 @@ def _line_map(text: str) -> dict[tuple[str, str | None], int]:
     return lines
 
 
-def _convert(key: str, raw: str, origin: str, item: bool = False) -> object:
+def _convert(key: str, raw: str, origin: str, item: bool = False, choose: bool = True) -> object:
     """`raw`, which came `origin`, as a value of `key`: of the key's type,
-    among its choices and in its field's range.  A sweep `item` of an int
-    key may also be an integral decimal, such as 2.0."""
+    among its choices unless not `choose`, and in its field's range.  A sweep
+    `item`, text or a number, of an int key may also be an integral decimal,
+    such as 2.0, and becomes an int."""
     _, kind, target, choices = _KEYS[key]
     owner, _, name = target.rpartition(".")
     bounds = _OWNERS[owner]._ranges.get(name)
@@ -128,14 +129,14 @@ def _convert(key: str, raw: str, origin: str, item: bool = False) -> object:
             if not value.is_integer():
                 raise ValueError
             value = int(value)
-        if choices and value not in choices:
+        if choices and choose and value not in choices:
             raise ValueError
         if bounds:
             _OWNERS[owner]._check_range(name, value)
         return value
     except (KeyError, ValueError):
         valid = f" (one of {', '.join(choices)})" if choices else f" in {bounds[2]}" if bounds else ""
-        raise ConfigError(f"bad value {raw!r} for {key} {origin}: expected {kind.__name__}{valid}") from None
+        raise ConfigError(f"bad value {str(raw)!r} for {key} {origin}: expected {kind.__name__}{valid}") from None
 
 
 def _at(lines, section: str, key: str | None) -> str:
@@ -143,12 +144,13 @@ def _at(lines, section: str, key: str | None) -> str:
     return f" (line {no})" if no else ""
 
 
-def parse_config(text: str, sweep: bool = True) -> dict[str, dict[str, object]]:
+def parse_config(text: str, sweep: bool = True, flags=()) -> dict[str, dict[str, object]]:
     """Parse and check the INI text into typed {section: {key: value}}.
     Unknown sections or keys, and a header that repeats another in another
     case, are errors that name their line.  With `sweep` false, as in a run
-    of one protocol, the [sweep] section's key names are checked and its
-    values left out."""
+    of one protocol, only the [sweep] section's key names are checked.  A
+    value of a key in `flags`, which a flag overrides, is checked but for
+    its choices: the flag's value replaces it."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         parser.read_string(text)
@@ -173,10 +175,8 @@ def parse_config(text: str, sweep: bool = True) -> dict[str, dict[str, object]]:
                     f"valid keys: {', '.join(sorted(k for k, (s, *_) in _KEYS.items() if s == low))}"
                 )
             if low != "sweep" or key == "parameter" and sweep:
-                out[low][key] = _convert(key, raw, f"in [{low}]{_at(lines, low, key)}")
-    if not sweep:
-        out.pop("sweep", None)
-    elif {"parameter", "values"} <= out.get("sweep", {}).keys():
+                out[low][key] = _convert(key, raw, f"in [{low}]{_at(lines, low, key)}", choose=key not in flags)
+    if sweep and {"parameter", "values"} <= out.get("sweep", {}).keys():
         given, origin = out["sweep"], f"in [sweep] values{_at(lines, 'sweep', 'values')}"
         items = re.split(r"[,\s]+", given["values"])
         given["values"] = tuple(_convert(given["parameter"], item, origin, True) for item in items if item)
@@ -244,7 +244,9 @@ def _with_field(config, target: str, value):
 
 
 def apply_sweep_value(config: ProtocolConfig, parameter: str, value: float) -> ProtocolConfig:
-    """`config` with the field that sweep `parameter` sets at `value`."""
+    """`config` with the field that sweep `parameter` sets at `value`, checked
+    as an item of `[sweep] values` is: an int field takes an integral value, as an int."""
+    value = _convert(_convert("parameter", parameter, "of a sweep"), value, "in a sweep", True)
     return _with_field(config, _KEYS[parameter][2].partition(".")[2], value)
 
 
@@ -432,6 +434,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = target = args.command
     try:
+        flags = {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
+        overrides = {key: _convert(key, value, f"from --{key}") for key, value in flags.items()}
         sections = {}
         if args.config is not None:
             try:
@@ -439,9 +443,7 @@ def main(argv=None) -> int:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-            sections = parse_config(text, sweep=command in ("sweep", "validate"))
-        flags = {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
-        overrides = {key: _convert(key, value, f"from --{key}") for key, value in flags.items()}
+            sections = parse_config(text, command in ("sweep", "validate"), overrides)
         if command == "validate":
             target = "sweep" if "sweep" in sections else sections.get("run", {}).get("protocol", ExperimentConfig.protocol)
         exp = build_experiment(sections, target, overrides)

@@ -129,7 +129,9 @@ def test_parse_sweep_values():
     with pytest.raises(ConfigError, match="sweep needs"):
         cli.build_experiment(cli.parse_config("[sweep]\nparameter = p0\nvalues =  \n"), "sweep", {})
     # a run of one protocol reads no [sweep] values, but still checks its key names
-    assert "sweep" not in cli.parse_config("[sweep]\nparameter = voltage\nvalues = two\n", sweep=False)
+    sweep = cli.parse_config("[sweep]\nparameter = voltage\nvalues = two\n", sweep=False)["sweep"]
+    assert sweep == {"parameter": "voltage", "values": "two"}
+    assert cli.build_experiment({"sweep": sweep}, "memory", {}).sweep_parameter is None
     with pytest.raises(ConfigError, match="unknown key 'value'"):
         cli.parse_config("[sweep]\nvalue = 1\n", sweep=False)
 
@@ -210,11 +212,17 @@ def test_apply_sweep_value_each_parameter():
     base = cli.build_experiment({}, "memory", {}).config
     assert cli.apply_sweep_value(base, "p0", 0.05).source.p0 == 0.05
     assert cli.apply_sweep_value(base, "t", 0.5).source.t == 0.5
-    assert cli.apply_sweep_value(base, "emission_order", 2.0).source.emission_order == 2
+    order = cli.apply_sweep_value(base, "emission_order", 2.0).source.emission_order
+    assert order == 2 and type(order) is int
     assert cli.apply_sweep_value(base, "eta", 0.7).detector.efficiency == 0.7
     assert cli.apply_sweep_value(base, "dark_prob", 1e-3).detector.dark_prob == 1e-3
     assert cli.apply_sweep_value(base, "theta", 0.3).theta == 0.3
     assert cli.apply_sweep_value(base, "phi", 0.4).phi == 0.4
+    # checked as a [sweep] values item is
+    with pytest.raises(ConfigError, match=r"^bad value '1.5' for emission_order in a sweep: expected int in \[1, inf\)$"):
+        cli.apply_sweep_value(base, "emission_order", 1.5)
+    with pytest.raises(ConfigError, match=r"^bad value 'mode' for parameter of a sweep: expected str \(one of p0,"):
+        cli.apply_sweep_value(base, "mode", "sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -865,10 +873,13 @@ def test_a_config_value_outside_its_range_is_an_error_even_where_a_flag_override
     ini = write_ini(tmp_path, "[run]\nmode = sampled\ntrials = 0\nseed = 1\n")
     assert cli.main(["validate", "--config", ini, "--trials", "5"]) == 2
     assert capsys.readouterr().err == "config error: bad value '0' for trials in [run] (line 3): expected int in [1, inf)\n"
-    # so is a value off its key's choices
-    ini = write_ini(tmp_path, "[run]\nmode = exakt\n")
-    assert cli.main(["validate", "--config", ini, "--mode", "exact"]) == 2
-    assert capsys.readouterr().err == "config error: bad value 'exakt' for mode in [run] (line 2): expected str (one of exact, sampled)\n"
+    # but a value off its key's choices is not, where a flag replaces it
+    ini = write_ini(tmp_path, "[run]\nmode = exakt\nformat = yaml\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["validate", "--config", ini, "--mode", "exact", "--format", "json"]) == 0
+    assert cli.main(["generate", "--config", ini, "--mode", "exact", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mode"] == "exact"
+    capsys.readouterr()
     # a flag's value is checked by the same converter, and its error names the flag
     ini = write_ini(tmp_path, "[run]\nseed = 5\n")
     assert cli.main(["validate", "--config", ini, "--seed", "-1"]) == 2

@@ -225,8 +225,10 @@ def test_pickle_round_trip(cls, fields, required, change, bad):
     b = pickle.loads(pickle.dumps(a))
     assert type(b) is cls
     assert b == a and hash(b) == hash(a)
-    # the fields in order; a rebuilt frozenset may list its members in another order
+    # the fields in order, each value of its type; a rebuilt frozenset may
+    # list its members in another order, so repr is not compared
     assert list(vars(b)) == list(vars(a)) == list(cls._fields)
+    assert [type(v) for v in vars(b).values()] == [type(v) for v in vars(a).values()]
 
 
 def test_repr_names_the_fields_in_order():
