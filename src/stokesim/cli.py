@@ -3,7 +3,8 @@
 Commands `generate`, `event-ready`, `memory`, `sweep`, and `validate`
 read a flat INI-style config (every key optional), run the protocol in
 exact or sampled mode, and emit a machine-readable report as JSON or CSV.
-All five take the same options, before or after the command.
+All five take the same options, before or after the command; with the same
+options and environment, a file that `validate` rejects fails every command.
 
 The key table `_KEYS` gives each key its section, type, the field it sets
 and the values it may take; the field's record holds its default and
@@ -97,27 +98,28 @@ _OWNERS = {"config.source": SourceParams, "config.detector": DetectorSpec, "conf
 
 
 def _line_map(text: str) -> dict[tuple[str, str | None], int]:
-    """Map (section, key) -> 1-based line number for diagnostics."""
+    """Map (section, key) -> 1-based line number, reading comments, headers,
+    keys and indented continuation lines as `parse_config`'s parser does."""
     lines: dict[tuple[str, str | None], int] = {}
-    section: str | None = None
-    for no, raw in enumerate(text.splitlines(), 1):
-        s = raw.strip()
-        if not s or s.startswith(("#", ";")):
+    section = key = indent = None
+    for no, raw in enumerate(text.split("\n"), 1):
+        s, level = re.split(r"(?<!\S)[#;]", raw, maxsplit=1)[0].strip(), len(raw) - len(raw.lstrip())
+        if not s or key is not None and level > indent:
             continue
-        if s.startswith("[") and s.endswith("]"):
-            section = s[1:-1].strip().lower()
+        if header := configparser.ConfigParser.SECTCRE.match(s):
+            section, key = header["header"].lower(), None
             lines[(section, None)] = no
-        elif section is not None and ("=" in s or ":" in s):
-            key = re.split(r"[=:]", s, maxsplit=1)[0].strip().lower()
+        elif section is not None and (option := configparser.ConfigParser.OPTCRE.match(s)):
+            key, indent = option["option"].rstrip().lower(), level
             lines[(section, key)] = no
     return lines
 
 
-def _convert(key: str, raw: str, origin: str, item: bool = False, choose: bool = True) -> object:
-    """`raw`, which came `origin`, as a value of `key`: of the key's type,
-    among its choices unless not `choose`, and in its field's range.  A sweep
-    `item`, text or a number, of an int key may also be an integral decimal,
-    such as 2.0, and becomes an int."""
+def _convert(key: str, raw: str, origin: str, item: bool = False) -> object:
+    """`raw`, which came `origin`, as a value of `key`: of the key's type, not
+    empty, among its choices and in its field's range.  A sweep `item`, text
+    or a number, of an int key may also be an integral decimal, such as 2.0,
+    and becomes an int."""
     _, kind, target, choices = _KEYS[key]
     owner, _, name = target.rpartition(".")
     bounds = _OWNERS[owner]._ranges.get(name)
@@ -129,13 +131,14 @@ def _convert(key: str, raw: str, origin: str, item: bool = False, choose: bool =
             if not value.is_integer():
                 raise ValueError
             value = int(value)
-        if choices and choose and value not in choices:
+        if value == "" or choices and value not in choices:
             raise ValueError
         if bounds:
             _OWNERS[owner]._check_range(name, value)
         return value
     except (KeyError, ValueError):
-        valid = f" (one of {', '.join(choices)})" if choices else f" in {bounds[2]}" if bounds else ""
+        valid = (f" (one of {', '.join(choices)})" if choices else f" in {bounds[2]}" if bounds
+                 else " (not empty)" if kind is str else "")
         raise ConfigError(f"bad value {str(raw)!r} for {key} {origin}: expected {kind.__name__}{valid}") from None
 
 
@@ -144,14 +147,13 @@ def _at(lines, section: str, key: str | None) -> str:
     return f" (line {no})" if no else ""
 
 
-def parse_config(text: str, sweep: bool = True, flags=()) -> dict[str, dict[str, object]]:
-    """Parse and check the INI text into typed {section: {key: value}}.
-    Unknown sections or keys, and a header that repeats another in another
-    case, are errors that name their line.  With `sweep` false, as in a run
-    of one protocol, only the [sweep] section's key names are checked.  A
-    value of a key in `flags`, which a flag overrides, is checked but for
-    its choices: the flag's value replaces it."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
+def parse_config(text: str) -> dict[str, dict[str, object]]:
+    """Parse and check the INI text into typed {section: {key: value}}, the
+    one reading of a config file.  Values are read as written, so `%` is
+    literal.  Every value is converted and checked, `[sweep]` included, and
+    a value that a flag replaces too.  Unknown sections or keys, and a header
+    that repeats another in another case, are errors that name their line."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="", interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -174,9 +176,9 @@ def parse_config(text: str, sweep: bool = True, flags=()) -> dict[str, dict[str,
                     f"unknown key {key!r} in [{section}]{_at(lines, low, key)}; "
                     f"valid keys: {', '.join(sorted(k for k, (s, *_) in _KEYS.items() if s == low))}"
                 )
-            if low != "sweep" or key == "parameter" and sweep:
-                out[low][key] = _convert(key, raw, f"in [{low}]{_at(lines, low, key)}", choose=key not in flags)
-    if sweep and {"parameter", "values"} <= out.get("sweep", {}).keys():
+            if key != "values":
+                out[low][key] = _convert(key, raw, f"in [{low}]{_at(lines, low, key)}")
+    if {"parameter", "values"} <= out.get("sweep", {}).keys():
         given, origin = out["sweep"], f"in [sweep] values{_at(lines, 'sweep', 'values')}"
         items = re.split(r"[,\s]+", given["values"])
         given["values"] = tuple(_convert(given["parameter"], item, origin, True) for item in items if item)
@@ -191,11 +193,11 @@ def build_experiment(
     """Merge command-line overrides over `STOKESIM_SEED` over the
     config-file sections over the record defaults into a validated
     experiment description.  The records check each value again, as they
-    do for any caller; the seed of a sampled run, memory's cutoff and
-    each sweep point are checked here."""
+    do for any caller; the seed of a sampled run, memory's cutoff and each
+    sweep point are checked here, before a run of one protocol drops the sweep."""
     swept = command == "sweep"
-    values = {key: value for name, keys in sections.items() if name != "sweep" or swept for key, value in keys.items()}
-    if swept and not (values.get("parameter") and values.get("values")):
+    values = {key: value for keys in sections.values() for key, value in keys.items()}
+    if (swept or "sweep" in sections) and not (values.get("parameter") and values.get("values")):
         raise ConfigError("sweep needs [sweep] parameter and values")
     if not swept and values.setdefault("protocol", command) != command:
         raise ConfigError(f"config names protocol {values['protocol']!r} but the {command!r} subcommand was invoked")
@@ -219,7 +221,7 @@ def build_experiment(
         raise ConfigError(str(exc)) from None
     if exp.protocol == "memory" and exp.config.cutoff < 3:
         raise ConfigError(f"memory needs cutoff >= 3 (channel plus input photon), got {exp.config.cutoff}")
-    return exp
+    return exp if swept else exp.replace(sweep_parameter=None, sweep_values=())
 
 
 def _ancilla_cut_warning(exp: ExperimentConfig) -> str | None:
@@ -230,7 +232,7 @@ def _ancilla_cut_warning(exp: ExperimentConfig) -> str | None:
     c = exp.config
     if exp.protocol != "event-ready" or not c.epr_enabled:
         return None
-    orders = [int(v) for v in exp.sweep_values] if exp.sweep_parameter == "emission_order" else []
+    orders = exp.sweep_values if exp.sweep_parameter == "emission_order" else []
     order = max(orders or [c.source.emission_order])
     safe = 2 * order + 2
     if safe <= c.cutoff:
@@ -434,8 +436,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = target = args.command
     try:
-        flags = {key: value for key, value in vars(args).items() if key in _KEYS and value is not None}
-        overrides = {key: _convert(key, value, f"from --{key}") for key, value in flags.items()}
+        overrides = {key: _convert(key, value, f"from --{key}") for key, value in vars(args).items() if key in _KEYS and value is not None}
         sections = {}
         if args.config is not None:
             try:
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-            sections = parse_config(text, command in ("sweep", "validate"), overrides)
+            sections = parse_config(text)
         if command == "validate":
             target = "sweep" if "sweep" in sections else sections.get("run", {}).get("protocol", ExperimentConfig.protocol)
         exp = build_experiment(sections, target, overrides)

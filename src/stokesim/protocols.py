@@ -284,8 +284,8 @@ def input_qubit(theta: float, phi: float, cutoff: int = fock.DEFAULT_CUTOFF) -> 
 
 def _memory_input(config: ProtocolConfig, channel: PureState | None) -> PureState:
     chan = channel if channel is not None else ideal_channel(config.cutoff)
-    if "B:H" not in {m.name for m in chan.registry.modes}:
-        raise ValidationError("channel state must carry the B path")
+    if not isinstance(chan, PureState) or "B:H" not in {m.name for m in chan.registry.modes}:
+        raise ValidationError("channel state must be a pure state that carries the B path")
     return fock.tensor(chan, input_qubit(config.theta, config.phi, config.cutoff))
 
 
@@ -516,8 +516,9 @@ def memory_store(
 ) -> tuple[MixedState | None, dict]:
     """Teleport an input photonic qubit into the collective atomic modes.
 
-    The channel defaults to the ideal heralded singlet; pass an
-    event-ready output to study the full chain.  Success is any
+    The channel, a pure state that carries the B path, defaults to the
+    ideal heralded singlet; the mixed state that event-ready generation
+    heralds is not a channel this model takes.  Success is any
     non-failure herald (probability 1/2 for an ideal channel).  Exact
     mode also reports the fidelity after readout; modes and `chunk_map`
     are as in :func:`event_ready_generation`.

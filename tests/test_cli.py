@@ -95,6 +95,35 @@ def test_two_headers_that_differ_in_case_are_rejected(tmp_path, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[source]  # the source\np0 = 0.5\n", "bad value '0.5' for p0 in [source] (line 2): expected float in [0, 0.2]"),
+        ("[run2] ; x\n", "unknown section [run2] (line 1); expected one of"),
+        ("[source]\np0 = 0.01\n[Source] # again\n", "duplicate section [Source] (line 3): section names ignore case"),
+        ("[source]\np0 = 0.01\n  [detector]\n", "bad value '0.01\\n[detector]' for p0 in [source] (line 2): expected float"),
+        ("[ source ]\n", "unknown section [ source ] (line 1)"),
+    ],
+    ids=["commented-key-section", "commented-unknown", "commented-duplicate", "continuation", "spaced"],
+)
+def test_a_header_is_read_as_the_parser_reads_it(text, message):
+    # a comment after a header, or an indented continuation line, does not move a line number
+    with pytest.raises(ConfigError) as exc:
+        cli.parse_config(text)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("command", ["validate", "event-ready"])
+@pytest.mark.parametrize(
+    "text, flags, origin",
+    [("[run]\nout =\n", [], "in [run] (line 2)"), ("", ["--out", ""], "from --out")],
+    ids=["file", "flag"],
+)
+def test_an_empty_out_is_a_config_error(tmp_path, capsys, command, text, flags, origin):
+    assert cli.main([command, "--config", write_ini(tmp_path, text), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: bad value '' for out {origin}: expected str (not empty)\n"
+
+
 def test_parse_rejects_unknown_key_with_line():
     with pytest.raises(ConfigError, match=r"unknown key 'pump' in \[source\] \(line 2\)"):
         cli.parse_config("[source]\npump = 0.01\n")
@@ -128,12 +157,13 @@ def test_parse_sweep_values():
         cli.parse_config("[sweep]\nparameter = p0\nvalues = 0.01, two\n")
     with pytest.raises(ConfigError, match="sweep needs"):
         cli.build_experiment(cli.parse_config("[sweep]\nparameter = p0\nvalues =  \n"), "sweep", {})
-    # a run of one protocol reads no [sweep] values, but still checks its key names
-    sweep = cli.parse_config("[sweep]\nparameter = voltage\nvalues = two\n", sweep=False)["sweep"]
-    assert sweep == {"parameter": "voltage", "values": "two"}
-    assert cli.build_experiment({"sweep": sweep}, "memory", {}).sweep_parameter is None
+    # [sweep] is read in full whatever the command; a run of one protocol then drops it
+    with pytest.raises(ConfigError, match=r"^bad value 'voltage' for parameter in \[sweep\] \(line 2\)"):
+        cli.parse_config("[sweep]\nparameter = voltage\nvalues = two\n")
+    sections = cli.parse_config("[sweep]\nparameter = p0\nvalues = 0.01\n")
+    assert cli.build_experiment(sections, "memory", {}).sweep_parameter is None
     with pytest.raises(ConfigError, match="unknown key 'value'"):
-        cli.parse_config("[sweep]\nvalue = 1\n", sweep=False)
+        cli.parse_config("[sweep]\nvalue = 1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +573,91 @@ def test_every_bad_value_names_its_key_and_where_it_came_from(tmp_path, capsys, 
     assert not out.exists()
 
 
+def _parity_cases():
+    """(id, config text, flags, STOKESIM_SEED) of configs drawn from the key
+    table and the range tables: each ranged key just inside and just outside
+    its interval under a protocol and mode (every pair in turn), each choice
+    key on and off its choices, `[sweep]` sections whole, with bad items, a
+    failing joint rule or a missing key, values that a flag replaces, `%` in
+    values and commented headers.  `@TMP@` stands for the test's directory."""
+    out = ["--out", "@TMP@/r.json"]
+    pairs = [(protocol, mode) for protocol in cli._KEYS["protocol"][3] for mode in ProtocolConfig.MODES]
+    cases = []
+    for i, key in enumerate(sorted(RANGED)):
+        protocol, mode = pairs[i % len(pairs)]
+        section, kind, bounds = RANGED[key]
+        for value in [v for values in _edge_values(kind, *bounds) for v in values]:
+            sections = {"run": {"protocol": protocol, "mode": mode, "trials": 20, "seed": 1}}
+            sections.setdefault(section, {})[key] = value
+            cases.append((f"{key}={value}-{protocol}-{mode}", _ini(sections), out, None))
+    for key, (section, kind, _, choices) in cli._KEYS.items():
+        if choices and section in ("run", "source"):
+            for value in (*choices, "exakt"):
+                cases.append((f"{key}={value}", f"[{section}]\n{key} = {value}\n", out, None))
+    for key, values in ("alpha", ["0.6", "0.6+0j", "x", "nan"]), ("beta", ["0.8j"]), ("cutoff", ["8", "8.0", "1"]):
+        cases += [(f"{key}={value}", f"[source]\n{key} = {value}\n", out, None) for value in values]
+    for protocol in cli._KEYS["protocol"][3]:
+        run = f"[run]\nprotocol = {protocol}\n"
+        for parameter, values in [
+            ("p0", "0.01, 0.02"), ("emission_order", "1, 2.0, 3"), ("theta", "1"),  # valid items
+            ("p0", "0.01, 0.5"), ("eta", "x"), ("emission_order", "1.5"), ("phi", "nan"),  # bad items
+            ("emission_order", "4"),  # 2 * emission_order > the default cutoff
+            ("voltage", "1"), ("p0", ""),  # a bad parameter, no items
+        ]:
+            cases.append((f"sweep-{parameter}={values}-{protocol}", f"{run}[sweep]\nparameter = {parameter}\nvalues = {values}\n", out, None))
+        for name, body in ("no-values", "parameter = p0\n"), ("no-parameter", "values = 0.01\n"), ("empty", ""):
+            cases.append((f"sweep-{name}-{protocol}", f"{run}[sweep]\n{body}", out, None))
+    cases += [
+        ("flag-replaces-bad-mode", "[run]\nmode = exakt\n", ["--mode", "exact", *out], None),
+        ("flag-replaces-bad-format", "[run]\nformat = yaml\n", ["--format", "json", *out], None),
+        ("flag-replaces-mode", "[run]\nmode = sampled\n", ["--mode", "exact", *out], None),
+        ("flag-replaces-format", "[run]\nformat = csv\n", ["--format", "json", *out], None),
+        ("flag-seed", "[run]\nmode = sampled\ntrials = 20\n", ["--seed", "5", *out], None),
+        ("flag-jobs-0", "", ["--jobs", "0", *out], None),
+        ("env-seed", "[run]\nmode = sampled\ntrials = 20\n", out, "7"),
+        ("env-seed-bad", "[run]\nmode = sampled\ntrials = 20\n", out, "x"),
+        ("env-seed-replaced", "[run]\nseed = -1\n", ["--seed", "5", *out], "7"),
+        ("percent-out", "[run]\nout = @TMP@/100%.json\n", [], None),
+        ("percent-percent-out", "[run]\nout = @TMP@/%%.json\n", [], None),
+        ("percent-p0", "[source]\np0 = 1%\n", out, None),
+        ("percent-reference", "[source]\nalpha = 0.6\nbeta = %(alpha)s\nt = 0.5\n", out, None),
+        ("empty-out", "[run]\nout =\n", [], None),
+        ("empty-out-flag", "", ["--out", ""], None),
+        ("commented-header", "[source]  # the source\np0 = 0.01\n", out, None),
+        ("commented-header-bad-value", "[source] ; the source\np0 = 0.5\n", out, None),
+        ("commented-unknown-header", "[run2] ; x\n", out, None),
+        ("commented-duplicate-header", "[source]\np0 = 0.01\n[Source] # again\n", out, None),
+        ("commented-sweep-header", "[sweep] # grid\nparameter = p0\nvalues = 0.01\n", out, None),
+    ]
+    return cases
+
+
+PARITY = _parity_cases()
+
+
+@pytest.mark.parametrize("text, flags, env", [case[1:] for case in PARITY], ids=[case[0] for case in PARITY])
+def test_a_config_that_validate_rejects_fails_every_command(tmp_path, capsys, monkeypatch, text, flags, env):
+    # one reading of the file: with the same flags and environment, a config that
+    # validate rejects fails every command, and one it accepts runs its own command
+    monkeypatch.delenv("STOKESIM_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("STOKESIM_SEED", env)
+    text = text.replace("@TMP@", str(tmp_path))
+    args = ["--config", write_ini(tmp_path, text), *(flag.replace("@TMP@", str(tmp_path)) for flag in flags)]
+    code = cli.main(["validate", *args])
+    assert code in (0, 2)
+    if code == 2:
+        for command in ("generate", "event-ready", "memory", "sweep"):
+            assert cli.main([command, *args]) == 2, command
+        assert capsys.readouterr().err.count("config error: ") == 5
+        assert not any(tmp_path.glob("*.json"))
+    else:
+        sections = cli.parse_config(text)
+        command = "sweep" if "sweep" in sections else sections.get("run", {}).get("protocol", "event-ready")
+        assert cli.main([command, *args]) == 0, capsys.readouterr().err
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
+
 @pytest.mark.parametrize(
     "cutoff, warned, probability",
     [
@@ -873,13 +988,15 @@ def test_a_config_value_outside_its_range_is_an_error_even_where_a_flag_override
     ini = write_ini(tmp_path, "[run]\nmode = sampled\ntrials = 0\nseed = 1\n")
     assert cli.main(["validate", "--config", ini, "--trials", "5"]) == 2
     assert capsys.readouterr().err == "config error: bad value '0' for trials in [run] (line 3): expected int in [1, inf)\n"
-    # but a value off its key's choices is not, where a flag replaces it
-    ini = write_ini(tmp_path, "[run]\nmode = exakt\nformat = yaml\n")
+    # and so is a value off its key's choices, where a flag replaces it
     out = tmp_path / "r.json"
-    assert cli.main(["validate", "--config", ini, "--mode", "exact", "--format", "json"]) == 0
-    assert cli.main(["generate", "--config", ini, "--mode", "exact", "--format", "json", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["mode"] == "exact"
-    capsys.readouterr()
+    for key, value, flag, choices in ("mode", "exakt", "exact", "exact, sampled"), ("format", "yaml", "json", "json, csv"):
+        ini = write_ini(tmp_path, f"[run]\n{key} = {value}\n")
+        assert cli.main(["validate", "--config", ini, f"--{key}", flag]) == 2
+        assert cli.main(["generate", "--config", ini, f"--{key}", flag, "--out", str(out)]) == 2
+        message = f"config error: bad value '{value}' for {key} in [run] (line 2): expected str (one of {choices})\n"
+        assert capsys.readouterr().err == message * 2
+        assert not out.exists()
     # a flag's value is checked by the same converter, and its error names the flag
     ini = write_ini(tmp_path, "[run]\nseed = 5\n")
     assert cli.main(["validate", "--config", ini, "--seed", "-1"]) == 2

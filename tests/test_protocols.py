@@ -629,7 +629,10 @@ def test_memory_readout_validation():
 
 def test_memory_requires_channel_with_ancilla_path():
     reg = fock.ModeRegistry(cutoff=4).add_atomic("S1").add_atomic("S2")
+    # the heralded event-ready state carries the B path but is mixed: storing it is a model left out
+    heralded, _ = protocols.event_ready_generation(ProtocolConfig())
+    assert isinstance(heralded, fock.MixedState)
     for mode in ("exact", "sampled"):
-        with pytest.raises(ValidationError):
-            protocols.memory_store(ProtocolConfig(mode=mode), channel=fock.vacuum(reg))
-
+        for channel in fock.vacuum(reg), heralded:
+            with pytest.raises(ValidationError, match="^channel state must be a pure state that carries the B path$"):
+                protocols.memory_store(ProtocolConfig(mode=mode), channel=channel)
