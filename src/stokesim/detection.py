@@ -4,7 +4,7 @@ Detection is a two-stage story.  The quantum part is a projective
 measurement of photon number on the measured modes, sampled by the Born
 rule; this fixes the conditional state of everything not measured.  Both
 the Born weights and the conditional states come from one grouping of
-the state's terms by those photon numbers (`fock.split_by_occupation`).
+the state's terms by those photon numbers (a `fock.Split`).
 The classical part turns true photon numbers into clicks: each photon is
 seen with probability `efficiency`, a threshold detector reports only
 click/no-click, and a dark count ORs in a spurious click per window.
@@ -21,8 +21,8 @@ two of the four Bell states are ever identified.
 
 `PreparedBellAnalyzer` is the one place where a trial becomes a click
 code (bit j set when detector `labels[j]` clicked) and an outcome: its
-`outcomes` table, built from `default_herald_rule()` once per pattern
-set, serves the exact outcome distribution, the scalar `sample` on a
+`outcomes` table, built from `default_herald_rule()` into the analyzer's
+layout record once per input layout (`_analyzer_layout`), serves the exact outcome distribution, the scalar `sample` on a
 trial's own generator and `sample_block`, which draws many trials at once
 from the Philox words of their streams (`rng.trial_uniforms`), binomial
 loss draws included (step tables built once per photon number and
@@ -47,6 +47,7 @@ PSI_PLUS = "PsiPlus"
 FAIL = "Fail"
 
 D_H, D_V, D_HP, D_VP = "D_H", "D_V", "D_H'", "D_V'"
+_LABELS = (D_H, D_V, D_HP, D_VP)
 
 _MAX_OUTCOMES = 4096
 
@@ -119,9 +120,10 @@ def _split_branches(state: PureState | MixedState, modes: Sequence) -> list[tupl
     return [(w, fock.split_by_occupation(st, modes)) for w, st in as_mixed(state).branches]
 
 
-def _distribution(split: list[tuple[float, fock.Split]]) -> list[tuple[tuple[int, ...], float]]:
+def _distribution(split: list[tuple[float, fock.Split]], order: tuple = ()) -> list[tuple[tuple[int, ...], float]]:
     """Born distribution of the split's patterns from their weights alone:
-    branch weight times group weight, summed per pattern, normalized, sorted."""
+    branch weight times group weight, summed per pattern, normalized, listed
+    in `order` (all of the patterns) if given, else sorted."""
     probs: dict[tuple[int, ...], float] = {}
     for w, groups in split:
         for pattern, weight in groups.weights.items():
@@ -131,43 +133,37 @@ def _distribution(split: list[tuple[float, fock.Split]]) -> list[tuple[tuple[int
     total = sum(probs.values())
     if total <= 0.0:
         raise ValidationError("state has no weight on the measured modes")
-    return [(occ, probs[occ] / total) for occ in _sorted(tuple(probs))]
-
-
-#: `sorted` as a tuple, cached per pattern set: a sweep over amplitudes keeps its patterns
-_sorted = lru_cache(maxsize=16)(lambda patterns: tuple(sorted(patterns)))
+    return [(occ, probs[occ] / total) for occ in order or sorted(probs)]
 
 
 @lru_cache(maxsize=16)
-def _click_layout(patterns: tuple, labels: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray, dict]:
-    """The outcome of each click code (bit j set when labels[j] clicked) under
-    `default_herald_rule()`, the photon numbers of `patterns` as a read-only
-    array, and each outcome's pattern indices when every occupied detector clicks."""
-    rule = default_herald_rule()
-    outcomes = tuple(
-        rule.classify(frozenset(lab for j, lab in enumerate(labels) if code >> j & 1))
-        for code in range(1 << len(labels))
-    )
-    occupations = np.array(patterns)
-    occupations.flags.writeable = False
-    grouped: dict[str, list[int]] = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
-    for i, code in enumerate(((occupations > 0) << np.arange(len(labels))).sum(axis=1).tolist()):
-        grouped[outcomes[code]].append(i)
-    return outcomes, occupations, {outcome: tuple(members) for outcome, members in grouped.items()}
-
-
-@lru_cache(maxsize=16)
-def _analyzer_registry(registry: fock.ModeRegistry, path_1: str, path_2: str) -> tuple[fock.ModeRegistry, tuple, tuple]:
-    """The registry after both polarizing splitters, relabelings found on a
-    state without terms; the four measured modes; and the loss modes of the
-    rest, and the picker and registry of its other modes (the conditionals')."""
+def _analyzer_layout(registry: fock.ModeRegistry, keys: tuple, path_1: str, path_2: str) -> tuple:
+    """What an analyzer reads off the registry and term keys (in stored order,
+    which depends on the amplitudes) of its input after the beam splitter:
+    the registry after both polarizing splitters, relabelings found on a
+    state without terms; the four measured modes; the split's term groups
+    and the registry of the other modes; their loss modes, and the picker
+    and registry of the rest (the conditionals'); the sorted patterns and
+    their photon numbers as a read-only array; the outcome of each click
+    code (bit j set when `_LABELS[j]` clicked) under `default_herald_rule()`;
+    and each outcome's pattern indices when every occupied detector clicks.
+    Shared across points, so never mutated."""
     st, out_1h, out_1v = elements.pol_splitter(PureState._wrap(registry, {}, 0.0), path_1)
     st, out_2h, out_2v = elements.pol_splitter(st, path_2)
-    modes = (f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V")
-    rest = fock._rest(st.registry, tuple(st.registry.index(m) for m in modes))[0]
+    reg, modes = st.registry, (f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V")
+    rest, _, groups = fock._split_plan(reg, tuple(reg.index(m) for m in modes), keys)
     loss = tuple(i for i, m in enumerate(rest.modes) if m.kind == LOSS)
-    conditional, keep = fock._rest(rest, loss)
-    return st.registry, modes, (tuple(rest.modes[i] for i in loss), fock._picker(keep), conditional)
+    conditional, keep, _ = fock._split_plan(rest, loss, ())
+    patterns = tuple(sorted(groups))
+    occupations = np.array(patterns).reshape(len(patterns), len(_LABELS))
+    occupations.flags.writeable = False
+    rule = default_herald_rule()
+    outcomes = tuple(rule.classify({lab for j, lab in enumerate(_LABELS) if code >> j & 1}) for code in range(1 << len(_LABELS)))
+    grouped: dict[str, list[int]] = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
+    for i, code in enumerate(((occupations > 0) << np.arange(len(_LABELS))).sum(axis=1).tolist()):
+        grouped[outcomes[code]].append(i)
+    traced = (tuple(rest.modes[i] for i in loss), fock._picker(keep), conditional)
+    return reg, modes, groups, rest, traced, patterns, occupations, outcomes, {o: tuple(m) for o, m in grouped.items()}
 
 
 #: n and the read-only `binomial_steps(n, eta)`, built once per (n, eta)
@@ -245,8 +241,9 @@ class PreparedBellAnalyzer:
 
     The input must carry two linear-basis paths; the first named path
     feeds detectors D_H/D_V, the second D_H'/D_V'.  All four detectors
-    follow `detector`.  What depends only on the input's registry, the
-    measured patterns or the labels is built once per process and shared.
+    follow `detector`.  What depends only on the registry and term keys of
+    the input after the beam splitter is one cached record
+    (`_analyzer_layout`), shared by every analyzer of that layout.
     """
 
     def __init__(
@@ -257,17 +254,16 @@ class PreparedBellAnalyzer:
         detector: DetectorSpec = DetectorSpec(),
     ):
         st = elements.beam_splitter(state, path_1, path_2)
-        registry, self.modes, self._traced = _analyzer_registry(st.registry, path_1, path_2)
+        #: `outcomes[code]` is the outcome of click code `code`; bit j is set when labels[j] clicked
+        registry, self.modes, groups, rest, self._traced, patterns, self._occupations, self.outcomes, self._grouped = (
+            _analyzer_layout(st.registry, tuple(st.amplitudes), path_1, path_2)
+        )
         self.conditional_registry = self._traced[2]
         self.state = st.with_registry(registry)
-        self.labels = (D_H, D_V, D_HP, D_VP)
+        self.labels = _LABELS
         self.detector = detector
-        self._split = [(1.0, fock.split_by_occupation(self.state, self.modes))]
-        self.distribution = _distribution(self._split)
-        #: outcome of each click code; bit j is set when labels[j] clicked
-        self.outcomes, self._occupations, self._grouped = _click_layout(
-            tuple(occ for occ, _ in self.distribution), self.labels
-        )
+        self._split = [(1.0, fock.Split(rest, groups, list(st.amplitudes.values()), st.truncation_loss))]
+        self.distribution = _distribution(self._split, patterns)
         eta = detector.efficiency
         #: binomial step tables per photon number a detector sees, when 0 < eta < 1
         self._steps = [_step_table(k, eta) for k in sorted(set(self._occupations.flat) - {0})] if 0.0 < eta < 1.0 else []

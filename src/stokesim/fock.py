@@ -15,6 +15,7 @@ loss modes), never mutate their inputs.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -231,6 +232,8 @@ class PureState:
                 raise ValidationError(f"negative occupation in {occ}")
             if sum(occ) > registry.cutoff:
                 raise ValidationError(f"occupation {occ} exceeds cutoff {registry.cutoff}")
+            if not cmath.isfinite(c):
+                raise ValidationError(f"amplitude {c} of {occ} is not finite")
             if abs(c) >= AMPLITUDE_EPS:
                 amps[tuple(occ)] = complex(c)
         self.registry = registry
@@ -293,8 +296,8 @@ class MixedState:
             raise ValidationError("a mixed state needs at least one branch")
         reg = branches[0][1].registry
         for w, st in branches:
-            if w <= 0:
-                raise ValidationError("branch weights must be positive")
+            if not 0 < w < math.inf:
+                raise ValidationError(f"branch weight {w} must be positive and finite")
             if st.registry is not reg and st.registry != reg:
                 raise RegistryError("all branches of a mixed state must share one registry")
         self.branches: tuple[tuple[float, PureState], ...] = tuple((float(w), st) for w, st in branches)
@@ -597,15 +600,17 @@ class Split(Mapping):
         return len(self.weights)
 
 
-@lru_cache(maxsize=64)
-def _split_plan(idx: tuple[int, ...], keep: tuple[int, ...], keys: tuple[tuple[int, ...], ...]) -> dict:
-    """pattern -> ((position, key on `keep`), ...) of the terms `keys` in
-    stored order, grouped by occupation of `idx`; cached, so never mutated."""
+def _split_plan(registry: ModeRegistry, idx: tuple[int, ...], keys) -> tuple[ModeRegistry, tuple[int, ...], dict]:
+    """The registry of the modes of `registry` not at positions `idx`, their
+    positions, and pattern -> ((position, key on them), ...) of the terms
+    `keys` in stored order, grouped by occupation of `idx` in a plain dict."""
+    keep = tuple(i for i in range(len(registry)) if i not in idx)
     pattern_of, rest_of = _picker(idx), _picker(keep)
     groups: dict[tuple[int, ...], list] = defaultdict(list)
     for i, occ in enumerate(keys):
         groups[pattern_of(occ)].append((i, rest_of(occ)))
-    return {p: tuple(terms) for p, terms in groups.items()}
+    rest = ModeRegistry(tuple(registry.modes[i] for i in keep), registry.cutoff)
+    return rest, keep, {p: tuple(terms) for p, terms in groups.items()}
 
 
 def split_by_occupation(state: PureState, modes: Sequence[ModeId | str]) -> Split:
@@ -615,21 +620,11 @@ def split_by_occupation(state: PureState, modes: Sequence[ModeId | str]) -> Spli
     to the weight sum|c|^2 of its terms and the normalized state of the
     remaining modes; patterns with zero weight are absent.  Each group is
     what `project` gives for its pattern with the measured modes dropped.
-    The grouping is cached per measured modes and key layout of the state
-    (`_split_plan`); a group is normalized only when first read (`Split`).
+    A group is normalized only when first read (`Split`).
     """
     reg = state.registry
-    idx = tuple(reg.index(m) for m in modes)
-    rest, keep = _rest(reg, idx)
-    groups = _split_plan(idx, keep, tuple(state.amplitudes))
+    rest, _, groups = _split_plan(reg, tuple(reg.index(m) for m in modes), state.amplitudes)
     return Split(rest, groups, list(state.amplitudes.values()), state.truncation_loss)
-
-
-@lru_cache(maxsize=16)
-def _rest(registry: ModeRegistry, idx: tuple[int, ...]) -> tuple[ModeRegistry, tuple[int, ...]]:
-    """The registry of the modes of `registry` not at positions `idx`, and their positions."""
-    keep = tuple(i for i in range(len(registry)) if i not in idx)
-    return ModeRegistry(tuple(registry.modes[i] for i in keep), registry.cutoff), keep
 
 
 def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> MixedState:

@@ -88,6 +88,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate, exactly 0 or 1 at the ends."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValidationError(f"successes={successes} outside [0, trials={trials}]")
     z2 = _WILSON_Z * _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z2 / trials

@@ -358,18 +358,24 @@ def test_split_distribution_of_a_mixed_state_is_the_per_term_distribution(state,
 
 
 def test_preparing_the_analyzer_groups_its_state_once(monkeypatch):
-    splits = []
+    # the first analyzer of a term layout groups its terms into the cached
+    # record; a second one of that layout groups nothing
+    grouped = []
 
-    def counted_split(state, modes):
-        splits.append(modes)
-        return split_by_occupation(state, modes)
+    def counted_plan(registry, idx, keys):
+        if keys:
+            grouped.append(idx)
+        return split_plan(registry, idx, keys)
 
     def forbidden(*args):
         raise AssertionError("the analyzer rescanned its state")
 
-    split_by_occupation = fock.split_by_occupation
-    monkeypatch.setattr(fock, "split_by_occupation", counted_split)
+    split_plan = fock._split_plan
+    monkeypatch.setattr(fock, "_split_plan", counted_plan)
+    monkeypatch.setattr(fock, "split_by_occupation", forbidden)
     monkeypatch.setattr(detection, "exact_outcome_distribution", forbidden)
-    prep = PreparedBellAnalyzer(bell_state("psi_minus"), "a", "b")
-    assert len(splits) == 1
+    detection._analyzer_layout.cache_clear()
+    for _ in range(2):
+        prep = PreparedBellAnalyzer(bell_state("psi_minus"), "a", "b")
+        assert len(grouped) == 1
     assert {outcome: p for outcome, _, p in prep.exact_outcomes()}[PSI_MINUS] == pytest.approx(1.0)

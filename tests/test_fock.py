@@ -111,6 +111,20 @@ def test_public_constructor_checks_every_term(occ, message):
             fock.PureState(two_path_registry(cutoff=2), {(1, 0): 1.0, occ: c})
 
 
+@pytest.mark.parametrize("c", [math.nan, complex(1.0, math.nan), math.inf, complex(-math.inf, 0.0)])
+def test_public_constructor_rejects_non_finite_amplitudes(c):
+    # a NaN term used to be dropped silently and an infinite one kept
+    with pytest.raises(ValidationError, match="not finite"):
+        fock.PureState(two_path_registry(), {(1, 0): c, (0, 1): 1.0})
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, 0.0, -0.5])
+def test_mixed_state_rejects_weights_outside_zero_to_infinity(w):
+    st = fock.PureState(two_path_registry(), {(1, 0): 1.0})
+    with pytest.raises(ValidationError, match="positive and finite"):
+        fock.MixedState([(w, st)])
+
+
 def test_tiny_amplitudes_are_dropped():
     reg = two_path_registry()
     st = fock.PureState(reg, {(1, 0): 1.0, (0, 1): 1e-16})
@@ -394,12 +408,12 @@ def test_matrices_equal_but_for_the_sign_of_a_zero_get_their_own_plans():
         assert fock._expansion_plan.cache_info().misses == misses + 3
 
 
-_PLAN_CACHES = (fock._state_plan, fock._split_plan, fock._expansion_plan)
+_PLAN_CACHES = (fock._state_plan, detection._analyzer_layout, fock._expansion_plan)
 
 
 def test_exact_sweep_points_after_the_first_reuse_every_plan():
     # every point of a p0 sweep has one term layout: later points find
-    # every state and split plan cached and never expand a term
+    # every state plan and the analyzer's record cached and never expand a term
     for cache in _PLAN_CACHES:
         cache.cache_clear()
     infos = []
@@ -443,22 +457,30 @@ def test_a_cached_plan_replays_the_new_amplitudes_and_key_order():
     assert outs[1] == [(0, 0, 1), (0, 2, 1), (2, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
+def _analyzer(p0, t=None):
+    """The event-ready analyzer of an order-2 source, with an attenuator of transmissivity `t` if given."""
+    config = protocols.ProtocolConfig(source=sources.SourceParams(p0=p0, emission_order=2, t=t))
+    return detection.PreparedBellAnalyzer(protocols._event_ready_input(config), "p", "A")
+
+
 def test_a_cached_split_groups_the_new_amplitudes():
-    measured = ["s", "a:R"]
-    fock._split_plan.cache_clear()
-    for st in _layout_pair():
-        groups = fock.split_by_occupation(st, measured)
+    # two analyzers of one term layout: the second splits its own amplitudes
+    # by the first's cached record, and each group is what `project` gives
+    detection._analyzer_layout.cache_clear()
+    for p0 in (0.05, 0.2):
+        prep = _analyzer(p0, t=0.3)
+        ((_, groups),) = prep._split
         present = []
-        for pattern in itertools.product(range(5), repeat=2):
-            post, weight = fock.project(st, dict(zip(measured, pattern)))
+        for pattern in itertools.product(range(prep.state.registry.cutoff + 1), repeat=len(prep.modes)):
+            post, weight = fock.project(prep.state, dict(zip(prep.modes, pattern)))
             if post is None:
                 continue
             present.append(pattern)
             got_weight, rest = groups[pattern]
             assert got_weight.hex() == weight.hex()
-            assert bits(rest) == bits(without_modes(post, measured))
-        assert sorted(groups) == present
-    assert fock._split_plan.cache_info()[:2] == (1, 1)
+            assert bits(rest) == bits(without_modes(post, prep.modes))
+        assert sorted(groups) == [occ for occ, _ in prep.distribution] == present
+    assert detection._analyzer_layout.cache_info()[:2] == (1, 1)
 
 
 def test_an_exact_sweep_checks_each_distinct_matrix_once():
@@ -534,16 +556,22 @@ def test_inner_product_compares_registries_only_when_distinct(monkeypatch):
         fock.inner_product(x, fock.PureState(two_path_registry(cutoff=3), {(0, 1): 1.0}))
 
 
-def test_splits_of_one_layout_share_their_rest_registry():
-    # the registry of the unmeasured modes is built once per registry and
-    # measured positions, so conditionals of two states share one object
-    reg = fock.ModeRegistry((fock.atomic_mode("s"), *two_path_registry().modes), cutoff=4)
-    a = fock.PureState(reg, {(1, 1, 0): 0.6, (0, 0, 1): 0.8})
-    b = fock.PureState(reg, {(1, 0, 1): 1.0})
-    first, second = (fock.split_by_occupation(st, ["a:R"]) for st in (a, b))
-    assert first.registry is second.registry
-    assert [m.name for m in first.registry.modes] == ["s", "b:R"]
-    assert fock.split_by_occupation(a, ["b:R"]).registry is not first.registry
+def test_conditionals_share_the_registries_of_their_layout_record():
+    # the registries of the unmeasured modes and of the conditionals are
+    # built once per layout record, so two points of one layout share them
+    for t in (None, 0.3):
+        detection._analyzer_layout.cache_clear()
+        first, second = _analyzer(0.05, t), _analyzer(0.2, t)
+        assert detection._analyzer_layout.cache_info()[:2] == (1, 1)
+        assert second.conditional_registry is first.conditional_registry
+        rest = first._split[0][1].registry
+        assert second._split[0][1].registry is rest
+        for prep in (first, second):
+            for occ, _ in prep.distribution:
+                for _, st in prep.conditional(occ).branches:
+                    if t is None:
+                        assert st.registry is rest
+                    assert st.registry == prep.conditional_registry
 
 
 def test_inner_product_is_sesquilinear():

@@ -68,6 +68,13 @@ def test_wilson_interval_frozen_values():
         protocols.wilson_interval(0, 0)
 
 
+@pytest.mark.parametrize("successes", [-1, 4, 5])
+def test_wilson_interval_rejects_successes_outside_the_trials(successes):
+    # these used to raise a bare ValueError (math domain error) from sqrt
+    with pytest.raises(ValidationError, match="outside"):
+        protocols.wilson_interval(successes, 3)
+
+
 # ---------------------------------------------------------------------------
 # post-selected generation
 
@@ -238,9 +245,7 @@ P0_GRID = np.linspace(0.002, 0.2, 24).tolist()
 LAYOUT_CACHES = (
     sources._source_registry,
     protocols._ancilla,
-    detection._analyzer_registry,
-    detection._sorted,
-    detection._click_layout,
+    detection._analyzer_layout,
     protocols._target,
 )
 
@@ -249,18 +254,37 @@ def _multipair(p0, order=5):
     return MULTIPAIR.replace(source=MULTIPAIR.source.replace(p0=p0, emission_order=order))
 
 
-def test_an_exact_sweep_builds_each_layout_skeleton_once(monkeypatch):
-    # only the amplitudes change from one p0 to the next
+#: 24-point exact sweeps of one term layout each: the run, its configs, and
+#: the caches it reads (memory's ideal channel needs no source or ancilla)
+LAYOUT_SWEEPS = {
+    "event-ready": (protocols.event_ready_generation, [_multipair(p0) for p0 in P0_GRID], LAYOUT_CACHES),
+    "lossy event-ready": (
+        protocols.event_ready_generation,
+        [MULTIPAIR.replace(source=SourceParams(p0=p0, emission_order=5, t=0.3)) for p0 in P0_GRID],
+        LAYOUT_CACHES,
+    ),
+    "memory": (
+        protocols.memory_store,
+        [ProtocolConfig(theta=theta, phi=0.3) for theta in np.linspace(0.01, 1.4, len(P0_GRID)).tolist()],
+        (detection._analyzer_layout,),
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(LAYOUT_SWEEPS))
+def test_an_exact_sweep_builds_each_layout_skeleton_once(monkeypatch, sweep):
+    # only the amplitudes change from one point to the next
+    run, configs, caches = LAYOUT_SWEEPS[sweep]
     rules = []
     rule = detection.default_herald_rule
     monkeypatch.setattr(detection, "default_herald_rule", lambda: rules.append(1) or rule())
-    for cache in LAYOUT_CACHES:
+    for cache in caches:
         cache.cache_clear()
-    for p0 in P0_GRID:
-        protocols.event_ready_generation(_multipair(p0))
+    for config in configs:
+        run(config)
     assert len(rules) == 1  # the outcome table
-    for cache in LAYOUT_CACHES:
-        assert cache.cache_info()[:2] == (len(P0_GRID) - 1, 1)
+    for cache in caches:
+        assert cache.cache_info()[:2] == (len(configs) - 1, 1)
 
 
 def test_exact_points_do_not_depend_on_the_order_they_run_in():
