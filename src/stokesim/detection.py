@@ -162,7 +162,7 @@ def _analyzer_layout(registry: fock.ModeRegistry, keys: tuple, path_1: str, path
     grouped: dict[str, list[int]] = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
     for i, code in enumerate(((occupations > 0) << np.arange(len(_LABELS))).sum(axis=1).tolist()):
         grouped[outcomes[code]].append(i)
-    traced = (tuple(rest.modes[i] for i in loss), fock._picker(keep), conditional)
+    traced = (tuple(rest.modes[i] for i in loss), fock._picker(keep), conditional if loss else rest)
     return reg, modes, groups, rest, traced, patterns, occupations, outcomes, {o: tuple(m) for o, m in grouped.items()}
 
 
@@ -272,39 +272,33 @@ class PreparedBellAnalyzer:
         self._width = 1 + loss_words + (len(self.labels) if detector.dark_prob > 0.0 else 0)
 
     def conditional(self, true_pattern: tuple[int, ...]) -> MixedState:
-        return _condition_on_pattern(self._split, true_pattern)
+        """State of the unmeasured modes given true photon numbers `true_pattern`:
+        its group of the split, loss modes traced as by `fock.trace_out`."""
+        ((_, split),) = self._split
+        if true_pattern not in split:
+            raise ValidationError(f"pattern {true_pattern} has zero probability")
+        loss, _, registry = self._traced
+        _, st = split[true_pattern]
+        if not loss:
+            return MixedState([(1.0, st)])
+        envs = fock.split_by_occupation(st, loss)
+        parts = [envs[env] for env in sorted(envs)]
+        total = sum(w for w, _ in parts)
+        return MixedState([(w / total, rest.with_registry(registry)) for w, rest in parts])
 
     def overlaps(self, pattern: tuple[int, ...], target: PureState, flip: str | None = None) -> list[tuple[float, float]]:
         """The nonzero terms (weight, |<target|branch>|^2) of
         `fock.state_fidelity(conditional(pattern), target)`, each branch first
-        flipped by pi on mode `flip` if one is named, read off the split with
-        the same floating-point operations in the same order.  Only the terms
-        that the pure `target` (on `conditional_registry`) reaches are scaled
-        and flipped; tracing loss modes scales them all, for the weights.  A
-        branch's size picks the side `fock.inner_product` sums over; it is
-        its group's, as conditioning on a pattern (weight below 1) scales the
-        terms up and a flip keeps their magnitudes, so none is dropped."""
+        flipped by pi on mode `flip` if one is named.  Nothing is conditioned when
+        the pure `target` (on `conditional_registry`) reaches no term of the
+        pattern's group, and only the branches it reaches are flipped."""
         ((_, split),) = self._split
-        loss, rest_of, registry = self._traced
-        terms, values, keys = split._groups[pattern], split._values, target.amplitudes
-        if not any(rest_of(rest) in keys for _, rest in terms):
+        rest_of, keys = self._traced[1], target.amplitudes
+        if not any(rest_of(rest) in keys for _, rest in split._groups[pattern]):
             return []
-        scale = 1.0 / math.sqrt(split.weights[pattern])
-        branches = [(1.0, terms, values, scale)]
-        if loss:  # as `fock.trace_out`: a branch per loss occupation, scaled to unit norm again
-            amps = {rest: v for i, rest in terms if abs(v := values[i] * scale) >= fock.AMPLITUDE_EPS}
-            st = PureState._wrap(split.registry, amps, 0.0)
-            envs = fock.split_by_occupation(st, loss)
-            total = sum(envs.weights[env] for env in sorted(envs.weights))
-            branches = [(w / total, envs._groups[env], envs._values, 1.0 / math.sqrt(w)) for env, w in sorted(envs.weights.items())]
-        out = []
-        for weight, group, vals, rescale in branches:
-            amps = {key: vals[i] * rescale for i, key in group if key in keys}
-            if amps and flip is not None:
-                amps = fock._replay(PureState._wrap(registry, amps, 0.0), fock._phase_bytes(math.pi), (registry.index(flip),)).amplitudes
-            if amps:
-                out.append((weight, abs(fock._overlap(keys, amps, len(group))) ** 2))
-        return out
+        reached = [(w, st) for w, st in self.conditional(pattern).branches if not keys.keys().isdisjoint(st.amplitudes)]
+        flipped = reached if flip is None else [(w, fock.apply_phase(st, flip, math.pi)) for w, st in reached]
+        return [(w, abs(fock.inner_product(target, st)) ** 2) for w, st in flipped]
 
     @cached_property
     def _cum(self) -> np.ndarray:

@@ -476,18 +476,13 @@ def apply_phase(state: PureState, mode: ModeId | str, phase: float) -> PureState
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b> over a shared registry."""
+    """<a|b> over a shared registry, summed over the smaller side."""
     if a.registry is not b.registry and a.registry != b.registry:
         raise RegistryError("inner product requires matching registries")
-    return _overlap(a.amplitudes, b.amplitudes, len(b.amplitudes))
-
-
-def _overlap(a: Mapping, b: Mapping, size: int) -> complex:
-    """<a|b> of amplitude maps, where `b` holds at least the terms that `a`
-    reaches of a ket with `size` terms: summed over the smaller side."""
-    if len(a) > size:
-        return sum((c.conjugate() * a[occ] for occ, c in b.items() if occ in a), start=0.0 + 0.0j).conjugate()
-    return sum((c.conjugate() * b[occ] for occ, c in a.items() if occ in b), start=0.0 + 0.0j)
+    x, y = a.amplitudes, b.amplitudes
+    if len(x) > len(y):
+        return sum((c.conjugate() * x[occ] for occ, c in y.items() if occ in x), start=0.0 + 0.0j).conjugate()
+    return sum((c.conjugate() * y[occ] for occ, c in x.items() if occ in y), start=0.0 + 0.0j)
 
 
 def _normalized(

@@ -13,8 +13,8 @@ Three procedures built from the source, analyzer, and metric layers:
 The two heralded procedures share one shape: a `HeraldedSpec` holds the
 joint-state builder, analyzer paths, triplet-herald correction mode,
 fidelity functional and report header of each, and one exact and one
-sampled driver read it.  The event-ready fidelity is read off the
-analyzer's split pattern by pattern, without building a state.
+sampled driver read it.  The event-ready fidelity is read off each herald
+pattern's conditional state, without building the heralded state.
 
 Heralds come with correction operators fixed once for this beam-splitter
 sign convention (derived by brute force, pinned by tests): a triplet
@@ -241,8 +241,8 @@ def _event_ready_header(config: ProtocolConfig) -> dict:
 
 
 def _heralded_fidelity(config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list, heralded=None) -> float:
-    """`fock.state_fidelity(heralded, target)` for the singlet target, summed
-    branch by branch off the analyzer's split in the same order: no state is read."""
+    """`fock.state_fidelity(heralded, target)` for the singlet target, summed in
+    the same order off each herald pattern's conditional: no heralded state is read."""
     target, fid = _target(prep.conditional_registry), 0.0
     for occ, outcome, weigh in mixture:
         for w, f in prep.overlaps(occ, target, EVENT_READY.flip_mode if outcome == PSI_PLUS else None):
@@ -347,8 +347,8 @@ class HeraldedSpec(Record):
     paths: tuple[str, str]
     #: mode whose phase is flipped by pi on a PsiPlus herald
     flip_mode: str
-    #: fidelity of the heralded state, reported under `fidelity_key`, given the config, the
-    #: analyzer, the mixture of corrected conditionals (see `_mixed`) and the state if built
+    #: fidelity reported under `fidelity_key`, given the config, the analyzer, the mixture of
+    #: corrected conditionals (see `_mixed`) and the heralded state if built (memory reads it)
     fidelity: Callable[[ProtocolConfig, PreparedBellAnalyzer, list, MixedState | None], float]
     fidelity_key: str
     #: exact-mode probability keys reported after the header, in order

@@ -908,30 +908,42 @@ def test_an_exact_sweep_with_jobs_leaves_the_pool_unimported(tmp_path):
 
 def test_an_exact_event_ready_sweep_builds_no_herald_state(tmp_path, monkeypatch):
     # the report reads each point's herald probabilities and fidelity off the
-    # analyzer's split: no conditional, phase-flip replay or mixed state
-    calls = dict.fromkeys(["_condition_on_pattern", "Split.__getitem__", "apply_phase", "MixedState"], 0)
+    # analyzer: no heralded state, and a conditional only for a herald pattern
+    # whose group reaches the target
+    mixed, conditioned = [], []
+    build, condition = protocols._mixed, detection.PreparedBellAnalyzer.conditional
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def building(*args):
+        mixed.append(args)
+        return build(*args)
 
-        return counted
+    def conditioning(prep, occ):
+        conditioned.append((prep, occ))
+        return condition(prep, occ)
 
-    monkeypatch.setattr(detection, "_condition_on_pattern", counting("_condition_on_pattern", detection._condition_on_pattern))
-    monkeypatch.setattr(fock.Split, "__getitem__", counting("Split.__getitem__", fock.Split.__getitem__))
-    monkeypatch.setattr(fock, "apply_phase", counting("apply_phase", fock.apply_phase))
-    monkeypatch.setattr(fock.MixedState, "__init__", counting("MixedState", fock.MixedState.__init__))
+    monkeypatch.setattr(protocols, "_mixed", building)
+    monkeypatch.setattr(detection.PreparedBellAnalyzer, "conditional", conditioning)
     ini = write_ini(tmp_path, "[source]\nemission_order = 5\ncutoff = 12\n\n[sweep]\nparameter = p0\nvalues = 0.01, 0.1, 0.2\n")
     out = tmp_path / "r.json"
     assert cli.main(["sweep", "--config", ini, "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert [row["p0"] for row in rows] == [0.01, 0.1, 0.2] and all(row["heralded_fidelity"] > 0.5 for row in rows)
-    assert calls == dict.fromkeys(calls, 0)
+    assert mixed == []
+    calls, conditioned[:] = list(conditioned), []
+    preps = list(dict.fromkeys(prep for prep, _ in calls))
+    assert len(preps) == 3
+    for prep in preps:
+        target = protocols._target(prep.conditional_registry)
+        heralds = [occ for outcome, entries, _ in prep.ideal_outcomes() if outcome != detection.FAIL for occ, _ in entries]
+        reaching = [occ for occ in heralds if any(st.amplitudes.keys() & target.amplitudes.keys() for _, st in condition(prep, occ).branches)]
+        assert sorted(occ for p, occ in calls if p is prep) == sorted(reaching)
+        if prep is preps[1]:
+            assert (len(reaching), len(heralds)) == (4, 60)
     # an API caller still gets the heralded state, built from the conditionals, beside the same report
     heralded, report = protocols.event_ready_generation(ProtocolConfig(source=SourceParams(p0=0.1, emission_order=5), cutoff=12))
     assert isinstance(heralded, fock.MixedState) and len(heralded.branches) > 2
-    assert min(calls.values()) > 0
+    # (every herald pattern for the state, the four that reach the target again for the fidelity)
+    assert len(mixed) == 1 and len(conditioned) == 60 + 4
     assert rows[1] == {"p0": 0.1, **report}
 
 

@@ -8,6 +8,7 @@ frozen numbers themselves.
 
 import itertools
 import math
+import re
 import sys
 from collections import defaultdict
 from contextlib import contextmanager, suppress
@@ -558,7 +559,8 @@ def test_inner_product_compares_registries_only_when_distinct(monkeypatch):
 
 def test_conditionals_share_the_registries_of_their_layout_record():
     # the registries of the unmeasured modes and of the conditionals are
-    # built once per layout record, so two points of one layout share them
+    # built once per layout record, so two points of one layout, and every
+    # conditional of them, share them; without loss modes they are one
     for t in (None, 0.3):
         detection._analyzer_layout.cache_clear()
         first, second = _analyzer(0.05, t), _analyzer(0.2, t)
@@ -569,9 +571,23 @@ def test_conditionals_share_the_registries_of_their_layout_record():
         for prep in (first, second):
             for occ, _ in prep.distribution:
                 for _, st in prep.conditional(occ).branches:
-                    if t is None:
-                        assert st.registry is rest
-                    assert st.registry == prep.conditional_registry
+                    assert st.registry is prep.conditional_registry
+        assert (first.conditional_registry is rest) == (t is None)
+
+
+def test_conditioning_on_an_impossible_pattern_is_a_validation_error():
+    # a pattern the distribution lacks has no group in the split; the analyzer
+    # reports it as the generic conditioning does, with or without loss modes
+    for t in (None, 0.3):
+        prep = _analyzer(0.05, t)
+        assert bool(prep._traced[0]) == (t is not None)
+        seen = {occ for occ, _ in prep.distribution}
+        absent = next(occ for occ in itertools.product(range(3), repeat=4) if occ not in seen)
+        for pattern in (absent, (9, 9, 9, 9)):
+            with pytest.raises(ValidationError, match=f"pattern {re.escape(str(pattern))} has zero probability"):
+                prep.conditional(pattern)
+            with pytest.raises(ValidationError, match="has zero probability"):
+                detection._condition_on_pattern(prep._split, pattern)
 
 
 def test_inner_product_is_sesquilinear():

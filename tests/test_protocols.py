@@ -213,13 +213,13 @@ def test_exact_outcomes_group_the_distribution_through_the_rule():
 
 def test_exact_outcomes_condition_only_on_herald_patterns(monkeypatch):
     conditioned = []
-    condition = detection._condition_on_pattern
+    condition = detection.PreparedBellAnalyzer.conditional
 
-    def recording(split, pattern):
+    def recording(prep, pattern):
         conditioned.append(pattern)
-        return condition(split, pattern)
+        return condition(prep, pattern)
 
-    monkeypatch.setattr(detection, "_condition_on_pattern", recording)
+    monkeypatch.setattr(detection.PreparedBellAnalyzer, "conditional", recording)
     prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(ORDER_2), "p", "A")
     outcomes = {outcome: cond for outcome, cond, _ in prep.exact_outcomes()}
     rule = detection.default_herald_rule()
