@@ -272,19 +272,10 @@ class PreparedBellAnalyzer:
         self._width = 1 + loss_words + (len(self.labels) if detector.dark_prob > 0.0 else 0)
 
     def conditional(self, true_pattern: tuple[int, ...]) -> MixedState:
-        """State of the unmeasured modes given true photon numbers `true_pattern`:
-        its group of the split, loss modes traced as by `fock.trace_out`."""
-        ((_, split),) = self._split
-        if true_pattern not in split:
-            raise ValidationError(f"pattern {true_pattern} has zero probability")
-        loss, _, registry = self._traced
-        _, st = split[true_pattern]
-        if not loss:
-            return MixedState([(1.0, st)])
-        envs = fock.split_by_occupation(st, loss)
-        parts = [envs[env] for env in sorted(envs)]
-        total = sum(w for w, _ in parts)
-        return MixedState([(w / total, rest.with_registry(registry)) for w, rest in parts])
+        """State of the unmeasured modes given true photon numbers `true_pattern`,
+        as `measure` conditions, on `conditional_registry`."""
+        cond = _condition_on_pattern(self._split, true_pattern)
+        return MixedState([(w, st.with_registry(self.conditional_registry)) for w, st in cond.branches])
 
     def overlaps(self, pattern: tuple[int, ...], target: PureState, flip: str | None = None) -> list[tuple[float, float]]:
         """The nonzero terms (weight, |<target|branch>|^2) of

@@ -575,6 +575,25 @@ def test_conditionals_share_the_registries_of_their_layout_record():
         assert (first.conditional_registry is rest) == (t is None)
 
 
+def test_overlaps_flip_only_the_loss_branches_that_reach_the_target(monkeypatch):
+    # a lossy conditional has a branch per loss occupation; the pi flip is
+    # applied to the branches that share a term with the target, not to all
+    prep = _analyzer(0.1, 0.3)
+    target = protocols._target(prep.conditional_registry)
+    flips = []
+    apply_phase = fock.apply_phase
+    monkeypatch.setattr(fock, "apply_phase", lambda st, *args: flips.append(st) or apply_phase(st, *args))
+    reached_total = branches_total = 0
+    for occ, _ in prep.distribution:
+        branches = prep.conditional(occ).branches
+        reached = [st for _, st in branches if st.amplitudes.keys() & target.amplitudes.keys()]
+        flips[:] = []
+        terms = prep.overlaps(occ, target, protocols.EVENT_READY.flip_mode)
+        assert len(flips) == len(terms) == len(reached)
+        reached_total, branches_total = reached_total + len(reached), branches_total + (len(branches) if reached else 0)
+    assert 0 < reached_total < branches_total
+
+
 def test_conditioning_on_an_impossible_pattern_is_a_validation_error():
     # a pattern the distribution lacks has no group in the split; the analyzer
     # reports it as the generic conditioning does, with or without loss modes
