@@ -41,7 +41,6 @@ from .fock import (  # noqa: F401
     trace_out,
     vacuum,
 )
-from .metrics import QubitEncoding, concurrence, entropy, purity  # noqa: F401
 from .protocols import (  # noqa: F401
     ProtocolConfig,
     bell_decompose,
@@ -51,5 +50,15 @@ from .protocols import (  # noqa: F401
     memory_store,
     wilson_interval,
 )
-from .rng import trial_rng  # noqa: F401
 from .sources import SourceParams, dual_ensemble_source, epr_pair, raman_emit  # noqa: F401
+
+#: export of a module that imports numpy -> that module, imported when the export is first read
+_LAZY = {"QubitEncoding": "metrics", "concurrence": "metrics", "entropy": "metrics", "purity": "metrics", "trial_rng": "rng"}
+
+
+def __getattr__(name: str):
+    """An export of `_LAZY`, imported from its module when first read."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return globals().setdefault(name, getattr(import_module(f".{_LAZY[name]}", __name__), name))

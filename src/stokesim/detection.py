@@ -35,12 +35,9 @@ import math
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import elements, fock
 from .errors import ValidationError
 from .fock import LOSS, MixedState, PureState, Record, as_mixed
-from .rng import binomial_steps, trial_rng, trial_uniforms
 
 PSI_MINUS = "PsiMinus"
 PSI_PLUS = "PsiPlus"
@@ -143,11 +140,10 @@ def _analyzer_layout(registry: fock.ModeRegistry, keys: tuple, path_1: str, path
     the registry after both polarizing splitters, relabelings found on a
     state without terms; the four measured modes; the split's term groups
     and the registry of the other modes; their loss modes, and the picker
-    and registry of the rest (the conditionals'); the sorted patterns and
-    their photon numbers as a read-only array; the outcome of each click
-    code (bit j set when `_LABELS[j]` clicked) under `default_herald_rule()`;
-    and each outcome's pattern indices when every occupied detector clicks.
-    Shared across points, so never mutated."""
+    and registry of the rest (the conditionals'); the sorted patterns; the
+    outcome of each click code (bit j set when `_LABELS[j]` clicked) under
+    `default_herald_rule()`; and each outcome's pattern indices when every
+    occupied detector clicks.  Shared across points, so never mutated."""
     st, out_1h, out_1v = elements.pol_splitter(PureState._wrap(registry, {}, 0.0), path_1)
     st, out_2h, out_2v = elements.pol_splitter(st, path_2)
     reg, modes = st.registry, (f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V")
@@ -155,19 +151,20 @@ def _analyzer_layout(registry: fock.ModeRegistry, keys: tuple, path_1: str, path
     loss = tuple(i for i, m in enumerate(rest.modes) if m.kind == LOSS)
     conditional, keep, _ = fock._split_plan(rest, loss, ())
     patterns = tuple(sorted(groups))
-    occupations = np.array(patterns).reshape(len(patterns), len(_LABELS))
-    occupations.flags.writeable = False
     rule = default_herald_rule()
     outcomes = tuple(rule.classify({lab for j, lab in enumerate(_LABELS) if code >> j & 1}) for code in range(1 << len(_LABELS)))
     grouped: dict[str, list[int]] = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
-    for i, code in enumerate(((occupations > 0) << np.arange(len(_LABELS))).sum(axis=1).tolist()):
-        grouped[outcomes[code]].append(i)
+    for i, occ in enumerate(patterns):
+        grouped[outcomes[sum(1 << j for j, n in enumerate(occ) if n)]].append(i)
     traced = (tuple(rest.modes[i] for i in loss), fock._picker(keep), conditional if loss else rest)
-    return reg, modes, groups, rest, traced, patterns, occupations, outcomes, {o: tuple(m) for o, m in grouped.items()}
+    return reg, modes, groups, rest, traced, patterns, outcomes, {o: tuple(m) for o, m in grouped.items()}
 
 
-#: n and the read-only `binomial_steps(n, eta)`, built once per (n, eta)
-_step_table = lru_cache(maxsize=64)(lambda n, eta: (n, *binomial_steps(n, eta)))
+@lru_cache(maxsize=64)
+def _step_table(n: int, eta: float) -> tuple:
+    """n and the read-only `rng.binomial_steps(n, eta)`, built once per (n, eta)."""
+    from .rng import binomial_steps
+    return (n, *binomial_steps(n, eta))
 
 
 def _condition_on_pattern(split: list[tuple[float, fock.Split]], pattern: tuple[int, ...]) -> MixedState:
@@ -227,7 +224,7 @@ def measure(state: PureState | MixedState, detectors: Mapping, rng) -> tuple[Cli
     labels = [m if isinstance(m, str) else m.name for m in modes]
     split = _split_branches(state, modes)
     dist = _distribution(split)
-    pick = rng.choice(len(dist), p=np.array([p for _, p in dist]))
+    pick = rng.choice(len(dist), p=[p for _, p in dist])
     true = dist[pick][0]
     pattern = _sample_clicks(true, specs, labels, rng)
     conditional = _condition_on_pattern(split, true)
@@ -255,7 +252,7 @@ class PreparedBellAnalyzer:
     ):
         st = elements.beam_splitter(state, path_1, path_2)
         #: `outcomes[code]` is the outcome of click code `code`; bit j is set when labels[j] clicked
-        registry, self.modes, groups, rest, self._traced, patterns, self._occupations, self.outcomes, self._grouped = (
+        registry, self.modes, groups, rest, self._traced, patterns, self.outcomes, self._grouped = (
             _analyzer_layout(st.registry, tuple(st.amplitudes), path_1, path_2)
         )
         self.conditional_registry = self._traced[2]
@@ -266,8 +263,8 @@ class PreparedBellAnalyzer:
         self.distribution = _distribution(self._split, patterns)
         eta = detector.efficiency
         #: binomial step tables per photon number a detector sees, when 0 < eta < 1
-        self._steps = [_step_table(k, eta) for k in sorted(set(self._occupations.flat) - {0})] if 0.0 < eta < 1.0 else []
-        loss_words = int((self._occupations > 0).sum(axis=1).max()) if self._steps else 0
+        self._steps = [_step_table(k, eta) for k in sorted({n for occ in patterns for n in occ} - {0})] if 0.0 < eta < 1.0 else []
+        loss_words = max(sum(n > 0 for n in occ) for occ in patterns) if self._steps else 0
         #: most words one trial's stream reads
         self._width = 1 + loss_words + (len(self.labels) if detector.dark_prob > 0.0 else 0)
 
@@ -293,11 +290,19 @@ class PreparedBellAnalyzer:
 
     @cached_property
     def _cum(self) -> np.ndarray:
+        import numpy as np
         return np.cumsum([p for _, p in self.distribution])
+
+    @cached_property
+    def _occupations(self) -> np.ndarray:
+        """The true photon numbers of `distribution`, one row per pattern."""
+        import numpy as np
+        return np.array([occ for occ, _ in self.distribution])
 
     def pick(self, u):
         """Index into `distribution` of the true pattern that uniform `u`
         (a float or an array of them) selects by the Born rule."""
+        import numpy as np
         return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
 
     def sample(self, rng) -> tuple[str, int, tuple[int, ...]]:
@@ -317,6 +322,8 @@ class PreparedBellAnalyzer:
         for its binomial loss draw if it saw photons and 0 < eta < 1, and
         one for its dark count if dark_prob > 0.  A trial whose loss draw
         needs a second word runs `sample` on its own generator."""
+        import numpy as np
+        from .rng import trial_rng, trial_uniforms
         if count > _BLOCK:
             blocks = range(start, start + count, _BLOCK)
             return np.concatenate([self.sample_block(seed, lo, min(_BLOCK, start + count - lo)) for lo in blocks])

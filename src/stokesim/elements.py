@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import fock
 from .errors import ValidationError
 from .fock import PureState
@@ -38,7 +36,7 @@ def _require_pols(state: PureState, path: str, pols: tuple[str, str], element: s
 def half_wave(state: PureState, path: str) -> PureState:
     """Half-wave plate: swap the R and L amplitudes of a path."""
     _require_pols(state, path, fock.CIRCULAR_POLS, "half_wave")
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    swap = ((0.0, 1.0), (1.0, 0.0))
     modes = [state.registry.path_mode(path, "R"), state.registry.path_mode(path, "L")]
     return fock.apply_mode_unitary(state, modes, swap)
 
@@ -68,12 +66,7 @@ def attenuate_mode(state: PureState, mode, t: float) -> PureState:
     reg, sink = state.registry.add_loss()
     target = reg.mode(mode)
     grown = PureState._wrap(reg, {occ + (0,): c for occ, c in state.amplitudes.items()}, state.truncation_loss)
-    u = np.array(
-        [
-            [math.sqrt(t), math.sqrt(1.0 - t)],
-            [math.sqrt(1.0 - t), -math.sqrt(t)],
-        ]
-    )
+    u = ((math.sqrt(t), math.sqrt(1.0 - t)), (math.sqrt(1.0 - t), -math.sqrt(t)))
     return fock.apply_mode_unitary(grown, [target, sink], u)
 
 
@@ -88,12 +81,7 @@ def beam_splitter(state: PureState, path_a: str, path_b: str, r: float = 0.5) ->
             f"beam_splitter needs paths {path_a!r} and {path_b!r} in one polarization basis, "
             f"found {sorted(pols_a)} vs {sorted(pols_b)}"
         )
-    u = np.array(
-        [
-            [math.sqrt(1.0 - r), math.sqrt(r)],
-            [math.sqrt(r), -math.sqrt(1.0 - r)],
-        ]
-    )
+    u = ((math.sqrt(1.0 - r), math.sqrt(r)), (math.sqrt(r), -math.sqrt(1.0 - r)))
     out = state
     for pol in sorted(pols_a):
         out = fock.apply_mode_unitary(

@@ -19,11 +19,10 @@ import cmath
 import itertools
 import math
 import operator
+import struct
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import RegistryError, ValidationError
 
@@ -335,23 +334,53 @@ def basis_state(registry: ModeRegistry, occ: Mapping[ModeId | str, int]) -> Pure
 # mode-operator algebra
 
 
-def check_unitary(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """`u` as a complex array, checked to be square with max|U^dag U - 1|
+def check_unitary(u, tol: float = 1e-10) -> tuple[tuple[complex, ...], ...]:
+    """`u` (nested sequences or a numpy array) as rows of built-in complex,
+    checked to be a nonempty square matrix of numbers with max|U^dag U - 1|
     <= tol (a NaN deviation fails); the deviation is memoized per matrix."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError("mode matrix must be square")
-    dev = _unitary_deviation(u.tobytes(), u.shape[0])
+    try:
+        rows = tuple(tuple(complex(x) for x in row) for row in u)
+    except (TypeError, ValueError, OverflowError):
+        rows = ()
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValidationError("mode matrix must be a square matrix of numbers")
+    dev = _unitary_deviation(_pack(rows), len(rows))
     if not dev <= tol:
         raise ValidationError(f"matrix is not unitary (deviation {dev:.2e})")
-    return u
+    return rows
+
+
+def _pack(rows: tuple[tuple[complex, ...], ...]) -> bytes:
+    """The bytes of a matrix's real and imaginary parts, row by row: a key
+    that tells 0.0 from -0.0, which equal floats do not."""
+    return struct.pack(f"{2 * len(rows) ** 2}d", *(x for row in rows for c in row for x in (c.real, c.imag)))
+
+
+def _unpack(ubytes: bytes, k: int) -> list[list[complex]]:
+    """The k x k matrix that `_pack` gave `ubytes` for."""
+    v = struct.unpack(f"{2 * k * k}d", ubytes)
+    return [[complex(v[2 * (k * r + c)], v[2 * (k * r + c) + 1]) for c in range(k)] for r in range(k)]
 
 
 @lru_cache(maxsize=256)
 def _unitary_deviation(ubytes: bytes, k: int) -> float:
-    """max|U^dag U - 1| of the k x k matrix of bytes `ubytes`."""
-    u = np.frombuffer(ubytes, dtype=complex).reshape(k, k)
-    return np.max(np.abs(u.conj().T @ u - np.eye(k)))
+    """max|U^dag U - 1| of the k x k matrix of bytes `ubytes`; NaN if any entry of U^dag U is."""
+    u = _unpack(ubytes, k)
+    devs = [abs(sum(u[r][i].conjugate() * u[r][j] for r in range(k)) - (i == j)) for i in range(k) for j in range(k)]
+    return max(devs) if all(d == d for d in devs) else math.nan
+
+
+def _scaled_power(a: complex, m: int, f: int) -> complex:
+    """a ** m / f for integers m, f >= 1, rounded as numpy's complex scalars
+    round it: 0 for a zero base; m = 1, 2 and 3 unrolled, larger m by `**`'s
+    binary exponentiation from 1 (which, for m <= 3, can flip the sign of a
+    zero part); and Smith's division, which multiplies by the reciprocal
+    1 / f and by the ratio 0 of f's parts, where `/` divides."""
+    if not a:
+        return 0j
+    p = a if m == 1 else a * a if m == 2 else a * (a * a) if m == 3 else a**m
+    scl = 1.0 / f
+    return complex((p.real + p.imag * 0.0) * scl, (p.imag - p.real * 0.0) * scl)
 
 
 def _picker(idx: Sequence[int]):
@@ -366,7 +395,7 @@ def _expansion_plan(ubytes: bytes, k: int, ns: tuple[int, ...]) -> tuple:
     one (size, ops) stage per nonzero n_i, each op (dst, src, coeff) adding
     coeff times entry src of the last stage to entry dst, and the final
     (acc, sqrt(prod m!)) pairs; compositions run in lexicographic order."""
-    u = np.frombuffer(ubytes, dtype=complex).reshape(k, k)
+    u = _unpack(ubytes, k)
     fact = [math.factorial(n) for n in range(sum(ns) + 1)]
     keys = [(0,) * k]
     stages = []
@@ -380,10 +409,9 @@ def _expansion_plan(ubytes: bytes, k: int, ns: tuple[int, ...]) -> tuple:
             coeff = 1.0 + 0.0j
             for j, m in enumerate(comp):
                 if m:
-                    coeff *= u[j, i] ** m / fact[m]
+                    coeff *= _scaled_power(u[j][i], m, fact[m])
             if abs(coeff) < AMPLITUDE_EPS:
                 continue
-            coeff = complex(coeff)
             for src, acc in enumerate(keys):
                 ops.append((pos.setdefault(tuple(a + b for a, b in zip(acc, comp)), len(pos)), src, coeff))
         keys = list(pos)
@@ -423,24 +451,24 @@ def _state_plan(ubytes: bytes, idx: tuple[int, ...], keys: tuple[tuple[int, ...]
     return tuple(starts), tuple(ops), tuple(finals), size, tuple(slots)
 
 
-def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u: np.ndarray) -> PureState:
+def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u) -> PureState:
     """Substitute a_i^dag -> sum_j U[j,i] a_j^dag on every basis term.
 
     The matrix acts on the listed modes only; passive linear optics
     conserves the total excitation number, so no truncation occurs.
     Plans are cached per matrix, acted modes and key layout of the state
-    (`_state_plan`), so a call replays only the arithmetic, in built-in
-    `complex`, which rounds as numpy's scalars do; numpy's vector loops
-    (fused multiply-adds) do not.  A key's first contribution of at least
-    AMPLITUDE_EPS fixes its place, and sums below it are dropped.
+    (`_state_plan`, keyed on the matrix's bytes), so a call replays only
+    the arithmetic, in built-in `complex`, which rounds as numpy's scalars
+    do; numpy's vector loops (fused multiply-adds) do not.  A key's first
+    contribution of at least AMPLITUDE_EPS fixes its place, and sums below it are dropped.
     """
-    u = check_unitary(u)
+    rows = check_unitary(u)
     idx = tuple(state.registry.index(m) for m in modes)
     if len(set(idx)) != len(idx):
         raise ValidationError("modes for a mode unitary must be distinct")
-    if u.shape[0] != len(idx):
-        raise ValidationError(f"matrix size {u.shape[0]} does not match {len(idx)} modes")
-    return _replay(state, u.tobytes(), idx)
+    if len(rows) != len(idx):
+        raise ValidationError(f"matrix size {len(rows)} does not match {len(idx)} modes")
+    return _replay(state, _pack(rows), idx)
 
 
 def _replay(state: PureState, ubytes: bytes, idx: tuple[int, ...]) -> PureState:
@@ -465,8 +493,8 @@ def _replay(state: PureState, ubytes: bytes, idx: tuple[int, ...]) -> PureState:
 
 @lru_cache(maxsize=64)
 def _phase_bytes(phase: float) -> bytes:
-    """The bytes of [[e^{i phase}]], checked unitary."""
-    return check_unitary(np.array([[np.exp(1j * phase)]])).tobytes()
+    """The bytes of [[e^{i phase}]], checked unitary (`cmath.exp` rounds as `numpy.exp` does)."""
+    return _pack(check_unitary([[cmath.exp(1j * phase)]]))
 
 
 def apply_phase(state: PureState, mode: ModeId | str, phase: float) -> PureState:
@@ -649,6 +677,7 @@ def reduced_density(
 ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Dense density matrix on the kept modes, with the occupation basis
     actually populated by the state (sorted for stability)."""
+    import numpy as np
     mixed = as_mixed(state)
     reg = mixed.registry
     kidx = [reg.index(m) for m in keep]

@@ -35,14 +35,13 @@ evaluates one fidelity per distinct herald key.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import repeat
 
-import numpy as np
-
-from . import detection, elements, fock, metrics, sources
+from . import detection, elements, fock, sources
 from .detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
 from .errors import ValidationError
 from .fock import MixedState, ModeRegistry, PureState, Record
@@ -100,12 +99,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# qubit encodings used throughout
-
-ATOMIC_QUBIT = metrics.excitation_qubit("S1", "S2")
-
-
-# ---------------------------------------------------------------------------
 # post-selected generation
 
 
@@ -117,6 +110,7 @@ def generate_entanglement(config: ProtocolConfig) -> tuple[MixedState, dict]:
     classical mixture of the vacuum branch and the entangled
     one-emission branch (weights 1/(1+p0) and p0/(1+p0) at first order).
     """
+    from . import metrics
     src = sources.dual_ensemble_source(config.source, config.cutoff)
     branches: list[tuple[float, PureState]] = []
     weights: list[float] = []
@@ -143,7 +137,7 @@ def generate_entanglement(config: ProtocolConfig) -> tuple[MixedState, dict]:
         if lossy:
             # an active attenuator adds a photon-lost branch: condition on the photon reaching p
             excited = fock.project(excited, dict.fromkeys(lossy, 0))[0]
-        pair = metrics.two_qubit_density(excited, ATOMIC_QUBIT, metrics.pol_qubit("p"))
+        pair = metrics.two_qubit_density(excited, metrics.excitation_qubit("S1", "S2"), metrics.pol_qubit("p"))
         report["excited_branch_concurrence"] = metrics.concurrence(pair)
         report["excited_branch_entropy"] = metrics.entropy(excited, ["S1", "S2"])
     return mixed, report
@@ -280,7 +274,7 @@ def input_qubit(theta: float, phi: float, cutoff: int = fock.DEFAULT_CUTOFF) -> 
     if abs(a0) > 1e-15:
         amps[tuple(1 if m.name == "q:H" else 0 for m in reg.modes)] = a0
     if abs(a1) > 1e-15:
-        amps[tuple(1 if m.name == "q:V" else 0 for m in reg.modes)] = a1 * np.exp(1j * phi)
+        amps[tuple(1 if m.name == "q:V" else 0 for m in reg.modes)] = a1 * cmath.exp(1j * phi)
     return PureState(reg, amps)
 
 
@@ -296,12 +290,13 @@ def _memory_header(config: ProtocolConfig) -> dict:
 
 
 def _qubit_amplitudes(config: ProtocolConfig) -> tuple[float, complex]:
-    return math.cos(config.theta), math.sin(config.theta) * np.exp(1j * config.phi)
+    return math.cos(config.theta), math.sin(config.theta) * cmath.exp(1j * config.phi)
 
 
 def _stored_fidelity(config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list, stored: MixedState | None = None) -> float:
+    from . import metrics
     stored = stored if stored is not None else _mixed(MEMORY, prep, mixture)
-    return metrics.qubit_fidelity(stored, ATOMIC_QUBIT, *_qubit_amplitudes(config))
+    return metrics.qubit_fidelity(stored, metrics.excitation_qubit("S1", "S2"), *_qubit_amplitudes(config))
 
 
 def memory_readout(stored: MixedState | PureState, retrieval_efficiency: float = 1.0) -> MixedState:
@@ -457,6 +452,7 @@ def summarize_sampled(config: ProtocolConfig, kind: str, keys: np.ndarray, chann
     summary block shared by the sampled protocols: counts tallied in
     place, one fidelity per distinct herald key, and their sum over the
     heralds accumulated in trial order."""
+    import numpy as np
     sp = _cached_protocol(config, kind, channel)
     tally = np.zeros(int(keys.max()) + 1, np.intp)
     np.add.at(tally, keys, 1)
@@ -491,6 +487,7 @@ def _run_sampled(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState 
     `trial_outcomes` on consecutive chunks of `detection._BLOCK` trials, one
     pool task each (so a pool gives a run of at most one block to one
     worker), and the joined keys are aggregated in trial order."""
+    import numpy as np
     starts = range(0, config.trials, detection._BLOCK)
     counts = [min(detection._BLOCK, config.trials - s) for s in starts]
     parts = chunk_map(trial_outcomes, repeat(config), repeat(spec.name), starts, counts, repeat(channel))
@@ -527,6 +524,7 @@ def memory_store(
     """
     if config.mode == "sampled":
         return None, _run_sampled(MEMORY, config, channel, chunk_map)
+    from . import metrics
     stored, report = _run_exact(MEMORY, config, channel)
     if stored is not None:
         readout = memory_readout(stored, config.retrieval_efficiency)

@@ -906,6 +906,43 @@ def test_an_exact_sweep_with_jobs_leaves_the_pool_unimported(tmp_path):
     assert serial.read_bytes() == pooled.read_bytes()
 
 
+#: probe -> (command, None to only import the package and the CLI; config text,
+#: "readme" for the README's or None for none; flags; exit code; whether numpy gets imported)
+NUMPY_PROBES = {
+    "import": (None, None, [], 0, False),
+    "validate-readme": ("validate", "readme", [], 0, False),
+    "config-error": ("event-ready", "[source]\np0 = 0.5\n", [], 2, False),
+    "exact-event-ready": ("event-ready", None, [], 0, False),
+    "exact-sweep": ("sweep", "[source]\nemission_order = 5\ncutoff = 12\n\n[sweep]\nparameter = p0\nvalues = 0.01, 0.1, 0.2\n", [], 0, False),
+    "sampled-event-ready": ("event-ready", None, ["--mode", "sampled", "--trials", "200", "--seed", "1"], 0, True),
+    "exact-memory": ("memory", None, [], 0, True),
+    "generate": ("generate", None, [], 0, True),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_PROBES)
+def test_only_runs_that_build_arrays_import_numpy(tmp_path, name):
+    # exact event-ready runs and sweeps, validate and config errors compute in
+    # built-in floats and complex; sampled runs, memory and generate need arrays
+    command, text, flags, rc, imports = NUMPY_PROBES[name]
+    argv = None
+    if command is not None:
+        if text == "readme":
+            text = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+        argv = [command, "--out", str(tmp_path / "r.json"), *flags]
+        argv += ["--config", write_ini(tmp_path, text)] if text is not None else []
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    probe = f"import sys, stokesim, stokesim.cli as c; rc = 0 if {argv!r} is None else c.main({argv!r}); print(rc, 'numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{rc} {imports}"
+    if command not in (None, "validate") and rc == 0:
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert len(report["rows"]) == 3 if command == "sweep" else report["protocol"] == command
+
+
 def test_an_exact_event_ready_sweep_builds_no_herald_state(tmp_path, monkeypatch):
     # the report reads each point's herald probabilities and fidelity off the
     # analyzer: no heralded state, and a conditional only for a herald pattern

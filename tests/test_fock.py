@@ -285,6 +285,19 @@ def test_a_non_unitary_matrix_fails_every_check(u):
         fock.apply_phase(st, "a:R", float("nan"))
 
 
+@pytest.mark.parametrize(
+    "u",
+    [[[1.0, 0.0], [0.0]], [1.0, 0.0], np.array([1.0, 0.0]), [], [[]], np.zeros((0, 0)), np.eye(2)[None], [["one", 0.0], [0.0, 1.0]], [[None]], [[math.nan]]],
+    ids=["ragged", "1d-list", "1d-array", "empty", "empty-row", "empty-array", "3d-array", "text", "none", "nan"],
+)
+def test_a_malformed_matrix_is_a_validation_error(u):
+    # the rows are read in built-in complex, so shape and type are checked here, not by numpy
+    with pytest.raises(ValidationError):
+        fock.check_unitary(u)
+    with pytest.raises(ValidationError):
+        fock.apply_mode_unitary(fock.basis_state(two_path_registry(), {"a:R": 1}), ["a:R", "b:R"], u)
+
+
 def test_phase_plate_scales_by_photon_number():
     reg = two_path_registry()
     st = fock.basis_state(reg, {"a:R": 3})
@@ -321,7 +334,8 @@ def _apply_by_terms(state, modes, u):
     """`fock.apply_mode_unitary` as it was before expansion plans: every
     term expanded afresh in numpy scalars.  The reference the cached plans
     must match bit for bit, term order included."""
-    u = fock.check_unitary(u)
+    fock.check_unitary(u)
+    u = np.asarray(u, dtype=complex)
     idx = [state.registry.index(m) for m in modes]
     k = len(idx)
     fact = [math.factorial(n) for n in range(state.registry.cutoff + 1)]
@@ -380,6 +394,74 @@ def test_phase_plate_matches_the_per_term_expansion_bit_for_bit(state, mode, pha
     # apply_phase replays the plan of a matrix it checked once, skipping apply_mode_unitary
     u = np.array([[np.exp(1j * phase)]])
     assert bits(fock.apply_phase(state, mode, phase)) == bits(_apply_by_terms(state, [mode], u))
+
+
+def _numpy_plan(u, ns):
+    """`fock._expansion_plan` as it was built in numpy scalars, each coefficient
+    u[j, i] ** m / m! a product of numpy complex scalars: the reference of the
+    plans' built-in arithmetic."""
+    u = np.asarray(u, dtype=complex)
+    k = len(u)
+    fact = [math.factorial(n) for n in range(sum(ns) + 1)]
+    keys, stages = [(0,) * k], []
+    for i, n in enumerate(ns):
+        if n == 0:
+            continue
+        pos, ops = {}, []
+        for comp in _compositions(n, k):
+            coeff = 1.0 + 0.0j
+            for j, m in enumerate(comp):
+                if m:
+                    coeff *= u[j, i] ** m / fact[m]
+            if abs(coeff) < fock.AMPLITUDE_EPS:
+                continue
+            for src, acc in enumerate(keys):
+                ops.append((pos.setdefault(tuple(a + b for a, b in zip(acc, comp)), len(pos)), src, complex(coeff)))
+        keys = list(pos)
+        stages.append((len(keys), tuple(ops)))
+    final = tuple((acc, math.sqrt(math.prod(fact[m] for m in acc))) for acc in keys)
+    return math.sqrt(math.prod(fact[n] for n in ns)), tuple(stages), final
+
+
+def _hexed(value):
+    """`value` with every float and complex part written as its hex form."""
+    if isinstance(value, tuple):
+        return tuple(_hexed(v) for v in value)
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return value.hex() if isinstance(value, float) else value
+
+
+def _attenuator(t):
+    return np.array([[math.sqrt(t), math.sqrt(1.0 - t)], [math.sqrt(1.0 - t), -math.sqrt(t)]])
+
+
+def test_every_plan_coefficient_matches_numpy_scalars_bit_for_bit():
+    # u ** m / m! in built-in complex: numpy's unrolled small powers and its
+    # division by a reciprocal; the key is the bytes numpy gave the matrix
+    rng = np.random.default_rng(7)
+    # the splitter times i: imaginary entries, whose powers `**` would give zero real parts of the other sign
+    matrices = [beam_splitter_matrix(), beam_splitter_matrix().conj(), 1j * beam_splitter_matrix(), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    matrices += [_attenuator(t) for t in (0.3, 0.0, 1.0, 0.1234)]
+    matrices += [oracle.haar_unitary(k, rng) for k in (1, 2, 3) for _ in range(3)]
+    compared = 0
+    for u in matrices:
+        k = len(u)
+        rows = fock.check_unitary(u)
+        assert rows == fock.check_unitary(u.tolist())
+        ubytes = fock._pack(rows)
+        assert ubytes == np.asarray(u, dtype=complex).tobytes()
+        top = 3 if k == 3 else 6
+        for ns in itertools.product(range(top + 1), repeat=k):
+            if sum(ns):
+                assert _hexed(fock._expansion_plan(ubytes, k, ns)) == _hexed(_numpy_plan(u, ns)), (u, ns)
+                compared += 1
+    assert compared == 8 * 48 + 3 * 6 + 3 * 48 + 3 * 63
+
+
+@pytest.mark.parametrize("phase", [math.pi, 0.7, -1.3, 2.0 * math.pi - 1e-9])
+def test_the_phase_plate_matrix_has_numpy_bytes(phase):
+    assert fock._phase_bytes(phase) == np.array([[np.exp(1j * phase)]]).tobytes()
 
 
 def _multipair_config(p0):

@@ -30,3 +30,45 @@ def test_module_imports_only_stdlib_and_numpy(path):
 def test_guard_sees_third_party_imports():
     tree = ast.parse("import scipy.linalg\nfrom numpy import fft\nfrom . import fock\nimport json\n")
     assert imported_roots(tree) - ALLOWED == {"scipy"}
+
+
+#: modules that load without numpy, so that `validate`, config errors and exact
+#: event-ready runs and sweeps never import it; `rng` and `metrics` import numpy
+#: at the top, and the modules here import them only where arrays are built
+NUMPY_FREE = ("__init__", "__main__", "cli", "errors", "fock", "elements", "sources", "detection", "protocols")
+#: what loads numpy: numpy itself, or the package modules that import it
+NUMPY_LOADERS = {"numpy", "rng", "metrics"}
+
+
+def import_time_modules(tree: ast.AST) -> set[str]:
+    """Modules imported by the statements that run when the module is
+    imported: the body and its blocks and class bodies, not function
+    bodies.  Package modules are named without the package."""
+    names, stack = set(), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.removeprefix("stokesim.").split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("stokesim").lstrip(".")
+            names.update([module.split(".")[0]] if module else [alias.name for alias in node.names])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_module_loads_numpy_only_inside_functions(name):
+    path = SRC / f"{name}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert import_time_modules(tree) & NUMPY_LOADERS == set()
+
+
+def test_numpy_guard_sees_module_level_imports_only():
+    tree = ast.parse(
+        "import numpy.linalg\nfrom .rng import trial_rng\nif True:\n    from . import metrics\n"
+        "class A:\n    import json\n"
+        "def f():\n    import numpy as np\n    from . import rng\n"
+    )
+    assert import_time_modules(tree) == {"numpy", "rng", "metrics", "json"}

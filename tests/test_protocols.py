@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from stokesim import cli, detection, fock, metrics, protocols, sources
+from stokesim import cli, detection, fock, metrics, protocols, rng, sources
 from stokesim.detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec
 from stokesim.errors import ValidationError
 from stokesim.protocols import ProtocolConfig
@@ -499,7 +499,7 @@ def test_lossy_outcomes_do_not_depend_on_the_partition(monkeypatch):
 def test_lossy_trials_build_no_generator(monkeypatch):
     # guards against a per-trial loop coming back below unit efficiency
     built = []
-    monkeypatch.setattr(detection, "trial_rng", lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
+    monkeypatch.setattr("stokesim.rng.trial_rng", lambda seed, trial: built.append(trial) or trial_rng(seed, trial))
     cfg = ProtocolConfig(detector=DetectorSpec(efficiency=0.8, dark_prob=1e-3), mode="sampled", theta=0.7, phi=1.9)
     keys = protocols.trial_outcomes(cfg, "memory", 0, 20_000)
     assert keys.dtype == np.uint16 and len(keys) == 20_000 and built == []
@@ -513,7 +513,7 @@ def test_sampled_run_draws_whole_bulk_blocks(monkeypatch):
         drawn.append(count)
         return trial_uniforms(seed, start, count, width)
 
-    monkeypatch.setattr(detection, "trial_uniforms", recording)
+    monkeypatch.setattr("stokesim.rng.trial_uniforms", recording)
     cfg = ProtocolConfig(source=SourceParams(p0=0.1), mode="sampled", trials=20_000, seed=3)
     _, report = protocols.event_ready_generation(cfg)
     assert report["trials"] == 20_000
@@ -524,8 +524,8 @@ def test_step_tables_are_built_once_per_photon_number_and_efficiency(monkeypatch
     # every point of a sampled p0 sweep below unit efficiency asks for the
     # tables of n = 1..6 photons at one detector
     built = []
-    steps = detection.binomial_steps
-    monkeypatch.setattr(detection, "binomial_steps", lambda n, p: built.append((n, p)) or steps(n, p))
+    steps = rng.binomial_steps
+    monkeypatch.setattr(rng, "binomial_steps", lambda n, p: built.append((n, p)) or steps(n, p))
     detection._step_table.cache_clear()
     protocols._cached_protocol.cache_clear()
     lossy = _multipair(0.01).replace(mode="sampled", trials=100, seed=3, detector=DetectorSpec(efficiency=0.8))
@@ -590,7 +590,7 @@ def test_memory_exact_stores_arbitrary_qubit():
     np.testing.assert_allclose(report["success_probability"], 0.5, atol=1e-12)
     np.testing.assert_allclose(report["stored_fidelity"], 1.0, atol=1e-9)
     np.testing.assert_allclose(report["round_trip_fidelity"], 1.0, atol=1e-9)
-    rho = metrics.qubit_density(stored, protocols.ATOMIC_QUBIT)
+    rho = metrics.qubit_density(stored, metrics.excitation_qubit("S1", "S2"))
     np.testing.assert_allclose(np.trace(rho).real, 1.0, atol=1e-9)
 
 

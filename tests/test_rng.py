@@ -185,8 +185,8 @@ def test_a_loss_word_at_a_redraw_edge_runs_the_trial_generator(monkeypatch):
         return u
 
     built = []
-    monkeypatch.setattr(detection, "trial_uniforms", crafted)
-    monkeypatch.setattr(detection, "trial_rng", lambda seed, i: built.append(i) or trial_rng(seed, i))
+    monkeypatch.setattr("stokesim.rng.trial_uniforms", crafted)
+    monkeypatch.setattr("stokesim.rng.trial_rng", lambda seed, i: built.append(i) or trial_rng(seed, i))
     bulk = sp.prep.sample_block(cfg.seed, 0, trial + 10)
     assert built == [trial]
     # the scalar path read the trial's real stream, as every trial matches
