@@ -52,13 +52,14 @@ from .protocols import (  # noqa: F401
 )
 from .sources import SourceParams, dual_ensemble_source, epr_pair, raman_emit  # noqa: F401
 
-#: export of a module that imports numpy -> that module, imported when the export is first read
-_LAZY = {"QubitEncoding": "metrics", "concurrence": "metrics", "entropy": "metrics", "purity": "metrics", "trial_rng": "rng"}
+#: a module that imports numpy, or one of its exports -> that module, imported when first read
+_LAZY = {"metrics": "metrics", "rng": "rng", "QubitEncoding": "metrics", "concurrence": "metrics", "entropy": "metrics", "purity": "metrics", "trial_rng": "rng"}
 
 
 def __getattr__(name: str):
-    """An export of `_LAZY`, imported from its module when first read."""
+    """A name of `_LAZY`, imported from its module when first read."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
-    return globals().setdefault(name, getattr(import_module(f".{_LAZY[name]}", __name__), name))
+    module = import_module(f".{_LAZY[name]}", __name__)
+    return globals().setdefault(name, module if name == _LAZY[name] else getattr(module, name))

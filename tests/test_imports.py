@@ -1,5 +1,7 @@
 """The runtime depends on numpy only: every module of the package may
-import the standard library, numpy and the package itself, nothing else."""
+import the standard library, numpy and the package itself, nothing else.
+The modules that config checks and exact event-ready runs load import
+numpy only inside the functions that build arrays."""
 
 import ast
 import pathlib
@@ -72,3 +74,13 @@ def test_numpy_guard_sees_module_level_imports_only():
         "def f():\n    import numpy as np\n    from . import rng\n"
     )
     assert import_time_modules(tree) == {"numpy", "rng", "metrics", "json"}
+
+
+def test_the_package_exports_numpy_modules_and_their_names_on_first_read():
+    import stokesim
+    from stokesim import metrics, rng
+
+    for name, value in [("metrics", metrics), ("rng", rng), ("purity", metrics.purity), ("trial_rng", rng.trial_rng)]:
+        assert stokesim.__getattr__(name) is value
+    with pytest.raises(AttributeError, match="no attribute 'numpy'"):
+        stokesim.__getattr__("numpy")
