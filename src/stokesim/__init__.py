@@ -14,7 +14,6 @@ from .detection import (  # noqa: F401
     PreparedBellAnalyzer,
     default_herald_rule,
     exact_outcome_distribution,
-    measure,
 )
 from .elements import (  # noqa: F401
     attenuate_mode,
@@ -23,6 +22,7 @@ from .elements import (  # noqa: F401
     pol_splitter,
     quarter_wave,
 )
+from . import fock
 from .errors import ConfigError, RegistryError, StokesimError, ValidationError  # noqa: F401
 from .fock import (  # noqa: F401
     MixedState,
@@ -35,7 +35,6 @@ from .fock import (  # noqa: F401
     inner_product,
     photonic_mode,
     project,
-    reduced_density,
     state_fidelity,
     tensor,
     trace_out,
@@ -43,23 +42,16 @@ from .fock import (  # noqa: F401
 )
 from .protocols import (  # noqa: F401
     ProtocolConfig,
-    bell_decompose,
     event_ready_generation,
-    generate_entanglement,
     memory_readout,
     memory_store,
     wilson_interval,
 )
 from .sources import SourceParams, dual_ensemble_source, epr_pair, raman_emit  # noqa: F401
 
-#: a module that imports numpy, or one of its exports -> that module, imported when first read
-_LAZY = {"metrics": "metrics", "rng": "rng", "QubitEncoding": "metrics", "concurrence": "metrics", "entropy": "metrics", "purity": "metrics", "trial_rng": "rng"}
-
-
-def __getattr__(name: str):
-    """A name of `_LAZY`, imported from its module when first read."""
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    module = import_module(f".{_LAZY[name]}", __name__)
-    return globals().setdefault(name, module if name == _LAZY[name] else getattr(module, name))
+#: the modules that import numpy, and their names that the package exports
+__getattr__ = fock._lazy(__name__, {
+    "metrics": "metrics", "rng": "rng", "sampling": "sampling", "analysis": "analysis",
+    "QubitEncoding": "metrics", "concurrence": "metrics", "entropy": "metrics", "purity": "metrics", "reduced_density": "metrics",
+    "trial_rng": "rng", "measure": "sampling", "bell_decompose": "analysis", "generate_entanglement": "analysis",
+})

@@ -132,9 +132,9 @@ def loss_mode(name: str) -> ModeId:
 
 class ModeRegistry:
     """Ordered, immutable collection of declared modes plus the global
-    excitation cutoff."""
+    excitation cutoff.  Its hash is computed once, when first asked for."""
 
-    __slots__ = ("modes", "cutoff", "_index")
+    __slots__ = ("modes", "cutoff", "_index", "_hash")
 
     def __init__(self, modes: Sequence[ModeId] = (), cutoff: int = DEFAULT_CUTOFF):
         if cutoff < 1:
@@ -147,6 +147,7 @@ class ModeRegistry:
         self.modes: tuple[ModeId, ...] = tuple(modes)
         self.cutoff = cutoff
         self._index = {m.name: i for i, m in enumerate(self.modes)}
+        self._hash = None
 
     # -- construction -----------------------------------------------------
 
@@ -199,10 +200,24 @@ class ModeRegistry:
         )
 
     def __hash__(self):
-        return hash((self.modes, self.cutoff))
+        if self._hash is None:
+            self._hash = hash((self.modes, self.cutoff))
+        return self._hash
+
+    def __reduce__(self):
+        # a string's hash differs between processes, so the cached one is not pickled
+        return ModeRegistry, (self.modes, self.cutoff)
 
     def __repr__(self):
         return f"ModeRegistry({[m.name for m in self.modes]}, cutoff={self.cutoff})"
+
+
+class Keys(tuple):
+    """Term keys in stored order, interned by a cached plan and compared and
+    hashed by identity: caches keyed on them read no key."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 class PureState:
@@ -211,10 +226,10 @@ class PureState:
     Sub-normalized states are legal (heralded branches before explicit
     renormalization).  `truncation_loss` accumulates the squared amplitude
     dropped by the excitation cutoff along the pipeline that produced this
-    state.
+    state.  `_keys` is the map's keys as interned `Keys`, or None.
     """
 
-    __slots__ = ("registry", "amplitudes", "truncation_loss")
+    __slots__ = ("registry", "amplitudes", "truncation_loss", "_keys")
 
     def __init__(
         self,
@@ -238,14 +253,15 @@ class PureState:
         self.registry = registry
         self.amplitudes = amps
         self.truncation_loss = float(truncation_loss)
+        self._keys = None
 
     @classmethod
-    def _wrap(cls, registry: ModeRegistry, amplitudes: dict, truncation_loss: float) -> "PureState":
+    def _wrap(cls, registry: ModeRegistry, amplitudes: dict, truncation_loss: float, keys: Keys | None = None) -> "PureState":
         """Share a map that holds only built-in complex amplitudes >= AMPLITUDE_EPS
         on valid terms: the trusted path of internal results, which drop tiny
         amplitudes as they build the map and skip the public checks."""
         st = cls.__new__(cls)
-        st.registry, st.amplitudes, st.truncation_loss = registry, amplitudes, truncation_loss
+        st.registry, st.amplitudes, st.truncation_loss, st._keys = registry, amplitudes, truncation_loss, keys
         return st
 
     # -- basic queries ----------------------------------------------------
@@ -278,7 +294,7 @@ class PureState:
         their amplitude map, so the new state shares this one's."""
         if len(registry) != len(self.registry):
             raise RegistryError("relabeled registry must keep the mode count")
-        return PureState._wrap(registry, self.amplitudes, self.truncation_loss)
+        return PureState._wrap(registry, self.amplitudes, self.truncation_loss, self._keys)
 
     def __repr__(self):
         parts = ", ".join(f"{occ}: {c:.4g}" for occ, c in sorted(self.amplitudes.items()))
@@ -426,7 +442,9 @@ def _state_plan(ubytes: bytes, idx: tuple[int, ...], keys: tuple[tuple[int, ...]
     matrix of bytes `ubytes` on positions `idx`, as a program over one buffer:
     (position, start) per term, every stage's ops (dst, src, coeff) and
     (output slot, src, scale) per final entry, with start and scale None for
-    a term without photons there; then the buffer size and the slots' keys."""
+    a term without photons there; then the buffer size, the slots' keys and
+    the `Keys` that `_replay` interns for its results.  Interned `keys` find
+    the plan by identity."""
     k, ns_of = len(idx), _picker(idx)
     slots: dict[tuple[int, ...], int] = {}
     starts, ops, finals, size = [], [], [], 0
@@ -448,7 +466,7 @@ def _state_plan(ubytes: bytes, idx: tuple[int, ...], keys: tuple[tuple[int, ...]
             for pos, m in zip(idx, acc):
                 new[pos] = m
             finals.append((slots.setdefault(tuple(new), len(slots)), base + j, scale))
-    return tuple(starts), tuple(ops), tuple(finals), size, tuple(slots)
+    return tuple(starts), tuple(ops), tuple(finals), size, tuple(slots), {}
 
 
 def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u) -> PureState:
@@ -472,23 +490,37 @@ def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u) -> Pu
 
 
 def _replay(state: PureState, ubytes: bytes, idx: tuple[int, ...]) -> PureState:
-    """`apply_mode_unitary` by the cached plan of a checked matrix `ubytes` on distinct positions `idx`."""
-    starts, ops, finals, size, out_keys = _state_plan(ubytes, idx, tuple(state.amplitudes))
+    """`apply_mode_unitary` by the cached plan of a checked matrix `ubytes` on
+    distinct positions `idx`.  Unless a sum is dropped, the final entries
+    skipped below AMPLITUDE_EPS (on a beam splitter, the terms that
+    interference cancels) fix the result's keys and their order, so the
+    result carries the `Keys` that the plan interns for those entries."""
+    keys = state._keys
+    starts, ops, finals, size, out_keys, interned = _state_plan(ubytes, idx, tuple(state.amplitudes) if keys is None else keys)
     buf = [0j] * size
     for (pos, start), c in zip(starts, state.amplitudes.values()):
         buf[pos] = c if start is None else c * start
     for dst, src, coeff in ops:
         buf[dst] += buf[src] * coeff
     acc: dict[int, complex] = {}
+    skipped = []
     for slot, src, scale in finals:
         cc = buf[src]
         if scale is not None:
             cc *= scale
             if abs(cc) < AMPLITUDE_EPS:
+                skipped.append(src)
                 continue
         acc[slot] = acc.get(slot, 0j) + cc
     amps = {out_keys[slot]: c for slot, c in acc.items() if abs(c) >= AMPLITUDE_EPS}
-    return PureState._wrap(state.registry, amps, state.truncation_loss)
+    new_keys = None
+    if len(amps) == len(acc):
+        new_keys = interned.get(which := tuple(skipped))
+        if new_keys is None:
+            if len(interned) >= 16:
+                interned.clear()
+            new_keys = interned[which] = Keys(amps)
+    return PureState._wrap(state.registry, amps, state.truncation_loss, new_keys)
 
 
 @lru_cache(maxsize=64)
@@ -514,17 +546,18 @@ def inner_product(a: PureState, b: PureState) -> complex:
 
 
 def _normalized(
-    registry: ModeRegistry, amps: Mapping, truncation_loss: float, weight: float | None = None
+    registry: ModeRegistry, amps: Mapping, truncation_loss: float, weight: float | None = None, keys: Keys | None = None
 ) -> tuple[PureState | None, float]:
     """The state `amps` scaled to unit norm and its weight sum|c|^2 (summed
-    here unless given); (None, 0.0) when the weight is zero."""
+    here unless given); (None, 0.0) when the weight is zero.  It keeps the
+    interned `keys` of `amps`, if given, when it keeps every term."""
     if weight is None:
         weight = sum(abs(c) ** 2 for c in amps.values())
     if weight <= 0.0:
         return None, 0.0
     scale = 1.0 / math.sqrt(weight)
-    amps = {occ: v for occ, c in amps.items() if abs(v := c * scale) >= AMPLITUDE_EPS}
-    return PureState._wrap(registry, amps, float(truncation_loss)), weight
+    scaled = {occ: v for occ, c in amps.items() if abs(v := c * scale) >= AMPLITUDE_EPS}
+    return PureState._wrap(registry, scaled, float(truncation_loss), keys if len(scaled) == len(amps) else None), weight
 
 
 def project(state: PureState, pattern: Mapping[ModeId | str, int]) -> tuple[PureState | None, float]:
@@ -600,17 +633,23 @@ def tensor(a: PureState, b: PureState) -> PureState:
 class Split(Mapping):
     """Pattern -> (weight sum|c|^2, normalized state of the other modes), as
     `split_by_occupation` groups a state's terms.  `weights` holds every
-    pattern's weight; a group's state is built and scaled when first read."""
+    pattern's weight, summed in one pass over the terms by their group
+    numbers `index`; a group's state is built and scaled when first read,
+    with its `Keys` from `group_keys` if given."""
 
-    def __init__(self, registry: ModeRegistry, groups: dict, values: list, truncation_loss: float):
-        self.registry, self._groups, self._values, self._loss, self._read = registry, groups, values, truncation_loss, {}
-        self.weights = {p: w for p, terms in groups.items() if (w := sum(abs(values[i]) ** 2 for i, _ in terms)) > 0.0}
+    def __init__(self, registry: ModeRegistry, groups: dict, index, values: list, truncation_loss: float, group_keys=None):
+        self.registry, self._groups, self._values, self._loss, self._keys, self._read = registry, groups, values, truncation_loss, group_keys, {}
+        sums = [0.0] * len(groups)
+        for g, c in zip(index, values):
+            sums[g] += abs(c) ** 2
+        self.weights = {p: w for p, w in zip(groups, sums) if w > 0.0}
 
     def __getitem__(self, pattern: tuple[int, ...]) -> tuple[float, PureState]:
         if pattern not in self._read:
             weight, values = self.weights[pattern], self._values
             amps = {rest: values[i] for i, rest in self._groups[pattern]}
-            self._read[pattern] = weight, _normalized(self.registry, amps, self._loss, weight)[0]
+            keys = None if self._keys is None else self._keys[pattern]
+            self._read[pattern] = weight, _normalized(self.registry, amps, self._loss, weight, keys)[0]
         return self._read[pattern]
 
     def __contains__(self, pattern) -> bool:
@@ -623,17 +662,26 @@ class Split(Mapping):
         return len(self.weights)
 
 
-def _split_plan(registry: ModeRegistry, idx: tuple[int, ...], keys) -> tuple[ModeRegistry, tuple[int, ...], dict]:
+def _split_plan(registry: ModeRegistry, idx: tuple[int, ...], keys) -> tuple[ModeRegistry, tuple[int, ...], dict, tuple[int, ...]]:
     """The registry of the modes of `registry` not at positions `idx`, their
-    positions, and pattern -> ((position, key on them), ...) of the terms
-    `keys` in stored order, grouped by occupation of `idx` in a plain dict."""
+    positions, pattern -> ((position, key on them), ...) of the terms `keys`
+    in stored order, grouped by occupation of `idx` in a plain dict, and each
+    term's group number."""
     keep = tuple(i for i in range(len(registry)) if i not in idx)
     pattern_of, rest_of = _picker(idx), _picker(keep)
     groups: dict[tuple[int, ...], list] = defaultdict(list)
+    number: dict[tuple[int, ...], int] = {}
+    index = []
     for i, occ in enumerate(keys):
-        groups[pattern_of(occ)].append((i, rest_of(occ)))
+        pattern = pattern_of(occ)
+        index.append(number.setdefault(pattern, len(number)))
+        groups[pattern].append((i, rest_of(occ)))
     rest = ModeRegistry(tuple(registry.modes[i] for i in keep), registry.cutoff)
-    return rest, keep, {p: tuple(terms) for p, terms in groups.items()}
+    return rest, keep, {p: tuple(terms) for p, terms in groups.items()}, tuple(index)
+
+
+#: `_split_plan` of interned `Keys`, found by their identity
+_layout_split_plan = lru_cache(maxsize=256)(lambda registry, idx, keys: _split_plan(registry, idx, keys))
 
 
 def split_by_occupation(state: PureState, modes: Sequence[ModeId | str]) -> Split:
@@ -643,11 +691,13 @@ def split_by_occupation(state: PureState, modes: Sequence[ModeId | str]) -> Spli
     to the weight sum|c|^2 of its terms and the normalized state of the
     remaining modes; patterns with zero weight are absent.  Each group is
     what `project` gives for its pattern with the measured modes dropped.
-    A group is normalized only when first read (`Split`).
+    A group is normalized only when first read (`Split`); interned `Keys`
+    find their grouping cached.
     """
-    reg = state.registry
-    rest, _, groups = _split_plan(reg, tuple(reg.index(m) for m in modes), state.amplitudes)
-    return Split(rest, groups, list(state.amplitudes.values()), state.truncation_loss)
+    reg, keys = state.registry, state._keys
+    idx = tuple(reg.index(m) for m in modes)
+    rest, _, groups, index = _split_plan(reg, idx, state.amplitudes) if keys is None else _layout_split_plan(reg, idx, keys)
+    return Split(rest, groups, index, list(state.amplitudes.values()), state.truncation_loss)
 
 
 def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> MixedState:
@@ -670,44 +720,25 @@ def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> M
     return MixedState([(w / total, s) for w, s in out])
 
 
-def reduced_density(
-    state: PureState | MixedState,
-    keep: Sequence[ModeId | str],
-    max_dim: int = 64,
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """Dense density matrix on the kept modes, with the occupation basis
-    actually populated by the state (sorted for stability)."""
-    import numpy as np
-    mixed = as_mixed(state)
-    reg = mixed.registry
-    kidx = [reg.index(m) for m in keep]
-    ridx = [i for i in range(len(reg)) if i not in kidx]
-
-    patterns: set[tuple[int, ...]] = set()
-    for _, st in mixed.branches:
-        for occ in st.amplitudes:
-            patterns.add(tuple(occ[i] for i in kidx))
-    basis = sorted(patterns)
-    if len(basis) > max_dim:
-        raise ValidationError(f"kept subspace dimension {len(basis)} exceeds bound {max_dim}")
-    pos = {p: i for i, p in enumerate(basis)}
-
-    rho = np.zeros((len(basis), len(basis)), dtype=complex)
-    for w, st in mixed.branches:
-        grouped: dict[tuple[int, ...], list[tuple[int, complex]]] = defaultdict(list)
-        for occ, c in st.amplitudes.items():
-            env = tuple(occ[i] for i in ridx)
-            grouped[env].append((pos[tuple(occ[i] for i in kidx)], c))
-        for terms in grouped.values():
-            for i, ci in terms:
-                for j, cj in terms:
-                    rho[i, j] += w * ci * cj.conjugate()
-    return rho, basis
-
-
 def state_fidelity(state: PureState | MixedState, target: PureState) -> float:
     """<target| rho |target> for a normalized pure target."""
     acc = 0.0
     for w, st in as_mixed(state).branches:
         acc += w * abs(inner_product(target, st)) ** 2
     return acc
+
+
+def _lazy(module: str, homes: Mapping[str, str]):
+    """A PEP 562 `__getattr__` for `module` that reads each name of `homes` off
+    the package module it names, imported then (the module itself if its own)."""
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from importlib import import_module
+        home = import_module(f"{__package__}.{homes[name]}")
+        return home if name == homes[name] else getattr(home, name)
+    return __getattr__
+
+
+#: `reduced_density` needs numpy
+__getattr__ = _lazy(__name__, {"reduced_density": "metrics"})

@@ -1,4 +1,5 @@
-"""Entanglement and distance measures.
+"""Dense reduced density matrices, and the entanglement and distance
+measures read off them.
 
 All matrices here are tiny (at most 8x8), so numpy's Hermitian
 eigensolver is accurate far beyond every tolerance used by the callers.
@@ -7,15 +8,46 @@ eigensolver is accurate far beyond every tolerance used by the callers.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
 
 from . import fock
 from .errors import ValidationError
-from .fock import MixedState, PureState, Record
+from .fock import MixedState, ModeId, PureState, Record
 
 _PSD_TOL = 1e-9
+
+
+def reduced_density(state: PureState | MixedState, keep: Sequence[ModeId | str], max_dim: int = 64) -> tuple[np.ndarray, list]:
+    """Dense density matrix on the kept modes, with the occupation basis
+    actually populated by the state (sorted for stability)."""
+    mixed = fock.as_mixed(state)
+    reg = mixed.registry
+    kidx = [reg.index(m) for m in keep]
+    ridx = [i for i in range(len(reg)) if i not in kidx]
+
+    patterns: set[tuple[int, ...]] = set()
+    for _, st in mixed.branches:
+        for occ in st.amplitudes:
+            patterns.add(tuple(occ[i] for i in kidx))
+    basis = sorted(patterns)
+    if len(basis) > max_dim:
+        raise ValidationError(f"kept subspace dimension {len(basis)} exceeds bound {max_dim}")
+    pos = {p: i for i, p in enumerate(basis)}
+
+    rho = np.zeros((len(basis), len(basis)), dtype=complex)
+    for w, st in mixed.branches:
+        grouped: dict[tuple[int, ...], list[tuple[int, complex]]] = defaultdict(list)
+        for occ, c in st.amplitudes.items():
+            env = tuple(occ[i] for i in ridx)
+            grouped[env].append((pos[tuple(occ[i] for i in kidx)], c))
+        for terms in grouped.values():
+            for i, ci in terms:
+                for j, cj in terms:
+                    rho[i, j] += w * ci * cj.conjugate()
+    return rho, basis
 
 
 def _check_density(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -46,7 +78,7 @@ def entropy(state: PureState, keep) -> float:
         raise ValidationError("entanglement entropy is defined here for pure states only")
     if abs(state.norm_sq() - 1.0) > 1e-9:
         raise ValidationError("state must be normalized")
-    rho, _ = fock.reduced_density(state, list(keep))
+    rho, _ = reduced_density(state, list(keep))
     return entropy_of_spectrum(np.linalg.eigvalsh(rho).real)
 
 
@@ -98,7 +130,7 @@ def excitation_qubit(mode0: str, mode1: str) -> QubitEncoding:
 def _sector_density(state: PureState | MixedState, modes: list, patterns: list[tuple[int, ...]]) -> np.ndarray:
     """Block of the reduced density matrix on `modes` spanned by the
     occupation `patterns`, in that order; zero where a pattern is absent."""
-    rho, basis = fock.reduced_density(state, modes)
+    rho, basis = reduced_density(state, modes)
     out = np.zeros((len(patterns), len(patterns)), dtype=complex)
     for i, pi in enumerate(patterns):
         for j, pj in enumerate(patterns):

@@ -2,8 +2,8 @@
 
 Three procedures built from the source, analyzer, and metric layers:
 
-* post-selected generation: the raw source output as a classical mixture
-  over emission sectors (vacuum + entangled branch at first order);
+* post-selected generation (`analysis`): the raw source output as a
+  classical mixture over emission sectors;
 * event-ready generation: source plus an ancilla photon pair, heralded by
   a Bell-state analysis on the forward photon and one ancilla photon;
 * teleportation memory: store an arbitrary photonic qubit in the two
@@ -24,13 +24,11 @@ need no correction.  Corrections map the heralded branch onto the
 singlet-herald branch exactly, so heralded states are unique up to
 global phase.
 
-Sampled runs draw one counter-based random stream per trial from
-(seed, trial index), which makes results independent of execution order
-and parallelism, so trial chunks may run through any chunk-map callable.
-The analyzer turns each trial into one uint16 key, true-pattern index
-times 16 plus click code (`PreparedBellAnalyzer.sample_block`); chunks
-return only those keys, and `summarize_sampled` counts them and
-evaluates one fidelity per distinct herald key.
+Sampled runs (`sampling`) draw one counter-based random stream per trial
+from (seed, trial index), so trial chunks may run through any chunk-map
+callable in any order; each trial becomes one uint16 key, and
+`summarize_sampled` counts the keys and evaluates one fidelity per
+distinct herald key.
 """
 
 from __future__ import annotations
@@ -39,10 +37,9 @@ import cmath
 import math
 from collections.abc import Callable
 from functools import lru_cache
-from itertools import repeat
 
 from . import detection, elements, fock, sources
-from .detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
+from .detection import FAIL, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
 from .errors import ValidationError
 from .fock import MixedState, ModeRegistry, PureState, Record
 from .sources import SourceParams
@@ -96,100 +93,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     half = _WILSON_Z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
     low = (center - half) / denom if successes else 0.0
     return low, (center + half) / denom if successes < trials else 1.0
-
-
-# ---------------------------------------------------------------------------
-# post-selected generation
-
-
-def generate_entanglement(config: ProtocolConfig) -> tuple[MixedState, dict]:
-    """Source output as the emission-sector mixture.
-
-    Without a phase reference between pump pulses the coherence between
-    emission sectors is unobservable, so the physical state is the
-    classical mixture of the vacuum branch and the entangled
-    one-emission branch (weights 1/(1+p0) and p0/(1+p0) at first order).
-    """
-    from . import metrics
-    src = sources.dual_ensemble_source(config.source, config.cutoff)
-    branches: list[tuple[float, PureState]] = []
-    weights: list[float] = []
-    for k in range(config.source.emission_order + 1):
-        sector, w = fock.restrict_total_occupation(src, ["S1", "S2"], k)
-        if sector is not None and w > 0.0:
-            branches.append((w, sector))
-            weights.append(w)
-    mixed = MixedState(branches)
-
-    system = [m.name for m in mixed.registry.modes if m.kind != fock.LOSS]
-    rho, _ = fock.reduced_density(mixed, system)
-    report = {
-        "protocol": "generate",
-        "p0": config.source.p0,
-        "emission_order": config.source.emission_order,
-        "branch_weights": weights,
-        "purity": metrics.purity(rho),
-        "truncation_loss": src.truncation_loss,
-    }
-    if len(branches) > 1:
-        excited = branches[1][1]
-        lossy = [m.name for m in mixed.registry.modes if m.kind == fock.LOSS]
-        if lossy:
-            # an active attenuator adds a photon-lost branch: condition on the photon reaching p
-            excited = fock.project(excited, dict.fromkeys(lossy, 0))[0]
-        pair = metrics.two_qubit_density(excited, metrics.excitation_qubit("S1", "S2"), metrics.pol_qubit("p"))
-        report["excited_branch_concurrence"] = metrics.concurrence(pair)
-        report["excited_branch_entropy"] = metrics.entropy(excited, ["S1", "S2"])
-    return mixed, report
-
-
-# ---------------------------------------------------------------------------
-# Bell decomposition
-
-_BELL_TABLE = {
-    "phi_plus": {(0, 0): SQRT_HALF, (1, 1): SQRT_HALF},
-    "phi_minus": {(0, 0): SQRT_HALF, (1, 1): -SQRT_HALF},
-    "psi_plus": {(0, 1): SQRT_HALF, (1, 0): SQRT_HALF},
-    "psi_minus": {(0, 1): SQRT_HALF, (1, 0): -SQRT_HALF},
-}
-
-
-def bell_decompose(
-    state: PureState, enc_a: metrics.QubitEncoding, enc_b: metrics.QubitEncoding
-) -> dict[str, float]:
-    """Branch norms of the four Bell components on an encoded qubit pair.
-
-    The complex phase of each component is absorbed into its residual
-    factor on the remaining modes, so values are reported as magnitudes;
-    their squares sum to the state's norm.
-    """
-    reg = state.registry
-    idx_a = [reg.index(m) for m in enc_a.modes]
-    idx_b = [reg.index(m) for m in enc_b.modes]
-    rest_idx = [i for i in range(len(reg)) if i not in idx_a and i not in idx_b]
-
-    def bit_of(occ, idx, enc):
-        sub = tuple(occ[i] for i in idx)
-        if sub == enc.zero:
-            return 0
-        if sub == enc.one:
-            return 1
-        raise ValidationError(f"state leaves the qubit sector on modes {enc.modes}: pattern {sub}")
-
-    branches: dict[str, dict[tuple[int, ...], complex]] = {name: {} for name in _BELL_TABLE}
-    for occ, c in state.amplitudes.items():
-        ba = bit_of(occ, idx_a, enc_a)
-        bb = bit_of(occ, idx_b, enc_b)
-        rest = tuple(occ[i] for i in rest_idx)
-        for name, table in _BELL_TABLE.items():
-            amp = table.get((ba, bb))
-            if amp is not None:
-                acc = branches[name]
-                acc[rest] = acc.get(rest, 0.0) + amp * c
-    return {
-        name: math.sqrt(sum(abs(v) ** 2 for v in acc.values()))
-        for name, acc in branches.items()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -416,84 +319,19 @@ def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | 
     return heralded, report
 
 
-class _SampledProtocol:
-    """Prepared analyzer of one heralded protocol, and the fidelity of its
-    corrected conditional per (true detection pattern, outcome)."""
-
-    def __init__(self, config: ProtocolConfig, kind: str, channel: PureState | None = None):
-        self.config = config
-        self.spec = HERALDED[kind]
-        joint = self.spec.joint_state(config, channel)
-        self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
-
-    def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
-        return self.spec.fidelity(self.config, self.prep, [(true, outcome, float)])  # branches keep their weights
-
-
-@lru_cache(maxsize=8)
-def _cached_protocol(config: ProtocolConfig, kind: str, channel: PureState | None) -> _SampledProtocol:
-    # a channel state hashes by identity, so one run reuses its protocol
-    return _SampledProtocol(config, kind, channel)
-
-
 def trial_outcomes(
     config: ProtocolConfig, kind: str, start: int, count: int, channel: PureState | None = None
 ) -> np.ndarray:
-    """Run trials [start, start+count) and return one uint16 key per
-    trial: true-pattern index times 16 plus click code.  Trial i gets the
-    outcome of `PreparedBellAnalyzer.sample(trial_rng(seed, i))`, drawn in
-    bulk by `PreparedBellAnalyzer.sample_block`, so any partition of the
-    range agrees."""
-    return _cached_protocol(config, kind, channel).prep.sample_block(config.seed, start, count)
+    """One uint16 key per trial of [start, start+count), drawn in bulk by
+    `sampling.Sampler.sample_block`: any partition of the range agrees."""
+    from .sampling import _cached_protocol
+    return _cached_protocol(config, kind, channel).prep.sampler.sample_block(config.seed, start, count)
 
 
 def summarize_sampled(config: ProtocolConfig, kind: str, keys: np.ndarray, channel: PureState | None = None) -> dict:
-    """Aggregate the keys of a run's trials (in trial order) into the
-    summary block shared by the sampled protocols: counts tallied in
-    place, one fidelity per distinct herald key, and their sum over the
-    heralds accumulated in trial order."""
-    import numpy as np
-    sp = _cached_protocol(config, kind, channel)
-    tally = np.zeros(int(keys.max()) + 1, np.intp)
-    np.add.at(tally, keys, 1)
-    counts = {PSI_MINUS: 0, PSI_PLUS: 0, FAIL: 0}
-    fids = np.full(len(tally), np.nan)
-    for key in np.flatnonzero(tally).tolist():
-        true, outcome = sp.prep.decode(key)
-        counts[outcome] += int(tally[key])
-        if outcome != FAIL:
-            fids[key] = sp.fidelity(true, outcome)
-    herald_fids = fids[keys[~np.isnan(fids)[keys]]]
-    successes = len(herald_fids)
-    trials = len(keys)
-    low, high = wilson_interval(successes, trials)
-    return {
-        "trials": trials,
-        "seed": config.seed,
-        "eta": config.detector.efficiency,
-        "dark_prob": config.detector.dark_prob,
-        "success_count": successes,
-        "success_rate": successes / trials,
-        "wilson_low": low,
-        "wilson_high": high,
-        "psi_minus_count": counts[PSI_MINUS],
-        "psi_plus_count": counts[PSI_PLUS],
-        "mean_" + HERALDED[kind].fidelity_key: float(np.cumsum(herald_fids)[-1]) / successes if successes else None,
-    }
-
-
-def _run_sampled(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None, chunk_map) -> dict:
-    """Monte Carlo run with the configured detectors: `chunk_map` runs
-    `trial_outcomes` on consecutive chunks of `detection._BLOCK` trials, one
-    pool task each (so a pool gives a run of at most one block to one
-    worker), and the joined keys are aggregated in trial order."""
-    import numpy as np
-    starts = range(0, config.trials, detection._BLOCK)
-    counts = [min(detection._BLOCK, config.trials - s) for s in starts]
-    parts = chunk_map(trial_outcomes, repeat(config), repeat(spec.name), starts, counts, repeat(channel))
-    report = spec.header(config)
-    report.update(summarize_sampled(config, spec.name, np.concatenate(list(parts)), channel))
-    return report
+    """The summary block of a sampled run's keys, in trial order (`sampling.summarize`)."""
+    from .sampling import summarize
+    return summarize(config, kind, keys, channel)
 
 
 def event_ready_generation(config: ProtocolConfig, chunk_map=map, with_state=True) -> tuple[MixedState | None, dict]:
@@ -506,7 +344,8 @@ def event_ready_generation(config: ProtocolConfig, chunk_map=map, with_state=Tru
     `chunk_map` (`map` or a pool's `map`).
     """
     if config.mode == "sampled":
-        return None, _run_sampled(EVENT_READY, config, None, chunk_map)
+        from .sampling import run_sampled
+        return None, run_sampled(EVENT_READY, config, None, chunk_map)
     return _run_exact(EVENT_READY, config, None, with_state)
 
 
@@ -523,7 +362,8 @@ def memory_store(
     are as in :func:`event_ready_generation`.
     """
     if config.mode == "sampled":
-        return None, _run_sampled(MEMORY, config, channel, chunk_map)
+        from .sampling import run_sampled
+        return None, run_sampled(MEMORY, config, channel, chunk_map)
     from . import metrics
     stored, report = _run_exact(MEMORY, config, channel)
     if stored is not None:
@@ -532,3 +372,9 @@ def memory_store(
             readout, metrics.pol_qubit("readout"), *_qubit_amplitudes(config)
         )
     return stored, report
+
+
+#: names that moved to modules that need numpy
+__getattr__ = fock._lazy(__name__, {
+    "_SampledProtocol": "sampling", "_cached_protocol": "sampling", "generate_entanglement": "analysis", "bell_decompose": "analysis"
+})

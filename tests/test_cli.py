@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from stokesim import cli, detection, fock, protocols
+from stokesim import cli, detection, fock, protocols, sampling
 from stokesim.detection import DetectorSpec
 from stokesim.errors import ConfigError, ValidationError
 from stokesim.protocols import ProtocolConfig
@@ -907,24 +907,28 @@ def test_an_exact_sweep_with_jobs_leaves_the_pool_unimported(tmp_path):
 
 
 #: probe -> (command, None to only import the package and the CLI; config text,
-#: "readme" for the README's or None for none; flags; exit code; whether numpy gets imported)
+#: "readme" for the README's or None for none; flags; exit code; whether numpy
+#: gets imported; which of the package modules that hold numpy code it loads)
 NUMPY_PROBES = {
-    "import": (None, None, [], 0, False),
-    "validate-readme": ("validate", "readme", [], 0, False),
-    "config-error": ("event-ready", "[source]\np0 = 0.5\n", [], 2, False),
-    "exact-event-ready": ("event-ready", None, [], 0, False),
-    "exact-sweep": ("sweep", "[source]\nemission_order = 5\ncutoff = 12\n\n[sweep]\nparameter = p0\nvalues = 0.01, 0.1, 0.2\n", [], 0, False),
-    "sampled-event-ready": ("event-ready", None, ["--mode", "sampled", "--trials", "200", "--seed", "1"], 0, True),
-    "exact-memory": ("memory", None, [], 0, True),
-    "generate": ("generate", None, [], 0, True),
+    "import": (None, None, [], 0, False, set()),
+    "validate-readme": ("validate", "readme", [], 0, False, set()),
+    "config-error": ("event-ready", "[source]\np0 = 0.5\n", [], 2, False, set()),
+    "exact-event-ready": ("event-ready", None, [], 0, False, set()),
+    "exact-sweep": ("sweep", "[source]\nemission_order = 5\ncutoff = 12\n\n[sweep]\nparameter = p0\nvalues = 0.01, 0.1, 0.2\n", [], 0, False, set()),
+    "sampled-event-ready": ("event-ready", None, ["--mode", "sampled", "--trials", "200", "--seed", "1"], 0, True, {"sampling", "rng"}),
+    "exact-memory": ("memory", None, [], 0, True, {"metrics"}),
+    "generate": ("generate", None, [], 0, True, {"analysis", "metrics"}),
 }
+#: the package modules that import numpy at the top, directly or through each other
+NUMPY_HOLDERS = {"sampling", "analysis", "metrics", "rng"}
 
 
 @pytest.mark.parametrize("name", NUMPY_PROBES)
 def test_only_runs_that_build_arrays_import_numpy(tmp_path, name):
     # exact event-ready runs and sweeps, validate and config errors compute in
-    # built-in floats and complex; sampled runs, memory and generate need arrays
-    command, text, flags, rc, imports = NUMPY_PROBES[name]
+    # built-in floats and complex and load no module that holds numpy code;
+    # sampled runs, memory and generate need arrays, and load only the holders they use
+    command, text, flags, rc, imports, holders = NUMPY_PROBES[name]
     argv = None
     if command is not None:
         if text == "readme":
@@ -932,12 +936,17 @@ def test_only_runs_that_build_arrays_import_numpy(tmp_path, name):
         argv = [command, "--out", str(tmp_path / "r.json"), *flags]
         argv += ["--config", write_ini(tmp_path, text)] if text is not None else []
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    probe = f"import sys, stokesim, stokesim.cli as c; rc = 0 if {argv!r} is None else c.main({argv!r}); print(rc, 'numpy' in sys.modules)"
+    probe = (
+        f"import sys, stokesim, stokesim.cli as c; rc = 0 if {argv!r} is None else c.main({argv!r}); "
+        "print(rc, 'numpy' in sys.modules, *sorted(m.removeprefix('stokesim.') for m in sys.modules if m.startswith('stokesim.')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{rc} {imports}"
+    code, numpy_loaded, *loaded = proc.stdout.splitlines()[-1].split()
+    assert f"{code} {numpy_loaded}" == f"{rc} {imports}"
+    assert set(loaded) & NUMPY_HOLDERS == holders
     if command not in (None, "validate") and rc == 0:
         report = json.loads((tmp_path / "r.json").read_text())
         assert len(report["rows"]) == 3 if command == "sweep" else report["protocol"] == command
@@ -1065,7 +1074,7 @@ def test_largest_seed_runs(tmp_path, monkeypatch, source):
 def test_main_event_ready_ideal_serial_equals_parallel(tmp_path):
     # eta = 1: trials are drawn in bulk, one block per pool task; at
     # _BLOCK trials the run is one task, at _BLOCK + 1 a full block and one trial
-    for trials in (20000, detection._BLOCK, detection._BLOCK + 1):
+    for trials in (20000, sampling._BLOCK, sampling._BLOCK + 1):
         ini = write_ini(
             tmp_path,
             f"[run]\nmode = sampled\ntrials = {trials}\nseed = 8\n\n[source]\np0 = 0.1\n\n"
@@ -1082,7 +1091,7 @@ def test_main_event_ready_ideal_serial_equals_parallel(tmp_path):
 def test_main_event_ready_lossy_serial_equals_parallel(tmp_path, monkeypatch):
     # eta < 1: binomial loss draws; a small bulk block cuts the run into
     # 207 pool tasks, the last one of 18 trials
-    monkeypatch.setattr(detection, "_BLOCK", 97)
+    monkeypatch.setattr(sampling, "_BLOCK", 97)
     ini = write_ini(
         tmp_path,
         "[run]\nmode = sampled\ntrials = 20000\nseed = 8\n\n[source]\np0 = 0.1\n\n"

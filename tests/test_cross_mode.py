@@ -12,6 +12,9 @@ Each point of a fixed grid runs both modes in process with a fixed seed:
 - every report number lies in its range.  Fidelity <= 1 is not asserted:
   exact reports 1.0000000000000004 at some points.
 
+The ranges are also checked at every grid point under two lossy, noisy
+detector models, where the sampler draws loss and dark counts.
+
 `memory` reads no source (its channel is the ideal singlet), so its
 points vary the input qubit and the retrieval efficiency instead.
 """
@@ -90,3 +93,18 @@ def test_sampled_counts_and_fidelity_match_exact_at_ideal_detectors(index):
         assert sampled["mean_" + key] is None
     else:
         assert abs(sampled["mean_" + key] - exact[key]) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * heralds))
+
+
+#: the ideal detectors and two that lose photons and count in the dark
+DETECTORS = {"ideal": IDEAL, "eta-0.8": DetectorSpec(efficiency=0.8, dark_prob=1e-3), "eta-0.5": DetectorSpec(efficiency=0.5, dark_prob=1e-2)}
+
+
+@pytest.mark.parametrize("detector", sorted(DETECTORS))
+def test_every_report_number_lies_in_its_range(detector):
+    # each *_probability in [0, 1], PsiMinus + PsiPlus equal to success to
+    # rounding, truncation_loss >= 0 and success_count <= trials, exact and
+    # sampled, at every grid point
+    for index, (kind, config) in enumerate(GRID):
+        config = config.replace(detector=DETECTORS[detector])
+        for mode in (config, config.replace(mode="sampled", trials=2_000, seed=index + 1)):
+            _assert_ranges(RUNS[kind](mode)[1])

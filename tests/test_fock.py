@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import dense_oracle as oracle
-from sparse_states import MODES, bits, measured_modes, mixed_states, outcome, patterns, pure_states, without_modes
+from sparse_states import MODES, REGISTRY, bits, measured_modes, mixed_states, outcome, patterns, pure_states, without_modes
 from stokesim import detection, elements, fock, protocols, sources
 from stokesim.errors import RegistryError, ValidationError
 
@@ -389,6 +389,23 @@ def test_mode_unitary_matches_the_per_term_expansion_bit_for_bit(state, u, data)
 
 
 @settings(max_examples=100, deadline=None)
+@given(pure_states(), hs.lists(_MATRICES, min_size=2, max_size=3), hs.data())
+def test_replays_on_interned_keys_match_the_per_term_expansion_bit_for_bit(state, matrices, data):
+    # one chain of mode unitaries over states of one key layout with new
+    # amplitudes, some tiny: a later state finds each plan after the first
+    # by the keys its replay interned, and a result carries interned keys
+    # only when they are its own, in order
+    chain = [(u, data.draw(hs.permutations([m.name for m in MODES]))[: len(u)]) for u in matrices]
+    for _ in range(3):
+        scales = data.draw(hs.lists(hs.sampled_from([1.0, 0.3, 1e-14]), min_size=len(state.amplitudes), max_size=len(state.amplitudes)))
+        st = expected = fock.PureState(REGISTRY, {occ: c * s for (occ, c), s in zip(state.amplitudes.items(), scales)})
+        for u, modes in chain:
+            st, expected = fock.apply_mode_unitary(st, modes, u), _apply_by_terms(expected, modes, u)
+            assert bits(st) == bits(expected)
+            assert st._keys is None or tuple(st._keys) == tuple(st.amplitudes)
+
+
+@settings(max_examples=100, deadline=None)
 @given(pure_states(), hs.sampled_from([m.name for m in MODES]), hs.just(math.pi) | hs.floats(0.0, 2.0 * math.pi))
 def test_phase_plate_matches_the_per_term_expansion_bit_for_bit(state, mode, phase):
     # apply_phase replays the plan of a matrix it checked once, skipping apply_mode_unitary
@@ -514,6 +531,45 @@ def test_exact_sweep_points_after_the_first_reuse_every_plan():
                 assert new.hits - prev.hits == info.hits + info.misses
 
 
+def test_later_sweep_points_find_the_second_pass_and_the_layout_record_by_identity(monkeypatch):
+    # a 24-point p0 sweep builds each beam-splitter plan and the analyzer's
+    # layout record once; from the second point on, the second pass's plan
+    # and the record are found by the interned keys that the pass before
+    # handed on, hashed by identity, never by hashing 124 and 320 key tuples
+    # (the first pass reads the tensor product's 42 keys by value)
+    lookups = []
+    state_plan, analyzer_layout = fock._state_plan, detection._analyzer_layout
+
+    def planning(ubytes, idx, keys):
+        lookups.append(("plan", idx, type(keys)))
+        return state_plan(ubytes, idx, keys)
+
+    def laying_out(registry, keys, *paths):
+        lookups.append(("layout", None, type(keys)))
+        return analyzer_layout(registry, keys, *paths)
+
+    monkeypatch.setattr(fock, "_state_plan", planning)
+    monkeypatch.setattr(detection, "_analyzer_layout", laying_out)
+    state_plan.cache_clear()
+    analyzer_layout.cache_clear()
+    points = []
+    for p0 in np.linspace(0.002, 0.2, 24).tolist():
+        lookups[:] = []
+        protocols.event_ready_generation(_multipair_config(p0), with_state=False)
+        points.append(list(lookups))
+    first_pass, second_pass = ("plan", (3, 4)), ("plan", (2, 5))
+    for calls in points:
+        kinds = [(kind, idx) for kind, idx, _ in calls]
+        assert kinds.count(first_pass) == kinds.count(second_pass) == kinds.count(("layout", None)) == 1
+    for calls in points[1:]:
+        keyed = {(kind, idx) for kind, idx, keys in calls if keys is tuple}  # hashed by value
+        assert second_pass not in keyed and ("layout", None) not in keyed
+        assert first_pass in keyed
+    # each plan and the record were built at the first point only
+    assert analyzer_layout.cache_info()[:2] == (23, 1)
+    assert state_plan.cache_info().misses == len(points[0]) - 1
+
+
 def _layout_pair():
     """Two states with one key layout.  In the second the first term is so
     small that every contribution it makes falls below AMPLITUDE_EPS under
@@ -538,6 +594,31 @@ def test_a_cached_plan_replays_the_new_amplitudes_and_key_order():
     assert fock._state_plan.cache_info()[:2] == (1, 1)
     assert outs[0] == [(0, 2, 1), (1, 1, 1), (2, 0, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert outs[1] == [(0, 0, 1), (0, 2, 1), (2, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_a_plan_interns_keys_per_set_of_skipped_entries_and_none_for_a_dropped_sum():
+    # two states of one layout whose replays skip as many entries, of other
+    # terms, get keys of their own, and a state whose sum cancels gets none;
+    # in either order, the next pass finds its plan by the keys handed on
+    u, modes = beam_splitter_matrix(), ["a:R", "b:R"]
+    reg = fock.ModeRegistry((fock.photonic_mode("a", "R"), fock.photonic_mode("b", "R"), fock.atomic_mode("s")), 4)
+    pairs = [
+        ({(1, 0, 0): 1.0, (0, 1, 1): 1.2e-14}, {(1, 0, 0): 1.2e-14, (0, 1, 1): 1.0}),  # each skips two entries
+        ({(1, 0, 0): 0.5, (0, 1, 0): 0.3}, {(1, 0, 0): 0.5, (0, 1, 0): 0.5}),  # (0, 1, 0) cancels in the second
+    ]
+    for pair in pairs:
+        for order in (pair, pair[::-1]):
+            fock._state_plan.cache_clear()
+            for amps in order:
+                st = fock.apply_mode_unitary(fock.PureState(reg, amps), modes, u)
+                assert st._keys is None or tuple(st._keys) == tuple(st.amplitudes)
+                assert bits(fock.apply_mode_unitary(st, modes, u)) == bits(_apply_by_terms(st, modes, u))
+    cancelled = fock.apply_mode_unitary(fock.PureState(reg, pairs[1][1]), modes, u)
+    assert list(cancelled.amplitudes) == [(1, 0, 0)] and cancelled._keys is None
+    # scaling a group to unit norm hands its keys on only when it drops no term
+    keys = fock.Keys([(1, 0, 0), (0, 1, 0)])
+    assert fock._normalized(reg, {(1, 0, 0): 0.6, (0, 1, 0): 0.8}, 0.0, None, keys)[0]._keys is keys
+    assert fock._normalized(reg, {(1, 0, 0): 1.0, (0, 1, 0): 0.9e-14}, 0.0, None, keys)[0]._keys is None
 
 
 def _analyzer(p0, t=None):

@@ -35,11 +35,12 @@ def test_guard_sees_third_party_imports():
 
 
 #: modules that load without numpy, so that `validate`, config errors and exact
-#: event-ready runs and sweeps never import it; `rng` and `metrics` import numpy
-#: at the top, and the modules here import them only where arrays are built
+#: event-ready runs and sweeps never import it; `rng`, `metrics`, `sampling` and
+#: `analysis` import numpy at the top, and the modules here import them only
+#: where arrays are built
 NUMPY_FREE = ("__init__", "__main__", "cli", "errors", "fock", "elements", "sources", "detection", "protocols")
 #: what loads numpy: numpy itself, or the package modules that import it
-NUMPY_LOADERS = {"numpy", "rng", "metrics"}
+NUMPY_LOADERS = {"numpy", "rng", "metrics", "sampling", "analysis"}
 
 
 def import_time_modules(tree: ast.AST) -> set[str]:
@@ -84,3 +85,34 @@ def test_the_package_exports_numpy_modules_and_their_names_on_first_read():
         assert stokesim.__getattr__(name) is value
     with pytest.raises(AttributeError, match="no attribute 'numpy'"):
         stokesim.__getattr__("numpy")
+
+
+
+#: module -> the names it held before they moved behind a lazy import, and where they live now
+MOVED = {
+    "fock": {"reduced_density": "metrics"},
+    "detection": {"measure": "sampling", "_step_table": "sampling"},
+    "protocols": {
+        "_SampledProtocol": "sampling",
+        "_cached_protocol": "sampling",
+        "generate_entanglement": "analysis",
+        "bell_decompose": "analysis",
+    },
+    "__init__": {
+        "measure": "sampling",
+        "reduced_density": "metrics",
+        "generate_entanglement": "analysis",
+        "bell_decompose": "analysis",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_moved_names_still_resolve_from_the_module_that_held_them(name):
+    import importlib
+
+    module = importlib.import_module("stokesim" if name == "__init__" else f"stokesim.{name}")
+    for attr, home in MOVED[name].items():
+        assert getattr(module, attr) is getattr(importlib.import_module(f"stokesim.{home}"), attr)
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        module.nothing

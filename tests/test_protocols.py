@@ -11,11 +11,12 @@ structure by hand:
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from stokesim import cli, detection, fock, metrics, protocols, rng, sources
+from stokesim import cli, detection, fock, metrics, protocols, rng, sampling, sources
 from stokesim.detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec
 from stokesim.errors import ValidationError
 from stokesim.protocols import ProtocolConfig
@@ -445,7 +446,7 @@ def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition(monkeypatch):
     cfg = base.replace(mode="sampled", seed=5)
     whole = protocols.trial_outcomes(cfg, kind, 0, 5000)
     # odd-sized chunks, some split further into bulk blocks
-    monkeypatch.setattr(detection, "_BLOCK", 97)
+    monkeypatch.setattr(sampling, "_BLOCK", 97)
     cuts = [0, 1, 212, 2000, 2001, 4999, 5000]
     parts = [protocols.trial_outcomes(cfg, kind, a, b - a) for a, b in zip(cuts, cuts[1:])]
     np.testing.assert_array_equal(np.concatenate(parts), whole, strict=True)
@@ -490,7 +491,7 @@ def test_lossy_outcomes_do_not_depend_on_the_partition(monkeypatch):
         seed=5,
     )
     whole = protocols.trial_outcomes(cfg, "event-ready", 0, 5000)
-    monkeypatch.setattr(detection, "_BLOCK", 97)
+    monkeypatch.setattr(sampling, "_BLOCK", 97)
     cuts = [0, 1, 212, 2000, 2001, 4999, 5000]
     parts = [protocols.trial_outcomes(cfg, "event-ready", a, b - a) for a, b in zip(cuts, cuts[1:])]
     np.testing.assert_array_equal(np.concatenate(parts), whole, strict=True)
@@ -624,6 +625,17 @@ def test_memory_with_event_ready_channel():
         ProtocolConfig(theta=0.7, phi=1.9, detector=ideal_detector()), channel=chan
     )
     np.testing.assert_allclose(report["stored_fidelity"], 1.0, atol=1e-9)
+
+
+def test_round_trip_fidelity_is_retrieval_efficiency_times_stored_fidelity():
+    # on the ideal channel the readout attenuates both modes equally, which
+    # scales the one-photon block by the retrieval efficiency: the round trip
+    # reads retrieval_efficiency * stored_fidelity, to rounding
+    draw = random.Random(40)
+    for _ in range(40):
+        theta, phi, retrieval = draw.uniform(0.0, math.pi), draw.uniform(0.0, 2.0 * math.pi), draw.random()
+        report = protocols.memory_store(ProtocolConfig(theta=theta, phi=phi, retrieval_efficiency=retrieval))[1]
+        assert abs(report["round_trip_fidelity"] - retrieval * report["stored_fidelity"]) <= 1e-15, (theta, phi, retrieval)
 
 
 def test_memory_readout_round_trip_and_thinning():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from stokesim import detection, protocols
+from stokesim import protocols, sampling
 from stokesim.detection import DetectorSpec
 from stokesim.protocols import ProtocolConfig
 from stokesim.rng import binomial_draw, binomial_steps, trial_rng, trial_uniforms
@@ -49,10 +49,10 @@ def test_trial_uniforms_match_each_trial_generator_anywhere(seed, start, count, 
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-@pytest.mark.parametrize("start", [0, 2**63 - detection._BLOCK // 2])
+@pytest.mark.parametrize("start", [0, 2**63 - sampling._BLOCK // 2])
 @pytest.mark.parametrize("extra", [0, 1])
 def test_trial_uniforms_match_at_the_full_block_size(seed, start, extra):
-    count = detection._BLOCK + extra
+    count = sampling._BLOCK + extra
     for n in range(1, 10):
         u = trial_uniforms(seed, start, count, n)
         assert u.shape == (count, n)
@@ -173,7 +173,7 @@ def test_a_loss_word_at_a_redraw_edge_runs_the_trial_generator(monkeypatch):
     # stream reads a loss word for each detector with photons before that
     # one, and a dark-count word for every detector before it
     words = trial_uniforms(cfg.seed, 0, 1000, 1)[:, 0]
-    picks = sp.prep.pick(words)
+    picks = sp.prep.sampler.pick(words)
     trial = next(i for i, pick in enumerate(picks) if 2 in occupations[pick])
     occ = occupations[picks[trial]].tolist()
     j = occ.index(2)
@@ -187,7 +187,7 @@ def test_a_loss_word_at_a_redraw_edge_runs_the_trial_generator(monkeypatch):
     built = []
     monkeypatch.setattr("stokesim.rng.trial_uniforms", crafted)
     monkeypatch.setattr("stokesim.rng.trial_rng", lambda seed, i: built.append(i) or trial_rng(seed, i))
-    bulk = sp.prep.sample_block(cfg.seed, 0, trial + 10)
+    bulk = sp.prep.sampler.sample_block(cfg.seed, 0, trial + 10)
     assert built == [trial]
     # the scalar path read the trial's real stream, as every trial matches
     index = {occ: i for i, (occ, _) in enumerate(sp.prep.distribution)}
