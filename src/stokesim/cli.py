@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import io
 import json
 import math
@@ -433,6 +434,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  As the process's own command line (no `argv`), it
+    runs with the cyclic collector off and freezes every object on the way out, for the shutdown collections to skip."""
+    if argv is not None:
+        return _command(argv)
+    gc.disable()
+    try:
+        return _command(sys.argv[1:])
+    finally:
+        gc.freeze()
+
+
+def _command(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     command = target = args.command
     try:

@@ -5,17 +5,18 @@ event-ready and memory runs and of two exact sweeps; regenerate them
 deliberately if the schema changes.
 """
 
+import gc
 import json
 import math
 import os
 import pathlib
 import re
-import subprocess
-import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from fresh_python import run_python
 from stokesim import cli, detection, fock, protocols, sampling
 from stokesim.detection import DetectorSpec
 from stokesim.errors import ConfigError, ValidationError
@@ -23,7 +24,6 @@ from stokesim.protocols import ProtocolConfig
 from stokesim.sources import SourceParams
 
 DATA = pathlib.Path(__file__).parent / "data"
-SRC = pathlib.Path(__file__).parent.parent / "src"
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 FULL_INI = """
@@ -765,38 +765,115 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
 
 def test_python_m_stokesim_runs_the_cli(tmp_path):
     ini = write_ini(tmp_path, "[run]\nprotocol = memory\n\n[memory]\ntheta = 0.7\n")
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "stokesim", "validate", "--config", ini],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-m", "stokesim", "validate", "--config", ini)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("config ok\nprotocol = memory\n")
 
 
 def test_importing_the_cli_leaves_the_pool_unimported():
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     probe = "import sys, stokesim.cli as c; print('concurrent.futures' in sys.modules, c.ProcessPoolExecutor.__name__)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     # absent after the import; read on the module, the class is imported then
     assert proc.stdout == "False ProcessPoolExecutor\n"
 
 
 def test_importing_the_cli_leaves_csv_unimported():
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     probe = "import sys, stokesim.cli as c; print('csv' in sys.modules, c.to_csv([{'a': 1}]) == 'a\\n1\\n', 'csv' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     # absent after the import; CSV output imports it
     assert proc.stdout == "False True True\n"
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector of the process a command runs in
+
+#: case -> (exit code, argv with {out} for a report path and {dir} for a directory, start of stderr)
+ENTRY_CASES = {
+    "run": (0, "event-ready --mode sampled --trials 2000 --seed 5 --out {out}", ""),
+    "config-error": (2, "event-ready --trials 0 --out {out}", "config error: bad value '0' for trials"),
+    "usage-error": (2, "teleport --out {out}", "usage: stokesim"),
+    "run-error": (3, "generate --out {dir}", "error: "),
+}
+#: a process's own command line: the console script's entry, and `python -m stokesim`
+#: as `runpy` runs it, so that a hook can be registered first
+ENTRIES = {
+    "console-script": "from stokesim.cli import main; sys.exit(main())",
+    "python-m": "import runpy; runpy.run_module('stokesim', run_name='__main__', alter_sys=True)",
+}
+#: registered before the command, so it runs after whatever the command registers
+AT_EXIT = "import atexit, gc, sys; atexit.register(lambda: print('collector', gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)); "
+
+
+def _entry_case(case, tmp_path):
+    rc, args, err = ENTRY_CASES[case]
+    return rc, [arg.format(out=tmp_path / "r.json", dir=tmp_path) for arg in args.split()], err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", ["run", "config-error", "run-error"])
+def test_main_with_argv_leaves_the_hosts_collector_as_it_was(tmp_path, capsys, case, enabled):
+    rc, argv, err = _entry_case(case, tmp_path)
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(argv) == rc
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().err.startswith(err)
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_process_runs_its_own_command_with_the_collector_off_and_exits_frozen(tmp_path, capsys, entry, case):
+    # the interpreter's shutdown collections then skip every object; stdout,
+    # stderr, the report and the exit code are those of a host's in-process run
+    rc, argv, err = _entry_case(case, tmp_path)
+    proc = run_python("-c", AT_EXIT + ENTRIES[entry], *argv)
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr.startswith(err) and proc.stderr.endswith("collector False True\n")
+    report = (tmp_path / "r.json").read_bytes() if rc == 0 else None
+    with pytest.raises(SystemExit) if case == "usage-error" else nullcontext():
+        assert cli.main(argv) == rc
+    assert capsys.readouterr() == (proc.stdout, proc.stderr.removesuffix("collector False True\n"))
+    if report is not None:
+        assert json.loads(report)["summary"]["trials"] == 2000
+        assert (tmp_path / "r.json").read_bytes() == report
+
+
+def _sized_command(tmp_path, kind, size):
+    """An order-5 exact sweep of `size` points or a sampled event-ready run of `size` trials."""
+    out = ["--out", str(tmp_path / "r.json")]
+    if kind == "exact-sweep":
+        values = ", ".join(repr(0.002 + 0.198 * i / 23) for i in range(size))
+        text = f"[source]\nemission_order = 5\ncutoff = 12\n\n[detector]\neta = 1.0\ndark_prob = 0.0\n\n[sweep]\nparameter = p0\nvalues = {values}\n"
+        return ["sweep", "--config", write_ini(tmp_path, text, f"sweep-{size}.ini"), *out]
+    ini = write_ini(tmp_path, "[source]\np0 = 0.01\n\n[detector]\neta = 1.0\ndark_prob = 1e-5\n")
+    return ["event-ready", "--config", ini, "--mode", "sampled", "--seed", "7", "--trials", str(size), *out]
+
+
+def _garbage_after(argv):
+    """Objects that `gc.collect` frees after one in-process command run with the collector off."""
+    gc.collect()
+    assert cli.main(argv) == 0
+    return gc.collect()
+
+
+@pytest.mark.parametrize("kind, large", [("exact-sweep", 24), ("sampled-event-ready", 80_000)])
+def test_the_cyclic_garbage_of_a_command_does_not_grow_with_its_size(tmp_path, kind, large):
+    # a process that runs its own command never collects, so what the
+    # command leaves in cycles must not grow with its points or trials
+    small, large = _sized_command(tmp_path, kind, 1), _sized_command(tmp_path, kind, large)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in small, large:  # the first runs fill the caches, and evict what other tests left there
+            _garbage_after(argv)
+        assert _garbage_after(large) <= _garbage_after(small)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 COMMANDS = ("generate", "event-ready", "memory", "sweep", "validate")
@@ -895,12 +972,9 @@ def test_an_exact_sweep_with_jobs_leaves_the_pool_unimported(tmp_path):
     ini = write_ini(tmp_path, "[sweep]\nparameter = p0\nvalues = 0.01\n")
     serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
     assert cli.main(["sweep", "--config", ini, "--out", str(serial)]) == 0
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     argv = ["sweep", "--config", ini, "--out", str(pooled), "--jobs", "2"]
     probe = f"import sys; from stokesim import cli; cli.main({argv!r}); print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
     assert serial.read_bytes() == pooled.read_bytes()
@@ -935,14 +1009,11 @@ def test_only_runs_that_build_arrays_import_numpy(tmp_path, name):
             text = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
         argv = [command, "--out", str(tmp_path / "r.json"), *flags]
         argv += ["--config", write_ini(tmp_path, text)] if text is not None else []
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     probe = (
         f"import sys, stokesim, stokesim.cli as c; rc = 0 if {argv!r} is None else c.main({argv!r}); "
         "print(rc, 'numpy' in sys.modules, *sorted(m.removeprefix('stokesim.') for m in sys.modules if m.startswith('stokesim.')))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     code, numpy_loaded, *loaded = proc.stdout.splitlines()[-1].split()
     assert f"{code} {numpy_loaded}" == f"{rc} {imports}"

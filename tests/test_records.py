@@ -3,14 +3,11 @@ fields from the class annotations, class attributes as defaults,
 validation on construction and on `replace`, equality and hashing by
 type and values, no assignment, and pickling."""
 
-import os
-import pathlib
 import pickle
-import subprocess
-import sys
 
 import pytest
 
+from fresh_python import run_python
 from stokesim import protocols
 from stokesim.cli import ExperimentConfig
 from stokesim.detection import ClickPattern, DetectorSpec, HeraldRule
@@ -19,8 +16,6 @@ from stokesim.fock import ModeId, Record
 from stokesim.metrics import QubitEncoding
 from stokesim.protocols import HeraldedSpec, ProtocolConfig
 from stokesim.sources import SourceParams
-
-SRC = pathlib.Path(__file__).parent.parent / "src"
 
 MEMORY_SPEC = {
     name: getattr(protocols.MEMORY, name)
@@ -244,10 +239,7 @@ def test_protocol_config_defaults_are_shared_immutable_instances():
 
 
 def test_importing_the_cli_leaves_dataclasses_unimported():
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     probe = "import sys, stokesim.cli; print('dataclasses' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
