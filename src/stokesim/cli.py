@@ -25,7 +25,6 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import gc
 import io
@@ -413,31 +412,84 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stokesim",
-        description="Exact and Monte Carlo simulation of heralded photon/atomic-ensemble entanglement",
-    )
-    parser.add_argument(
-        "command",
-        choices=(*_KEYS["protocol"][3], "sweep", "validate"),
-        help="run one protocol, sweep one across a parameter grid, or validate a config and run nothing",
-    )
-    parser.add_argument("--config", help="INI config path")
-    parser.add_argument("--seed", help="master seed (overrides config; env STOKESIM_SEED also works)")
-    parser.add_argument("--mode", help="evaluation mode: exact or sampled")
-    parser.add_argument("--trials", help="sampled-mode trial count")
-    parser.add_argument("--out", help="report path (default stdout)")
-    parser.add_argument("--format", help="report format: json (default) or csv")
-    parser.add_argument("--jobs", help="parallel worker processes for sampled trials (default 1)")
-    return parser
+#: option -> its help; every command takes all seven, before or after it
+_OPTIONS = {
+    "config": "INI config path",
+    "seed": "master seed (overrides config; env STOKESIM_SEED also works)",
+    "mode": "evaluation mode: exact or sampled",
+    "trials": "sampled-mode trial count",
+    "out": "report path (default stdout)",
+    "format": "report format: json (default) or csv",
+    "jobs": "parallel worker processes for sampled trials (default 1)",
+}
+_COMMANDS = (*_KEYS["protocol"][3], "sweep", "validate")
+_USAGE = """usage: stokesim [-h] [--config CONFIG] [--seed SEED] [--mode MODE]
+                [--trials TRIALS] [--out OUT] [--format FORMAT] [--jobs JOBS]
+                {generate,event-ready,memory,sweep,validate}
+"""
+
+
+def _parse_args(argv: list[str]) -> dict[str, str | None]:
+    """The command and the options of `argv`, read as `argparse` read them: before or after the
+    command, as `--opt value` or `--opt=value`, under any unique prefix; after the first `--`,
+    every word is a value.  `-h`/`--help` (or `-hh`) prints the help and exits 0; a usage error
+    prints the usage and argparse's message and exits 2."""
+    def fail(message: str):
+        sys.stderr.write(f"{_USAGE}stokesim: error: {message}\n")
+        raise SystemExit(2)
+
+    def option(arg: str) -> tuple[str, str | None] | None:  # (name, value after "="): "" names no option; None for a value
+        name, eq, value = arg.partition("=")
+        if arg[:2] == "-h":  # more h flags, or a value, may follow it
+            glued = None if arg == "-h" else arg[2 + (name == "-h"):]
+            return "help", glued.lstrip("h") or None if glued else glued
+        known = [key for key in ("help", *_OPTIONS) if arg[:2] == "--" and f"--{key}".startswith(name)]
+        if known or arg[:1] == "-" != arg and " " not in arg and not re.fullmatch(r"-\d+|-\d*\.\d+", arg):
+            return (known[0], value if eq else None) if known else ("", None)
+        return None
+
+    for arg in argv[: argv.index("--") if "--" in argv else None]:
+        if arg[:3] == "--=":  # a prefix of every option
+            fail(f"ambiguous option: {arg} could match {', '.join(f'--{key}' for key in ('help', *_OPTIONS))}")
+    args, extras, words, free, after = dict.fromkeys(("command", *_OPTIONS)), [], argv[::-1], False, -1
+    while words:
+        arg = words.pop()
+        if arg == "--" and not free:
+            free = True
+            if args["command"] is None or len(words) == after:  # not before or right after the command, it is an extra
+                continue
+        name, value = (None if free else option(arg)) or (None, None)
+        if name == "help":
+            if value is not None:
+                fail(f"argument -h/--help: ignored explicit argument {value!r}")
+            rows = {"command": "run one protocol, sweep one across a parameter grid, or validate a config and run nothing",
+                    "-h, --help": "show this help message and exit", **{f"--{key} {key.upper()}": text for key, text in _OPTIONS.items()}}
+            sys.stdout.write(_USAGE + "".join(f"  {row:<17}  {text}\n" for row, text in rows.items()))
+            raise SystemExit(0)
+        if name:
+            if value is None and (not words or option(words[-1])):
+                fail(f"argument --{name}: expected one argument")
+            args[name] = words.pop() if value is None else value
+        elif name is None and args["command"] is None:
+            if arg not in _COMMANDS:
+                fail(f"argument command: invalid choice: {arg!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+            args["command"], after = arg, len(words) - 1
+        else:
+            extras.append(arg)
+    if args["command"] is None:
+        fail("the following arguments are required: command")
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.  As the process's own command line (no `argv`), it
-    runs with the cyclic collector off and freezes every object on the way out, for the shutdown collections to skip."""
+    runs with the cyclic collector off and freezes every object on the way out, for the shutdown collections to skip,
+    and OpenBLAS starts no thread pool unless OPENBLAS_NUM_THREADS says otherwise: no BLAS call here gains from one."""
     if argv is not None:
         return _command(argv)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     try:
         return _command(sys.argv[1:])
@@ -446,17 +498,17 @@ def main(argv=None) -> int:
 
 
 def _command(argv: list[str]) -> int:
-    args = _build_parser().parse_args(argv)
-    command = target = args.command
+    args = _parse_args(argv)
+    command = target = args["command"]
     try:
-        overrides = {key: _convert(key, value, f"from --{key}") for key, value in vars(args).items() if key in _KEYS and value is not None}
+        overrides = {key: _convert(key, value, f"from --{key}") for key, value in args.items() if key in _KEYS and value is not None}
         sections = {}
-        if args.config is not None:
+        if args["config"] is not None:
             try:
-                with open(args.config, encoding="utf-8") as fh:
+                with open(args["config"], encoding="utf-8") as fh:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+                raise ConfigError(f"cannot read config {args['config']!r}: {exc}") from None
             sections = parse_config(text)
         if command == "validate":
             target = "sweep" if "sweep" in sections else sections.get("run", {}).get("protocol", ExperimentConfig.protocol)

@@ -3,10 +3,19 @@
 the sampled driver of the heralded protocols.  Exact runs never import
 this module; `detection` and `protocols` still resolve the names that
 moved here.
+
+A `Sampler` turns each word of a trial's stream into click bits by one
+comparison with a threshold table per (word, pattern), and the tables hold
+the edge cases: a loss table without a zero ((1 - eta)^n < 2^-53) clicks
+on every word, an all -1 table (numpy's BTPE, n * min(eta, 1 - eta) > 30)
+redraws every trial that reads it, and no loss word is read at eta = 0
+(photons never click) or eta = 1 (they always do), nor a dark word at
+dark_prob = 0.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import repeat
 from typing import Mapping, Sequence
@@ -78,22 +87,47 @@ def measure(state: PureState | MixedState, detectors: Mapping, rng) -> tuple[Cli
     return pattern, conditional, _pattern_probability(dist, specs, clicked)
 
 
+def _loss_word(table: tuple, bit: int) -> tuple[float, int, int, float]:
+    """The threshold table of a loss word of the detector with click bit
+    `bit`, from its `_step_table` (n, edges, values): the threshold, the
+    bit the word sets below it and at or above it, and the redraw
+    threshold.  The draws are monotone in the word and -1 only tops the
+    table, so the click (a draw above 0) flips at most once, and a table
+    without a zero has no flip."""
+    _, edges, values = table
+    kept = int((values >= 0).sum())
+    clicks = (values[:kept] != 0).tolist() or [False]
+    flip = [k for k in range(kept - 1) if clicks[k] != clicks[k + 1]]
+    redraw = math.inf if kept == len(values) else float(edges[kept - 1]) if kept else 0.0
+    return float(edges[flip[0]]) if flip else 0.0, bit * clicks[0], bit * clicks[-1], redraw
+
+
 class Sampler:
     """Trials of one analyzer under its `detector`: the cumulative Born
-    weights and photon-number rows of its `distribution`, and the binomial
-    step tables and stream width that the detector needs."""
+    weights of its `distribution`, and per stream word and pattern the
+    threshold table that turns the word into click bits."""
 
     def __init__(self, prep: PreparedBellAnalyzer):
         self.prep = prep
-        patterns, eta = [occ for occ, _ in prep.distribution], prep.detector.efficiency
+        patterns, eta, dark = [occ for occ, _ in prep.distribution], prep.detector.efficiency, prep.detector.dark_prob
         self._cum = np.cumsum([p for _, p in prep.distribution])
-        #: the true photon numbers of `distribution`, one row per pattern
-        self._occupations = np.array(patterns)
-        #: binomial step tables per photon number a detector sees, when 0 < eta < 1
-        self._steps = [_step_table(k, eta) for k in sorted({n for occ in patterns for n in occ} - {0})] if 0.0 < eta < 1.0 else []
-        loss_words = max(sum(n > 0 for n in occ) for occ in patterns) if self._steps else 0
+        # per pattern, the words after word 0 in stream order: detector by detector, a loss
+        # word if it saw photons and 0 < eta < 1, then a dark word if dark_prob > 0
+        words = [
+            [w for j, n in enumerate(occ) for w in ([_loss_word(_step_table(n, eta), 1 << j)] if n and 0.0 < eta < 1.0 else [])
+             + [(dark, 1 << j, 0, math.inf)] * (dark > 0.0)]
+            for occ in patterns
+        ]
         #: most words one trial's stream reads
-        self._width = 1 + loss_words + (len(prep.labels) if prep.detector.dark_prob > 0.0 else 0)
+        self._width = 1 + max(map(len, words))
+        padded = [row + [(0.0, 0, 0, math.inf)] * (self._width - 1 - len(row)) for row in words]
+        table = np.array(padded).reshape(len(patterns), self._width - 1, 4).transpose(1, 0, 2)
+        #: [word, pattern]: the threshold and the redraw threshold
+        self._edge, self._redraw = table[..., 0].copy(), table[..., 3].copy()
+        #: flat [word, pattern, at or above the threshold]: the click bits
+        self._bits = table[..., 1:3].astype(np.uint8).ravel()
+        #: the click code of each pattern at eta = 1, which reads no loss word
+        self._base = np.array([sum(1 << j for j, n in enumerate(occ) if n) * (eta >= 1.0) for occ in patterns], np.uint8)
 
     def pick(self, u):
         """Index into `distribution` of the true pattern that uniform `u`
@@ -114,38 +148,25 @@ class Sampler:
         [start, start+count), drawn in bulk `_BLOCK` trials at a time: one
         uint16 key per trial, its index into `distribution` times 16 plus
         its click code (`_MAX_OUTCOMES` patterns fit).  Word 0 of a stream
-        picks the true pattern; then each detector in turn reads one word
-        for its binomial loss draw if it saw photons and 0 < eta < 1, and
-        one for its dark count if dark_prob > 0.  A trial whose loss draw
-        needs a second word runs the analyzer's `sample` on its own generator."""
+        picks the true pattern, which fixes what each later word is: one
+        comparison with its threshold gives its click bits, the code ORs
+        them, and a trial with a word at or above its redraw threshold (its
+        loss draw needs a second word) runs the analyzer's `sample` on its
+        own generator."""
         from .rng import trial_rng, trial_uniforms
         if count > _BLOCK:
             blocks = range(start, start + count, _BLOCK)
             return np.concatenate([self.sample_block(seed, lo, min(_BLOCK, start + count - lo)) for lo in blocks])
-        prep, occupations, width, dark = self.prep, self._occupations, self._width, self.prep.detector.dark_prob
-        u = trial_uniforms(seed, start, count, width)
-        rows = np.arange(count)
-        pick = self.pick(u[:, 0])
-        col, code, redraw = np.ones(count, np.intp), np.zeros(count, np.intp), np.zeros(count, bool)
-        for j in range(len(prep.labels)):
-            n = occupations[pick, j]
-            seen = n * (prep.detector.efficiency == 1.0)
-            if self._steps:
-                # trials without photons here read a word they ignore
-                word = u[rows, np.minimum(col, width - 1)]
-                for k, edges, values in self._steps:
-                    sel = n == k
-                    seen[sel] = values[np.searchsorted(edges, word[sel], side="right")]
-                col += n > 0
-                redraw |= seen < 0
-            click = seen != 0
-            if dark > 0.0:
-                click |= u[rows, col] < dark
-                col += 1
-            code |= click << j
+        u = trial_uniforms(seed, start, count, self._width).T
+        pick = self.pick(u[0])
+        words = u[1:]
+        index = np.arange(0, self._bits.size, 2 * len(self._cum))[:, None] + 2 * pick
+        index += words >= self._edge.take(pick, axis=1)
+        code = np.bitwise_or.reduce(self._bits.take(index), axis=0) | self._base[pick]
+        redraw = (words >= self._redraw.take(pick, axis=1)).any(axis=0)
         for i in np.flatnonzero(redraw).tolist():
-            code[i] = prep.sample(trial_rng(seed, start + i))[1]
-        return (pick * len(prep.outcomes) + code).astype(np.uint16)
+            code[i] = self.prep.sample(trial_rng(seed, start + i))[1]
+        return (pick * len(self.prep.outcomes) + code).astype(np.uint16)
 
 
 class _SampledProtocol:

@@ -843,6 +843,42 @@ def test_a_process_runs_its_own_command_with_the_collector_off_and_exits_frozen(
         assert (tmp_path / "r.json").read_bytes() == report
 
 
+#: prints OPENBLAS_NUM_THREADS as numpy starts to load, runs the command line
+#: as the process's own, then prints the exit code and the process's threads
+BLAS_PROBE = """
+import os, sys
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy sees", os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+from stokesim.cli import main
+rc = main()
+status = [line.split()[1] for line in open("/proc/self/status") if line.startswith("Threads:")] if os.path.exists("/proc/self/status") else []
+print(rc, *status)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+def test_a_sampled_command_process_runs_openblas_single_threaded(tmp_path, preset):
+    # numpy loads OpenBLAS, whose thread pool stokesim never uses; a value the user set wins
+    argv = ["event-ready", "--mode", "sampled", "--trials", "200", "--seed", "1", "--out", str(tmp_path / "r.json")]
+    proc = run_python("-c", BLAS_PROBE, *argv, env={"OPENBLAS_NUM_THREADS": preset})
+    assert proc.returncode == 0, proc.stderr
+    seen, (rc, *threads) = proc.stdout.splitlines()[0], proc.stdout.splitlines()[1].split()
+    assert (seen, rc) == (f"numpy sees {preset or 1}", "0")
+    if preset is None and threads and os.cpu_count() > 1:
+        assert threads == ["1"]
+
+
+def test_main_with_argv_leaves_the_environment_alone(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    argv = ["event-ready", "--mode", "sampled", "--trials", "200", "--seed", "1", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert dict(os.environ) == before
+
+
 def _sized_command(tmp_path, kind, size):
     """An order-5 exact sweep of `size` points or a sampled event-ready run of `size` trials."""
     out = ["--out", str(tmp_path / "r.json")]
@@ -885,12 +921,72 @@ ALL_OPTIONS = {"config": "c.ini", "seed": "3", "mode": "sampled", "trials": "7",
 def test_every_command_takes_all_seven_options(command, before):
     options = [arg for key, value in ALL_OPTIONS.items() for arg in (f"--{key}", str(value))]
     argv = [*options, command] if before else [command, *options]
-    assert vars(cli._build_parser().parse_args(argv)) == {"command": command, **ALL_OPTIONS}
+    assert cli._parse_args(argv) == {"command": command, **ALL_OPTIONS}
 
 
 def test_jobs_defaults_to_one():
-    assert cli._build_parser().parse_args(["memory"]).jobs is None
+    assert cli._parse_args(["memory"])["jobs"] is None
     assert cli.build_experiment({}, "memory", {}).jobs == 1
+
+
+def _argparse_oracle():
+    """The command line as `argparse` read it before the hand-written parser."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="stokesim",
+        description="Exact and Monte Carlo simulation of heralded photon/atomic-ensemble entanglement",
+    )
+    parser.add_argument(
+        "command",
+        choices=COMMANDS,
+        help="run one protocol, sweep one across a parameter grid, or validate a config and run nothing",
+    )
+    for key in ALL_OPTIONS:
+        parser.add_argument(f"--{key}")
+    return parser
+
+
+#: argv lists whose reading must not change: every accepted form, and each usage error
+PARSER_CASES = [
+    [], ["memory"], ["Memory"], ["teleport"], [""], ["-"], ["-- memory"],
+    ["--conf", "c.ini", "validate"], ["--c=c.ini", "validate"], ["validate", "--config=a=b"], ["--mode=exact", "validate"],
+    ["memory", "--jobs", "-2"], ["memory", "--seed", "-1"], ["--trials", "-1.5", "memory"], ["--trials", "-.5", "memory"],
+    ["--jobs=-2", "memory"], ["--seed", "-1e3", "memory"], ["--seed", "-x", "memory"], ["--seed=", "memory"],
+    ["memory", "--seed"], ["memory", "--seed", "1", "--seed", "2"], ["--seed", "1", "2", "memory"], ["--out", "--mode", "memory"],
+    ["--out", "-my report.json", "memory"], ["--out", "-", "memory"], ["memory", "extra"], ["memory", "generate"],
+    ["memory", "x", "y"], ["memory", "--bogus", "3"], ["--bogus", "memory"], ["-x", "memory"], ["--unknown=3", "memory"],
+    ["--SEED", "1", "memory"], ["teleport", "--seed"], ["--", "memory"], ["memory", "--", "x"], ["--", "--seed", "1"],
+    ["--seed", "--", "3", "memory"], ["memory", "--seed", "--"], ["memory", "--format", "csv", "--form=json", "--j", "3"],
+    ["-h"], ["--h"], ["memory", "--help"], ["--help", "teleport"], ["teleport", "--help"], ["memory", "--help=x"],
+    ["-hh", "memory"], ["-hx", "memory"], ["-h=", "memory"], ["--=", "memory"], ["--seed", "--=x", "memory"], ["--", "--="],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_command_line_reads_as_argparse_read_it(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal
+    try:
+        expected = ("args", vars(_argparse_oracle().parse_args(argv)))
+    except SystemExit as exc:
+        expected = ("exit", exc.code)
+    oracle_err = capsys.readouterr().err
+    try:
+        got = ("args", cli._parse_args(argv))
+    except SystemExit as exc:
+        got = ("exit", exc.code)
+    assert got == expected
+    if expected[1] != 0:
+        assert capsys.readouterr().err == oracle_err
+
+
+def test_help_lists_every_command_and_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: stokesim [-h] [--config CONFIG]")
+    assert all(command in out for command in COMMANDS) and all(f"--{key} {key.upper()}" in out for key in ALL_OPTIONS)
 
 
 def test_unknown_command_exits_2_with_usage(capsys):
@@ -904,22 +1000,6 @@ def test_unknown_command_exits_2_with_usage(capsys):
 def test_an_option_before_the_command_is_accepted(capsys):
     assert cli.main(["--mode", "exact", "validate"]) == 0
     assert capsys.readouterr().out.startswith("config ok\nprotocol = event-ready\nmode = exact\n")
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_each_command_builds_one_argument_parser(command, tmp_path, monkeypatch):
-    text = "[sweep]\nparameter = p0\nvalues = 0.01\n" if command == "sweep" else "[run]\nmode = exact\n"
-    argv = [command, "--config", write_ini(tmp_path, text), "--out", str(tmp_path / "report.json")]
-    built = []
-    init = cli.argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
-    assert cli.main(argv) == 0
-    assert len(built) == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -995,6 +1075,8 @@ NUMPY_PROBES = {
 }
 #: the package modules that import numpy at the top, directly or through each other
 NUMPY_HOLDERS = {"sampling", "analysis", "metrics", "rng"}
+#: what parsing the command line with argparse would load
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("name", NUMPY_PROBES)
@@ -1011,13 +1093,16 @@ def test_only_runs_that_build_arrays_import_numpy(tmp_path, name):
         argv += ["--config", write_ini(tmp_path, text)] if text is not None else []
     probe = (
         f"import sys, stokesim, stokesim.cli as c; rc = 0 if {argv!r} is None else c.main({argv!r}); "
-        "print(rc, 'numpy' in sys.modules, *sorted(m.removeprefix('stokesim.') for m in sys.modules if m.startswith('stokesim.')))"
+        "print(rc, 'numpy' in sys.modules, *sorted(m.removeprefix('stokesim.') for m in sys.modules if m.startswith('stokesim.'))); "
+        "print('start-up:', *sorted(STARTUP & sys.modules.keys()))".replace("STARTUP", repr(PARSER_MODULES))
     )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    code, numpy_loaded, *loaded = proc.stdout.splitlines()[-1].split()
+    code, numpy_loaded, *loaded = proc.stdout.splitlines()[-2].split()
     assert f"{code} {numpy_loaded}" == f"{rc} {imports}"
     assert set(loaded) & NUMPY_HOLDERS == holders
+    # the command line is read by hand: argparse, and the gettext and locale it loads, stay out
+    assert proc.stdout.splitlines()[-1] == "start-up:"
     if command not in (None, "validate") and rc == 0:
         report = json.loads((tmp_path / "r.json").read_text())
         assert len(report["rows"]) == 3 if command == "sweep" else report["protocol"] == command

@@ -453,22 +453,42 @@ def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition(monkeypatch):
 
 
 #: below unit efficiency each detector that saw photons adds a binomial
-#: loss word to its trial's stream; the grid covers eta = 0 (no word),
-#: both inversion branches (eta <= 0.5 and eta > 0.5) and eta near 1
+#: loss word to its trial's stream, read through per-pattern threshold
+#: tables; the grid covers eta = 0 and 1 (no word), both inversion branches
+#: (eta <= 0.5 and eta > 0.5) and eta so near 1 that three photons are never
+#: all lost (a table without a zero), at emission orders 1 to 3 with and
+#: without the ancilla, where up to four photons reach one detector
 LOSSY_BASES = {
-    "event-ready": ProtocolConfig(source=SourceParams(p0=0.1)),
-    "memory": ProtocolConfig(theta=0.7, phi=1.9),
+    **{
+        f"event-ready-{order}{'' if epr else '-no-ancilla'}": (
+            "event-ready",
+            ProtocolConfig(source=SourceParams(p0=0.2, emission_order=order), cutoff=2 * order + 2, epr_enabled=epr),
+        )
+        for order in (1, 2, 3)
+        for epr in (True, False)
+    },
+    "memory": ("memory", ProtocolConfig(theta=0.7, phi=1.9)),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(LOSSY_BASES))
-@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.8, 0.999])
-@pytest.mark.parametrize("dark_prob", [0.0, 1e-3, 0.05])
-def test_bulk_outcomes_match_per_trial_sampling(kind, eta, dark_prob):
-    base = LOSSY_BASES[kind].replace(detector=DetectorSpec(efficiency=eta, dark_prob=dark_prob), mode="sampled")
+@pytest.mark.parametrize("name", sorted(LOSSY_BASES))
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.8, 0.999999, 1.0])
+@pytest.mark.parametrize("dark_prob", [0.0, 1e-3, 0.3])
+def test_bulk_outcomes_match_per_trial_sampling(name, eta, dark_prob):
+    kind, base = LOSSY_BASES[name]
+    base = base.replace(detector=DetectorSpec(efficiency=eta, dark_prob=dark_prob), mode="sampled")
     for seed, start in ((0, 0), (2**64 - 1, 2**32 - 300)):
         cfg = base.replace(seed=seed)
-        assert protocols.trial_outcomes(cfg, kind, start, 600).tolist() == _scalar_outcomes(cfg, kind, start, 600)
+        assert protocols.trial_outcomes(cfg, kind, start, 300).tolist() == _scalar_outcomes(cfg, kind, start, 300)
+
+
+def test_the_lossy_grid_reaches_a_table_without_a_zero():
+    # at emission order 2 with the ancilla, three photons reach one detector,
+    # and at eta = 0.999999 all three are never lost
+    kind, base = LOSSY_BASES["event-ready-2"]
+    cfg = base.replace(detector=DetectorSpec(efficiency=0.999999), mode="sampled")
+    n = max(max(occ) for occ, _ in protocols._SampledProtocol(cfg, kind).prep.distribution)
+    assert n >= 3 and 0 not in sampling._step_table(n, 0.999999)[2]
 
 
 def test_bulk_outcomes_match_per_trial_sampling_at_emission_order_2():

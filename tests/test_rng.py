@@ -115,9 +115,10 @@ def test_word_feed_hands_numpy_the_chosen_uniforms():
     assert feed.read == 3
 
 
-#: (n, eta) pairs: both inversion branches, eta near 0 and 1, and
-#: n * min(eta, 1 - eta) > 30, where numpy switches to BTPE
-BINOMIALS = [(n, eta) for n in (1, 2, 3, 4, 6) for eta in (0.001, 0.3, 0.5, 0.8, 0.999)] + [(100, 0.5), (200, 0.9)]
+#: (n, eta) pairs: both inversion branches, eta near 0 and 1, tables
+#: without a zero ((1 - eta)^n < 2^-53: n = 6 at 0.999, n = 3 at
+#: 0.999999), and n * min(eta, 1 - eta) > 30, where numpy switches to BTPE
+BINOMIALS = [(n, eta) for n in (1, 2, 3, 4, 6) for eta in (0.001, 0.3, 0.5, 0.8, 0.999)] + [(3, 0.999999), (100, 0.5), (200, 0.9)]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -154,6 +155,20 @@ def test_binomial_step_edges_bound_each_draw(n, eta):
             feed = _WordFeed([word])
             draw = np.random.Generator(feed).binomial(n, eta)
             assert (feed.read, draw) == ((1, value) if value >= 0 else (2, draw))
+    # the sampler's threshold for a loss word of this detector: one
+    # comparison gives the click bit (4 here) and another the redraw, on
+    # both sides of every edge and at the ends of the range
+    edge, below, above, redraw = sampling._loss_word((n, edges, values), 4)
+    for m in (0, 2**53 - 1, *(int(e * 2.0**53) + d for e in edges for d in (-1, 0))):
+        draw = binomial_draw(n, eta, m * 2.0**-53)
+        assert (m * 2.0**-53 >= redraw) == (draw < 0)
+        if draw >= 0:
+            assert (above if m * 2.0**-53 >= edge else below) == 4 * (draw > 0)
+
+
+def test_the_binomial_cases_include_tables_without_a_zero():
+    # (1 - eta)^n < 2^-53: all n photons are never lost, so the word always clicks
+    assert [0 in binomial_steps(n, eta)[1] for n, eta in ((6, 0.999), (3, 0.999999))] == [False, False]
 
 
 def test_binomial_redraw_region_is_the_top_of_the_range():
