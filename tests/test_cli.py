@@ -933,15 +933,8 @@ def _argparse_oracle():
     """The command line as `argparse` read it before the hand-written parser."""
     import argparse
 
-    parser = argparse.ArgumentParser(
-        prog="stokesim",
-        description="Exact and Monte Carlo simulation of heralded photon/atomic-ensemble entanglement",
-    )
-    parser.add_argument(
-        "command",
-        choices=COMMANDS,
-        help="run one protocol, sweep one across a parameter grid, or validate a config and run nothing",
-    )
+    parser = argparse.ArgumentParser(prog="stokesim")
+    parser.add_argument("command", choices=COMMANDS)
     for key in ALL_OPTIONS:
         parser.add_argument(f"--{key}")
     return parser
@@ -1094,7 +1087,7 @@ def test_only_runs_that_build_arrays_import_numpy(tmp_path, name):
     probe = (
         f"import sys, stokesim, stokesim.cli as c; rc = 0 if {argv!r} is None else c.main({argv!r}); "
         "print(rc, 'numpy' in sys.modules, *sorted(m.removeprefix('stokesim.') for m in sys.modules if m.startswith('stokesim.'))); "
-        "print('start-up:', *sorted(STARTUP & sys.modules.keys()))".replace("STARTUP", repr(PARSER_MODULES))
+        f"print('start-up:', *sorted({PARSER_MODULES!r} & sys.modules.keys()))"
     )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
