@@ -485,11 +485,9 @@ def _parse_args(argv: list[str]) -> dict[str, str | None]:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.  As the process's own command line (no `argv`), it
-    runs with the cyclic collector off and freezes every object on the way out, for the shutdown collections to skip,
-    and OpenBLAS starts no thread pool unless OPENBLAS_NUM_THREADS says otherwise: no BLAS call here gains from one."""
+    runs with the cyclic collector off and freezes every object on the way out, for the shutdown collections to skip."""
     if argv is not None:
         return _command(argv)
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     try:
         return _command(sys.argv[1:])

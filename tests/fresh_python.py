@@ -10,11 +10,9 @@ import sys
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
-def run_python(*args: str, env: dict[str, str | None] | None = None) -> subprocess.CompletedProcess:
-    """`python *args` with `src/` first on PYTHONPATH, its output captured as
-    text; `env` sets variables of the child's environment, or unsets those it maps to None."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` with `src/` first on PYTHONPATH, its output captured as text."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    child = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *args], env={k: v for k, v in child.items() if v is not None}, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
     )

@@ -459,6 +459,7 @@ def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition(monkeypatch):
 #: all lost (a table without a zero), at emission orders 1 to 3 with and
 #: without the ancilla, where up to four photons reach one detector
 LOSSY_BASES = {
+    "event-ready": ("event-ready", ProtocolConfig(source=SourceParams(p0=0.1))),
     **{
         f"event-ready-{order}{'' if epr else '-no-ancilla'}": (
             "event-ready",
@@ -479,7 +480,7 @@ def test_bulk_outcomes_match_per_trial_sampling(name, eta, dark_prob):
     base = base.replace(detector=DetectorSpec(efficiency=eta, dark_prob=dark_prob), mode="sampled")
     for seed, start in ((0, 0), (2**64 - 1, 2**32 - 300)):
         cfg = base.replace(seed=seed)
-        assert protocols.trial_outcomes(cfg, kind, start, 300).tolist() == _scalar_outcomes(cfg, kind, start, 300)
+        assert protocols.trial_outcomes(cfg, kind, start, 600).tolist() == _scalar_outcomes(cfg, kind, start, 600)
 
 
 def test_the_lossy_grid_reaches_a_table_without_a_zero():
