@@ -7,9 +7,10 @@ the Born weights and the conditional states come from one grouping of
 the state's terms by those photon numbers (a `fock.Split`).
 The classical part turns true photon numbers into clicks: each photon is
 seen with probability `efficiency`, a threshold detector reports only
-click/no-click, and a dark count ORs in a spurious click per window.
-Dark counts never alter the conditional state; they only corrupt the
-classical record.
+click/no-click, and a dark count ORs in a spurious click per window, so
+P(code | pattern) is a product of `click_prob(n)` and its complement
+(`_code_probabilities`).  Loss and dark counts never alter the
+conditional state; they only corrupt the classical record.
 
 The Bell-state analyzer interferes two linear-basis paths on a balanced
 beam splitter, splits each output by polarization onto detectors D_H and
@@ -23,9 +24,9 @@ two of the four Bell states are ever identified.
 code (bit j set when detector `labels[j]` clicked) and an outcome: its
 `outcomes` table, built from `default_herald_rule()` into the analyzer's
 layout record once per input layout (`_analyzer_layout`), serves the
-exact outcome distribution and the analyzer's `sampler`.  What draws
-random numbers, `measure` and the samplers, needs numpy and lives in
-`sampling`, which exact runs never import.
+exact outcome distribution (`outcome_weights`) and the analyzer's
+`sampler`.  What draws random numbers, `measure` and the samplers, needs
+numpy and lives in `sampling`, which exact runs never import.
 """
 
 from __future__ import annotations
@@ -98,6 +99,16 @@ def default_herald_rule() -> HeraldRule:
     )
 
 
+def _code_probabilities(occ: Sequence[int], detectors: Sequence[DetectorSpec]) -> list[tuple[int, float]]:
+    """(code, P(code | occ)) of each click code of nonzero probability,
+    detector j seeing occ[j] photons: zero factors are skipped."""
+    codes = [(0, 1.0)]
+    for j, (n, detector) in enumerate(zip(occ, detectors)):
+        q = detector.click_prob(n)
+        codes = [(code | bit, p * f) for code, p in codes for bit, f in ((0, 1.0 - q), (1 << j, q)) if f]
+    return codes
+
+
 def exact_outcome_distribution(state: PureState | MixedState, modes: Sequence) -> list[tuple[tuple[int, ...], float]]:
     """Exhaustive Born distribution of photon numbers on `modes`: the
     patterns of nonzero weight, normalized, sorted."""
@@ -141,9 +152,9 @@ def _analyzer_layout(registry: fock.ModeRegistry, keys: tuple, path_1: str, path
     are traced by a cached grouping); their loss modes, and the picker and
     registry of the rest (the conditionals'); the sorted patterns; the
     outcome of each click code (bit j set when `_LABELS[j]` clicked) under
-    `default_herald_rule()`; each outcome's pattern indices when every
-    occupied detector clicks; and the last target's reached patterns
-    (`overlaps`).  Shared across points, so never mutated but for that."""
+    `default_herald_rule()`; and the last detector's and the last target's
+    tables (`outcome_weights`, `overlaps`).  Shared across points, so
+    never mutated but for those."""
     st, out_1h, out_1v = elements.pol_splitter(PureState._wrap(registry, {}, 0.0), path_1)
     st, out_2h, out_2v = elements.pol_splitter(st, path_2)
     reg, modes = st.registry, (f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V")
@@ -154,11 +165,8 @@ def _analyzer_layout(registry: fock.ModeRegistry, keys: tuple, path_1: str, path
     patterns = tuple(sorted(groups))
     rule = default_herald_rule()
     outcomes = tuple(rule.classify({lab for j, lab in enumerate(_LABELS) if code >> j & 1}) for code in range(1 << len(_LABELS)))
-    grouped: dict[str, list[int]] = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
-    for i, occ in enumerate(patterns):
-        grouped[outcomes[sum(1 << j for j, n in enumerate(occ) if n)]].append(i)
     traced = (tuple(rest.modes[i] for i in loss), fock._picker(keep), conditional if loss else rest)
-    return reg, modes, rest, groups, index, group_keys, traced, patterns, outcomes, {o: tuple(m) for o, m in grouped.items()}, [None, None]
+    return reg, modes, rest, groups, index, group_keys, traced, patterns, outcomes, [None, None], [None, None]
 
 
 def _condition_on_pattern(split: list[tuple[float, fock.Split]], pattern: tuple[int, ...]) -> MixedState:
@@ -191,17 +199,11 @@ class PreparedBellAnalyzer:
     (`_analyzer_layout`), shared by every analyzer of that layout.
     """
 
-    def __init__(
-        self,
-        state: PureState,
-        path_1: str,
-        path_2: str,
-        detector: DetectorSpec = DetectorSpec(),
-    ):
+    def __init__(self, state: PureState, path_1: str, path_2: str, detector: DetectorSpec = DetectorSpec()):
         st = elements.beam_splitter(state, path_1, path_2)
         keys = tuple(st.amplitudes) if st._keys is None else st._keys
         #: `outcomes[code]` is the outcome of click code `code`; bit j is set when labels[j] clicked
-        registry, self.modes, rest, groups, index, group_keys, self._traced, patterns, self.outcomes, self._grouped, self._reach = (
+        registry, self.modes, rest, groups, index, group_keys, self._traced, patterns, self.outcomes, self._table, self._reach = (
             _analyzer_layout(st.registry, keys, path_1, path_2)
         )
         self.conditional_registry = self._traced[2]
@@ -257,19 +259,29 @@ class PreparedBellAnalyzer:
         pick, code = divmod(key, len(self.outcomes))
         return self.distribution[pick][0], self.outcomes[code]
 
-    def ideal_outcomes(self) -> list[tuple[str, list[tuple[tuple[int, ...], float]], float]]:
-        """Outcome distribution with ideal detectors: every mode with at
-        least one photon clicks.  Returns (outcome, its true patterns'
-        `distribution` entries, probability) for PsiMinus, PsiPlus and Fail."""
-        grouped = [(outcome, [self.distribution[i] for i in members]) for outcome, members in self._grouped.items()]
-        return [(outcome, entries, float(sum(p for _, p in entries))) for outcome, entries in grouped]
+    def outcome_weights(self) -> dict[str, list[tuple[tuple[int, ...], float]]]:
+        """Per outcome (PsiMinus, PsiPlus, Fail), (true pattern, P(pattern) *
+        P(outcome | pattern)) where nonzero, in `distribution` order; the table
+        of P(outcome | pattern) (0 or 1 at eta = 1, d = 0) is built when first
+        read and kept on the layout record for the last detector."""
+        key, last, dist = (self.detector.efficiency, self.detector.dark_prob), self._table, self.distribution
+        if last[0] != key:
+            table = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
+            for i, (occ, _) in enumerate(dist):
+                codes = _code_probabilities(occ, [self.detector] * len(occ))
+                for outcome, rows in table.items():
+                    if given := sum(p for code, p in codes if self.outcomes[code] == outcome):
+                        rows.append((i, given))
+            last[:] = key, table
+        return {outcome: [(dist[i][0], w) for i, given in rows if (w := dist[i][1] * given)] for outcome, rows in last[1].items()}
 
     def exact_outcomes(self) -> list[tuple[str, MixedState | None, float]]:
-        """`ideal_outcomes` as (outcome, conditional state, probability).  A
-        herald's conditional is mixed over its click-degenerate true patterns;
-        the failure's state, and that of an outcome that never occurs, is None."""
+        """`outcome_weights` as (outcome, conditional state, probability).  A
+        herald's conditional is mixed over the true patterns that give it; the
+        failure's state, and that of an outcome that never occurs, is None."""
         out = []
-        for outcome, entries, prob in self.ideal_outcomes():
+        for outcome, entries in self.outcome_weights().items():
+            prob = float(sum(p for _, p in entries))
             state = None
             if outcome != FAIL and prob > 0.0:
                 state = MixedState([(p / prob * w, st) for occ, p in entries for w, st in self.conditional(occ).branches])

@@ -272,10 +272,6 @@ class PureState:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def is_vacuum(self) -> bool:
-        zeros = (0,) * len(self.registry)
-        return set(self.amplitudes) == {zeros}
-
     def amplitude(self, occ: Mapping[ModeId | str, int]) -> complex:
         key = [0] * len(self.registry)
         for m, n in occ.items():

@@ -13,8 +13,9 @@ Three procedures built from the source, analyzer, and metric layers:
 The two heralded procedures share one shape: a `HeraldedSpec` holds the
 joint-state builder, analyzer paths, triplet-herald correction mode,
 fidelity functional and report header of each, and one exact and one
-sampled driver read it.  The event-ready fidelity is read off each herald
-pattern's conditional state, without building the heralded state.
+sampled driver read it under the configured detectors.  Event-ready
+fidelities are read off each herald pattern's conditional state, without
+building the heralded state; every fidelity is clamped to 1.
 
 Heralds come with correction operators fixed once for this beam-splitter
 sign convention (derived by brute force, pinned by tests): a triplet
@@ -39,7 +40,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from . import detection, elements, fock, sources
-from .detection import FAIL, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
+from .detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
 from .errors import ValidationError
 from .fock import MixedState, ModeRegistry, PureState, Record
 from .sources import SourceParams
@@ -141,9 +142,9 @@ def _heralded_fidelity(config: ProtocolConfig, prep: PreparedBellAnalyzer, mixtu
     """`fock.state_fidelity(heralded, target)` for the singlet target, summed in
     the same order off each herald pattern's conditional: no heralded state is read."""
     target, fid = _target(prep.conditional_registry), 0.0
-    for occ, outcome, weigh in mixture:
+    for occ, outcome, shares in mixture:
         for w, f in prep.overlaps(occ, target, EVENT_READY.flip_mode if outcome == PSI_PLUS else None):
-            fid += weigh(w) * f
+            fid += _weight(w, *shares) * f
     return fid
 
 
@@ -282,40 +283,46 @@ def _corrected(spec: HeraldedSpec, conditional: MixedState, outcome: str) -> Mix
     return _flip_phase(conditional, spec.flip_mode) if outcome == PSI_PLUS else conditional
 
 
+def _weight(w: float, p: float = 1.0, prob: float = 1.0, total: float = 1.0) -> float:
+    """Heralded-mixture weight of a conditional's branch of weight `w` (w at the defaults)."""
+    return p / prob * w * prob / total
+
+
 def _mixed(spec: HeraldedSpec, prep: PreparedBellAnalyzer, mixture: list) -> MixedState:
     """The corrected conditionals that a mixture lists as (true pattern,
-    outcome, map from a branch's weight in its conditional to the mixture's)."""
+    outcome, the `_weight` arguments after a branch's weight)."""
     return MixedState(
-        [(weigh(w), st) for occ, outcome, weigh in mixture for w, st in _corrected(spec, prep.conditional(occ), outcome).branches]
+        [(_weight(w, *shares), st) for occ, outcome, shares in mixture for w, st in _corrected(spec, prep.conditional(occ), outcome).branches]
     )
 
 
+def _at_most_one(fidelity: float) -> float:
+    """`fidelity` clamped to 1, which weights and norms meet only to rounding."""
+    if fidelity > 1.0 + 1e-12:
+        raise ValidationError(f"fidelity {fidelity!r} exceeds 1")
+    return min(fidelity, 1.0)
+
+
 def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None, with_state=True) -> tuple[MixedState | None, dict]:
-    """Closed-form probabilities with ideal detectors, the fidelity of the
-    heralded state (the corrected herald conditionals mixed by
-    probability) and, if `with_state`, the state.  The ancilla, target and
-    analyzer layout are shared by points of one layout."""
+    """Outcome probabilities under the configured detectors, the fidelity of
+    the heralded state (the corrected conditionals mixed by
+    `outcome_weights`) and, if `with_state`, the state.  The ancilla, target
+    and analyzer layout are shared by points of one layout."""
     joint = spec.joint_state(config, channel)
-    prep = PreparedBellAnalyzer(joint, *spec.paths)
-    heralds = [herald for herald in prep.ideal_outcomes() if herald[0] != FAIL]
-    total = sum(prob for *_, prob in heralds)
-    values = {
-        "truncation_loss": joint.truncation_loss,
-        "success_probability": total,
-        "psi_minus_probability": heralds[0][2],
-        "psi_plus_probability": heralds[1][2],
-    }
+    prep = PreparedBellAnalyzer(joint, *spec.paths, config.detector)
+    weights = prep.outcome_weights()
+    minus, plus = (float(sum(p for _, p in weights[outcome])) for outcome in (PSI_MINUS, PSI_PLUS))
+    total = minus + plus
+    values = dict(truncation_loss=joint.truncation_loss, success_probability=total, psi_minus_probability=minus, psi_plus_probability=plus)
     report = spec.header(config)
     report.update((key, values[key]) for key in spec.exact_keys)
     if total <= 0.0:
         report[spec.fidelity_key] = None
         return None, report
-    mixture = [
-        (occ, outcome, lambda w, p=p, prob=prob: p / prob * w * prob / total)
-        for outcome, entries, prob in heralds if prob > 0 for occ, p in entries
-    ]
+    heralds = ((PSI_MINUS, minus), (PSI_PLUS, plus))
+    mixture = [(occ, outcome, (p, prob, total)) for outcome, prob in heralds if prob > 0 for occ, p in weights[outcome]]
     heralded = _mixed(spec, prep, mixture) if with_state else None
-    report[spec.fidelity_key] = spec.fidelity(config, prep, mixture, heralded)
+    report[spec.fidelity_key] = _at_most_one(spec.fidelity(config, prep, mixture, heralded))
     return heralded, report
 
 
@@ -337,11 +344,10 @@ def summarize_sampled(config: ProtocolConfig, kind: str, keys: np.ndarray, chann
 def event_ready_generation(config: ProtocolConfig, chunk_map=map, with_state=True) -> tuple[MixedState | None, dict]:
     """Heralded entanglement between the ensembles and ancilla photon B.
 
-    Exact mode evolves the full state and reports closed-form
-    probabilities with ideal detectors, and the heralded state if
-    `with_state`; sampled mode draws per-trial detector records with the
-    configured efficiency and dark counts, mapping trial chunks with
-    `chunk_map` (`map` or a pool's `map`).
+    Both modes follow the configured detectors.  Exact mode evolves the
+    full state and reports the outcome probabilities, and the heralded
+    state if `with_state`; sampled mode draws per-trial detector records,
+    mapping trial chunks with `chunk_map` (`map` or a pool's `map`).
     """
     if config.mode == "sampled":
         from .sampling import run_sampled
@@ -357,9 +363,9 @@ def memory_store(
     The channel, a pure state that carries the B path, defaults to the
     ideal heralded singlet; the mixed state that event-ready generation
     heralds is not a channel this model takes.  Success is any
-    non-failure herald (probability 1/2 for an ideal channel).  Exact
-    mode also reports the fidelity after readout; modes and `chunk_map`
-    are as in :func:`event_ready_generation`.
+    non-failure herald (probability eta^2 / 2 for an ideal channel without
+    dark counts).  Exact mode also reports the fidelity after readout;
+    modes and `chunk_map` are as in :func:`event_ready_generation`.
     """
     if config.mode == "sampled":
         from .sampling import run_sampled
@@ -368,9 +374,9 @@ def memory_store(
     stored, report = _run_exact(MEMORY, config, channel)
     if stored is not None:
         readout = memory_readout(stored, config.retrieval_efficiency)
-        report["round_trip_fidelity"] = metrics.qubit_fidelity(
+        report["round_trip_fidelity"] = _at_most_one(metrics.qubit_fidelity(
             readout, metrics.pol_qubit("readout"), *_qubit_amplitudes(config)
-        )
+        ))
     return stored, report
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import protocols
 from .detection import FAIL, PSI_MINUS, PSI_PLUS, ClickPattern, DetectorSpec, PreparedBellAnalyzer
-from .detection import _condition_on_pattern, _distribution, _split_branches
+from .detection import _code_probabilities, _condition_on_pattern, _distribution, _split_branches
 from .fock import MixedState, PureState
 
 #: most trials whose uniforms are drawn at once, and the chunk of a
@@ -41,9 +41,7 @@ def _step_table(n: int, eta: float) -> tuple:
     return (n, *binomial_steps(n, eta))
 
 
-def _sample_clicks(
-    true_counts: Sequence[int], specs: Sequence[DetectorSpec], labels: Sequence[str], rng
-) -> ClickPattern:
+def _sample_clicks(true_counts: Sequence[int], specs: Sequence[DetectorSpec], labels: Sequence[str], rng) -> ClickPattern:
     counts = []
     for n, spec, label in zip(true_counts, specs, labels):
         seen = n if spec.efficiency >= 1.0 else int(rng.binomial(n, spec.efficiency)) if n else 0
@@ -52,19 +50,6 @@ def _sample_clicks(
         counts.append((label, seen))
     clicks = frozenset(label for label, seen in counts if seen)
     return ClickPattern(clicks, tuple(counts) if any(spec.resolving for spec in specs) else ())
-
-
-def _pattern_probability(
-    dist: list[tuple[tuple[int, ...], float]], specs: Sequence[DetectorSpec], clicked: Sequence[bool]
-) -> float:
-    total = 0.0
-    for occ, p in dist:
-        factor = 1.0
-        for n, spec, hit in zip(occ, specs, clicked):
-            q = spec.click_prob(n)
-            factor *= q if hit else (1.0 - q)
-        total += p * factor
-    return total
 
 
 def measure(state: PureState | MixedState, detectors: Mapping, rng) -> tuple[ClickPattern, MixedState, float]:
@@ -83,8 +68,8 @@ def measure(state: PureState | MixedState, detectors: Mapping, rng) -> tuple[Cli
     true = dist[pick][0]
     pattern = _sample_clicks(true, specs, labels, rng)
     conditional = _condition_on_pattern(split, true)
-    clicked = [lab in pattern.clicks for lab in labels]
-    return pattern, conditional, _pattern_probability(dist, specs, clicked)
+    code = sum(1 << j for j, lab in enumerate(labels) if lab in pattern.clicks)
+    return pattern, conditional, sum(p * dict(_code_probabilities(occ, specs)).get(code, 0.0) for occ, p in dist)
 
 
 def _loss_word(table: tuple, bit: int) -> tuple[float, int, int, float]:
@@ -180,7 +165,7 @@ class _SampledProtocol:
         self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
 
     def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
-        return self.spec.fidelity(self.config, self.prep, [(true, outcome, float)])  # branches keep their weights
+        return protocols._at_most_one(self.spec.fidelity(self.config, self.prep, [(true, outcome, ())]))  # branches keep their weights
 
 
 @lru_cache(maxsize=8)

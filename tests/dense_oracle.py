@@ -84,6 +84,15 @@ def amplitudes_from_vector(basis: list[tuple[int, ...]], vec: np.ndarray, eps: f
     return {occ: vec[i] for i, occ in enumerate(basis) if abs(vec[i]) > eps}
 
 
+def threshold_povm(basis: list[tuple[int, ...]], mode: int, eta: float, dark: float) -> tuple[np.ndarray, np.ndarray]:
+    """No-click and click elements of a threshold detector of efficiency
+    `eta` and dark-count probability `dark` on `mode`:
+    Pi_0 = sum_n (1 - eta)^n (1 - dark) |n><n| and 1 - Pi_0 (Kok et al.,
+    RMP 79, 135 (2007)), dense over `basis`."""
+    no_click = np.diag([(1.0 - eta) ** occ[mode] * (1.0 - dark) for occ in basis])
+    return no_click, np.eye(len(basis)) - no_click
+
+
 def density_from_vector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 

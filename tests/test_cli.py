@@ -661,8 +661,8 @@ def test_a_config_that_validate_rejects_fails_every_command(tmp_path, capsys, mo
 @pytest.mark.parametrize(
     "cutoff, warned, probability",
     [
-        (6, "cutoff 6 cuts the EPR ancilla at emission_order 3; cutoff >= 8 keeps it whole", "0.0049872534217756115"),
-        (8, None, "0.0049874365827109034"),
+        (6, "cutoff 6 cuts the EPR ancilla at emission_order 3; cutoff >= 8 keeps it whole", "0.0050070531628821332"),
+        (8, None, "0.0050072363115412346"),
     ],
 )
 def test_ancilla_cut_is_reported_on_stderr(tmp_path, capsys, cutoff, warned, probability):
@@ -1063,6 +1063,7 @@ NUMPY_PROBES = {
     "validate-readme": ("validate", "readme", [], 0, False, set()),
     "config-error": ("event-ready", "[source]\np0 = 0.5\n", [], 2, False, set()),
     "exact-event-ready": ("event-ready", None, [], 0, False, set()),
+    "exact-lossy-event-ready": ("event-ready", "[detector]\neta = 0.8\ndark_prob = 1e-3\n", [], 0, False, set()),
     "exact-sweep": ("sweep", "[source]\nemission_order = 5\ncutoff = 12\n\n[sweep]\nparameter = p0\nvalues = 0.01, 0.1, 0.2\n", [], 0, False, set()),
     "sampled-event-ready": ("event-ready", None, ["--mode", "sampled", "--trials", "200", "--seed", "1"], 0, True, {"sampling", "rng"}),
     "exact-memory": ("memory", None, [], 0, True, {"metrics"}),
@@ -1076,8 +1077,8 @@ PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 @pytest.mark.parametrize("name", NUMPY_PROBES)
 def test_only_runs_that_build_arrays_import_numpy(tmp_path, name):
-    # exact event-ready runs and sweeps, validate and config errors compute in
-    # built-in floats and complex and load no module that holds numpy code;
+    # exact event-ready runs and sweeps, lossy ones included, validate and config
+    # errors compute in built-in floats and complex and load no module that holds numpy code;
     # sampled runs, memory and generate need arrays, and load only the holders they use
     command, text, flags, rc, imports, holders = NUMPY_PROBES[name]
     argv = None
@@ -1131,16 +1132,16 @@ def test_an_exact_event_ready_sweep_builds_no_herald_state(tmp_path, monkeypatch
     assert len(preps) == 3
     for prep in preps:
         target = protocols._target(prep.conditional_registry)
-        heralds = [occ for outcome, entries, _ in prep.ideal_outcomes() if outcome != detection.FAIL for occ, _ in entries]
+        heralds = [occ for outcome, entries in prep.outcome_weights().items() if outcome != detection.FAIL for occ, _ in entries]
         reaching = [occ for occ in heralds if any(st.amplitudes.keys() & target.amplitudes.keys() for _, st in condition(prep, occ).branches)]
         assert sorted(occ for p, occ in calls if p is prep) == sorted(reaching)
         if prep is preps[1]:
-            assert (len(reaching), len(heralds)) == (4, 60)
+            assert (len(reaching), len(heralds)) == (4, 108)
     # an API caller still gets the heralded state, built from the conditionals, beside the same report
     heralded, report = protocols.event_ready_generation(ProtocolConfig(source=SourceParams(p0=0.1, emission_order=5), cutoff=12))
     assert isinstance(heralded, fock.MixedState) and len(heralded.branches) > 2
-    # (every herald pattern for the state, the four that reach the target again for the fidelity)
-    assert len(mixed) == 1 and len(conditioned) == 60 + 4
+    # (every herald entry for the state, the four that reach the target again for the fidelity)
+    assert len(mixed) == 1 and len(conditioned) == 108 + 4
     assert rows[1] == {"p0": 0.1, **report}
 
 

@@ -1,19 +1,19 @@
 """Exact and sampled runs of one config describe one model.
 
-At unit efficiency and no dark counts the sampler's detectors are ideal,
-so a sampled run's outcome counts are binomial draws of the exact
-outcome probabilities and its mean fidelity estimates the exact one.
-Each point of a fixed grid runs both modes in process with a fixed seed:
+Both modes follow the configured detectors, so a sampled run's outcome
+counts are binomial draws of the exact outcome probabilities and its mean
+fidelity estimates the exact one.  Each point of a fixed grid, at ideal
+detectors, and its event-ready points at p0 = 0.05 and every memory point
+under two lossy, noisy detector models, run both modes in process with a
+fixed seed:
 - the success, PsiMinus and PsiPlus counts lie within 4 sigma of exact
   probability times trials;
 - the mean fidelity of the heralded trials lies within the Hoeffding
   bound of a [0, 1] variable (failure probability 1e-6 per point) of the
   exact fidelity;
-- every report number lies in its range.  Fidelity <= 1 is not asserted:
-  exact reports 1.0000000000000004 at some points.
+- every report number lies in its range, every fidelity in [0, 1].
 
-The ranges are also checked at every grid point under two lossy, noisy
-detector models, where the sampler draws loss and dark counts.
+The ranges are also checked at every grid point under both lossy models.
 
 `memory` reads no source (its channel is the ideal singlet), so its
 points vary the input qubit and the retrieval efficiency instead.
@@ -46,14 +46,21 @@ def _grid():
 
 GRID = list(_grid())
 RUNS = {"event-ready": protocols.event_ready_generation, "memory": protocols.memory_store}
+#: the ideal detectors and two that lose photons and count in the dark
+DETECTORS = {"ideal": IDEAL, "eta-0.8": DetectorSpec(efficiency=0.8, dark_prob=1e-3), "eta-0.5": DetectorSpec(efficiency=0.5, dark_prob=1e-2)}
+#: the grid, then its event-ready points at p0 = 0.05 and its memory points under each lossy model
+CASES = GRID + [
+    (kind, config.replace(detector=DETECTORS[name]))
+    for name in ("eta-0.8", "eta-0.5") for kind, config in GRID if kind == "memory" or config.source.p0 == 0.05
+]
 
 
 def _outcome_probabilities(kind, config):
-    """Exact probability of each outcome, from the analyzer's ideal outcomes
-    (the memory report gives only their sum)."""
+    """Exact probability of each outcome, from the analyzer's outcome weights
+    under the config's detectors (the memory report gives only their sum)."""
     spec = protocols.HERALDED[kind]
-    prep = detection.PreparedBellAnalyzer(spec.joint_state(config, None), *spec.paths)
-    return {outcome: prob for outcome, _, prob in prep.ideal_outcomes()}
+    prep = detection.PreparedBellAnalyzer(spec.joint_state(config, None), *spec.paths, config.detector)
+    return {outcome: sum(p for _, p in entries) for outcome, entries in prep.outcome_weights().items()}
 
 
 def _within_4_sigma(count, p, trials):
@@ -63,6 +70,8 @@ def _within_4_sigma(count, p, trials):
 def _assert_ranges(report):
     for key, value in report.items():
         if key.endswith("_probability"):
+            assert 0.0 <= value <= 1.0, key
+        if key.endswith("fidelity") and value is not None:
             assert 0.0 <= value <= 1.0, key
     assert report.get("truncation_loss", 0.0) >= 0.0
     if report["mode"] == "sampled":
@@ -74,9 +83,9 @@ def _assert_ranges(report):
         assert total == pytest.approx(report["success_probability"], rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("index", range(len(GRID)))
-def test_sampled_counts_and_fidelity_match_exact_at_ideal_detectors(index):
-    kind, config = GRID[index]
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_sampled_counts_and_fidelity_match_exact(index):
+    kind, config = CASES[index]
     run, key = RUNS[kind], protocols.HERALDED[kind].fidelity_key
     exact = run(config)[1]
     sampled = run(config.replace(mode="sampled", trials=TRIALS, seed=index + 1))[1]
@@ -94,9 +103,6 @@ def test_sampled_counts_and_fidelity_match_exact_at_ideal_detectors(index):
     else:
         assert abs(sampled["mean_" + key] - exact[key]) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * heralds))
 
-
-#: the ideal detectors and two that lose photons and count in the dark
-DETECTORS = {"ideal": IDEAL, "eta-0.8": DetectorSpec(efficiency=0.8, dark_prob=1e-3), "eta-0.5": DetectorSpec(efficiency=0.5, dark_prob=1e-2)}
 
 
 @pytest.mark.parametrize("detector", sorted(DETECTORS))

@@ -1,5 +1,5 @@
-"""The exact heralded protocols against a dense end-to-end oracle, at ideal
-detectors (eta = 1, no dark counts).
+"""The exact heralded protocols against a dense end-to-end oracle, at the
+default detector (eta = 1, dark_prob 1e-5) and at a fixed set of others.
 
 Each point is rebuilt here from `dense_oracle` alone, sharing no code with
 the package:
@@ -11,9 +11,9 @@ the package:
 - every term above the cutoff dropped, as the package's tensor products do;
 - the Bell analyzer as one dense `mode_unitary_fock` on its four photonic
   modes, the two paths mixed per polarization by [[1, 1], [1, -1]]/sqrt(2);
-- ideal click sets (a detector clicks when it holds a photon), classified
-  here: one H and one V click on opposite sides herald PsiMinus, on one
-  side PsiPlus;
+- each detector's threshold POVM (`dense_oracle.threshold_povm`), and the
+  click sets classified here: one H and one V click on opposite sides
+  herald PsiMinus, on one side PsiPlus;
 - the pi correction on a PsiPlus herald (B:H for event-ready, S2 for
   memory), and each fidelity from the reduced density matrix of the
   heralded state.
@@ -28,6 +28,7 @@ import pytest
 
 import dense_oracle as oracle
 from stokesim import protocols
+from stokesim.detection import DetectorSpec
 from stokesim.protocols import ProtocolConfig
 from stokesim.sources import SourceParams
 
@@ -93,42 +94,59 @@ def _event_ready_joint(config: ProtocolConfig) -> dict:
     return _tensor(_source(config.source), ancilla, config.cutoff)
 
 
-@lru_cache(maxsize=4)
-def _analyzer(cutoff: int) -> tuple[list, np.ndarray, list[str]]:
+#: the click sets that herald, by analyzer mode (path 1 H, path 1 V, path 2 H,
+#: path 2 V): one H and one V click on opposite sides, or on one side
+HERALDS = {
+    frozenset({0, 3}): "PsiMinus",
+    frozenset({1, 2}): "PsiMinus",
+    frozenset({0, 1}): "PsiPlus",
+    frozenset({2, 3}): "PsiPlus",
+}
+
+
+@lru_cache(maxsize=16)
+def _analyzer(cutoff: int, eta: float, dark: float) -> tuple[list, np.ndarray, dict]:
     """The photonic basis (path 1 H, path 1 V, path 2 H, path 2 V), the dense
-    analyzer on it, and each basis state's outcome under ideal clicks."""
+    analyzer on it, and each herald's POVM element: over the click sets
+    that herald it, the product of each detector's click or no-click
+    element."""
     basis = oracle.fock_basis(4, cutoff)
     u = np.zeros((4, 4))
     for h in (0, 1):  # path 1 and path 2 of one polarization
         u[h, h] = u[h + 2, h] = u[h, h + 2] = SQRT_HALF
         u[h + 2, h + 2] = -SQRT_HALF
-    clicks = {
-        frozenset({0, 3}): "PsiMinus",
-        frozenset({1, 2}): "PsiMinus",
-        frozenset({0, 1}): "PsiPlus",
-        frozenset({2, 3}): "PsiPlus",
-    }
-    outcomes = [clicks.get(frozenset(i for i, n in enumerate(occ) if n), "Fail") for occ in basis]
-    return basis, oracle.mode_unitary_fock(basis, [0, 1, 2, 3], u), outcomes
+    detectors = [oracle.threshold_povm(basis, k, eta, dark) for k in range(4)]
+    elements = {"PsiMinus": 0.0, "PsiPlus": 0.0}
+    for clicked, outcome in HERALDS.items():
+        element = np.eye(len(basis))
+        for k, (no_click, click) in enumerate(detectors):
+            element = element @ (click if k in clicked else no_click)
+        elements[outcome] = elements[outcome] + element
+    return basis, oracle.mode_unitary_fock(basis, [0, 1, 2, 3], u), elements
 
 
-def _herald(joint: dict, modes: tuple, paths: tuple[str, str], flip: str, keep: tuple, cutoff: int):
-    """Born probabilities of PsiMinus and PsiPlus, and the reduced density
-    matrix on `keep` (with its occupation basis) of the corrected heralded
-    state, or None when nothing heralds."""
+def _herald(joint: dict, modes: tuple, paths: tuple[str, str], flip: str, keep: tuple, config: ProtocolConfig):
+    """Born probabilities of PsiMinus and PsiPlus under the config's
+    detectors, and the reduced density matrix on `keep` (with its occupation
+    basis) of the corrected heralded state, or None when nothing heralds."""
     photonic = [modes.index(f"{path}:{pol}") for path in paths for pol in "HV"]
     rest = [i for i in range(len(modes)) if i not in photonic]
-    basis, u, outcomes = _analyzer(cutoff)
+    basis, u, elements = _analyzer(config.cutoff, config.detector.efficiency, config.detector.dark_prob)
     rows = sorted({tuple(occ[i] for i in rest) for occ in joint})
     psi = np.zeros((len(rows), len(basis)), complex)
     for occ, c in joint.items():
         psi[rows.index(tuple(occ[i] for i in rest)), basis.index(tuple(occ[i] for i in photonic))] += c
     psi = psi @ u.T
     norm = float(np.sum(np.abs(psi) ** 2))
-    # the corrected heralded columns, and the kept and traced occupations of each row
+    # a herald's element is diagonal in the number basis, so the heralded
+    # state is the columns weighted by the roots of its diagonal
     env = [modes[i] for i in rest]
     sign = np.array([(-1.0) ** row[env.index(flip)] for row in rows])
-    heralds = {o: psi[:, [j for j, x in enumerate(outcomes) if x == o]] for o in ("PsiMinus", "PsiPlus")}
+    heralds = {}
+    for o, element in elements.items():
+        diagonal = np.diag(element)
+        assert np.array_equal(element, np.diag(diagonal))
+        heralds[o] = psi * np.sqrt(diagonal)
     heralds["PsiPlus"] = heralds["PsiPlus"] * sign[:, None]
     probs = [float(np.sum(np.abs(cols) ** 2)) / norm for cols in heralds.values()]
     if sum(probs) == 0.0:
@@ -172,33 +190,52 @@ def _config(order, cutoff, p0, t, alpha, beta, epr, **kwargs) -> ProtocolConfig:
     return ProtocolConfig(source=source, epr_enabled=epr, cutoff=cutoff, **kwargs)
 
 
-@pytest.mark.parametrize("point", GRID)
-def test_exact_event_ready_matches_the_dense_oracle(point):
-    config = _config(*point)
+#: (eta, dark_prob) besides the default detector's (1, 1e-5): ideal detectors,
+#: detectors that never see a photon, with and without dark counts, and
+#: lossy, noisy ones
+DETECTORS = [(1.0, 0.0), (0.0, 0.0), (0.0, 0.3), (0.8, 1e-3), (0.5, 0.01)]
+
+
+def _check_event_ready(config: ProtocolConfig):
     _, report = protocols.event_ready_generation(config, with_state=False)
-    (minus, plus), rho, kbasis = _herald(_event_ready_joint(config), EVENT_READY, ("p", "A"), "B:H", ("S1", "S2", "B:H", "B:V"), config.cutoff)
+    (minus, plus), rho, kbasis = _herald(_event_ready_joint(config), EVENT_READY, ("p", "A"), "B:H", ("S1", "S2", "B:H", "B:V"), config)
     # the singlet (|V>_B|S1> - |H>_B|S2>)/sqrt(2) on (S1, S2, B:H, B:V)
     singlet = {(1, 0, 0, 1): SQRT_HALF, (0, 1, 1, 0): -SQRT_HALF}
     _close(report["psi_minus_probability"], minus)
     _close(report["psi_plus_probability"], plus)
     _close(report["success_probability"], minus + plus)
     _close(report["heralded_fidelity"], None if rho is None else _expect(rho, kbasis, singlet))
-    assert (rho is None) == (point[0] == 1 and not point[-1])
+
+
+def _check_memory(config: ProtocolConfig, point):
+    # the ideal singlet channel, or the event-ready joint state as a channel
+    if point is None:
+        channel, modes = {(1, 0, 0, 1): SQRT_HALF, (0, 1, 1, 0): -SQRT_HALF}, ("S1", "S2", "B:H", "B:V")
+        _, report = protocols.memory_store(config)
+    else:
+        channel, modes = _event_ready_joint(config), EVENT_READY
+        _, report = protocols.memory_store(config, protocols._event_ready_input(config))
+    qubit = {(1, 0): math.cos(config.theta), (0, 1): math.sin(config.theta) * cmath.exp(1j * config.phi)}
+    joint = _tensor(channel, qubit, config.cutoff)
+    (minus, plus), rho, kbasis = _herald(joint, (*modes, "q:H", "q:V"), ("q", "B"), "S2", ("S1", "S2"), config)
+    _close(report["success_probability"], minus + plus)
+    _close(report["stored_fidelity"], None if rho is None else _expect(rho, kbasis, qubit))
+
+
+@pytest.mark.parametrize("point", GRID)
+def test_exact_event_ready_matches_the_dense_oracle(point):
+    _check_event_ready(_config(*point))
 
 
 @pytest.mark.parametrize("point, theta, phi", [(None, 0.4, 1.1), (GRID[1], 1.2, 4.0), (GRID[4], 0.7, 0.3)])
 def test_exact_memory_matches_the_dense_oracle(point, theta, phi):
-    # the ideal singlet channel, or the event-ready joint state as a channel
-    if point is None:
-        config = ProtocolConfig(theta=theta, phi=phi)
-        channel, modes = {(1, 0, 0, 1): SQRT_HALF, (0, 1, 1, 0): -SQRT_HALF}, ("S1", "S2", "B:H", "B:V")
-        _, report = protocols.memory_store(config)
-    else:
-        config = _config(*point, theta=theta, phi=phi)
-        channel, modes = _event_ready_joint(config), EVENT_READY
-        _, report = protocols.memory_store(config, protocols._event_ready_input(config))
-    qubit = {(1, 0): math.cos(theta), (0, 1): math.sin(theta) * cmath.exp(1j * phi)}
-    joint = _tensor(channel, qubit, config.cutoff)
-    (minus, plus), rho, kbasis = _herald(joint, (*modes, "q:H", "q:V"), ("q", "B"), "S2", ("S1", "S2"), config.cutoff)
-    _close(report["success_probability"], minus + plus)
-    _close(report["stored_fidelity"], _expect(rho, kbasis, qubit))
+    config = ProtocolConfig(theta=theta, phi=phi) if point is None else _config(*point, theta=theta, phi=phi)
+    _check_memory(config, point)
+
+
+@pytest.mark.parametrize("eta, dark", DETECTORS)
+def test_exact_runs_match_the_dense_oracle_at_each_detector(eta, dark):
+    detector = DetectorSpec(efficiency=eta, dark_prob=dark)
+    for point in (GRID[1], GRID[4], GRID[5]):
+        _check_event_ready(_config(*point, detector=detector))
+    _check_memory(ProtocolConfig(theta=0.4, phi=1.1, detector=detector), None)

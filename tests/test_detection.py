@@ -31,6 +31,9 @@ from stokesim.errors import ValidationError
 from stokesim.rng import trial_rng
 
 SQRT_HALF = 0.7071067811865476
+#: the analyzer tables below are ideal-detector tables: the default detector
+#: counts in the dark (dark_prob 1e-5), so every pattern could herald
+IDEAL = DetectorSpec(dark_prob=0.0)
 
 
 def two_path_registry(cutoff=6):
@@ -186,7 +189,7 @@ def test_bell_outcome_table():
         "phi_minus": FAIL,
     }
     for kind, expected in expectations.items():
-        table = PreparedBellAnalyzer(bell_state(kind), "a", "b").exact_outcomes()
+        table = PreparedBellAnalyzer(bell_state(kind), "a", "b", IDEAL).exact_outcomes()
         probs = {outcome: prob for outcome, _, prob in table}
         np.testing.assert_allclose(probs[expected], 1.0, atol=1e-12, err_msg=kind)
         for outcome, p in probs.items():
@@ -205,7 +208,7 @@ def test_psi_minus_heralds_split_between_cross_patterns():
 
 def test_distinguishable_pair_is_half_psi_minus_half_psi_plus():
     st = fock.basis_state(two_path_registry(), {"a:H": 1, "b:V": 1})
-    probs = {outcome: p for outcome, _, p in PreparedBellAnalyzer(st, "a", "b").exact_outcomes()}
+    probs = {outcome: p for outcome, _, p in PreparedBellAnalyzer(st, "a", "b", IDEAL).exact_outcomes()}
     np.testing.assert_allclose(probs[PSI_MINUS], 0.5, atol=1e-12)
     np.testing.assert_allclose(probs[PSI_PLUS], 0.5, atol=1e-12)
     np.testing.assert_allclose(probs[FAIL], 0.0, atol=1e-12)
@@ -257,7 +260,7 @@ def test_analyzer_conditional_atomic_state_for_entangled_input():
             occ_of(reg, {"S": 0, "a:V": 1}): SQRT_HALF,
         },
     )
-    probs = {outcome: p for outcome, _, p in PreparedBellAnalyzer(st, "a", "b").exact_outcomes()}
+    probs = {outcome: p for outcome, _, p in PreparedBellAnalyzer(st, "a", "b", IDEAL).exact_outcomes()}
     np.testing.assert_allclose(probs[FAIL], 1.0, atol=1e-12)
 
 
@@ -376,6 +379,6 @@ def test_preparing_the_analyzer_groups_its_state_once(monkeypatch):
     monkeypatch.setattr(detection, "exact_outcome_distribution", forbidden)
     detection._analyzer_layout.cache_clear()
     for _ in range(2):
-        prep = PreparedBellAnalyzer(bell_state("psi_minus"), "a", "b")
+        prep = PreparedBellAnalyzer(bell_state("psi_minus"), "a", "b", IDEAL)
         assert len(grouped) == 1
     assert {outcome: p for outcome, _, p in prep.exact_outcomes()}[PSI_MINUS] == pytest.approx(1.0)

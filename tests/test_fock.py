@@ -85,7 +85,7 @@ def test_photonic_mode_requires_valid_polarization():
 
 def test_vacuum_is_normalized_single_term():
     st = fock.vacuum(two_path_registry())
-    assert st.is_vacuum()
+    assert set(st.amplitudes) == {(0,) * len(st.registry)}
     assert st.norm_sq() == 1.0
 
 
@@ -482,7 +482,8 @@ def test_the_phase_plate_matrix_has_numpy_bytes(phase):
 
 
 def _multipair_config(p0):
-    base = protocols.ProtocolConfig(cutoff=12)
+    # ideal detectors, as in the multipair-exact benchmark workload
+    base = protocols.ProtocolConfig(cutoff=12, detector=detection.DetectorSpec(dark_prob=0.0))
     return base.replace(source=base.source.replace(p0=p0, emission_order=5))
 
 

@@ -90,7 +90,7 @@ def test_generate_entanglement_order_one_report():
     np.testing.assert_allclose(report["truncation_loss"], 2.4751862577658986e-05, atol=1e-15)
     weights = [w for w, _ in mixed.branches]
     np.testing.assert_allclose(sum(weights), 1.0, atol=1e-12)
-    assert mixed.branches[0][1].is_vacuum()
+    assert set(mixed.branches[0][1].amplitudes) == {(0,) * len(mixed.registry)}
 
 
 def test_generate_entanglement_zero_pump_is_vacuum():
@@ -98,7 +98,7 @@ def test_generate_entanglement_zero_pump_is_vacuum():
     assert report["branch_weights"] == [1.0]
     np.testing.assert_allclose(report["purity"], 1.0, atol=1e-12)
     assert "excited_branch_concurrence" not in report
-    assert mixed.branches[0][1].is_vacuum()
+    assert set(mixed.branches[0][1].amplitudes) == {(0,) * len(mixed.registry)}
 
 
 def test_generate_purity_closed_form_scales():
@@ -202,7 +202,7 @@ def _clicks(prep, occ):
 
 
 def test_exact_outcomes_group_the_distribution_through_the_rule():
-    prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(ORDER_2), "p", "A")
+    prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(ORDER_2), "p", "A", ORDER_2.detector)
     rule = detection.default_herald_rule()
     grouped = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
     for occ, p in prep.distribution:
@@ -221,7 +221,7 @@ def test_exact_outcomes_condition_only_on_herald_patterns(monkeypatch):
         return condition(prep, pattern)
 
     monkeypatch.setattr(detection.PreparedBellAnalyzer, "conditional", recording)
-    prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(ORDER_2), "p", "A")
+    prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(ORDER_2), "p", "A", ORDER_2.detector)
     outcomes = {outcome: cond for outcome, cond, _ in prep.exact_outcomes()}
     rule = detection.default_herald_rule()
     heralds = [occ for occ, _ in prep.distribution if rule.classify(_clicks(prep, occ)) != FAIL]
@@ -329,18 +329,14 @@ def _event_ready_grid():
 
 
 def test_exact_fidelity_read_off_the_split_is_the_heralded_states():
-    nulls = 0
+    # dark counts (the default dark_prob 1e-5) herald at every point, p0 = 0
+    # without the ancilla included; a point that never heralds is
+    # test_event_ready_vacuum_source_never_heralds
     for cfg in _event_ready_grid():
         heralded, report = protocols.event_ready_generation(cfg)
         assert protocols.event_ready_generation(cfg, with_state=False) == (None, report)
-        if heralded is None:
-            # a point that never heralds reports no fidelity
-            assert report["success_probability"] == 0.0 and report["heralded_fidelity"] is None
-            nulls += 1
-            continue
         expected = fock.state_fidelity(heralded, protocols._target(heralded.registry))
-        assert report["heralded_fidelity"].hex() == expected.hex(), cfg
-    assert 0 < nulls < 100
+        assert report["heralded_fidelity"].hex() == protocols._at_most_one(expected).hex(), cfg
 
 
 def test_sampled_fidelity_read_off_the_split_is_the_conditional_states():
@@ -351,7 +347,7 @@ def test_sampled_fidelity_read_off_the_split_is_the_conditional_states():
         for occ, _ in sp.prep.distribution:
             for outcome in (PSI_MINUS, PSI_PLUS):
                 state = protocols._corrected(protocols.EVENT_READY, sp.prep.conditional(occ), outcome)
-                expected = fock.state_fidelity(state, protocols._target(state.registry))
+                expected = protocols._at_most_one(fock.state_fidelity(state, protocols._target(state.registry)))
                 assert sp.fidelity(occ, outcome).hex() == expected.hex(), (cfg, occ, outcome)
 
 
