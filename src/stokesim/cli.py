@@ -25,10 +25,8 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 
 from __future__ import annotations
 
-import configparser
 import gc
 import io
-import json
 import math
 import os
 import re
@@ -44,6 +42,9 @@ from .protocols import ProtocolConfig
 from .sources import SourceParams
 
 SCHEMA_VERSION = 1
+
+#: `epr_enabled`'s spellings, in the order its error lists them
+_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True, "0": False, "no": False, "false": False, "off": False}
 
 #: key -> (its config section, or None for `jobs`, which only a flag sets; its type;
 #: the `ExperimentConfig` field it sets, dotted into `config`; the values it may
@@ -63,7 +64,7 @@ _KEYS = {
     "t": ("source", float, "config.source.t", ()),
     "emission_order": ("source", int, "config.source.emission_order", ()),
     "cutoff": ("source", int, "config.cutoff", ()),
-    "epr_enabled": ("source", bool, "config.epr_enabled", tuple(configparser.ConfigParser.BOOLEAN_STATES)),
+    "epr_enabled": ("source", bool, "config.epr_enabled", tuple(_BOOLEANS)),
     "eta": ("detector", float, "config.detector.efficiency", ()),
     "dark_prob": ("detector", float, "config.detector.dark_prob", ()),
     "theta": ("memory", float, "config.theta", ()),
@@ -97,22 +98,42 @@ class ExperimentConfig(Record):
 _OWNERS = {"config.source": SourceParams, "config.detector": DetectorSpec, "config": ProtocolConfig, "": ExperimentConfig}
 
 
-def _line_map(text: str) -> dict[tuple[str, str | None], int]:
-    """Map (section, key) -> 1-based line number, reading comments, headers,
-    keys and indented continuation lines as `parse_config`'s parser does."""
-    lines: dict[tuple[str, str | None], int] = {}
-    section = key = indent = None
-    for no, raw in enumerate(text.split("\n"), 1):
-        s, level = re.split(r"(?<!\S)[#;]", raw, maxsplit=1)[0].strip(), len(raw) - len(raw.lstrip())
-        if not s or key is not None and level > indent:
+def _read_ini(text: str) -> dict[str, tuple[int, dict[str, tuple[int, str]]]]:
+    """{header as written: (its line, {lower-cased key: (its line, its value)})} of INI `text`,
+    read as configparser read it with `=` and `:` delimiters, `#` and `;` comments, inline ones after
+    whitespace, and continuation lines, blank ones included, indented deeper than their key.  A header
+    or key read twice, a key before any header and a line that is neither are syntax errors."""
+    sections, errors, keys, key, indent = {}, "", None, None, 0
+    repeat = "config syntax error: While reading from '<string>' [line {:2d}]: {} already exists"
+    for no, line in enumerate(io.StringIO(text), 1):
+        cut, at = [], {"#": -1, ";": -1}
+        while at and not cut:  # configparser steps through the prefixes' occurrences in turn
+            at = {p: i for p, j in at.items() if (i := line.find(p, j + 1)) >= 0}
+            cut = [i for i in at.values() if i == 0 or line[i - 1].isspace()]
+        cut = 0 if line.strip()[:1] in ("#", ";") else min(cut, default=None)
+        value, level = line[:cut].strip(), len(line) - len(line.lstrip())
+        if not value or key and level > indent:
+            if value or cut is None and key:
+                keys[key][1].append(value)
             continue
-        if header := configparser.ConfigParser.SECTCRE.match(s):
-            section, key = header["header"].lower(), None
-            lines[(section, None)] = no
-        elif section is not None and (option := configparser.ConfigParser.OPTCRE.match(s)):
-            key, indent = option["option"].rstrip().lower(), level
-            lines[(section, key)] = no
-    return lines
+        indent, end, delim = level, value.rfind("]"), min((i for i in map(value.find, "=:") if i >= 0), default=-1)
+        if value[0] == "[" and end > 1:
+            name, key = value[1:end], None
+            if name in sections:
+                raise ConfigError(repeat.format(no, f"section {name!r}"))
+            sections[name] = no, (keys := {})
+            continue
+        if keys is None:
+            raise ConfigError(f"config syntax error: File contains no section headers.\nfile: '<string>', line: {no}\n{line!r}")
+        if delim < 1:  # no delimiter, or no key before it
+            errors += f"\n\t[line {no:2d}]: {line!r}"
+        if delim >= 0:
+            if (key := value[:delim].rstrip().lower()) in keys:
+                raise ConfigError(repeat.format(no, f"option {key!r} in section {name!r}"))
+            keys[key] = no, [value[delim + 1 :].strip()]
+    if errors:
+        raise ConfigError(f"config syntax error: Source contains parsing errors: '<string>'{errors}")
+    return {name: (no, {key: (at, "\n".join(lines).rstrip()) for key, (at, lines) in keys.items()}) for name, (no, keys) in sections.items()}
 
 
 def _convert(key: str, raw: str, origin: str, item: bool = False) -> object:
@@ -125,7 +146,7 @@ def _convert(key: str, raw: str, origin: str, item: bool = False) -> object:
     bounds = _OWNERS[owner]._ranges.get(name)
     try:
         if kind is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+            return _BOOLEANS[raw.strip().lower()]
         value = complex(raw.replace(" ", "")) if kind is complex else float(raw) if item else kind(raw)
         if item and kind is int:
             if not value.is_integer():
@@ -142,46 +163,34 @@ def _convert(key: str, raw: str, origin: str, item: bool = False) -> object:
         raise ConfigError(f"bad value {str(raw)!r} for {key} {origin}: expected {kind.__name__}{valid}") from None
 
 
-def _at(lines, section: str, key: str | None) -> str:
-    no = lines.get((section, key))
-    return f" (line {no})" if no else ""
-
-
 def parse_config(text: str) -> dict[str, dict[str, object]]:
     """Parse and check the INI text into typed {section: {key: value}}, the
     one reading of a config file.  Values are read as written, so `%` is
     literal.  Every value is converted and checked, `[sweep]` included, and
     a value that a flag replaces too.  Unknown sections or keys, and a header
     that repeats another in another case, are errors that name their line."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="", interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from None
-    lines = _line_map(text)
     known = {s for s, *_ in _KEYS.values() if s}
     out: dict[str, dict[str, object]] = {}
-    for section in parser.sections():
+    for section, (no, keys) in _read_ini(text).items():
         low = section.lower()
         if low in out:
-            raise ConfigError(f"duplicate section [{section}]{_at(lines, low, None)}: section names ignore case")
+            raise ConfigError(f"duplicate section [{section}] (line {no}): section names ignore case")
         if low not in known:
-            raise ConfigError(
-                f"unknown section [{section}]{_at(lines, low, None)}; expected one of {', '.join(sorted(known))}"
-            )
-        out[low] = dict(parser.items(section))
-        for key, raw in out[low].items():
+            raise ConfigError(f"unknown section [{section}] (line {no}); expected one of {', '.join(sorted(known))}")
+        out[low] = {}
+        for key, (no, raw) in keys.items():
             if _KEYS.get(key, (None,))[0] != low:
                 raise ConfigError(
-                    f"unknown key {key!r} in [{section}]{_at(lines, low, key)}; "
+                    f"unknown key {key!r} in [{section}] (line {no}); "
                     f"valid keys: {', '.join(sorted(k for k, (s, *_) in _KEYS.items() if s == low))}"
                 )
-            if key != "values":
-                out[low][key] = _convert(key, raw, f"in [{low}]{_at(lines, low, key)}")
+            if key == "values":
+                out[low][key], items = raw, f"in [sweep] values (line {no})"
+            else:
+                out[low][key] = _convert(key, raw, f"in [{low}] (line {no})")
     if {"parameter", "values"} <= out.get("sweep", {}).keys():
-        given, origin = out["sweep"], f"in [sweep] values{_at(lines, 'sweep', 'values')}"
-        items = re.split(r"[,\s]+", given["values"])
-        given["values"] = tuple(_convert(given["parameter"], item, origin, True) for item in items if item)
+        given = out["sweep"]
+        given["values"] = tuple(_convert(given["parameter"], item, items, True) for item in re.split(r"[,\s]+", given["values"]) if item)
     return out
 
 
@@ -262,6 +271,22 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+#: the characters `json.dumps` writes with a backslash and one letter
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _escape(match) -> str:
+    o = ord(c := match.group())
+    return _ESCAPES.get(c) or (f"\\u{o:04x}" if o < 0x10000 else f"\\u{0xD7C0 + (o >> 10):04x}\\u{0xDC00 | o & 0x3FF:04x}")
+
+
+def _json_str(s: str) -> str:
+    """`json.dumps(s)`: printable ASCII as it is, every other character escaped, past U+FFFF as a UTF-16 surrogate pair."""
+    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
+        s = re.sub(r'[^ !#-\[\]-~]', _escape, s)
+    return f'"{s}"'
+
+
 def _json_value(value, indent: int) -> str:
     pad = " " * indent
     if value is None:
@@ -273,9 +298,9 @@ def _json_value(value, indent: int) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, complex):
-        return json.dumps(f"{format_float(value.real)}{value.imag:+.17g}j")
+        return _json_str(f"{format_float(value.real)}{value.imag:+.17g}j")
     if isinstance(value, str):
-        return json.dumps(value)
+        return _json_str(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -285,7 +310,7 @@ def _json_value(value, indent: int) -> str:
         if not value:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_json_value(v, indent + 2)}" for k, v in value.items()
+            f"{pad}  {_json_str(str(k))}: {_json_value(v, indent + 2)}" for k, v in value.items()
         )
         return f"{{\n{inner}\n{pad}}}"
     raise ValidationError(f"cannot serialize {type(value).__name__} in a report")

@@ -19,6 +19,7 @@ Sign conventions (they matter for heralded-state phases downstream):
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from . import fock
 from .errors import ValidationError
@@ -48,13 +49,13 @@ def quarter_wave(state: PureState, path: str) -> PureState:
     free phase convention to the identity.
     """
     _require_pols(state, path, fock.CIRCULAR_POLS, "quarter_wave")
-    reg = state.registry.replace(
-        {
-            state.registry.path_mode(path, "L"): fock.photonic_mode(path, "H"),
-            state.registry.path_mode(path, "R"): fock.photonic_mode(path, "V"),
-        }
-    )
-    return state.with_registry(reg)
+    return state.with_registry(_linear_registry(state.registry, path))
+
+
+@lru_cache(maxsize=16)
+def _linear_registry(reg: fock.ModeRegistry, path: str) -> fock.ModeRegistry:
+    """`reg` with `path`'s L and R modes relabeled H and V, kept per registry and path, so sweep points share it."""
+    return reg.replace({reg.path_mode(path, "L"): fock.photonic_mode(path, "H"), reg.path_mode(path, "R"): fock.photonic_mode(path, "V")})
 
 
 def attenuate_mode(state: PureState, mode, t: float) -> PureState:

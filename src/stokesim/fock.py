@@ -602,17 +602,23 @@ def truncate_total_occupation(
     return PureState._wrap(state.registry, kept, state.truncation_loss + dropped), dropped
 
 
+@lru_cache(maxsize=16)
+def _joint_registry(a: ModeRegistry, b: ModeRegistry) -> ModeRegistry:
+    """The registry of `a` then `b`, kept per pair, so the points of a sweep share it."""
+    overlap = {m.name for m in a.modes} & {m.name for m in b.modes}
+    if overlap:
+        raise RegistryError(f"tensor factors share mode names {sorted(overlap)}")
+    return ModeRegistry(a.modes + b.modes, max(a.cutoff, b.cutoff))
+
+
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product of states over disjoint registries.
 
     The combined cutoff is the larger of the two; combined terms exceeding
     it are dropped into the truncation-loss counter.
     """
-    overlap = {m.name for m in a.registry.modes} & {m.name for m in b.registry.modes}
-    if overlap:
-        raise RegistryError(f"tensor factors share mode names {sorted(overlap)}")
-    cutoff = max(a.registry.cutoff, b.registry.cutoff)
-    reg = ModeRegistry(a.registry.modes + b.registry.modes, cutoff)
+    reg = _joint_registry(a.registry, b.registry)
+    cutoff = reg.cutoff
     amps: dict[tuple[int, ...], complex] = {}
     lost = 0.0
     for occ_a, ca in a.amplitudes.items():

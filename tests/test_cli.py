@@ -103,11 +103,16 @@ def test_two_headers_that_differ_in_case_are_rejected(tmp_path, capsys, command)
         ("[source]\np0 = 0.01\n[Source] # again\n", "duplicate section [Source] (line 3): section names ignore case"),
         ("[source]\np0 = 0.01\n  [detector]\n", "bad value '0.01\\n[detector]' for p0 in [source] (line 2): expected float"),
         ("[ source ]\n", "unknown section [ source ] (line 1)"),
+        ("[foo]\n\n[FOO]\n", "unknown section [foo] (line 1)"),
+        ("[source]\n[Source]\n[SOURCE]\n", "duplicate section [Source] (line 2)"),
+        ("[RUN]\np0 = 1\n[run]\np0 = 2\n", "unknown key 'p0' in [RUN] (line 2)"),
     ],
-    ids=["commented-key-section", "commented-unknown", "commented-duplicate", "continuation", "spaced"],
+    ids=["commented-key-section", "commented-unknown", "commented-duplicate", "continuation", "spaced",
+         "case-repeat-unknown", "case-repeat-duplicate", "case-repeat-key"],
 )
 def test_a_header_is_read_as_the_parser_reads_it(text, message):
-    # a comment after a header, or an indented continuation line, does not move a line number
+    # a comment after a header, or an indented continuation line, does not move a line number;
+    # an error names the line of the header or key it rejects, not of a later one in another case
     with pytest.raises(ConfigError) as exc:
         cli.parse_config(text)
     assert str(exc.value).startswith(message)
@@ -294,6 +299,15 @@ def test_to_json_layout_frozen():
     )
     assert cli.to_json(report) == expected
     assert json.loads(cli.to_json(report))["amp"] == "0.5+0.5j"
+
+
+def test_report_strings_are_escaped_as_json_dumps_escapes_them():
+    # every code point of the basic plane, lone surrogates included, and a sample past it
+    chars = [chr(o) for o in (*range(0x10000), *range(0x10000, 0x110000, 4093), 0x10FFFF)]
+    assert [c for c in chars if cli._json_str(c) != json.dumps(c)] == []
+    text = 'a "quoted" C:\\path\ttab\x7f é \ud800 \U0001f600 end'
+    assert cli._json_str(text) == json.dumps(text)
+    assert cli.to_json({text: [text]}) == f"{{\n  {json.dumps(text)}: [\n    {json.dumps(text)}\n  ]\n}}\n"
 
 
 def test_to_csv_union_columns_and_cells():
@@ -1071,12 +1085,20 @@ NUMPY_PROBES = {
 }
 #: the package modules that import numpy at the top, directly or through each other
 NUMPY_HOLDERS = {"sampling", "analysis", "metrics", "rng"}
-#: what parsing the command line with argparse would load
-PARSER_MODULES = {"argparse", "gettext", "locale"}
+#: the standard-library modules a command adds to a bare interpreter, beside stokesim's own and numpy's
+START_UP = {"__future__", "cmath", "gc"}
+
+
+@pytest.fixture(scope="module")
+def numpy_modules():
+    """The modules that `import numpy` adds to a bare interpreter."""
+    proc = run_python("-c", "import sys; bare = set(sys.modules); import numpy; print(*sorted(sys.modules.keys() - bare))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
 
 
 @pytest.mark.parametrize("name", NUMPY_PROBES)
-def test_only_runs_that_build_arrays_import_numpy(tmp_path, name):
+def test_only_runs_that_build_arrays_import_numpy(tmp_path, name, numpy_modules):
     # exact event-ready runs and sweeps, lossy ones included, validate and config
     # errors compute in built-in floats and complex and load no module that holds numpy code;
     # sampled runs, memory and generate need arrays, and load only the holders they use
@@ -1088,17 +1110,18 @@ def test_only_runs_that_build_arrays_import_numpy(tmp_path, name):
         argv = [command, "--out", str(tmp_path / "r.json"), *flags]
         argv += ["--config", write_ini(tmp_path, text)] if text is not None else []
     probe = (
-        f"import sys, stokesim, stokesim.cli as c; rc = 0 if {argv!r} is None else c.main({argv!r}); "
+        f"import sys; bare = set(sys.modules); import stokesim, stokesim.cli as c; rc = 0 if {argv!r} is None else c.main({argv!r}); "
         "print(rc, 'numpy' in sys.modules, *sorted(m.removeprefix('stokesim.') for m in sys.modules if m.startswith('stokesim.'))); "
-        f"print('start-up:', *sorted({PARSER_MODULES!r} & sys.modules.keys()))"
+        "print(*sorted(m for m in sys.modules.keys() - bare if m.partition('.')[0] != 'stokesim'))"
     )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     code, numpy_loaded, *loaded = proc.stdout.splitlines()[-2].split()
     assert f"{code} {numpy_loaded}" == f"{rc} {imports}"
     assert set(loaded) & NUMPY_HOLDERS == holders
-    # the command line is read by hand: argparse, and the gettext and locale it loads, stay out
-    assert proc.stdout.splitlines()[-1] == "start-up:"
+    # an allowlist: argparse (with its gettext and locale), configparser, json or any
+    # other standard-library module that start-up gains fails here without being named
+    assert set(proc.stdout.splitlines()[-1].split()) - (numpy_modules if imports else set()) == START_UP
     if command not in (None, "validate") and rc == 0:
         report = json.loads((tmp_path / "r.json").read_text())
         assert len(report["rows"]) == 3 if command == "sweep" else report["protocol"] == command

@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from stokesim import cli, detection, fock, metrics, protocols, rng, sampling, sources
+from stokesim import cli, detection, elements, fock, metrics, protocols, rng, sampling, sources
 from stokesim.detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec
 from stokesim.errors import ValidationError
 from stokesim.protocols import ProtocolConfig
@@ -245,7 +245,9 @@ P0_GRID = np.linspace(0.002, 0.2, 24).tolist()
 #: caches of what an exact point reads off its term layout, paths, labels and registries
 LAYOUT_CACHES = (
     sources._source_registry,
+    elements._linear_registry,
     protocols._ancilla,
+    fock._joint_registry,
     detection._analyzer_layout,
     protocols._target,
 )
@@ -286,6 +288,13 @@ def test_an_exact_sweep_builds_each_layout_skeleton_once(monkeypatch, sweep):
     assert len(rules) == 1  # the outcome table
     for cache in caches:
         assert cache.cache_info()[:2] == (len(configs) - 1, 1)
+
+
+def test_two_points_of_a_p0_sweep_share_their_registries():
+    # the source's relabeled registry and the joint one are kept per input registry, not built per point
+    first, second = (protocols._event_ready_input(_multipair(p0)) for p0 in (0.01, 0.2))
+    assert first.amplitudes != second.amplitudes
+    assert first.registry is second.registry
 
 
 def test_exact_points_do_not_depend_on_the_order_they_run_in():
