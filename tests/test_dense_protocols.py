@@ -25,6 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 import dense_oracle as oracle
 from stokesim import protocols
@@ -104,17 +106,24 @@ HERALDS = {
 }
 
 
-@lru_cache(maxsize=16)
-def _analyzer(cutoff: int, eta: float, dark: float) -> tuple[list, np.ndarray, dict]:
-    """The photonic basis (path 1 H, path 1 V, path 2 H, path 2 V), the dense
-    analyzer on it, and each herald's POVM element: over the click sets
-    that herald it, the product of each detector's click or no-click
-    element."""
+@lru_cache(maxsize=8)
+def _network(cutoff: int) -> tuple[list, np.ndarray]:
+    """The photonic basis (path 1 H, path 1 V, path 2 H, path 2 V) and the
+    dense analyzer on it."""
     basis = oracle.fock_basis(4, cutoff)
     u = np.zeros((4, 4))
     for h in (0, 1):  # path 1 and path 2 of one polarization
         u[h, h] = u[h + 2, h] = u[h, h + 2] = SQRT_HALF
         u[h + 2, h + 2] = -SQRT_HALF
+    return basis, oracle.mode_unitary_fock(basis, [0, 1, 2, 3], u)
+
+
+@lru_cache(maxsize=16)
+def _analyzer(cutoff: int, eta: float, dark: float) -> tuple[list, np.ndarray, dict]:
+    """`_network(cutoff)` and each herald's POVM element: over the click sets
+    that herald it, the product of each detector's click or no-click
+    element."""
+    basis, u = _network(cutoff)
     detectors = [oracle.threshold_povm(basis, k, eta, dark) for k in range(4)]
     elements = {"PsiMinus": 0.0, "PsiPlus": 0.0}
     for clicked, outcome in HERALDS.items():
@@ -122,7 +131,7 @@ def _analyzer(cutoff: int, eta: float, dark: float) -> tuple[list, np.ndarray, d
         for k, (no_click, click) in enumerate(detectors):
             element = element @ (click if k in clicked else no_click)
         elements[outcome] = elements[outcome] + element
-    return basis, oracle.mode_unitary_fock(basis, [0, 1, 2, 3], u), elements
+    return basis, u, elements
 
 
 def _herald(joint: dict, modes: tuple, paths: tuple[str, str], flip: str, keep: tuple, config: ProtocolConfig):
@@ -208,7 +217,7 @@ def _check_event_ready(config: ProtocolConfig):
 
 
 def _check_memory(config: ProtocolConfig, point):
-    # the ideal singlet channel, or the event-ready joint state as a channel
+    # the ideal singlet channel (no point), or the event-ready joint state as a channel
     if point is None:
         channel, modes = {(1, 0, 0, 1): SQRT_HALF, (0, 1, 1, 0): -SQRT_HALF}, ("S1", "S2", "B:H", "B:V")
         _, report = protocols.memory_store(config)
@@ -239,3 +248,34 @@ def test_exact_runs_match_the_dense_oracle_at_each_detector(eta, dark):
     for point in (GRID[1], GRID[4], GRID[5]):
         _check_event_ready(_config(*point, detector=detector))
     _check_memory(ProtocolConfig(theta=0.4, phi=1.1, detector=detector), None)
+
+
+@hs.composite
+def _drawn_configs(draw) -> ProtocolConfig:
+    """A config of the drawn space: emission order 1 or 2, cutoff at most 6
+    (at least 3, which memory needs), p0, an explicit t or branch amplitudes
+    of any share and phases, the ancilla on or off, the input qubit and any
+    detector with eta in [0, 1] and dark_prob in [0, 0.05]."""
+    order = draw(hs.integers(1, 2))
+    cutoff = draw(hs.integers(max(2 * order, 3), 6))
+    p0 = draw(hs.floats(0.0, 0.15))
+    if draw(hs.booleans()):
+        t, alpha, beta = draw(hs.floats(0.0, 1.0)), SQRT_HALF, SQRT_HALF
+    else:
+        share, phase_a, phase_b = draw(hs.floats(0.0, 1.0)), draw(hs.floats(0.0, 6.0)), draw(hs.floats(0.0, 6.0))
+        t, alpha, beta = None, math.sqrt(share) * cmath.exp(1j * phase_a), math.sqrt(1.0 - share) * cmath.exp(1j * phase_b)
+    detector = DetectorSpec(efficiency=draw(hs.floats(0.0, 1.0)), dark_prob=draw(hs.floats(0.0, 0.05)))
+    theta, phi = draw(hs.floats(0.0, math.pi)), draw(hs.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    return _config(order, cutoff, p0, t, alpha, beta, draw(hs.booleans()), detector=detector, theta=theta, phi=phi)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_drawn_configs(), hs.booleans())
+@example(_config(1, 4, 0.1, None, 0.0, 1.0, True), False).xfail(
+    raises=AssertionError,
+    reason="at |alpha| < 1e-15 the source skips the first pump instead of attenuating its light with t = 0",
+)
+def test_drawn_exact_runs_match_the_dense_oracle(config, joint_channel):
+    # event-ready, and memory on the ideal channel or on the event-ready joint state
+    _check_event_ready(config)
+    _check_memory(config, True if joint_channel else None)
