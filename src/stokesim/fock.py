@@ -16,7 +16,6 @@ loss modes), never mutate their inputs.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 import struct
@@ -382,147 +381,87 @@ def _unitary_deviation(ubytes: bytes, k: int) -> float:
     return max(devs) if all(d == d for d in devs) else math.nan
 
 
-def _scaled_power(a: complex, m: int, f: int) -> complex:
-    """a ** m / f for integers m, f >= 1, rounded as numpy's complex scalars
-    round it: 0 for a zero base; m = 1, 2 and 3 unrolled, larger m by `**`'s
-    binary exponentiation from 1 (which, for m <= 3, can flip the sign of a
-    zero part); and Smith's division, which multiplies by the reciprocal
-    1 / f and by the ratio 0 of f's parts, where `/` divides."""
-    if not a:
-        return 0j
-    p = a if m == 1 else a * a if m == 2 else a * (a * a) if m == 3 else a**m
-    scl = 1.0 / f
-    return complex((p.real + p.imag * 0.0) * scl, (p.imag - p.real * 0.0) * scl)
-
-
 def _picker(idx: Sequence[int]):
     """occ -> tuple(occ[i] for i in idx); `itemgetter` gives a tuple for 2+ indices."""
     return operator.itemgetter(*idx) if len(idx) > 1 else lambda occ: tuple(occ[i] for i in idx)
 
 
 @lru_cache(maxsize=4096)
-def _expansion_plan(ubytes: bytes, k: int, ns: tuple[int, ...]) -> tuple:
-    """How a term with photon numbers `ns` expands under the k x k matrix of
-    bytes `ubytes` (not values: 0.0 == -0.0): the start scale sqrt(prod n!),
-    one (size, ops) stage per nonzero n_i, each op (dst, src, coeff) adding
-    coeff times entry src of the last stage to entry dst, and the final
-    (acc, sqrt(prod m!)) pairs; compositions run in lexicographic order."""
-    u = _unpack(ubytes, k)
-    fact = [math.factorial(n) for n in range(sum(ns) + 1)]
-    keys = [(0,) * k]
-    stages = []
-    for i, n in enumerate(ns):
-        if n == 0:
-            continue
-        # expand (sum_j U[j,i] a_j^dag)^{n_i} onto every partial term
-        pos: dict[tuple[int, ...], int] = {}
-        ops = []
-        for comp in (c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n):
-            coeff = 1.0 + 0.0j
-            for j, m in enumerate(comp):
-                if m:
-                    coeff *= _scaled_power(u[j][i], m, fact[m])
-            if abs(coeff) < AMPLITUDE_EPS:
-                continue
-            for src, acc in enumerate(keys):
-                ops.append((pos.setdefault(tuple(a + b for a, b in zip(acc, comp)), len(pos)), src, coeff))
-        keys = list(pos)
-        stages.append((len(keys), tuple(ops)))
-    final = tuple((acc, math.sqrt(math.prod(fact[m] for m in acc))) for acc in keys)
-    return math.sqrt(math.prod(fact[n] for n in ns)), tuple(stages), final
+def _coefficients(ubytes: bytes, ns: tuple[int, ...]) -> tuple:
+    """(output photon numbers, amplitude) of each output of a term with photon
+    numbers `ns` under the 1 x 1 or 2 x 2 matrix of bytes `ubytes` (not values:
+    0.0 == -0.0), in order of photons out in the first mode, amplitudes below
+    AMPLITUDE_EPS left out.  A phase plate u gives u^n; a two-port sends m and n
+    photons, split k and l into the first output mode, to
+    sum C(m, k) C(n, l) U00^k U10^(m-k) U01^l U11^(n-l) sqrt(a! b! / (m! n!))
+    on a = k + l, b = m + n - a (Campos, Saleh and Teich, PRA 40, 1371 (1989))."""
+    if len(ns) == 1:
+        return (ns, _unpack(ubytes, 1)[0][0] ** ns[0]),
+    (u00, u01), (u10, u11) = _unpack(ubytes, 2)
+    m, n = ns
+    sums = [0j] * (m + n + 1)
+    for k in range(m + 1):
+        split = math.comb(m, k) * u00**k * u10 ** (m - k)
+        for l in range(n + 1):
+            sums[k + l] += split * math.comb(n, l) * u01**l * u11 ** (n - l)
+    f = math.factorial
+    return tuple(((a, m + n - a), w) for a, v in enumerate(sums) if abs(w := v * math.sqrt(f(a) * f(m + n - a) / (f(m) * f(n)))) >= AMPLITUDE_EPS)
 
 
 @lru_cache(maxsize=64)
 def _state_plan(ubytes: bytes, idx: tuple[int, ...], keys: tuple[tuple[int, ...], ...]) -> tuple:
-    """The `_expansion_plan`s of the terms `keys` (in stored order) under the
-    matrix of bytes `ubytes` on positions `idx`, as a program over one buffer:
-    (position, start) per term, every stage's ops (dst, src, coeff) and
-    (output slot, src, scale) per final entry, with start and scale None for
-    a term without photons there; then the buffer size, the slots' keys and
-    the `Keys` that `_replay` interns for its results.  Interned `keys` find
-    the plan by identity."""
-    k, ns_of = len(idx), _picker(idx)
-    slots: dict[tuple[int, ...], int] = {}
-    starts, ops, finals, size = [], [], [], 0
+    """The `_coefficients` of the terms `keys` (in stored order) under the
+    matrix of bytes `ubytes` on positions `idx`, as one program: per term,
+    its (output slot, coefficient) pairs; then the slots' keys, in order of
+    first use, and their `Keys`, which `_replay` interns for a result that
+    keeps every slot.  Interned `keys` find the plan by identity."""
+    ns_of, slots, program = _picker(idx), {}, []
     for occ in keys:
-        ns = ns_of(occ)
-        if sum(ns) == 0:
-            starts.append((size, None))
-            finals.append((slots.setdefault(occ, len(slots)), size, None))
-            size += 1
-            continue
-        start, stages, final = _expansion_plan(ubytes, k, ns)
-        starts.append((size, start))
-        base, size = size, size + 1
-        for n, stage_ops in stages:
-            ops += [(size + dst, base + src, coeff) for dst, src, coeff in stage_ops]
-            base, size = size, size + n
-        for j, (acc, scale) in enumerate(final):
+        ops = []
+        for out, coeff in _coefficients(ubytes, ns_of(occ)):
             new = list(occ)
-            for pos, m in zip(idx, acc):
+            for pos, m in zip(idx, out):
                 new[pos] = m
-            finals.append((slots.setdefault(tuple(new), len(slots)), base + j, scale))
-    return tuple(starts), tuple(ops), tuple(finals), size, tuple(slots), {}
+            ops.append((slots.setdefault(tuple(new), len(slots)), coeff))
+        program.append(tuple(ops))
+    return tuple(program), tuple(slots), Keys(slots)
 
 
 def apply_mode_unitary(state: PureState, modes: Sequence[ModeId | str], u) -> PureState:
-    """Substitute a_i^dag -> sum_j U[j,i] a_j^dag on every basis term.
+    """Substitute a_i^dag -> sum_j U[j,i] a_j^dag on every basis term, for a
+    1 x 1 or 2 x 2 unitary on one or two modes.
 
-    The matrix acts on the listed modes only; passive linear optics
-    conserves the total excitation number, so no truncation occurs.
-    Plans are cached per matrix, acted modes and key layout of the state
-    (`_state_plan`, keyed on the matrix's bytes), so a call replays only
-    the arithmetic, in built-in `complex`, which rounds as numpy's scalars
-    do; numpy's vector loops (fused multiply-adds) do not.  A key's first
-    contribution of at least AMPLITUDE_EPS fixes its place, and sums below it are dropped.
+    Passive linear optics conserves the total excitation number, so no
+    truncation occurs.  Plans are cached per matrix, acted modes and key
+    layout of the state (`_state_plan`, keyed on the matrix's bytes), so a
+    call replays only the arithmetic, in built-in `complex`; sums below
+    AMPLITUDE_EPS are dropped.
     """
     rows = check_unitary(u)
     idx = tuple(state.registry.index(m) for m in modes)
     if len(set(idx)) != len(idx):
         raise ValidationError("modes for a mode unitary must be distinct")
-    if len(rows) != len(idx):
-        raise ValidationError(f"matrix size {len(rows)} does not match {len(idx)} modes")
+    if len(rows) != len(idx) or len(rows) > 2:
+        raise ValidationError(f"a {len(rows)} x {len(rows)} matrix on {len(idx)} modes: a mode unitary acts on one or two modes")
     return _replay(state, _pack(rows), idx)
 
 
 def _replay(state: PureState, ubytes: bytes, idx: tuple[int, ...]) -> PureState:
     """`apply_mode_unitary` by the cached plan of a checked matrix `ubytes` on
-    distinct positions `idx`.  Unless a sum is dropped, the final entries
-    skipped below AMPLITUDE_EPS (on a beam splitter, the terms that
-    interference cancels) fix the result's keys and their order, so the
-    result carries the `Keys` that the plan interns for those entries."""
+    distinct positions `idx`.  A result whose sums all survive carries the
+    plan's interned `Keys`."""
     keys = state._keys
-    starts, ops, finals, size, out_keys, interned = _state_plan(ubytes, idx, tuple(state.amplitudes) if keys is None else keys)
-    buf = [0j] * size
-    for (pos, start), c in zip(starts, state.amplitudes.values()):
-        buf[pos] = c if start is None else c * start
-    for dst, src, coeff in ops:
-        buf[dst] += buf[src] * coeff
-    acc: dict[int, complex] = {}
-    skipped = []
-    for slot, src, scale in finals:
-        cc = buf[src]
-        if scale is not None:
-            cc *= scale
-            if abs(cc) < AMPLITUDE_EPS:
-                skipped.append(src)
-                continue
-        acc[slot] = acc.get(slot, 0j) + cc
-    amps = {out_keys[slot]: c for slot, c in acc.items() if abs(c) >= AMPLITUDE_EPS}
-    new_keys = None
-    if len(amps) == len(acc):
-        new_keys = interned.get(which := tuple(skipped))
-        if new_keys is None:
-            if len(interned) >= 16:
-                interned.clear()
-            new_keys = interned[which] = Keys(amps)
-    return PureState._wrap(state.registry, amps, state.truncation_loss, new_keys)
+    program, out_keys, interned = _state_plan(ubytes, idx, tuple(state.amplitudes) if keys is None else keys)
+    acc = [0j] * len(out_keys)
+    for ops, c in zip(program, state.amplitudes.values()):
+        for slot, coeff in ops:
+            acc[slot] += c * coeff
+    amps = {key: c for key, c in zip(out_keys, acc) if abs(c) >= AMPLITUDE_EPS}
+    return PureState._wrap(state.registry, amps, state.truncation_loss, interned if len(amps) == len(acc) else None)
 
 
-@lru_cache(maxsize=64)
-def _phase_bytes(phase: float) -> bytes:
-    """The bytes of [[e^{i phase}]], checked unitary (`cmath.exp` rounds as `numpy.exp` does)."""
-    return _pack(check_unitary([[cmath.exp(1j * phase)]]))
+#: the bytes of [[e^{i phase}]] per phase, checked unitary (`cmath.exp` rounds as `numpy.exp` does)
+_phase_bytes = lru_cache(maxsize=64)(lambda phase: _pack(check_unitary([[cmath.exp(1j * phase)]])))
 
 
 def apply_phase(state: PureState, mode: ModeId | str, phase: float) -> PureState:

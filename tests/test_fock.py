@@ -236,14 +236,22 @@ def test_mode_unitary_matches_dense_oracle():
     basis = oracle.fock_basis(3, 4)
     amps = {(1, 0, 2): 0.5, (0, 1, 0): 0.5j, (2, 1, 1): -0.5, (0, 0, 0): 0.5}
     st = fock.PureState(reg, amps)
-    for _ in range(3):
-        u = oracle.haar_unitary(3, rng)
-        out = fock.apply_mode_unitary(st, ["x", "y", "z"], u)
+    for pair in ([0, 1], [2, 0], [1, 2]):
+        u = oracle.haar_unitary(2, rng)
+        out = fock.apply_mode_unitary(st, ["xyz"[i] for i in pair], u)
         ref = oracle.amplitudes_from_vector(
-            basis, oracle.mode_unitary_fock(basis, [0, 1, 2], u) @ oracle.vector_from_amplitudes(basis, amps)
+            basis, oracle.mode_unitary_fock(basis, pair, u) @ oracle.vector_from_amplitudes(basis, amps)
         )
         for occ in set(out.amplitudes) | set(ref):
             np.testing.assert_allclose(out.amplitudes.get(occ, 0.0), ref.get(occ, 0.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_a_matrix_on_three_or_more_modes_is_a_validation_error(k):
+    reg = fock.ModeRegistry(tuple(fock.atomic_mode(n) for n in "wxyz"), cutoff=4)
+    u = oracle.haar_unitary(k, np.random.default_rng(k))
+    with pytest.raises(ValidationError, match="one or two modes"):
+        fock.apply_mode_unitary(fock.basis_state(reg, {"x": 1}), list("wxyz")[:k], u)
 
 
 def test_mode_unitary_on_subset_leaves_rest_alone():
@@ -320,60 +328,24 @@ def test_norm_preserved_under_any_two_mode_rotation(theta, phi):
     np.testing.assert_allclose(out.norm_sq(), 1.0, atol=1e-9)
 
 
-def _compositions(n, k):
-    """All tuples of k non-negative integers summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
 def _apply_by_terms(state, modes, u):
-    """`fock.apply_mode_unitary` as it was before expansion plans: every
-    term expanded afresh in numpy scalars.  The reference the cached plans
-    must match bit for bit, term order included."""
-    fock.check_unitary(u)
-    u = np.asarray(u, dtype=complex)
+    """`fock.apply_mode_unitary` with every term expanded afresh by the closed
+    form (`fock._coefficients` uncached) and summed in place: the reference
+    the cached plans must match bit for bit, term order included."""
+    ubytes = fock._pack(fock.check_unitary(u))
     idx = [state.registry.index(m) for m in modes]
-    k = len(idx)
-    fact = [math.factorial(n) for n in range(state.registry.cutoff + 1)]
-
-    amps = defaultdict(complex)
+    amps = {}
     for occ, c in state.amplitudes.items():
-        ns = [occ[i] for i in idx]
-        if sum(ns) == 0:
-            amps[occ] += c
-            continue
-        partial = {(0,) * k: c * math.sqrt(math.prod(fact[n] for n in ns))}
-        for i, n in enumerate(ns):
-            if n == 0:
-                continue
-            nxt = defaultdict(complex)
-            for comp in _compositions(n, k):
-                coeff = 1.0 + 0.0j
-                for j, m in enumerate(comp):
-                    if m:
-                        coeff *= u[j, i] ** m / fact[m]
-                if abs(coeff) < fock.AMPLITUDE_EPS:
-                    continue
-                for acc, cc in partial.items():
-                    nxt[tuple(a + b for a, b in zip(acc, comp))] += cc * coeff
-            partial = nxt
-        for acc, cc in partial.items():
-            cc *= math.sqrt(math.prod(fact[m] for m in acc))
-            if abs(cc) < fock.AMPLITUDE_EPS:
-                continue
+        for out, coeff in fock._coefficients.__wrapped__(ubytes, tuple(occ[i] for i in idx)):
             new = list(occ)
-            for pos, m in zip(idx, acc):
+            for pos, m in zip(idx, out):
                 new[pos] = m
-            amps[tuple(new)] += cc
+            amps[tuple(new)] = amps.get(tuple(new), 0j) + c * coeff
     return fock.PureState(state.registry, amps, state.truncation_loss)
 
 
 _MATRICES = hs.one_of(
-    hs.tuples(hs.integers(1, 3), hs.integers(0, 2**32 - 1)).map(
+    hs.tuples(hs.integers(1, 2), hs.integers(0, 2**32 - 1)).map(
         lambda a: oracle.haar_unitary(a[0], np.random.default_rng(a[1]))
     ),
     hs.just(beam_splitter_matrix()),  # real, with a negative entry
@@ -413,67 +385,20 @@ def test_phase_plate_matches_the_per_term_expansion_bit_for_bit(state, mode, pha
     assert bits(fock.apply_phase(state, mode, phase)) == bits(_apply_by_terms(state, [mode], u))
 
 
-def _numpy_plan(u, ns):
-    """`fock._expansion_plan` as it was built in numpy scalars, each coefficient
-    u[j, i] ** m / m! a product of numpy complex scalars: the reference of the
-    plans' built-in arithmetic."""
-    u = np.asarray(u, dtype=complex)
-    k = len(u)
-    fact = [math.factorial(n) for n in range(sum(ns) + 1)]
-    keys, stages = [(0,) * k], []
-    for i, n in enumerate(ns):
-        if n == 0:
-            continue
-        pos, ops = {}, []
-        for comp in _compositions(n, k):
-            coeff = 1.0 + 0.0j
-            for j, m in enumerate(comp):
-                if m:
-                    coeff *= u[j, i] ** m / fact[m]
-            if abs(coeff) < fock.AMPLITUDE_EPS:
-                continue
-            for src, acc in enumerate(keys):
-                ops.append((pos.setdefault(tuple(a + b for a, b in zip(acc, comp)), len(pos)), src, complex(coeff)))
-        keys = list(pos)
-        stages.append((len(keys), tuple(ops)))
-    final = tuple((acc, math.sqrt(math.prod(fact[m] for m in acc))) for acc in keys)
-    return math.sqrt(math.prod(fact[n] for n in ns)), tuple(stages), final
+#: the dense oracle's basis and mode indices of `sparse_states.REGISTRY`
+_DENSE_BASIS = oracle.fock_basis(len(MODES), REGISTRY.cutoff)
 
 
-def _hexed(value):
-    """`value` with every float and complex part written as its hex form."""
-    if isinstance(value, tuple):
-        return tuple(_hexed(v) for v in value)
-    if isinstance(value, complex):
-        return value.real.hex(), value.imag.hex()
-    return value.hex() if isinstance(value, float) else value
-
-
-def _attenuator(t):
-    return np.array([[math.sqrt(t), math.sqrt(1.0 - t)], [math.sqrt(1.0 - t), -math.sqrt(t)]])
-
-
-def test_every_plan_coefficient_matches_numpy_scalars_bit_for_bit():
-    # u ** m / m! in built-in complex: numpy's unrolled small powers and its
-    # division by a reciprocal; the key is the bytes numpy gave the matrix
-    rng = np.random.default_rng(7)
-    # the splitter times i: imaginary entries, whose powers `**` would give zero real parts of the other sign
-    matrices = [beam_splitter_matrix(), beam_splitter_matrix().conj(), 1j * beam_splitter_matrix(), np.array([[0.0, 1.0], [1.0, 0.0]])]
-    matrices += [_attenuator(t) for t in (0.3, 0.0, 1.0, 0.1234)]
-    matrices += [oracle.haar_unitary(k, rng) for k in (1, 2, 3) for _ in range(3)]
-    compared = 0
-    for u in matrices:
-        k = len(u)
-        rows = fock.check_unitary(u)
-        assert rows == fock.check_unitary(u.tolist())
-        ubytes = fock._pack(rows)
-        assert ubytes == np.asarray(u, dtype=complex).tobytes()
-        top = 3 if k == 3 else 6
-        for ns in itertools.product(range(top + 1), repeat=k):
-            if sum(ns):
-                assert _hexed(fock._expansion_plan(ubytes, k, ns)) == _hexed(_numpy_plan(u, ns)), (u, ns)
-                compared += 1
-    assert compared == 8 * 48 + 3 * 6 + 3 * 48 + 3 * 63
+@settings(max_examples=40, deadline=None)
+@given(pure_states(), _MATRICES.filter(lambda u: len(u) == 2), hs.data())
+def test_two_mode_unitaries_match_the_dense_oracle_and_keep_the_norm(state, u, data):
+    pair = data.draw(hs.permutations(range(len(MODES))))[:2]
+    out = fock.apply_mode_unitary(state, [MODES[i].name for i in pair], u)
+    vec = oracle.mode_unitary_fock(_DENSE_BASIS, pair, u) @ oracle.vector_from_amplitudes(_DENSE_BASIS, state.amplitudes)
+    scale = max(1.0, state.norm())
+    for occ, c in zip(_DENSE_BASIS, vec):
+        assert abs(out.amplitudes.get(occ, 0j) - c) <= 1e-12 * scale
+    assert abs(out.norm_sq() - state.norm_sq()) <= 1e-12 * scale**2
 
 
 @pytest.mark.parametrize("phase", [math.pi, 0.7, -1.3, 2.0 * math.pi - 1e-9])
@@ -502,14 +427,14 @@ def test_matrices_equal_but_for_the_sign_of_a_zero_get_their_own_plans():
     reg = two_path_registry(cutoff=4)
     st = fock.PureState(reg, {(2, 1): -1.0 - 0.0j, (1, 0): 0.5j, (0, 3): complex(-0.0, 1.0)})
     fock._state_plan.cache_clear()
-    fock._expansion_plan.cache_clear()
+    fock._coefficients.cache_clear()
     for w in (u, v):
-        misses = fock._expansion_plan.cache_info().misses
+        misses = fock._coefficients.cache_info().misses
         assert bits(fock.apply_mode_unitary(st, ["a:R", "b:R"], w)) == bits(_apply_by_terms(st, ["a:R", "b:R"], w))
-        assert fock._expansion_plan.cache_info().misses == misses + 3
+        assert fock._coefficients.cache_info().misses == misses + 3
 
 
-_PLAN_CACHES = (fock._state_plan, detection._analyzer_layout, fock._expansion_plan)
+_PLAN_CACHES = (fock._state_plan, detection._analyzer_layout, fock._coefficients)
 
 
 def test_exact_sweep_points_after_the_first_reuse_every_plan():
@@ -526,7 +451,7 @@ def test_exact_sweep_points_after_the_first_reuse_every_plan():
     for before, after in zip(infos, infos[1:]):
         for cache, info, prev, new in zip(_PLAN_CACHES, first, before, after):
             assert new.misses == info.misses
-            if cache is fock._expansion_plan:
+            if cache is fock._coefficients:
                 assert new.hits == info.hits
             else:
                 assert new.hits - prev.hits == info.hits + info.misses
@@ -572,11 +497,10 @@ def test_later_sweep_points_find_the_second_pass_and_the_layout_record_by_identi
 
 
 def _layout_pair():
-    """Two states with one key layout.  In the second the first term is so
-    small that every contribution it makes falls below AMPLITUDE_EPS under
-    a 50:50 splitter on a:R and b:R, so the keys it reaches first either
-    vanish or move behind the vacuum term's; |1,1> cancels exactly in both
-    (Hong-Ou-Mandel)."""
+    """Two states with one key layout.  Under a 50:50 splitter on a:R and b:R
+    the |1,1> terms cancel exactly (Hong-Ou-Mandel); in the second the first
+    term is so small that what it adds to |1,1,1> stays below AMPLITUDE_EPS,
+    so that sum is dropped and the other keys keep the plan's order."""
     reg = fock.ModeRegistry((fock.photonic_mode("a", "R"), fock.photonic_mode("b", "R"), fock.atomic_mode("s")), 4)
     layout = [(0, 2, 1), (0, 0, 1), (1, 1, 1), (1, 0, 0)]
     amps = [(0.5, 0.5j, -0.5, 0.5), (1.2e-14, 0.6, 0.48j, -0.64)]
@@ -591,20 +515,21 @@ def test_a_cached_plan_replays_the_new_amplitudes_and_key_order():
     for st in (first, second):
         out = fock.apply_mode_unitary(st, modes, u)
         assert bits(out) == bits(_apply_by_terms(st, modes, u))
-        outs.append(list(out.amplitudes))
+        outs.append(out)
     assert fock._state_plan.cache_info()[:2] == (1, 1)
-    assert outs[0] == [(0, 2, 1), (1, 1, 1), (2, 0, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert outs[1] == [(0, 0, 1), (0, 2, 1), (2, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert list(outs[0].amplitudes) == [(0, 2, 1), (1, 1, 1), (2, 0, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert list(outs[1].amplitudes) == [(0, 2, 1), (2, 0, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert outs[0]._keys is not None and outs[1]._keys is None
 
 
-def test_a_plan_interns_keys_per_set_of_skipped_entries_and_none_for_a_dropped_sum():
-    # two states of one layout whose replays skip as many entries, of other
-    # terms, get keys of their own, and a state whose sum cancels gets none;
-    # in either order, the next pass finds its plan by the keys handed on
+def test_a_plan_interns_one_set_of_keys_and_none_for_a_dropped_sum():
+    # two states of one layout whose results keep every sum share the plan's
+    # interned keys, and a state whose sum cancels gets none; in either
+    # order, the next pass finds its plan by the keys handed on
     u, modes = beam_splitter_matrix(), ["a:R", "b:R"]
     reg = fock.ModeRegistry((fock.photonic_mode("a", "R"), fock.photonic_mode("b", "R"), fock.atomic_mode("s")), 4)
     pairs = [
-        ({(1, 0, 0): 1.0, (0, 1, 1): 1.2e-14}, {(1, 0, 0): 1.2e-14, (0, 1, 1): 1.0}),  # each skips two entries
+        ({(1, 0, 0): 1.0, (0, 1, 1): 0.3}, {(1, 0, 0): 0.2, (0, 1, 1): 1.0}),  # every sum kept
         ({(1, 0, 0): 0.5, (0, 1, 0): 0.3}, {(1, 0, 0): 0.5, (0, 1, 0): 0.5}),  # (0, 1, 0) cancels in the second
     ]
     for pair in pairs:
@@ -614,6 +539,8 @@ def test_a_plan_interns_keys_per_set_of_skipped_entries_and_none_for_a_dropped_s
                 st = fock.apply_mode_unitary(fock.PureState(reg, amps), modes, u)
                 assert st._keys is None or tuple(st._keys) == tuple(st.amplitudes)
                 assert bits(fock.apply_mode_unitary(st, modes, u)) == bits(_apply_by_terms(st, modes, u))
+    kept = [fock.apply_mode_unitary(fock.PureState(reg, amps), modes, u) for amps in pairs[0]]
+    assert kept[0]._keys is kept[1]._keys is not None
     cancelled = fock.apply_mode_unitary(fock.PureState(reg, pairs[1][1]), modes, u)
     assert list(cancelled.amplitudes) == [(1, 0, 0)] and cancelled._keys is None
     # scaling a group to unit norm hands its keys on only when it drops no term
