@@ -40,7 +40,8 @@ def generate_entanglement(config: ProtocolConfig) -> tuple[MixedState, dict]:
         "emission_order": config.source.emission_order,
         "branch_weights": weights,
         "purity": metrics.purity(rho),
-        "truncation_loss": src.truncation_loss,
+        "emission_order_cut": src.order_cut,
+        "cutoff_loss": src.truncation_loss,
     }
     if len(branches) > 1:
         excited = branches[1][1]

@@ -41,7 +41,7 @@ from .fock import Record
 from .protocols import ProtocolConfig
 from .sources import SourceParams
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: `epr_enabled`'s spellings, in the order its error lists them
 _BOOLEANS = {"1": True, "yes": True, "true": True, "on": True, "0": False, "no": False, "false": False, "off": False}

@@ -210,7 +210,7 @@ class PreparedBellAnalyzer:
         self.state = st.with_registry(registry)
         self.labels = _LABELS
         self.detector = detector
-        self._split = [(1.0, fock.Split(rest, groups, index, list(st.amplitudes.values()), st.truncation_loss, group_keys))]
+        self._split = [(1.0, fock.Split(rest, groups, index, list(st.amplitudes.values()), st, group_keys))]
         self.distribution = _distribution(self._split, patterns)
 
     def conditional(self, true_pattern: tuple[int, ...]) -> MixedState:
@@ -263,14 +263,17 @@ class PreparedBellAnalyzer:
         """Per outcome (PsiMinus, PsiPlus, Fail), (true pattern, P(pattern) *
         P(outcome | pattern)) where nonzero, in `distribution` order; the table
         of P(outcome | pattern) (0 or 1 at eta = 1, d = 0) is built when first
-        read and kept on the layout record for the last detector."""
+        read, once per vector of the four click probabilities, and kept on the
+        layout record for the last detector."""
         key, last, dist = (self.detector.efficiency, self.detector.dark_prob), self._table, self.distribution
         if last[0] != key:
-            table = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
+            table, given_of = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}, {}
             for i, (occ, _) in enumerate(dist):
-                codes = _code_probabilities(occ, [self.detector] * len(occ))
-                for outcome, rows in table.items():
-                    if given := sum(p for code, p in codes if self.outcomes[code] == outcome):
+                if (q := tuple(map(self.detector.click_prob, occ))) not in given_of:
+                    codes = _code_probabilities(occ, [self.detector] * len(occ))
+                    given_of[q] = [sum(p for code, p in codes if self.outcomes[code] == outcome) for outcome in table]
+                for rows, given in zip(table.values(), given_of[q]):
+                    if given:
                         rows.append((i, given))
             last[:] = key, table
         return {outcome: [(dist[i][0], w) for i, given in rows if (w := dist[i][1] * given)] for outcome, rows in last[1].items()}

@@ -66,7 +66,7 @@ def attenuate_mode(state: PureState, mode, t: float) -> PureState:
         return state
     reg, sink = state.registry.add_loss()
     target = reg.mode(mode)
-    grown = PureState._wrap(reg, {occ + (0,): c for occ, c in state.amplitudes.items()}, state.truncation_loss)
+    grown = state._derive(reg, {occ + (0,): c for occ, c in state.amplitudes.items()})
     u = ((math.sqrt(t), math.sqrt(1.0 - t)), (math.sqrt(1.0 - t), -math.sqrt(t)))
     return fock.apply_mode_unitary(grown, [target, sink], u)
 

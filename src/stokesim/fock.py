@@ -223,18 +223,22 @@ class PureState:
     """Sparse ket: occupation tuples mapped to complex amplitudes.
 
     Sub-normalized states are legal (heralded branches before explicit
-    renormalization).  `truncation_loss` accumulates the squared amplitude
-    dropped by the excitation cutoff along the pipeline that produced this
-    state.  `_keys` is the map's keys as interned `Keys`, or None.
+    renormalization).  `truncation_loss` accumulates the weight (squared
+    amplitude) dropped by the excitation cutoff along the pipeline that
+    produced this state, in the weights of its amplitudes, so each stage
+    keeps norm_sq() + truncation_loss; `order_cut` is the probability of
+    the emission-order cut that a source conditioned the state on.  `_keys`
+    is the map's keys as interned `Keys`, or None.
     """
 
-    __slots__ = ("registry", "amplitudes", "truncation_loss", "_keys")
+    __slots__ = ("registry", "amplitudes", "truncation_loss", "order_cut", "_keys")
 
     def __init__(
         self,
         registry: ModeRegistry,
         amplitudes: Mapping[tuple[int, ...], complex],
         truncation_loss: float = 0.0,
+        order_cut: float = 0.0,
     ):
         nmodes = len(registry)
         amps: dict[tuple[int, ...], complex] = {}
@@ -252,16 +256,21 @@ class PureState:
         self.registry = registry
         self.amplitudes = amps
         self.truncation_loss = float(truncation_loss)
+        self.order_cut = float(order_cut)
         self._keys = None
 
     @classmethod
-    def _wrap(cls, registry: ModeRegistry, amplitudes: dict, truncation_loss: float, keys: Keys | None = None) -> "PureState":
+    def _wrap(cls, registry: ModeRegistry, amplitudes: dict, truncation_loss: float, keys: Keys | None = None, order_cut: float = 0.0) -> "PureState":
         """Share a map that holds only built-in complex amplitudes >= AMPLITUDE_EPS
         on valid terms: the trusted path of internal results, which drop tiny
         amplitudes as they build the map and skip the public checks."""
         st = cls.__new__(cls)
-        st.registry, st.amplitudes, st.truncation_loss, st._keys = registry, amplitudes, truncation_loss, keys
+        st.registry, st.amplitudes, st.truncation_loss, st.order_cut, st._keys = registry, amplitudes, truncation_loss, order_cut, keys
         return st
+
+    def _derive(self, registry: ModeRegistry, amplitudes: dict, lost: float = 0.0, keys: Keys | None = None) -> "PureState":
+        """`_wrap` of a stage's result: this state's counters, with `lost` more weight cut by the cutoff."""
+        return PureState._wrap(registry, amplitudes, self.truncation_loss + lost, keys, self.order_cut)
 
     # -- basic queries ----------------------------------------------------
 
@@ -282,14 +291,14 @@ class PureState:
         if n < 1e-300:
             raise ValidationError("cannot normalize a zero state")
         amps = {occ: v for occ, c in self.amplitudes.items() if abs(v := c / n) >= AMPLITUDE_EPS}
-        return PureState._wrap(self.registry, amps, self.truncation_loss)
+        return self._derive(self.registry, amps)
 
     def with_registry(self, registry: ModeRegistry) -> "PureState":
         """The same state on a relabeled registry.  States never change
         their amplitude map, so the new state shares this one's."""
         if len(registry) != len(self.registry):
             raise RegistryError("relabeled registry must keep the mode count")
-        return PureState._wrap(registry, self.amplitudes, self.truncation_loss, self._keys)
+        return self._derive(registry, self.amplitudes, keys=self._keys)
 
     def __repr__(self):
         parts = ", ".join(f"{occ}: {c:.4g}" for occ, c in sorted(self.amplitudes.items()))
@@ -457,7 +466,7 @@ def _replay(state: PureState, ubytes: bytes, idx: tuple[int, ...]) -> PureState:
         for slot, coeff in ops:
             acc[slot] += c * coeff
     amps = {key: c for key, c in zip(out_keys, acc) if abs(c) >= AMPLITUDE_EPS}
-    return PureState._wrap(state.registry, amps, state.truncation_loss, interned if len(amps) == len(acc) else None)
+    return state._derive(state.registry, amps, keys=interned if len(amps) == len(acc) else None)
 
 
 #: the bytes of [[e^{i phase}]] per phase, checked unitary (`cmath.exp` rounds as `numpy.exp` does)
@@ -481,18 +490,19 @@ def inner_product(a: PureState, b: PureState) -> complex:
 
 
 def _normalized(
-    registry: ModeRegistry, amps: Mapping, truncation_loss: float, weight: float | None = None, keys: Keys | None = None
+    registry: ModeRegistry, amps: Mapping, counters: PureState, weight: float | None = None, keys: Keys | None = None
 ) -> tuple[PureState | None, float]:
-    """The state `amps` scaled to unit norm and its weight sum|c|^2 (summed
-    here unless given); (None, 0.0) when the weight is zero.  It keeps the
-    interned `keys` of `amps`, if given, when it keeps every term."""
+    """The state `amps` scaled to unit norm, with the counters of the state
+    `counters`, and its weight sum|c|^2 (summed here unless given); (None,
+    0.0) when the weight is zero.  It keeps the interned `keys` of `amps`, if
+    given, when it keeps every term."""
     if weight is None:
         weight = sum(abs(c) ** 2 for c in amps.values())
     if weight <= 0.0:
         return None, 0.0
     scale = 1.0 / math.sqrt(weight)
     scaled = {occ: v for occ, c in amps.items() if abs(v := c * scale) >= AMPLITUDE_EPS}
-    return PureState._wrap(registry, scaled, float(truncation_loss), keys if len(scaled) == len(amps) else None), weight
+    return counters._derive(registry, scaled, keys=keys if len(scaled) == len(amps) else None), weight
 
 
 def project(state: PureState, pattern: Mapping[ModeId | str, int]) -> tuple[PureState | None, float]:
@@ -508,7 +518,7 @@ def project(state: PureState, pattern: Mapping[ModeId | str, int]) -> tuple[Pure
         for occ, c in state.amplitudes.items()
         if all(occ[i] == n for i, n in idx.items())
     }
-    return _normalized(state.registry, amps, state.truncation_loss)
+    return _normalized(state.registry, amps, state)
 
 
 def restrict_total_occupation(
@@ -518,7 +528,7 @@ def restrict_total_occupation(
     count over `modes` (a sector filter, not a measurement)."""
     idx = [state.registry.index(m) for m in modes]
     amps = {occ: c for occ, c in state.amplitudes.items() if sum(occ[i] for i in idx) == total}
-    return _normalized(state.registry, amps, state.truncation_loss)
+    return _normalized(state.registry, amps, state)
 
 
 def truncate_total_occupation(
@@ -538,7 +548,7 @@ def truncate_total_occupation(
             kept[occ] = c
     if not kept:
         raise ValidationError("truncation removed every term")
-    return PureState._wrap(state.registry, kept, state.truncation_loss + dropped), dropped
+    return state._derive(state.registry, kept, dropped), dropped
 
 
 @lru_cache(maxsize=16)
@@ -554,7 +564,11 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product of states over disjoint registries.
 
     The combined cutoff is the larger of the two; combined terms exceeding
-    it are dropped into the truncation-loss counter.
+    it are dropped into the truncation-loss counter.  The product's weight
+    is the product of the factors' (norm_sq() + truncation_loss): its
+    counter is a's cut times b's weight, plus a's norm times b's cut, plus
+    the weight dropped here.  The order cuts combine as independent
+    probabilities.
     """
     reg = _joint_registry(a.registry, b.registry)
     cutoff = reg.cutoff
@@ -568,7 +582,9 @@ def tensor(a: PureState, b: PureState) -> PureState:
                 continue
             if abs(c := ca * cb) >= AMPLITUDE_EPS:
                 amps[occ_a + occ_b] = c
-    return PureState._wrap(reg, amps, a.truncation_loss + b.truncation_loss + lost)
+    na, nb = a.norm_sq(), b.norm_sq()
+    loss = a.truncation_loss * (nb + b.truncation_loss) + na * b.truncation_loss + lost
+    return PureState._wrap(reg, amps, loss, None, a.order_cut + b.order_cut - a.order_cut * b.order_cut)
 
 
 class Split(Mapping):
@@ -576,10 +592,11 @@ class Split(Mapping):
     `split_by_occupation` groups a state's terms.  `weights` holds every
     pattern's weight, summed in one pass over the terms by their group
     numbers `index`; a group's state is built and scaled when first read,
-    with its `Keys` from `group_keys` if given."""
+    with the counters of the state `counters` and its `Keys` from
+    `group_keys` if given."""
 
-    def __init__(self, registry: ModeRegistry, groups: dict, index, values: list, truncation_loss: float, group_keys=None):
-        self.registry, self._groups, self._values, self._loss, self._keys, self._read = registry, groups, values, truncation_loss, group_keys, {}
+    def __init__(self, registry: ModeRegistry, groups: dict, index, values: list, counters: PureState, group_keys=None):
+        self.registry, self._groups, self._values, self._counters, self._keys, self._read = registry, groups, values, counters, group_keys, {}
         sums = [0.0] * len(groups)
         for g, c in zip(index, values):
             sums[g] += abs(c) ** 2
@@ -590,7 +607,7 @@ class Split(Mapping):
             weight, values = self.weights[pattern], self._values
             amps = {rest: values[i] for i, rest in self._groups[pattern]}
             keys = None if self._keys is None else self._keys[pattern]
-            self._read[pattern] = weight, _normalized(self.registry, amps, self._loss, weight, keys)[0]
+            self._read[pattern] = weight, _normalized(self.registry, amps, self._counters, weight, keys)[0]
         return self._read[pattern]
 
     def __contains__(self, pattern) -> bool:
@@ -638,7 +655,7 @@ def split_by_occupation(state: PureState, modes: Sequence[ModeId | str]) -> Spli
     reg, keys = state.registry, state._keys
     idx = tuple(reg.index(m) for m in modes)
     rest, _, groups, index = _split_plan(reg, idx, state.amplitudes) if keys is None else _layout_split_plan(reg, idx, keys)
-    return Split(rest, groups, index, list(state.amplitudes.values()), state.truncation_loss)
+    return Split(rest, groups, index, list(state.amplitudes.values()), state)
 
 
 def trace_out(state: PureState | MixedState, modes: Sequence[ModeId | str]) -> MixedState:

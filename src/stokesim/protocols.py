@@ -133,8 +133,8 @@ def _event_ready_header(config: ProtocolConfig) -> dict:
         "mode": config.mode,
         "p0": p0,
         "emission_order": config.source.emission_order,
-        "leading_order_success_probability": p0 / 2.0,
-        "order1_success_probability": p0 / (2.0 * (1.0 + p0)),
+        "ideal_detector_leading_order_success_probability": p0 / 2.0,
+        "ideal_detector_order1_success_probability": p0 / (2.0 * (1.0 + p0)),
     }
 
 
@@ -250,7 +250,7 @@ class HeraldedSpec(Record):
     #: corrected conditionals (see `_mixed`) and the heralded state if built (memory reads it)
     fidelity: Callable[[ProtocolConfig, PreparedBellAnalyzer, list, MixedState | None], float]
     fidelity_key: str
-    #: exact-mode probability keys reported after the header, in order
+    #: exact-mode keys reported after the header and the two cut weights, in order
     exact_keys: tuple[str, ...]
 
 
@@ -262,7 +262,7 @@ EVENT_READY = HeraldedSpec(
     flip_mode="B:H",
     fidelity=_heralded_fidelity,
     fidelity_key="heralded_fidelity",
-    exact_keys=("truncation_loss", "success_probability", "psi_minus_probability", "psi_plus_probability"),
+    exact_keys=("success_probability", "psi_minus_probability", "psi_plus_probability"),
 )
 
 MEMORY = HeraldedSpec(
@@ -296,6 +296,13 @@ def _mixed(spec: HeraldedSpec, prep: PreparedBellAnalyzer, mixture: list) -> Mix
     )
 
 
+def _cut_weights(joint: PureState) -> dict:
+    """The report's two cut weights of a run's joint state: the source's
+    emission-order cut (a model choice) and the weight the Fock cutoff dropped
+    (a numerical loss)."""
+    return {"emission_order_cut": joint.order_cut, "cutoff_loss": joint.truncation_loss}
+
+
 def _at_most_one(fidelity: float) -> float:
     """`fidelity` clamped to 1, which weights and norms meet only to rounding."""
     if fidelity > 1.0 + 1e-12:
@@ -313,8 +320,8 @@ def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | 
     weights = prep.outcome_weights()
     minus, plus = (float(sum(p for _, p in weights[outcome])) for outcome in (PSI_MINUS, PSI_PLUS))
     total = minus + plus
-    values = dict(truncation_loss=joint.truncation_loss, success_probability=total, psi_minus_probability=minus, psi_plus_probability=plus)
-    report = spec.header(config)
+    values = dict(success_probability=total, psi_minus_probability=minus, psi_plus_probability=plus)
+    report = spec.header(config) | _cut_weights(joint)
     report.update((key, values[key]) for key in spec.exact_keys)
     if total <= 0.0:
         report[spec.fidelity_key] = None

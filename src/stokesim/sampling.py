@@ -192,6 +192,7 @@ def summarize(config: protocols.ProtocolConfig, kind: str, keys: np.ndarray, cha
     trials = len(keys)
     low, high = protocols.wilson_interval(successes, trials)
     return {
+        **protocols._cut_weights(sp.prep.state),
         "trials": trials,
         "seed": config.seed,
         "eta": config.detector.efficiency,

@@ -97,7 +97,7 @@ def raman_emit(state: PureState, ensemble, stokes, p0: float, order: int) -> Pur
             new[ip] = n
             if abs(v := c * a / norm) >= fock.AMPLITUDE_EPS:
                 amps[tuple(new)] = v
-    return PureState._wrap(reg, amps, state.truncation_loss + lost)
+    return state._derive(reg, amps, lost)
 
 
 @lru_cache(maxsize=8)
@@ -124,6 +124,14 @@ def dual_ensemble_source(params: SourceParams, cutoff: int = fock.DEFAULT_CUTOFF
     weight (|beta|^2 - |alpha|^2) p0; conditioned on the photon
     surviving, the emission sector is still exactly
     alpha |S1>|H> + beta |S2>|V>.
+
+    The renormalization conditions the state on the emission-order cut.
+    Every term dropped on the way carries more than `emission_order` pairs
+    (a kept term has at most 2 * order <= cutoff excitations, so the
+    cutoff never cuts one), so the whole weight dropped, which the
+    unnormalized stages kept as norm_sq() + truncation_loss == 1, is the
+    cut's probability: the result holds it as `order_cut`, with
+    `truncation_loss` 0.
     """
     alpha, beta = params.branch_amplitudes()
     if params.t is not None:
@@ -158,7 +166,7 @@ def dual_ensemble_source(params: SourceParams, cutoff: int = fock.DEFAULT_CUTOFF
     st = elements.quarter_wave(st, "p")
 
     st, _ = fock.truncate_total_occupation(st, ["S1", "S2"], order)
-    return st.normalize()
+    return PureState._wrap(st.registry, st.normalize().amplitudes, 0.0, None, st.truncation_loss)
 
 
 def epr_pair(path_a: str = "A", path_b: str = "B", cutoff: int = fock.DEFAULT_CUTOFF) -> PureState:

@@ -29,7 +29,7 @@ def pure_states(draw):
         )
     )
     amps = {occ: r * cmath.exp(1j * phase) for occ, (r, phase) in terms.items()}
-    st = fock.PureState(REGISTRY, amps, draw(hs.floats(0.0, 1e-3)))
+    st = fock.PureState(REGISTRY, amps, draw(hs.floats(0.0, 1e-3)), draw(hs.sampled_from([0.0, 2.5e-5, 0.3])))
     # zero-weight terms, which the constructor drops, stored directly
     for occ in draw(hs.lists(hs.sampled_from(OCCUPATIONS), max_size=2)):
         st.amplitudes.setdefault(occ, 0j)
@@ -61,15 +61,15 @@ def without_modes(state, modes):
     assert len({tuple(occ[i] for i in idx) for occ in state.amplitudes}) <= 1
     keep = [i for i in range(len(reg)) if i not in idx]
     rest = fock.ModeRegistry(tuple(reg.modes[i] for i in keep), reg.cutoff)
-    return fock.PureState(rest, {tuple(occ[i] for i in keep): c for occ, c in state.amplitudes.items()}, state.truncation_loss)
+    return fock.PureState(rest, {tuple(occ[i] for i in keep): c for occ, c in state.amplitudes.items()}, state.truncation_loss, state.order_cut)
 
 
 def bits(state):
-    """Registry, weights, term order and the exact bits of every number."""
+    """Registry, weights, counters, term order and the exact bits of every number."""
     if isinstance(state, fock.MixedState):
         return [(w.hex(), bits(st)) for w, st in state.branches]
     terms = [(occ, c.real.hex(), c.imag.hex()) for occ, c in state.amplitudes.items()]
-    return state.registry, state.truncation_loss.hex(), terms
+    return state.registry, state.truncation_loss.hex(), state.order_cut.hex(), terms
 
 
 def outcome(fn, *args):

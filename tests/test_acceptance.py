@@ -70,7 +70,7 @@ def test_criterion_03_event_ready_success_probability():
         _, report = protocols.event_ready_generation(exact_cfg)
         p_exact = p0 / (2.0 * (1.0 + p0))
         assert abs(report["success_probability"] - p_exact) <= TOL
-        assert abs(report["leading_order_success_probability"] - p0 / 2.0) <= TOL
+        assert abs(report["ideal_detector_leading_order_success_probability"] - p0 / 2.0) <= TOL
         assert abs(report["heralded_fidelity"] - 1.0) <= TOL
 
         start = time.perf_counter()

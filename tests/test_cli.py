@@ -354,7 +354,7 @@ def write_ini(tmp_path, text, name="cfg.ini"):
 def test_main_generate_stdout(capsys):
     assert cli.main(["generate"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["protocol"] == "generate"
     assert math.isclose(report["summary"]["purity"], 0.980394079011861, abs_tol=1e-12)
 

@@ -73,7 +73,7 @@ def _assert_ranges(report):
             assert 0.0 <= value <= 1.0, key
         if key.endswith("fidelity") and value is not None:
             assert 0.0 <= value <= 1.0, key
-    assert report.get("truncation_loss", 0.0) >= 0.0
+    assert report["emission_order_cut"] >= 0.0 and report["cutoff_loss"] >= 0.0
     if report["mode"] == "sampled":
         assert 0 <= report["success_count"] <= report["trials"]
         assert report["psi_minus_count"] + report["psi_plus_count"] == report["success_count"]
@@ -108,7 +108,7 @@ def test_sampled_counts_and_fidelity_match_exact(index):
 @pytest.mark.parametrize("detector", sorted(DETECTORS))
 def test_every_report_number_lies_in_its_range(detector):
     # each *_probability in [0, 1], PsiMinus + PsiPlus equal to success to
-    # rounding, truncation_loss >= 0 and success_count <= trials, exact and
+    # rounding, both cut weights >= 0 and success_count <= trials, exact and
     # sampled, at every grid point
     for index, (kind, config) in enumerate(GRID):
         config = config.replace(detector=DETECTORS[detector])

@@ -142,13 +142,16 @@ _EMIT = fock.ModeRegistry((fock.atomic_mode("e"), fock.photonic_mode("x", "R")),
 
 @contextmanager
 def _recording_wrap():
-    """Record every `PureState._wrap` call: its caller's name, its
-    arguments (the map copied) and its result."""
+    """Record every `PureState._wrap` call: the name of the stage that
+    called it (past `PureState._derive`), its arguments (the map copied) and
+    its result."""
     original, calls = fock.PureState._wrap, []
 
-    def recording(registry, amplitudes, truncation_loss):
-        st = original(registry, amplitudes, truncation_loss)
-        calls.append((sys._getframe(1).f_code.co_name, registry, dict(amplitudes), truncation_loss, st))
+    def recording(registry, amplitudes, truncation_loss, keys=None, order_cut=0.0):
+        st = original(registry, amplitudes, truncation_loss, keys, order_cut)
+        frame = sys._getframe(1)
+        frame = frame.f_back if frame.f_code.co_name == "_derive" else frame
+        calls.append((frame.f_code.co_name, registry, dict(amplitudes), (truncation_loss, order_cut), st))
         return st
 
     with mock.patch.object(fock.PureState, "_wrap", staticmethod(recording)):
@@ -183,12 +186,12 @@ def test_internal_results_match_the_checking_constructor(a, b, modes, max_total,
     for name, registry, amplitudes, loss, st in calls:
         if name in _TRUSTED:
             # built-in complex amplitudes, kept as the constructor keeps them
-            assert all(type(c) is complex for c in amplitudes.values()) and type(loss) is float
-            assert bits(st) == bits(fock.PureState(registry, amplitudes, loss))
+            assert all(type(c) is complex for c in amplitudes.values()) and all(type(x) is float for x in loss)
+            assert bits(st) == bits(fock.PureState(registry, amplitudes, *loss))
     for st, terms in results:
         # the same keys in the same order, and the same bits, as the
         # constructor makes of every term before any is dropped
-        assert bits(st) == bits(fock.PureState(st.registry, terms, st.truncation_loss))
+        assert bits(st) == bits(fock.PureState(st.registry, terms, st.truncation_loss, st.order_cut))
 
 
 def test_mixed_branches_compare_registries_only_when_distinct(monkeypatch):
@@ -341,7 +344,7 @@ def _apply_by_terms(state, modes, u):
             for pos, m in zip(idx, out):
                 new[pos] = m
             amps[tuple(new)] = amps.get(tuple(new), 0j) + c * coeff
-    return fock.PureState(state.registry, amps, state.truncation_loss)
+    return fock.PureState(state.registry, amps, state.truncation_loss, state.order_cut)
 
 
 _MATRICES = hs.one_of(
@@ -544,9 +547,9 @@ def test_a_plan_interns_one_set_of_keys_and_none_for_a_dropped_sum():
     cancelled = fock.apply_mode_unitary(fock.PureState(reg, pairs[1][1]), modes, u)
     assert list(cancelled.amplitudes) == [(1, 0, 0)] and cancelled._keys is None
     # scaling a group to unit norm hands its keys on only when it drops no term
-    keys = fock.Keys([(1, 0, 0), (0, 1, 0)])
-    assert fock._normalized(reg, {(1, 0, 0): 0.6, (0, 1, 0): 0.8}, 0.0, None, keys)[0]._keys is keys
-    assert fock._normalized(reg, {(1, 0, 0): 1.0, (0, 1, 0): 0.9e-14}, 0.0, None, keys)[0]._keys is None
+    keys, counters = fock.Keys([(1, 0, 0), (0, 1, 0)]), fock.vacuum(reg)
+    assert fock._normalized(reg, {(1, 0, 0): 0.6, (0, 1, 0): 0.8}, counters, None, keys)[0]._keys is keys
+    assert fock._normalized(reg, {(1, 0, 0): 1.0, (0, 1, 0): 0.9e-14}, counters, None, keys)[0]._keys is None
 
 
 def _analyzer(p0, t=None):
@@ -604,6 +607,39 @@ def test_exact_event_ready_normalizes_only_the_groups_it_reads(monkeypatch):
     protocols.event_ready_generation(config)
     # one conditional per herald pattern; the weights of the others suffice
     assert len(normalized) == heralds < len(prep.distribution) / 2
+
+
+def _weight(state):
+    """The unnormalized weight a stage keeps: what is left plus what the cutoff cut."""
+    return state.norm_sq() + state.truncation_loss
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_states(), pure_states(), hs.data())
+def test_every_stage_keeps_the_weight_it_is_given(a, b, data):
+    # with unnormalized weights, norm_sq() + truncation_loss is the same
+    # before and after each stage, and the order cut passes through; a tensor
+    # product's weight is the product of its factors', and its order cut that
+    # of either factor's
+    names = [m.name for m in MODES]
+    pair = data.draw(hs.permutations(names))[:2]
+    modes, max_total = data.draw(measured_modes), data.draw(hs.integers(0, 3))
+    emitting = fock.tensor(a, fock.vacuum(_EMIT))
+    stages = [
+        (a, fock.apply_mode_unitary(a, pair, data.draw(_MATRICES.filter(lambda u: len(u) == 2)))),
+        (a, fock.apply_phase(a, pair[0], data.draw(hs.floats(0.0, 2.0 * math.pi)))),
+        (a, elements.attenuate_mode(a, pair[0], data.draw(hs.floats(0.0, 1.0)))),
+        (a, a.with_registry(_OTHER)),
+        (emitting, sources.raman_emit(emitting, "e", "x:R", data.draw(hs.floats(0.0, 0.2)), 1)),
+    ]
+    with suppress(ValidationError):  # every term over max_total
+        stages.append((a, fock.truncate_total_occupation(a, modes, max_total)[0]))
+    for before, after in stages:
+        assert _weight(after) == pytest.approx(_weight(before), rel=1e-12, abs=1e-24)
+        assert after.order_cut == before.order_cut
+    joint = fock.tensor(a, b.with_registry(_OTHER))
+    assert _weight(joint) == pytest.approx(_weight(a) * _weight(b), rel=1e-12, abs=1e-24)
+    assert 1.0 - joint.order_cut == pytest.approx((1.0 - a.order_cut) * (1.0 - b.order_cut), rel=1e-15)
 
 
 def test_relabeling_shares_the_amplitude_map():
@@ -836,7 +872,7 @@ def _trace_out_before_split(state, modes):
             if bw <= 0.0:
                 continue
             scale = 1.0 / math.sqrt(bw)
-            out.append((w * bw, fock.PureState(new_reg, {o: c * scale for o, c in amps.items()}, st.truncation_loss)))
+            out.append((w * bw, fock.PureState(new_reg, {o: c * scale for o, c in amps.items()}, st.truncation_loss, st.order_cut)))
     total = sum(w for w, _ in out)
     return fock.MixedState([(w / total, s) for w, s in out])
 

@@ -86,8 +86,10 @@ def test_generate_entanglement_order_one_report():
     np.testing.assert_allclose(report["purity"], PURITY_001, atol=1e-12)
     np.testing.assert_allclose(report["excited_branch_concurrence"], 1.0, atol=1e-9)
     np.testing.assert_allclose(report["excited_branch_entropy"], 1.0, atol=1e-9)
-    # the dropped double-emission cross term: (p0^2/4) / (1 + p0/2)^2
-    np.testing.assert_allclose(report["truncation_loss"], 2.4751862577658986e-05, atol=1e-15)
+    # the dropped double-emission cross term: (p0^2/4) / (1 + p0/2)^2, a cut of
+    # the emission order; the cutoff cuts nothing
+    np.testing.assert_allclose(report["emission_order_cut"], 2.4751862577658986e-05, atol=1e-15)
+    assert report["cutoff_loss"] == 0.0
     weights = [w for w, _ in mixed.branches]
     np.testing.assert_allclose(sum(weights), 1.0, atol=1e-12)
     assert set(mixed.branches[0][1].amplitudes) == {(0,) * len(mixed.registry)}
@@ -161,8 +163,8 @@ def test_event_ready_exact_closed_forms():
     cfg = ProtocolConfig(source=SourceParams(p0=0.01), detector=ideal_detector())
     heralded, report = protocols.event_ready_generation(cfg)
     np.testing.assert_allclose(report["success_probability"], SUCCESS_001, atol=1e-12)
-    np.testing.assert_allclose(report["order1_success_probability"], SUCCESS_001, atol=1e-15)
-    np.testing.assert_allclose(report["leading_order_success_probability"], 0.005, atol=1e-15)
+    np.testing.assert_allclose(report["ideal_detector_order1_success_probability"], SUCCESS_001, atol=1e-15)
+    np.testing.assert_allclose(report["ideal_detector_leading_order_success_probability"], 0.005, atol=1e-15)
     np.testing.assert_allclose(
         report["psi_minus_probability"], report["psi_plus_probability"], atol=1e-12
     )

@@ -196,6 +196,26 @@ def test_dual_source_relative_phase():
     np.testing.assert_allclose(ratio, cmath_exp / SQRT_HALF, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "params, cutoff",
+    [(SourceParams(p0=0.01), 6), (SourceParams(p0=0.2, emission_order=2), 4), (SourceParams(p0=0.2, emission_order=3, t=0.3), 6)],
+)
+def test_the_source_is_conditioned_on_its_emission_order_cut(params, cutoff):
+    # every weight the source drops carries more pairs than the order, the
+    # cutoff's drops included (cutoff 4 and 6 cut some at orders 2 and 3), so
+    # it all goes to the order cut: with unnormalized weights, the kept weight
+    # plus the cut is 1, and the conditioned state has norm 1 and no cutoff loss
+    st = sources.dual_ensemble_source(params, cutoff)
+    assert st.norm_sq() + st.truncation_loss == pytest.approx(1.0, abs=1e-15)
+    assert st.truncation_loss == 0.0
+    order, p = params.emission_order, params.p0 if params.t is not None else params.p0 / 2.0
+    rungs = [p**n for n in range(order + 1)]
+    cut = sum(x * y for n, x in enumerate(rungs) for m, y in enumerate(rungs) if n + m > order) / sum(rungs) ** 2
+    assert st.order_cut == pytest.approx(cut, rel=1e-13)
+    if params == SourceParams(p0=0.01):
+        assert st.order_cut == 2.4751862577658986e-05
+
+
 def test_dual_source_extreme_splits():
     st = sources.dual_ensemble_source(SourceParams(p0=0.01, alpha=0.0, beta=1.0))
     sector, _ = single_emission_sector(st)
