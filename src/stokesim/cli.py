@@ -237,7 +237,8 @@ def _ancilla_cut_warning(exp: ExperimentConfig) -> str | None:
     """Event-ready runs tensor the source with a two-photon EPR ancilla,
     and `fock.tensor` drops every term beyond the cutoff: name the
     smallest cutoff that keeps the pair whole when the configured one
-    cuts it."""
+    cuts it.  A report's `cutoff_loss` gives the weight cut, but
+    `validate` writes no report, and the number does not name the cure."""
     c = exp.config
     if exp.protocol != "event-ready" or not c.epr_enabled:
         return None
