@@ -22,7 +22,6 @@ from .elements import (  # noqa: F401
     pol_splitter,
     quarter_wave,
 )
-from . import fock
 from .errors import ConfigError, RegistryError, StokesimError, ValidationError  # noqa: F401
 from .fock import (  # noqa: F401
     MixedState,
@@ -50,8 +49,17 @@ from .protocols import (  # noqa: F401
 from .sources import SourceParams, dual_ensemble_source, epr_pair, raman_emit  # noqa: F401
 
 #: the modules that import numpy, and their names that the package exports
-__getattr__ = fock._lazy(__name__, {
+_LAZY = {
     "metrics": "metrics", "rng": "rng", "sampling": "sampling", "analysis": "analysis",
     "QubitEncoding": "metrics", "concurrence": "metrics", "entropy": "metrics", "purity": "metrics", "reduced_density": "metrics",
     "trial_rng": "rng", "measure": "sampling", "bell_decompose": "analysis", "generate_entanglement": "analysis",
-})
+}
+
+
+def __getattr__(name: str):
+    """Each name of `_LAZY`, read off its module, imported then (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    home = import_module(f"{__name__}.{_LAZY[name]}")
+    return home if name == _LAZY[name] else getattr(home, name)

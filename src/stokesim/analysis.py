@@ -1,7 +1,7 @@
 """Post-selected generation and the Bell decomposition: the dense
 analysis of the source state, which only the `generate` command and
-library callers run.  It needs numpy (through `metrics`); `protocols`
-and the package still resolve both names (PEP 562 `__getattr__`).
+library callers run.  It needs numpy (through `metrics`); the package
+exports both names lazily.
 """
 
 from __future__ import annotations

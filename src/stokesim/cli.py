@@ -373,7 +373,8 @@ def run_protocol(protocol: str, config: ProtocolConfig, chunk_map=map) -> dict:
     """Execute one protocol run and return its summary block; sampled
     trial chunks run through `chunk_map`."""
     if protocol == "generate":
-        return protocols.generate_entanglement(config)[1]
+        from .analysis import generate_entanglement
+        return generate_entanglement(config)[1]
     if protocol == "event-ready":
         return protocols.event_ready_generation(config, chunk_map, with_state=False)[1]
     if protocol == "memory":

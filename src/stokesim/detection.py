@@ -22,11 +22,13 @@ two of the four Bell states are ever identified.
 
 `PreparedBellAnalyzer` is the one place where a trial becomes a click
 code (bit j set when detector `labels[j]` clicked) and an outcome: its
-`outcomes` table, built from `default_herald_rule()` into the analyzer's
-layout record once per input layout (`_analyzer_layout`), serves the
-exact outcome distribution (`outcome_weights`) and the analyzer's
-`sampler`.  What draws random numbers, `measure` and the samplers, needs
-numpy and lives in `sampling`, which exact runs never import.
+`outcomes` table, built from `default_herald_rule()` once at import,
+serves the exact outcome distribution (`outcome_weights`) and the
+analyzer's `sampler`.  What an analyzer reads off its input's registry and
+term keys alone is one layout record (`_analyzer_layout`), built once per
+layout and shared by every analyzer of it.  What draws random numbers,
+`measure` and the samplers, needs numpy and lives in `sampling`, which
+exact runs never import.
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ def default_herald_rule() -> HeraldRule:
     )
 
 
+#: the outcome of each click code under `default_herald_rule()`, bit j set when `_LABELS[j]` clicked
+_OUTCOMES = tuple(default_herald_rule().classify({lab for j, lab in enumerate(_LABELS) if code >> j & 1}) for code in range(1 << len(_LABELS)))
+
+
 def _code_probabilities(occ: Sequence[int], detectors: Sequence[DetectorSpec]) -> list[tuple[int, float]]:
     """(code, P(code | occ)) of each click code of nonzero probability,
     detector j seeing occ[j] photons: zero factors are skipped."""
@@ -142,31 +148,55 @@ def _distribution(split: list[tuple[float, fock.Split]], order: tuple = ()) -> l
 
 
 @lru_cache(maxsize=16)
-def _analyzer_layout(registry: fock.ModeRegistry, keys: tuple, path_1: str, path_2: str) -> tuple:
+class _analyzer_layout:
     """What an analyzer reads off the registry and term keys (in stored order,
     which depends on the amplitudes; by identity if interned) of its input
     after the beam splitter: the registry after both polarizing splitters,
     relabelings found on a state without terms; the four measured modes; the
     registry of the other modes, the split's term groups, each term's group
     number and each group's `fock.Keys` (so that a conditional's loss modes
-    are traced by a cached grouping); their loss modes, and the picker and
-    registry of the rest (the conditionals'); the sorted patterns; the
-    outcome of each click code (bit j set when `_LABELS[j]` clicked) under
-    `default_herald_rule()`; and the last detector's and the last target's
-    tables (`outcome_weights`, `overlaps`).  Shared across points, so
-    never mutated but for those."""
-    st, out_1h, out_1v = elements.pol_splitter(PureState._wrap(registry, {}, 0.0), path_1)
-    st, out_2h, out_2v = elements.pol_splitter(st, path_2)
-    reg, modes = st.registry, (f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V")
-    rest, _, groups, index = fock._split_plan(reg, tuple(reg.index(m) for m in modes), keys)
-    group_keys = {p: fock.Keys(key for _, key in terms) for p, terms in groups.items()}
-    loss = tuple(i for i, m in enumerate(rest.modes) if m.kind == LOSS)
-    conditional, keep, *_ = fock._split_plan(rest, loss, ())
-    patterns = tuple(sorted(groups))
-    rule = default_herald_rule()
-    outcomes = tuple(rule.classify({lab for j, lab in enumerate(_LABELS) if code >> j & 1}) for code in range(1 << len(_LABELS)))
-    traced = (tuple(rest.modes[i] for i in loss), fock._picker(keep), conditional if loss else rest)
-    return reg, modes, rest, groups, index, group_keys, traced, patterns, outcomes, [None, None], [None, None]
+    are traced by a cached grouping); the sorted patterns; the conditionals'
+    registry and the picker of their modes from a term of the rest.  Shared
+    across points, so never mutated but for the last detector's and the last
+    target's tables (`outcome_table`, `reached`)."""
+
+    def __init__(self, registry: fock.ModeRegistry, keys: tuple, path_1: str, path_2: str):
+        st, out_1h, out_1v = elements.pol_splitter(PureState._wrap(registry, {}, 0.0), path_1)
+        st, out_2h, out_2v = elements.pol_splitter(st, path_2)
+        self.registry, self.modes = st.registry, (f"{out_1h}:H", f"{out_1v}:V", f"{out_2h}:H", f"{out_2v}:V")
+        self.rest, _, self.groups, self.index = fock._split_plan(self.registry, tuple(map(self.registry.index, self.modes)), keys)
+        self.group_keys = {p: fock.Keys(key for _, key in terms) for p, terms in self.groups.items()}
+        loss = tuple(i for i, m in enumerate(self.rest.modes) if m.kind == LOSS)
+        conditional, keep, *_ = fock._split_plan(self.rest, loss, ())
+        self.patterns = tuple(sorted(self.groups))
+        self.conditional_registry, self._conditional_key = conditional if loss else self.rest, fock._picker(keep)
+        self._table = self._reach = (None, None)
+
+    def outcome_table(self, detector: DetectorSpec) -> dict[str, list[tuple[int, float]]]:
+        """Per outcome (PsiMinus, PsiPlus, Fail), (index into `patterns`,
+        P(outcome | pattern)) where nonzero: 0 or 1 at eta = 1, d = 0.  Built
+        once per vector of the four click probabilities, and kept for the
+        last detector."""
+        key = detector.efficiency, detector.dark_prob
+        if self._table[0] != key:
+            table, given_of = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}, {}
+            for i, occ in enumerate(self.patterns):
+                if (q := tuple(map(detector.click_prob, occ))) not in given_of:
+                    codes = _code_probabilities(occ, [detector] * len(occ))
+                    given_of[q] = [sum(p for code, p in codes if _OUTCOMES[code] == outcome) for outcome in table]
+                for rows, given in zip(table.values(), given_of[q]):
+                    if given:
+                        rows.append((i, given))
+            self._table = key, table
+        return self._table[1]
+
+    def reached(self, target: PureState) -> frozenset:
+        """The patterns whose group holds a term that `target` (on
+        `conditional_registry`) reaches, kept for the last target."""
+        if self._reach[0] is not target:
+            keys, key_of = target.amplitudes, self._conditional_key
+            self._reach = target, frozenset(p for p, terms in self.groups.items() if any(key_of(rest) in keys for _, rest in terms))
+        return self._reach[1]
 
 
 def _condition_on_pattern(split: list[tuple[float, fock.Split]], pattern: tuple[int, ...]) -> MixedState:
@@ -199,48 +229,36 @@ class PreparedBellAnalyzer:
     (`_analyzer_layout`), shared by every analyzer of that layout.
     """
 
+    #: `outcomes[code]` is the outcome of click code `code`; bit j is set when labels[j] clicked
+    labels, outcomes = _LABELS, _OUTCOMES
+
     def __init__(self, state: PureState, path_1: str, path_2: str, detector: DetectorSpec = DetectorSpec()):
         st = elements.beam_splitter(state, path_1, path_2)
-        keys = tuple(st.amplitudes) if st._keys is None else st._keys
-        #: `outcomes[code]` is the outcome of click code `code`; bit j is set when labels[j] clicked
-        registry, self.modes, rest, groups, index, group_keys, self._traced, patterns, self.outcomes, self._table, self._reach = (
-            _analyzer_layout(st.registry, keys, path_1, path_2)
-        )
-        self.conditional_registry = self._traced[2]
-        self.state = st.with_registry(registry)
-        self.labels = _LABELS
+        self.layout = layout = _analyzer_layout(st.registry, tuple(st.amplitudes) if st._keys is None else st._keys, path_1, path_2)
+        self.state = st.with_registry(layout.registry)
         self.detector = detector
-        self._split = [(1.0, fock.Split(rest, groups, index, list(st.amplitudes.values()), st, group_keys))]
-        self.distribution = _distribution(self._split, patterns)
+        self._split = [(1.0, fock.Split(layout.rest, layout.groups, layout.index, list(st.amplitudes.values()), st, layout.group_keys))]
+        self.distribution = _distribution(self._split, layout.patterns)
 
     def conditional(self, true_pattern: tuple[int, ...]) -> MixedState:
         """State of the unmeasured modes given true photon numbers `true_pattern`,
-        as `measure` conditions, on `conditional_registry`."""
+        as `measure` conditions, on the layout's `conditional_registry`."""
         cond = _condition_on_pattern(self._split, true_pattern)
-        return MixedState([(w, st.with_registry(self.conditional_registry)) for w, st in cond.branches])
+        return MixedState([(w, st.with_registry(self.layout.conditional_registry)) for w, st in cond.branches])
 
     def overlaps(self, pattern: tuple[int, ...], target: PureState, flip: str | None = None) -> list[tuple[float, float]]:
         """The nonzero terms (weight, |<target|branch>|^2) of
         `fock.state_fidelity(conditional(pattern), target)`, each branch first
         flipped by pi on mode `flip` if one is named.  Nothing is conditioned when
-        the pure `target` (on `conditional_registry`) reaches no term of the
-        pattern's group, and only the branches it reaches are flipped."""
-        if pattern not in self._reached(target):
+        the pure `target` (on the layout's `conditional_registry`) reaches no
+        term of the pattern's group, and only the branches it reaches are
+        flipped."""
+        if pattern not in self.layout.reached(target):
             return []
         keys = target.amplitudes
         reached = [(w, st) for w, st in self.conditional(pattern).branches if not keys.keys().isdisjoint(st.amplitudes)]
         flipped = reached if flip is None else [(w, fock.apply_phase(st, flip, math.pi)) for w, st in reached]
         return [(w, abs(fock.inner_product(target, st)) ** 2) for w, st in flipped]
-
-    def _reached(self, target: PureState) -> frozenset:
-        """The patterns whose group holds a term that `target` reaches, kept
-        on the layout record for the last target asked about."""
-        last = self._reach
-        if last[0] is not target:
-            ((_, split),) = self._split
-            rest_of, keys = self._traced[1], target.amplitudes
-            last[:] = target, frozenset(p for p, terms in split._groups.items() if any(rest_of(rest) in keys for _, rest in terms))
-        return last[1]
 
     @cached_property
     def sampler(self) -> sampling.Sampler:
@@ -261,22 +279,10 @@ class PreparedBellAnalyzer:
 
     def outcome_weights(self) -> dict[str, list[tuple[tuple[int, ...], float]]]:
         """Per outcome (PsiMinus, PsiPlus, Fail), (true pattern, P(pattern) *
-        P(outcome | pattern)) where nonzero, in `distribution` order; the table
-        of P(outcome | pattern) (0 or 1 at eta = 1, d = 0) is built when first
-        read, once per vector of the four click probabilities, and kept on the
-        layout record for the last detector."""
-        key, last, dist = (self.detector.efficiency, self.detector.dark_prob), self._table, self.distribution
-        if last[0] != key:
-            table, given_of = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}, {}
-            for i, (occ, _) in enumerate(dist):
-                if (q := tuple(map(self.detector.click_prob, occ))) not in given_of:
-                    codes = _code_probabilities(occ, [self.detector] * len(occ))
-                    given_of[q] = [sum(p for code, p in codes if self.outcomes[code] == outcome) for outcome in table]
-                for rows, given in zip(table.values(), given_of[q]):
-                    if given:
-                        rows.append((i, given))
-            last[:] = key, table
-        return {outcome: [(dist[i][0], w) for i, given in rows if (w := dist[i][1] * given)] for outcome, rows in last[1].items()}
+        P(outcome | pattern)) where nonzero, in `distribution` order, from the
+        layout's `outcome_table` for this analyzer's detector."""
+        dist = self.distribution
+        return {outcome: [(dist[i][0], w) for i, given in rows if (w := dist[i][1] * given)] for outcome, rows in self.layout.outcome_table(self.detector).items()}
 
     def exact_outcomes(self) -> list[tuple[str, MixedState | None, float]]:
         """`outcome_weights` as (outcome, conditional state, probability).  A
@@ -291,6 +297,3 @@ class PreparedBellAnalyzer:
             out.append((outcome, state, prob))
         return out
 
-
-#: names that moved to `sampling`, which needs numpy
-__getattr__ = fock._lazy(__name__, {"measure": "sampling", "_step_table": "sampling"})

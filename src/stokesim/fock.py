@@ -685,18 +685,3 @@ def state_fidelity(state: PureState | MixedState, target: PureState) -> float:
         acc += w * abs(inner_product(target, st)) ** 2
     return acc
 
-
-def _lazy(module: str, homes: Mapping[str, str]):
-    """A PEP 562 `__getattr__` for `module` that reads each name of `homes` off
-    the package module it names, imported then (the module itself if its own)."""
-    def __getattr__(name: str):
-        if name not in homes:
-            raise AttributeError(f"module {module!r} has no attribute {name!r}")
-        from importlib import import_module
-        home = import_module(f"{__package__}.{homes[name]}")
-        return home if name == homes[name] else getattr(home, name)
-    return __getattr__
-
-
-#: `reduced_density` needs numpy
-__getattr__ = _lazy(__name__, {"reduced_density": "metrics"})

@@ -138,10 +138,10 @@ def _event_ready_header(config: ProtocolConfig) -> dict:
     }
 
 
-def _heralded_fidelity(config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list, heralded=None) -> float:
+def _heralded_fidelity(config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list) -> float:
     """`fock.state_fidelity(heralded, target)` for the singlet target, summed in
     the same order off each herald pattern's conditional: no heralded state is read."""
-    target, fid = _target(prep.conditional_registry), 0.0
+    target, fid = _target(prep.layout.conditional_registry), 0.0
     for occ, outcome, shares in mixture:
         for w, f in prep.overlaps(occ, target, EVENT_READY.flip_mode if outcome == PSI_PLUS else None):
             fid += _weight(w, *shares) * f
@@ -197,10 +197,9 @@ def _qubit_amplitudes(config: ProtocolConfig) -> tuple[float, complex]:
     return math.cos(config.theta), math.sin(config.theta) * cmath.exp(1j * config.phi)
 
 
-def _stored_fidelity(config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list, stored: MixedState | None = None) -> float:
+def _stored_fidelity(config: ProtocolConfig, prep: PreparedBellAnalyzer, mixture: list) -> float:
     from . import metrics
-    stored = stored if stored is not None else _mixed(MEMORY, prep, mixture)
-    return metrics.qubit_fidelity(stored, metrics.excitation_qubit("S1", "S2"), *_qubit_amplitudes(config))
+    return metrics.qubit_fidelity(_mixed(MEMORY, prep, mixture), metrics.excitation_qubit("S1", "S2"), *_qubit_amplitudes(config))
 
 
 def memory_readout(stored: MixedState | PureState, retrieval_efficiency: float = 1.0) -> MixedState:
@@ -246,9 +245,9 @@ class HeraldedSpec(Record):
     paths: tuple[str, str]
     #: mode whose phase is flipped by pi on a PsiPlus herald
     flip_mode: str
-    #: fidelity reported under `fidelity_key`, given the config, the analyzer, the mixture of
-    #: corrected conditionals (see `_mixed`) and the heralded state if built (memory reads it)
-    fidelity: Callable[[ProtocolConfig, PreparedBellAnalyzer, list, MixedState | None], float]
+    #: fidelity reported under `fidelity_key`, given the config, the analyzer and the mixture
+    #: of corrected conditionals (see `_mixed`)
+    fidelity: Callable[[ProtocolConfig, PreparedBellAnalyzer, list], float]
     fidelity_key: str
     #: exact-mode keys reported after the header and the two cut weights, in order
     exact_keys: tuple[str, ...]
@@ -329,8 +328,28 @@ def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | 
     heralds = ((PSI_MINUS, minus), (PSI_PLUS, plus))
     mixture = [(occ, outcome, (p, prob, total)) for outcome, prob in heralds if prob > 0 for occ, p in weights[outcome]]
     heralded = _mixed(spec, prep, mixture) if with_state else None
-    report[spec.fidelity_key] = _at_most_one(spec.fidelity(config, prep, mixture, heralded))
+    report[spec.fidelity_key] = _at_most_one(spec.fidelity(config, prep, mixture))
     return heralded, report
+
+
+class _SampledProtocol:
+    """Prepared analyzer of one heralded protocol, and the fidelity of its
+    corrected conditional per (true detection pattern, outcome)."""
+
+    def __init__(self, config: ProtocolConfig, kind: str, channel: PureState | None = None):
+        self.config = config
+        self.spec = HERALDED[kind]
+        joint = self.spec.joint_state(config, channel)
+        self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
+
+    def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
+        return _at_most_one(self.spec.fidelity(self.config, self.prep, [(true, outcome, ())]))  # branches keep their weights
+
+
+@lru_cache(maxsize=8)
+def _cached_protocol(config: ProtocolConfig, kind: str, channel: PureState | None) -> _SampledProtocol:
+    # a channel state hashes by identity, so one run reuses its protocol
+    return _SampledProtocol(config, kind, channel)
 
 
 def trial_outcomes(
@@ -338,7 +357,6 @@ def trial_outcomes(
 ) -> np.ndarray:
     """One uint16 key per trial of [start, start+count), drawn in bulk by
     `sampling.Sampler.sample_block`: any partition of the range agrees."""
-    from .sampling import _cached_protocol
     return _cached_protocol(config, kind, channel).prep.sampler.sample_block(config.seed, start, count)
 
 
@@ -386,8 +404,3 @@ def memory_store(
         ))
     return stored, report
 
-
-#: names that moved to modules that need numpy
-__getattr__ = fock._lazy(__name__, {
-    "_SampledProtocol": "sampling", "_cached_protocol": "sampling", "generate_entanglement": "analysis", "bell_decompose": "analysis"
-})

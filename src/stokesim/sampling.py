@@ -1,8 +1,8 @@
 """Monte Carlo detection, which needs numpy (directly or through `rng`):
 `measure`, the `Sampler` of a `PreparedBellAnalyzer` (its `sampler`) and
-the sampled driver of the heralded protocols.  Exact runs never import
-this module; `detection` and `protocols` still resolve the names that
-moved here.
+the sampled driver of the heralded protocols, which reads each run's
+prepared analyzer off `protocols._cached_protocol`.  Exact runs never
+import this module.
 
 A `Sampler` turns each word of a trial's stream into click bits by one
 comparison with a threshold table per (word, pattern), and the tables hold
@@ -154,30 +154,10 @@ class Sampler:
         return (pick * len(self.prep.outcomes) + code).astype(np.uint16)
 
 
-class _SampledProtocol:
-    """Prepared analyzer of one heralded protocol, and the fidelity of its
-    corrected conditional per (true detection pattern, outcome)."""
-
-    def __init__(self, config: protocols.ProtocolConfig, kind: str, channel: PureState | None = None):
-        self.config = config
-        self.spec = protocols.HERALDED[kind]
-        joint = self.spec.joint_state(config, channel)
-        self.prep = PreparedBellAnalyzer(joint, *self.spec.paths, config.detector)
-
-    def fidelity(self, true: tuple[int, ...], outcome: str) -> float:
-        return protocols._at_most_one(self.spec.fidelity(self.config, self.prep, [(true, outcome, ())]))  # branches keep their weights
-
-
-@lru_cache(maxsize=8)
-def _cached_protocol(config: protocols.ProtocolConfig, kind: str, channel: PureState | None) -> _SampledProtocol:
-    # a channel state hashes by identity, so one run reuses its protocol
-    return _SampledProtocol(config, kind, channel)
-
-
 def summarize(config: protocols.ProtocolConfig, kind: str, keys: np.ndarray, channel: PureState | None = None) -> dict:
     """`protocols.summarize_sampled`: counts tallied in place, one fidelity per
     distinct herald key, summed over the heralds in trial order."""
-    sp = _cached_protocol(config, kind, channel)
+    sp = protocols._cached_protocol(config, kind, channel)
     tally = np.zeros(int(keys.max()) + 1, np.intp)
     np.add.at(tally, keys, 1)
     counts = {PSI_MINUS: 0, PSI_PLUS: 0, FAIL: 0}

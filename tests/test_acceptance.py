@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from stokesim import cli, detection, elements, fock, metrics, protocols, sources
+from stokesim import analysis, cli, detection, elements, fock, metrics, protocols, sampling, sources
 from stokesim.detection import DetectorSpec, PreparedBellAnalyzer
 from stokesim.protocols import ProtocolConfig
 from stokesim.rng import trial_rng
@@ -55,7 +55,7 @@ def test_criterion_01_source_state_reproduction():
 def test_criterion_02_bell_decomposition_weights():
     joint = fock.tensor(sources.dual_ensemble_source(SourceParams(p0=0.01)), sources.epr_pair())
     sector, _ = fock.restrict_total_occupation(joint, ["S1", "S2"], 1)
-    weights = protocols.bell_decompose(sector, metrics.pol_qubit("p"), metrics.pol_qubit("A"))
+    weights = analysis.bell_decompose(sector, metrics.pol_qubit("p"), metrics.pol_qubit("A"))
     for name, w in weights.items():
         assert abs(w**2 - 0.25) <= TOL, f"{name}: weight {w**2}"
         assert abs(w - 0.5) <= TOL
@@ -131,7 +131,7 @@ def test_criterion_05_memory_protocol():
 
 def test_criterion_06_mixed_state_structure():
     for p0 in (0.001, 0.01, 0.1):
-        _, report = protocols.generate_entanglement(ProtocolConfig(source=SourceParams(p0=p0)))
+        _, report = analysis.generate_entanglement(ProtocolConfig(source=SourceParams(p0=p0)))
         w_vac, w_one = report["branch_weights"]
         assert abs(w_vac - 1.0 / (1.0 + p0)) <= TOL
         assert abs(w_one - p0 / (1.0 + p0)) <= TOL
@@ -210,7 +210,7 @@ def test_criterion_09_sampled_vs_exact_distributions():
     spec = DetectorSpec(dark_prob=0.0, resolving=True)
     hom_tallies = Counter()
     for i in range(n):
-        pattern, _, _ = detection.measure(
+        pattern, _, _ = sampling.measure(
             mixed_paths, {"a:H": spec, "b:H": spec}, trial_rng(910, i)
         )
         hom_tallies[tuple(c for _, c in pattern.counts)] += 1

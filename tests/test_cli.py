@@ -1156,7 +1156,7 @@ def test_an_exact_event_ready_sweep_builds_no_herald_state(tmp_path, monkeypatch
     preps = list(dict.fromkeys(prep for prep, _ in calls))
     assert len(preps) == 3
     for prep in preps:
-        target = protocols._target(prep.conditional_registry)
+        target = protocols._target(prep.layout.conditional_registry)
         heralds = [occ for outcome, entries in prep.outcome_weights().items() if outcome != detection.FAIL for occ, _ in entries]
         reaching = [occ for occ in heralds if any(st.amplitudes.keys() & target.amplitudes.keys() for _, st in condition(prep, occ).branches)]
         assert sorted(occ for p, occ in calls if p is prep) == sorted(reaching)

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from sparse_states import measured_modes, mixed_states, outcome, patterns, pure_states, without_modes
-from stokesim import detection, fock
+from stokesim import detection, fock, sampling
 from stokesim.detection import (
     D_H,
     D_HP,
@@ -110,6 +110,8 @@ def test_click_code_table_follows_the_herald_rule():
         clicks = frozenset(lab for j, lab in enumerate(analyzer.labels) if code >> j & 1)
         assert outcome == rule.classify(clicks), bin(code)
     assert analyzer.outcomes.count(PSI_MINUS) == analyzer.outcomes.count(PSI_PLUS) == 2
+    # one table, built at import, that every analyzer shares
+    assert analyzer.outcomes is PreparedBellAnalyzer.outcomes is detection._OUTCOMES
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +142,7 @@ def test_measure_with_ideal_detectors():
         },
     )
     spec = DetectorSpec(dark_prob=0.0)
-    pattern, post, prob = detection.measure(
+    pattern, post, prob = sampling.measure(
         st, {"a:H": spec, "a:V": spec}, trial_rng(3, 0)
     )
     assert pattern.clicks in ({frozenset({"a:H"})} | {frozenset({"a:V"})})
@@ -162,7 +164,7 @@ def test_measure_observed_probability_with_inefficiency():
     spec = DetectorSpec(efficiency=0.7, dark_prob=0.0)
     seen = set()
     for i in range(40):
-        pattern, _, prob = detection.measure(st, {"q:H": spec}, trial_rng(7, i))
+        pattern, _, prob = sampling.measure(st, {"q:H": spec}, trial_rng(7, i))
         clicked = "q:H" in pattern
         np.testing.assert_allclose(prob, 0.7 if clicked else 0.3, atol=1e-12)
         seen.add(clicked)
@@ -173,7 +175,7 @@ def test_measure_resolving_detector_reports_counts():
     reg = fock.ModeRegistry(cutoff=4).add_photonic_path("q", basis="linear")
     st = fock.basis_state(reg, {"q:H": 2})
     spec = DetectorSpec(dark_prob=0.0, resolving=True)
-    pattern, _, _ = detection.measure(st, {"q:H": spec}, trial_rng(0, 0))
+    pattern, _, _ = sampling.measure(st, {"q:H": spec}, trial_rng(0, 0))
     assert pattern.counts == (("q:H", 2),)
 
 

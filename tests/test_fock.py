@@ -21,7 +21,7 @@ from hypothesis import strategies as hs
 
 import dense_oracle as oracle
 from sparse_states import MODES, REGISTRY, bits, measured_modes, mixed_states, outcome, patterns, pure_states, without_modes
-from stokesim import detection, elements, fock, protocols, sources
+from stokesim import detection, elements, fock, metrics, protocols, sources
 from stokesim.errors import RegistryError, ValidationError
 
 SQRT_HALF = 0.7071067811865476
@@ -566,14 +566,14 @@ def test_a_cached_split_groups_the_new_amplitudes():
         prep = _analyzer(p0, t=0.3)
         ((_, groups),) = prep._split
         present = []
-        for pattern in itertools.product(range(prep.state.registry.cutoff + 1), repeat=len(prep.modes)):
-            post, weight = fock.project(prep.state, dict(zip(prep.modes, pattern)))
+        for pattern in itertools.product(range(prep.state.registry.cutoff + 1), repeat=len(prep.layout.modes)):
+            post, weight = fock.project(prep.state, dict(zip(prep.layout.modes, pattern)))
             if post is None:
                 continue
             present.append(pattern)
             got_weight, rest = groups[pattern]
             assert got_weight.hex() == weight.hex()
-            assert bits(rest) == bits(without_modes(post, prep.modes))
+            assert bits(rest) == bits(without_modes(post, prep.layout.modes))
         assert sorted(groups) == [occ for occ, _ in prep.distribution] == present
     assert detection._analyzer_layout.cache_info()[:2] == (1, 1)
 
@@ -692,21 +692,21 @@ def test_conditionals_share_the_registries_of_their_layout_record():
         detection._analyzer_layout.cache_clear()
         first, second = _analyzer(0.05, t), _analyzer(0.2, t)
         assert detection._analyzer_layout.cache_info()[:2] == (1, 1)
-        assert second.conditional_registry is first.conditional_registry
+        assert second.layout.conditional_registry is first.layout.conditional_registry
         rest = first._split[0][1].registry
         assert second._split[0][1].registry is rest
         for prep in (first, second):
             for occ, _ in prep.distribution:
                 for _, st in prep.conditional(occ).branches:
-                    assert st.registry is prep.conditional_registry
-        assert (first.conditional_registry is rest) == (t is None)
+                    assert st.registry is prep.layout.conditional_registry
+        assert (first.layout.conditional_registry is rest) == (t is None)
 
 
 def test_overlaps_flip_only_the_loss_branches_that_reach_the_target(monkeypatch):
     # a lossy conditional has a branch per loss occupation; the pi flip is
     # applied to the branches that share a term with the target, not to all
     prep = _analyzer(0.1, 0.3)
-    target = protocols._target(prep.conditional_registry)
+    target = protocols._target(prep.layout.conditional_registry)
     flips = []
     apply_phase = fock.apply_phase
     monkeypatch.setattr(fock, "apply_phase", lambda st, *args: flips.append(st) or apply_phase(st, *args))
@@ -726,7 +726,7 @@ def test_conditioning_on_an_impossible_pattern_is_a_validation_error():
     # reports it as the generic conditioning does, with or without loss modes
     for t in (None, 0.3):
         prep = _analyzer(0.05, t)
-        assert bool(prep._traced[0]) == (t is not None)
+        assert (prep.layout.conditional_registry is prep.layout.rest) == (t is None)
         seen = {occ for occ, _ in prep.distribution}
         absent = next(occ for occ in itertools.product(range(3), repeat=4) if occ not in seen)
         for pattern in (absent, (9, 9, 9, 9)):
@@ -814,7 +814,7 @@ def test_reduced_density_matches_dense_partial_trace():
     reg = fock.ModeRegistry(tuple(fock.atomic_mode(n) for n in "wxyz"), cutoff=3)
     amps = {(1, 0, 1, 0): 0.5, (0, 1, 0, 1): 0.5, (1, 0, 0, 1): 0.5, (1, 1, 1, 0): 0.5}
     st = fock.PureState(reg, amps)
-    rho, basis = fock.reduced_density(st, ["w", "y"])
+    rho, basis = metrics.reduced_density(st, ["w", "y"])
 
     full = oracle.fock_basis(4, 3)
     vec = oracle.vector_from_amplitudes(full, amps)
@@ -830,8 +830,8 @@ def test_trace_out_agrees_with_reduced_density():
     st = fock.PureState(reg, {(1, 0, 1): 0.6, (0, 1, 1): 0.48, (0, 1, 0): 0.64})
     mixed = fock.trace_out(st, ["z"])
     np.testing.assert_allclose(sum(w for w, _ in mixed.branches), 1.0, atol=1e-12)
-    rho_a, basis_a = fock.reduced_density(mixed, ["x", "y"])
-    rho_b, basis_b = fock.reduced_density(st, ["x", "y"])
+    rho_a, basis_a = metrics.reduced_density(mixed, ["x", "y"])
+    rho_b, basis_b = metrics.reduced_density(st, ["x", "y"])
     assert basis_a == basis_b
     np.testing.assert_allclose(rho_a, rho_b, atol=1e-12)
 

@@ -4,6 +4,7 @@ The modules that config checks and exact event-ready runs load import
 numpy only inside the functions that build arrays."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -85,19 +86,13 @@ def test_the_package_exports_numpy_modules_and_their_names_on_first_read():
         assert stokesim.__getattr__(name) is value
     with pytest.raises(AttributeError, match="no attribute 'numpy'"):
         stokesim.__getattr__("numpy")
-
+    for name, home in stokesim._LAZY.items():
+        module = importlib.import_module(f"stokesim.{home}")
+        assert getattr(stokesim, name) is (module if name == home else getattr(module, name))
 
 
 #: module -> the names it held before they moved behind a lazy import, and where they live now
 MOVED = {
-    "fock": {"reduced_density": "metrics"},
-    "detection": {"measure": "sampling", "_step_table": "sampling"},
-    "protocols": {
-        "_SampledProtocol": "sampling",
-        "_cached_protocol": "sampling",
-        "generate_entanglement": "analysis",
-        "bell_decompose": "analysis",
-    },
     "__init__": {
         "measure": "sampling",
         "reduced_density": "metrics",
@@ -109,10 +104,10 @@ MOVED = {
 
 @pytest.mark.parametrize("name", sorted(MOVED))
 def test_moved_names_still_resolve_from_the_module_that_held_them(name):
-    import importlib
-
     module = importlib.import_module("stokesim" if name == "__init__" else f"stokesim.{name}")
     for attr, home in MOVED[name].items():
         assert getattr(module, attr) is getattr(importlib.import_module(f"stokesim.{home}"), attr)
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         module.nothing
+
+

@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from stokesim import cli, detection, elements, fock, metrics, protocols, rng, sampling, sources
+from stokesim import analysis, cli, detection, elements, fock, metrics, protocols, rng, sampling, sources
 from stokesim.detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec
 from stokesim.errors import ValidationError
 from stokesim.protocols import ProtocolConfig
@@ -81,7 +81,7 @@ def test_wilson_interval_rejects_successes_outside_the_trials(successes):
 
 
 def test_generate_entanglement_order_one_report():
-    mixed, report = protocols.generate_entanglement(ProtocolConfig(source=SourceParams(p0=0.01)))
+    mixed, report = analysis.generate_entanglement(ProtocolConfig(source=SourceParams(p0=0.01)))
     np.testing.assert_allclose(report["branch_weights"], [WEIGHT_VAC, WEIGHT_ONE], atol=1e-12)
     np.testing.assert_allclose(report["purity"], PURITY_001, atol=1e-12)
     np.testing.assert_allclose(report["excited_branch_concurrence"], 1.0, atol=1e-9)
@@ -96,7 +96,7 @@ def test_generate_entanglement_order_one_report():
 
 
 def test_generate_entanglement_zero_pump_is_vacuum():
-    mixed, report = protocols.generate_entanglement(ProtocolConfig(source=SourceParams(p0=0.0)))
+    mixed, report = analysis.generate_entanglement(ProtocolConfig(source=SourceParams(p0=0.0)))
     assert report["branch_weights"] == [1.0]
     np.testing.assert_allclose(report["purity"], 1.0, atol=1e-12)
     assert "excited_branch_concurrence" not in report
@@ -105,7 +105,7 @@ def test_generate_entanglement_zero_pump_is_vacuum():
 
 def test_generate_purity_closed_form_scales():
     for p0 in (0.001, 0.01, 0.1):
-        _, report = protocols.generate_entanglement(ProtocolConfig(source=SourceParams(p0=p0)))
+        _, report = analysis.generate_entanglement(ProtocolConfig(source=SourceParams(p0=p0)))
         np.testing.assert_allclose(report["purity"], (1 + p0**2) / (1 + p0) ** 2, atol=1e-12)
 
 
@@ -127,13 +127,13 @@ def test_bell_decompose_eigenstates():
     occ_hv = next(iter(fock.basis_state(reg, {"a:H": 1, "b:V": 1}).amplitudes))
     occ_vh = next(iter(fock.basis_state(reg, {"a:V": 1, "b:H": 1}).amplitudes))
     psi_minus = fock.PureState(reg, {occ_hv: SQRT_HALF, occ_vh: -SQRT_HALF})
-    weights = protocols.bell_decompose(psi_minus, *pol_encs())
+    weights = analysis.bell_decompose(psi_minus, *pol_encs())
     np.testing.assert_allclose(weights["psi_minus"], 1.0, atol=1e-12)
     for name in ("psi_plus", "phi_plus", "phi_minus"):
         np.testing.assert_allclose(weights[name], 0.0, atol=1e-12)
 
     pair = sources.epr_pair("a", "b", cutoff=4)
-    weights = protocols.bell_decompose(pair, metrics.pol_qubit("a"), metrics.pol_qubit("b"))
+    weights = analysis.bell_decompose(pair, metrics.pol_qubit("a"), metrics.pol_qubit("b"))
     np.testing.assert_allclose(weights["phi_plus"], 1.0, atol=1e-12)
 
 
@@ -143,7 +143,7 @@ def test_bell_decompose_product_state_is_flat():
     occ_hh = next(iter(fock.basis_state(reg, {"a:H": 1, "b:H": 1}).amplitudes))
     occ_hv = next(iter(fock.basis_state(reg, {"a:H": 1, "b:V": 1}).amplitudes))
     st = fock.PureState(reg, {occ_hh: SQRT_HALF, occ_hv: SQRT_HALF})
-    weights = protocols.bell_decompose(st, *pol_encs())
+    weights = analysis.bell_decompose(st, *pol_encs())
     for name in weights:
         np.testing.assert_allclose(weights[name], 0.5, atol=1e-12)
     np.testing.assert_allclose(sum(w**2 for w in weights.values()), 1.0, atol=1e-12)
@@ -152,7 +152,7 @@ def test_bell_decompose_product_state_is_flat():
 def test_bell_decompose_rejects_non_qubit_sector():
     st = fock.basis_state(pol_pair_registry(), {"a:H": 2})
     with pytest.raises(ValidationError):
-        protocols.bell_decompose(st, *pol_encs())
+        analysis.bell_decompose(st, *pol_encs())
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def test_an_exact_sweep_builds_each_layout_skeleton_once(monkeypatch, sweep):
         cache.cache_clear()
     for config in configs:
         run(config)
-    assert len(rules) == 1  # the outcome table
+    assert rules == []  # the click-code table is built at import
     for cache in caches:
         assert cache.cache_info()[:2] == (len(configs) - 1, 1)
 
@@ -555,18 +555,18 @@ def test_step_tables_are_built_once_per_photon_number_and_efficiency(monkeypatch
     built = []
     steps = rng.binomial_steps
     monkeypatch.setattr(rng, "binomial_steps", lambda n, p: built.append((n, p)) or steps(n, p))
-    detection._step_table.cache_clear()
+    sampling._step_table.cache_clear()
     protocols._cached_protocol.cache_clear()
     lossy = _multipair(0.01).replace(mode="sampled", trials=100, seed=3, detector=DetectorSpec(efficiency=0.8))
     for p0 in (0.01, 0.1, 0.2):
         protocols.event_ready_generation(lossy.replace(source=lossy.source.replace(p0=p0)))
     assert sorted(built) == [(n, 0.8) for n in range(1, 7)]
     for n, eta in built:
-        _, *arrays = detection._step_table(n, eta)
+        _, *arrays = sampling._step_table(n, eta)
         for array, fresh in zip(arrays, steps(n, eta)):
             assert not array.flags.writeable
             assert array.tobytes() == fresh.tobytes()
-    assert detection._step_table.cache_info().misses == 6
+    assert sampling._step_table.cache_info().misses == 6
 
 
 def test_sampled_summary_adds_fidelities_in_trial_order():
