@@ -111,3 +111,31 @@ def test_moved_names_still_resolve_from_the_module_that_held_them(name):
         module.nothing
 
 
+
+def defines_module_getattr(tree: ast.Module) -> bool:
+    """Whether a module defines a module-level `__getattr__` (PEP 562), by a
+    `def` or by an assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = [t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target]) if isinstance(t, ast.Name)]
+        else:
+            continue
+        if "__getattr__" in names:
+            return True
+    return False
+
+
+def test_only_the_package_root_and_cli_define_a_module_getattr():
+    # a name resolves from the module that holds it: the package root exports
+    # the numpy modules' names lazily, and `cli` imports its process pool when
+    # a pool first needs it; no other module forwards a name that moved away
+    owners = {path.stem for path in SRC.glob("*.py") if defines_module_getattr(ast.parse(path.read_text(encoding="utf-8")))}
+    assert owners == {"__init__", "cli"}
+
+
+def test_getattr_guard_sees_defs_and_assignments_at_module_level_only():
+    assert defines_module_getattr(ast.parse("def __getattr__(name):\n    pass\n"))
+    assert defines_module_getattr(ast.parse("__getattr__ = forwarder(__name__, {})\n"))
+    assert not defines_module_getattr(ast.parse("class A:\n    def __getattr__(self, name):\n        pass\n"))

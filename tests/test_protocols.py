@@ -283,13 +283,21 @@ def test_an_exact_sweep_builds_each_layout_skeleton_once(monkeypatch, sweep):
     rules = []
     rule = detection.default_herald_rule
     monkeypatch.setattr(detection, "default_herald_rule", lambda: rules.append(1) or rule())
-    for cache in caches:
+    for cache in (*caches, fock._layout_split_plan):
         cache.cache_clear()
-    for config in configs:
+    for i, config in enumerate(configs):
         run(config)
+        if i == 0:
+            first = fock._layout_split_plan.cache_info()
     assert rules == []  # the click-code table is built at import
     for cache in caches:
         assert cache.cache_info()[:2] == (len(configs) - 1, 1)
+    # the conditionals of a lossy source trace their loss modes by the
+    # layout's group keys: that grouping is found cached after the first point
+    grouped = fock._layout_split_plan.cache_info()
+    assert (first.misses > 0) == (sweep == "lossy event-ready")
+    assert grouped.misses == first.misses
+    assert grouped.hits - first.hits == (len(configs) - 1) * (first.hits + first.misses)
 
 
 def test_two_points_of_a_p0_sweep_share_their_registries():
