@@ -11,7 +11,8 @@ import math
 from . import fock, metrics, sources
 from .errors import ValidationError
 from .fock import MixedState, PureState
-from .protocols import SQRT_HALF, ProtocolConfig
+from .protocols import ProtocolConfig
+from .sources import SQRT_HALF
 
 
 def generate_entanglement(config: ProtocolConfig) -> tuple[MixedState, dict]:

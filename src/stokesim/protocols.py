@@ -43,9 +43,7 @@ from . import detection, elements, fock, sources
 from .detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
 from .errors import ValidationError
 from .fock import MixedState, ModeRegistry, PureState, Record
-from .sources import SourceParams
-
-SQRT_HALF = math.sqrt(0.5)
+from .sources import SQRT_HALF, SourceParams
 
 #: z for a 95% Wilson score interval
 _WILSON_Z = 1.959963984540054
