@@ -29,7 +29,9 @@ Sampled runs (`sampling`) draw one counter-based random stream per trial
 from (seed, trial index), so trial chunks may run through any chunk-map
 callable in any order; each trial becomes one uint16 key, and
 `summarize_sampled` counts the keys and evaluates one fidelity per
-distinct herald key.
+distinct herald key.  Both entry points, `trial_outcomes` and
+`summarize_sampled`, read the run's prepared analyzer off one cache here
+(`_cached_protocol`), which needs no numpy.
 """
 
 from __future__ import annotations

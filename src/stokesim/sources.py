@@ -125,6 +125,12 @@ def dual_ensemble_source(params: SourceParams, cutoff: int = fock.DEFAULT_CUTOFF
     surviving, the emission sector is still exactly
     alpha |S1>|H> + beta |S2>|V>.
 
+    Without an explicit t, |alpha| < 1e-15 counts as alpha = 0: the first
+    ensemble is not pumped, and no attenuator acts.  From 1e-15 up to
+    |beta|, both ensembles are pumped at |beta|^2 p0 and the first one's
+    light is attenuated, so the rule jumps at 1e-15: a tiny alpha leaves
+    a photon-lost branch of weight about |beta|^2 p0 that alpha = 0 lacks.
+
     The renormalization conditions the state on the emission-order cut.
     Every term dropped on the way carries more than `emission_order` pairs
     (a kept term has at most 2 * order <= cutoff excitations, so the
