@@ -202,7 +202,7 @@ def test_bell_outcome_table():
 def test_psi_minus_heralds_split_between_cross_patterns():
     analyzer = PreparedBellAnalyzer(bell_state("psi_minus"), "a", "b")
     probs = dict(analyzer.distribution)
-    # registry order of analyzer.modes is D_H, D_V, D_H', D_V'
+    # registry order of analyzer.layout.modes is D_H, D_V, D_H', D_V'
     np.testing.assert_allclose(probs[(1, 0, 0, 1)], 0.5, atol=1e-12)
     np.testing.assert_allclose(probs[(0, 1, 1, 0)], 0.5, atol=1e-12)
     assert set(probs) == {(1, 0, 0, 1), (0, 1, 1, 0)}

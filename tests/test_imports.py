@@ -111,7 +111,6 @@ def test_moved_names_still_resolve_from_the_module_that_held_them(name):
         module.nothing
 
 
-
 def defines_module_getattr(tree: ast.Module) -> bool:
     """Whether a module defines a module-level `__getattr__` (PEP 562), by a
     `def` or by an assignment."""
