@@ -111,6 +111,25 @@ def test_moved_names_still_resolve_from_the_module_that_held_them(name):
         module.nothing
 
 
+#: module -> the names it once forwarded to a module that now holds them alone
+DROPPED = {
+    "fock": {"reduced_density": "metrics"},
+    "detection": {"measure": "sampling", "_step_table": "sampling"},
+    "protocols": {"generate_entanglement": "analysis", "bell_decompose": "analysis"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DROPPED))
+def test_dropped_forwarders_leave_each_name_in_its_home_only(name):
+    # the `__getattr__` guard below misses a plain re-import left in the old
+    # module; this reads each name off the old module and off its home
+    module = importlib.import_module(f"stokesim.{name}")
+    for attr, home in DROPPED[name].items():
+        assert hasattr(importlib.import_module(f"stokesim.{home}"), attr)
+        with pytest.raises(AttributeError, match=f"no attribute '{attr}'"):
+            getattr(module, attr)
+
+
 def defines_module_getattr(tree: ast.Module) -> bool:
     """Whether a module defines a module-level `__getattr__` (PEP 562), by a
     `def` or by an assignment."""
