@@ -12,8 +12,8 @@ Three procedures built from the source, analyzer, and metric layers:
 
 The two heralded procedures share one shape: a `HeraldedSpec` holds the
 joint-state builder, analyzer paths, triplet-herald correction mode,
-fidelity functional and report header of each, and one exact and one
-sampled driver read it under the configured detectors.  Event-ready
+fidelity functional and report header of each, and one driver (`_run`)
+reads it in either mode under the configured detectors.  Event-ready
 fidelities are read off each herald pattern's conditional state, without
 building the heralded state; every fidelity is clamped to 1.
 
@@ -25,13 +25,14 @@ need no correction.  Corrections map the heralded branch onto the
 singlet-herald branch exactly, so heralded states are unique up to
 global phase.
 
-Sampled runs (`sampling`) draw one counter-based random stream per trial
-from (seed, trial index), so trial chunks may run through any chunk-map
-callable in any order; each trial becomes one uint16 key, and
+Sampled runs draw one counter-based random stream per trial from (seed,
+trial index), so trial chunks may run through any chunk-map callable in
+any order; each trial becomes one uint16 key (`sampling.Sampler`), and
 `summarize_sampled` counts the keys and evaluates one fidelity per
 distinct herald key.  Both entry points, `trial_outcomes` and
 `summarize_sampled`, read the run's prepared analyzer off one cache here
-(`_cached_protocol`), which needs no numpy.
+(`_cached_protocol`).  This module imports `sampling` and numpy only
+inside the sampled functions, so exact runs load neither.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import cmath
 import math
 from collections.abc import Callable
 from functools import lru_cache
+from itertools import repeat
 
 from . import detection, elements, fock, sources
 from .detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
@@ -309,29 +311,6 @@ def _at_most_one(fidelity: float) -> float:
     return min(fidelity, 1.0)
 
 
-def _run_exact(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None, with_state=True) -> tuple[MixedState | None, dict]:
-    """Outcome probabilities under the configured detectors, the fidelity of
-    the heralded state (the corrected conditionals mixed by
-    `outcome_weights`) and, if `with_state`, the state.  The ancilla, target
-    and analyzer layout are shared by points of one layout."""
-    joint = spec.joint_state(config, channel)
-    prep = PreparedBellAnalyzer(joint, *spec.paths, config.detector)
-    weights = prep.outcome_weights()
-    minus, plus = (float(sum(p for _, p in weights[outcome])) for outcome in (PSI_MINUS, PSI_PLUS))
-    total = minus + plus
-    values = dict(success_probability=total, psi_minus_probability=minus, psi_plus_probability=plus)
-    report = spec.header(config) | _cut_weights(joint)
-    report.update((key, values[key]) for key in spec.exact_keys)
-    if total <= 0.0:
-        report[spec.fidelity_key] = None
-        return None, report
-    heralds = ((PSI_MINUS, minus), (PSI_PLUS, plus))
-    mixture = [(occ, outcome, (p, prob, total)) for outcome, prob in heralds if prob > 0 for occ, p in weights[outcome]]
-    heralded = _mixed(spec, prep, mixture) if with_state else None
-    report[spec.fidelity_key] = _at_most_one(spec.fidelity(config, prep, mixture))
-    return heralded, report
-
-
 class _SampledProtocol:
     """Prepared analyzer of one heralded protocol, and the fidelity of its
     corrected conditional per (true detection pattern, outcome)."""
@@ -361,9 +340,70 @@ def trial_outcomes(
 
 
 def summarize_sampled(config: ProtocolConfig, kind: str, keys: np.ndarray, channel: PureState | None = None) -> dict:
-    """The summary block of a sampled run's keys, in trial order (`sampling.summarize`)."""
-    from .sampling import summarize
-    return summarize(config, kind, keys, channel)
+    """The summary block of a sampled run's keys, in trial order: counts
+    tallied in place, one fidelity per distinct herald key, summed over the
+    heralds in trial order."""
+    import numpy as np
+    sp = _cached_protocol(config, kind, channel)
+    tally = np.zeros(int(keys.max()) + 1, np.intp)
+    np.add.at(tally, keys, 1)
+    counts = {PSI_MINUS: 0, PSI_PLUS: 0, FAIL: 0}
+    fids = np.full(len(tally), np.nan)
+    for key in np.flatnonzero(tally).tolist():
+        true, outcome = sp.prep.decode(key)
+        counts[outcome] += int(tally[key])
+        if outcome != FAIL:
+            fids[key] = sp.fidelity(true, outcome)
+    herald_fids = fids[keys[~np.isnan(fids)[keys]]]
+    successes, trials = len(herald_fids), len(keys)
+    low, high = wilson_interval(successes, trials)
+    return {
+        **_cut_weights(sp.prep.state),
+        "trials": trials,
+        "seed": config.seed,
+        "eta": config.detector.efficiency,
+        "dark_prob": config.detector.dark_prob,
+        "success_count": successes,
+        "success_rate": successes / trials,
+        "wilson_low": low,
+        "wilson_high": high,
+        "psi_minus_count": counts[PSI_MINUS],
+        "psi_plus_count": counts[PSI_PLUS],
+        "mean_" + HERALDED[kind].fidelity_key: float(np.cumsum(herald_fids)[-1]) / successes if successes else None,
+    }
+
+
+def _run(spec: HeraldedSpec, config: ProtocolConfig, channel: PureState | None, chunk_map, with_state=True) -> tuple[MixedState | None, dict]:
+    """One run of `spec` under the configured detectors.  Sampled mode maps
+    `trial_outcomes` with `chunk_map` over consecutive `sampling._BLOCK`-trial
+    chunks, one pool task each, and reports `summarize_sampled` of the joined
+    keys.  Exact mode reports the outcome probabilities, the fidelity of the
+    heralded state (the corrected conditionals mixed by `outcome_weights`)
+    and, if `with_state`, returns the state.  The ancilla, target and
+    analyzer layout are shared by points of one layout."""
+    if config.mode == "sampled":
+        import numpy as np
+        from .sampling import _BLOCK
+        starts = range(0, config.trials, _BLOCK)
+        counts = [min(_BLOCK, config.trials - s) for s in starts]
+        parts = chunk_map(trial_outcomes, repeat(config), repeat(spec.name), starts, counts, repeat(channel))
+        return None, spec.header(config) | summarize_sampled(config, spec.name, np.concatenate(list(parts)), channel)
+    joint = spec.joint_state(config, channel)
+    prep = PreparedBellAnalyzer(joint, *spec.paths, config.detector)
+    weights = prep.outcome_weights()
+    minus, plus = (float(sum(p for _, p in weights[outcome])) for outcome in (PSI_MINUS, PSI_PLUS))
+    total = minus + plus
+    values = dict(success_probability=total, psi_minus_probability=minus, psi_plus_probability=plus)
+    report = spec.header(config) | _cut_weights(joint)
+    report.update((key, values[key]) for key in spec.exact_keys)
+    if total <= 0.0:
+        report[spec.fidelity_key] = None
+        return None, report
+    heralds = ((PSI_MINUS, minus), (PSI_PLUS, plus))
+    mixture = [(occ, outcome, (p, prob, total)) for outcome, prob in heralds if prob > 0 for occ, p in weights[outcome]]
+    heralded = _mixed(spec, prep, mixture) if with_state else None
+    report[spec.fidelity_key] = _at_most_one(spec.fidelity(config, prep, mixture))
+    return heralded, report
 
 
 def event_ready_generation(config: ProtocolConfig, chunk_map=map, with_state=True) -> tuple[MixedState | None, dict]:
@@ -374,10 +414,7 @@ def event_ready_generation(config: ProtocolConfig, chunk_map=map, with_state=Tru
     state if `with_state`; sampled mode draws per-trial detector records,
     mapping trial chunks with `chunk_map` (`map` or a pool's `map`).
     """
-    if config.mode == "sampled":
-        from .sampling import run_sampled
-        return None, run_sampled(EVENT_READY, config, None, chunk_map)
-    return _run_exact(EVENT_READY, config, None, with_state)
+    return _run(EVENT_READY, config, None, chunk_map, with_state)
 
 
 def memory_store(
@@ -392,15 +429,11 @@ def memory_store(
     dark counts).  Exact mode also reports the fidelity after readout;
     modes and `chunk_map` are as in :func:`event_ready_generation`.
     """
-    if config.mode == "sampled":
-        from .sampling import run_sampled
-        return None, run_sampled(MEMORY, config, channel, chunk_map)
-    from . import metrics
-    stored, report = _run_exact(MEMORY, config, channel)
+    stored, report = _run(MEMORY, config, channel, chunk_map)
     if stored is not None:
+        from . import metrics
         readout = memory_readout(stored, config.retrieval_efficiency)
         report["round_trip_fidelity"] = _at_most_one(metrics.qubit_fidelity(
             readout, metrics.pol_qubit("readout"), *_qubit_amplitudes(config)
         ))
     return stored, report
-

@@ -1,8 +1,8 @@
 """Monte Carlo detection, which needs numpy (directly or through `rng`):
-`measure`, the `Sampler` of a `PreparedBellAnalyzer` (its `sampler`) and
-the sampled driver of the heralded protocols, which reads each run's
-prepared analyzer off `protocols._cached_protocol`.  Exact runs never
-import this module.
+`measure` and the `Sampler` of a `PreparedBellAnalyzer` (its `sampler`).
+The sampled driver of the heralded protocols lives in `protocols`, which
+imports this module lazily; this module imports nothing of `protocols`.
+Exact runs never import it.
 
 A `Sampler` turns each word of a trial's stream into click bits by one
 comparison with a threshold table per (word, pattern), and the tables hold
@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import protocols
-from .detection import FAIL, PSI_MINUS, PSI_PLUS, ClickPattern, DetectorSpec, PreparedBellAnalyzer
+from .detection import ClickPattern, DetectorSpec, PreparedBellAnalyzer
 from .detection import _code_probabilities, _condition_on_pattern, _distribution, _split_branches
 from .fock import MixedState, PureState
 
@@ -153,47 +151,3 @@ class Sampler:
             code[i] = self.prep.sample(trial_rng(seed, start + i))[1]
         return (pick * len(self.prep.outcomes) + code).astype(np.uint16)
 
-
-def summarize(config: protocols.ProtocolConfig, kind: str, keys: np.ndarray, channel: PureState | None = None) -> dict:
-    """`protocols.summarize_sampled`: counts tallied in place, one fidelity per
-    distinct herald key, summed over the heralds in trial order."""
-    sp = protocols._cached_protocol(config, kind, channel)
-    tally = np.zeros(int(keys.max()) + 1, np.intp)
-    np.add.at(tally, keys, 1)
-    counts = {PSI_MINUS: 0, PSI_PLUS: 0, FAIL: 0}
-    fids = np.full(len(tally), np.nan)
-    for key in np.flatnonzero(tally).tolist():
-        true, outcome = sp.prep.decode(key)
-        counts[outcome] += int(tally[key])
-        if outcome != FAIL:
-            fids[key] = sp.fidelity(true, outcome)
-    herald_fids = fids[keys[~np.isnan(fids)[keys]]]
-    successes = len(herald_fids)
-    trials = len(keys)
-    low, high = protocols.wilson_interval(successes, trials)
-    return {
-        **protocols._cut_weights(sp.prep.state),
-        "trials": trials,
-        "seed": config.seed,
-        "eta": config.detector.efficiency,
-        "dark_prob": config.detector.dark_prob,
-        "success_count": successes,
-        "success_rate": successes / trials,
-        "wilson_low": low,
-        "wilson_high": high,
-        "psi_minus_count": counts[PSI_MINUS],
-        "psi_plus_count": counts[PSI_PLUS],
-        "mean_" + protocols.HERALDED[kind].fidelity_key: float(np.cumsum(herald_fids)[-1]) / successes if successes else None,
-    }
-
-
-def run_sampled(spec: protocols.HeraldedSpec, config: protocols.ProtocolConfig, channel: PureState | None, chunk_map) -> dict:
-    """Monte Carlo run with the configured detectors: `chunk_map` runs
-    `protocols.trial_outcomes` on consecutive `_BLOCK`-trial chunks, one pool
-    task each, and `protocols.summarize_sampled` aggregates the joined keys."""
-    starts = range(0, config.trials, _BLOCK)
-    counts = [min(_BLOCK, config.trials - s) for s in starts]
-    parts = chunk_map(protocols.trial_outcomes, repeat(config), repeat(spec.name), starts, counts, repeat(channel))
-    report = spec.header(config)
-    report.update(protocols.summarize_sampled(config, spec.name, np.concatenate(list(parts)), channel))
-    return report
