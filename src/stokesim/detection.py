@@ -239,12 +239,16 @@ class PreparedBellAnalyzer:
         self.detector = detector
         self._split = [(1.0, fock.Split(layout.rest, layout.groups, layout.index, list(st.amplitudes.values()), st, layout.group_keys))]
         self.distribution = _distribution(self._split, layout.patterns)
+        self._conditionals: dict[tuple[int, ...], MixedState] = {}
 
     def conditional(self, true_pattern: tuple[int, ...]) -> MixedState:
         """State of the unmeasured modes given true photon numbers `true_pattern`,
-        as `measure` conditions, on the layout's `conditional_registry`."""
-        cond = _condition_on_pattern(self._split, true_pattern)
-        return MixedState([(w, st.with_registry(self.layout.conditional_registry)) for w, st in cond.branches])
+        as `measure` conditions, on the layout's `conditional_registry`: built
+        once per pattern and kept by this analyzer."""
+        if true_pattern not in self._conditionals:
+            cond = _condition_on_pattern(self._split, true_pattern)
+            self._conditionals[true_pattern] = MixedState([(w, st.with_registry(self.layout.conditional_registry)) for w, st in cond.branches])
+        return self._conditionals[true_pattern]
 
     def overlaps(self, pattern: tuple[int, ...], target: PureState, flip: str | None = None) -> list[tuple[float, float]]:
         """The nonzero terms (weight, |<target|branch>|^2) of

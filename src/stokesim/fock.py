@@ -591,24 +591,22 @@ class Split(Mapping):
     """Pattern -> (weight sum|c|^2, normalized state of the other modes), as
     `split_by_occupation` groups a state's terms.  `weights` holds every
     pattern's weight, summed in one pass over the terms by their group
-    numbers `index`; a group's state is built and scaled when first read,
-    with the counters of the state `counters` and its `Keys` from
-    `group_keys` if given."""
+    numbers `index`; a group's state is built and scaled when read, with
+    the counters of the state `counters` and its `Keys` from `group_keys`
+    if given."""
 
     def __init__(self, registry: ModeRegistry, groups: dict, index, values: list, counters: PureState, group_keys=None):
-        self.registry, self._groups, self._values, self._counters, self._keys, self._read = registry, groups, values, counters, group_keys, {}
+        self.registry, self._groups, self._values, self._counters, self._keys = registry, groups, values, counters, group_keys
         sums = [0.0] * len(groups)
         for g, c in zip(index, values):
             sums[g] += abs(c) ** 2
         self.weights = {p: w for p, w in zip(groups, sums) if w > 0.0}
 
     def __getitem__(self, pattern: tuple[int, ...]) -> tuple[float, PureState]:
-        if pattern not in self._read:
-            weight, values = self.weights[pattern], self._values
-            amps = {rest: values[i] for i, rest in self._groups[pattern]}
-            keys = None if self._keys is None else self._keys[pattern]
-            self._read[pattern] = weight, _normalized(self.registry, amps, self._counters, weight, keys)[0]
-        return self._read[pattern]
+        weight, values = self.weights[pattern], self._values
+        amps = {rest: values[i] for i, rest in self._groups[pattern]}
+        keys = None if self._keys is None else self._keys[pattern]
+        return weight, _normalized(self.registry, amps, self._counters, weight, keys)[0]
 
     def __contains__(self, pattern) -> bool:
         return pattern in self.weights

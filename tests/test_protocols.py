@@ -650,6 +650,21 @@ def test_memory_sampled_success_rate_and_fidelity():
     np.testing.assert_allclose(report["mean_stored_fidelity"], 1.0, atol=1e-9)
 
 
+def test_memory_builds_each_herald_conditional_once(monkeypatch):
+    # the heralded state and the stored fidelity both read the conditionals of
+    # the herald patterns; the analyzer builds each one once and keeps it
+    conditioned = []
+    condition = detection._condition_on_pattern
+    monkeypatch.setattr(detection, "_condition_on_pattern", lambda split, occ: conditioned.append(occ) or condition(split, occ))
+    cfg = ProtocolConfig(theta=0.7, phi=0.3, detector=DetectorSpec(efficiency=0.8, dark_prob=0.01))
+    protocols.memory_store(cfg)
+    assert len(conditioned) == len(set(conditioned)) == 8
+    conditioned[:] = []
+    protocols._cached_protocol.cache_clear()
+    protocols.memory_store(cfg.replace(mode="sampled", trials=20_000))
+    assert len(conditioned) == len(set(conditioned)) == 8
+
+
 def test_memory_with_event_ready_channel():
     # feed the memory the actual heralded channel instead of the ideal one
     gen_cfg = ProtocolConfig(source=SourceParams(p0=0.01), detector=ideal_detector())
