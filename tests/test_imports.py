@@ -157,3 +157,31 @@ def test_getattr_guard_sees_defs_and_assignments_at_module_level_only():
     assert defines_module_getattr(ast.parse("def __getattr__(name):\n    pass\n"))
     assert defines_module_getattr(ast.parse("__getattr__ = forwarder(__name__, {})\n"))
     assert not defines_module_getattr(ast.parse("class A:\n    def __getattr__(self, name):\n        pass\n"))
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """Package modules imported anywhere in a module, function bodies
+    included, named without the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.removeprefix("stokesim.").split(".")[0] for alias in node.names if alias.name.startswith("stokesim"))
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("stokesim")):
+            module = (node.module or "").removeprefix("stokesim").lstrip(".")
+            names.update([module.split(".")[0]] if module else [alias.name for alias in node.names])
+    return names
+
+
+def test_sampling_imports_neither_protocols_nor_cli():
+    # the dependency runs one way: `protocols` drives sampled runs and imports
+    # `sampling` lazily, and `sampling` holds only the Monte Carlo detection
+    path = SRC / "sampling.py"
+    assert package_imports(ast.parse(path.read_text(encoding="utf-8"))) & {"protocols", "cli"} == set()
+
+
+def test_layering_guard_sees_imports_inside_functions():
+    tree = ast.parse(
+        "import numpy\nfrom .detection import FAIL\nimport stokesim.cli\n"
+        "def f():\n    from . import protocols, rng\n    from stokesim.fock import Split\n"
+    )
+    assert package_imports(tree) == {"detection", "cli", "protocols", "rng", "fock"}
