@@ -16,7 +16,10 @@ and never from the sampler.
 Each count is checked within 4 sigma of trials times its probability.
 The variance is floored at one count: an outcome expected 0.04 times may
 still turn up once, which the normal approximation would call 5 sigma.
-An outcome of probability exactly 0 must never turn up.
+An outcome of probability exactly 0 must never turn up.  Beyond the
+outcomes, drawn runs compare the whole key histogram, every (pattern,
+click code) cell, with the model by a G-test: a wrong click bit on a code
+that never heralds leaves every herald count as it is.
 
 The sampler's threshold tables and the exact click model
 (`detection._code_probabilities`) are tied table by table, with no trials
@@ -25,17 +28,22 @@ program: the dark-count false-herald rate, the order-1 closed form, and
 the benchmark's own herald probability.
 """
 
+import cmath
 import importlib.util
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from scipy.special import chdtrc
 
 from stokesim import detection, protocols
 from stokesim.detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec, PreparedBellAnalyzer
 from stokesim.protocols import ProtocolConfig
-from stokesim.sources import SourceParams
+from stokesim.sources import SQRT_HALF, SourceParams
 
 TRIALS = 20_000
 DETECTORS = [DetectorSpec(efficiency=eta, dark_prob=d) for eta in (1.0, 0.8, 0.5) for d in (0.0, 1e-3, 1e-2)]
@@ -96,6 +104,54 @@ def test_order_1_heralds_need_both_photons_seen(seed, eta):
     p = eta**2 * p0 / (2.0 * (1.0 + p0))
     assert abs(report["success_count"] - p * trials) <= 4.0 * math.sqrt(trials * p * (1.0 - p))
     assert abs(report["mean_heralded_fidelity"] - 1.0) <= 1e-12
+
+
+@hs.composite
+def _drawn_runs(draw):
+    """A sampled run of the drawn space: event-ready, or memory on the ideal
+    channel or on the event-ready input as its channel; emission order 1 or
+    2, cutoff at most 6 (at least 3, which memory needs), p0, an explicit t
+    or branch amplitudes of any share and phases, the ancilla on or off, the
+    input qubit, eta in [0, 1], dark_prob in [0, 0.05] and the seed."""
+    order = draw(hs.integers(1, 2))
+    if draw(hs.booleans()):
+        t, alpha, beta = draw(hs.floats(0.0, 1.0)), SQRT_HALF, SQRT_HALF
+    else:
+        share, phase_a, phase_b = draw(hs.floats(0.0, 1.0)), draw(hs.floats(0.0, 6.0)), draw(hs.floats(0.0, 6.0))
+        t, alpha, beta = None, math.sqrt(share) * cmath.exp(1j * phase_a), math.sqrt(1.0 - share) * cmath.exp(1j * phase_b)
+    config = ProtocolConfig(
+        source=SourceParams(p0=draw(hs.floats(0.0, 0.15)), emission_order=order, t=t, alpha=alpha, beta=beta),
+        detector=DetectorSpec(efficiency=draw(hs.floats(0.0, 1.0)), dark_prob=draw(hs.floats(0.0, 0.05))),
+        epr_enabled=draw(hs.booleans()), cutoff=draw(hs.integers(max(2 * order, 3), 6)),
+        theta=draw(hs.floats(0.0, math.pi)), phi=draw(hs.floats(0.0, 2.0 * math.pi, exclude_max=True)),
+        mode="sampled", trials=TRIALS, seed=draw(hs.integers(0, 2**64 - 1)),
+    )
+    kind = draw(hs.sampled_from(sorted(RUNS)))
+    channel = protocols._event_ready_input(config) if kind == "memory" and draw(hs.booleans()) else None
+    return config, kind, channel
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_drawn_runs())
+def test_drawn_key_histograms_follow_the_detector_model(run):
+    # every (true pattern, click code) cell, heralding or not, against
+    # TRIALS * P(pattern) * P(code | pattern) by a G-test, the cells expected
+    # fewer than 5 times pooled into one; a cell of probability 0 never turns up
+    config, kind, channel = run
+    prep = protocols._cached_protocol(config, kind, channel).prep
+    keys = protocols.trial_outcomes(config, kind, 0, TRIALS, channel)
+    observed = np.bincount(keys, minlength=len(prep.distribution) * len(prep.outcomes))
+    expected = np.zeros(len(observed))
+    for i, (occ, p) in enumerate(prep.distribution):
+        for code, given in detection._code_probabilities(occ, [config.detector] * len(occ)):
+            expected[i * len(prep.outcomes) + code] = TRIALS * p * given
+    assert not observed[expected == 0.0].any()
+    rare = (expected > 0.0) & (expected < 5.0)
+    obs = np.append(observed[expected >= 5.0], observed[rare].sum())
+    exp = np.append(expected[expected >= 5.0], expected[rare].sum())
+    obs, exp = obs[exp > 0.0], exp[exp > 0.0]
+    g = 2.0 * sum(o * math.log(o / e) for o, e in zip(obs.tolist(), exp.tolist()) if o)
+    assert len(obs) == 1 or chdtrc(len(obs) - 1, g) >= 1e-6, (config, kind, channel is not None, g, len(obs))
 
 
 def _below(threshold: float) -> float:
