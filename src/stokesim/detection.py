@@ -26,9 +26,11 @@ code (bit j set when detector `labels[j]` clicked) and an outcome: its
 serves the exact outcome distribution (`outcome_weights`) and the
 analyzer's `sampler`.  What an analyzer reads off its input's registry and
 term keys alone is one layout record (`_analyzer_layout`), built once per
-layout and shared by every analyzer of it.  What draws random numbers,
-`measure` and the samplers, needs numpy and lives in `sampling`, which
-exact runs never import.
+layout and shared by every analyzer of it; an analyzer keeps each
+pattern's conditional once built (`conditional`).  What draws random
+numbers, `measure` and the samplers, needs numpy and lives in `sampling`,
+which exact runs never import; the sampled driver of the heralded
+protocols lives in `protocols`.
 """
 
 from __future__ import annotations

@@ -647,7 +647,7 @@ def split_by_occupation(state: PureState, modes: Sequence[ModeId | str]) -> Spli
     to the weight sum|c|^2 of its terms and the normalized state of the
     remaining modes; patterns with zero weight are absent.  Each group is
     what `project` gives for its pattern with the measured modes dropped.
-    A group is normalized only when first read (`Split`); interned `Keys`
+    A group is normalized only when read (`Split`); interned `Keys`
     find their grouping cached.
     """
     reg, keys = state.registry, state._keys
