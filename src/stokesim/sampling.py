@@ -150,4 +150,3 @@ class Sampler:
         for i in np.flatnonzero(redraw).tolist():
             code[i] = self.prep.sample(trial_rng(seed, start + i))[1]
         return (pick * len(self.prep.outcomes) + code).astype(np.uint16)
-
