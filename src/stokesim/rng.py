@@ -16,9 +16,10 @@ run on a fixed set of uint64 buffers, one per counter word plus scratch,
 rewritten in place by `out=` ufuncs (`_mulhilo`), so a round allocates
 nothing and the working set stays small enough for the CPU cache.
 
-`binomial_steps` lets those words stand in for `Generator.binomial` too:
-for small n numpy draws a binomial by inversion from one uniform, so a
-table of the draw's steps in that uniform maps whole arrays of words.
+`binomial_draw` lets those words stand in for `Generator.binomial` too:
+for small n numpy draws a binomial by inversion from one uniform, so the
+draw is a monotone step function of that word, whose edges `sampling`
+finds by bisection.
 """
 
 from __future__ import annotations
@@ -137,22 +138,3 @@ def binomial_draw(n: int, p: float, u: float) -> int:
         px = ((n - x + 1) * r * px) / (x * q)
     return x if p <= 0.5 else n - x
 
-
-def binomial_steps(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """`binomial_draw(n, p, u)` as a step function: `(edges, values)` with
-    `values[np.searchsorted(edges, u, side="right")]` equal to the draw
-    for every uniform u = m * 2^-53, both read-only.  Each value holds on
-    one interval of m, so bisection finds where the next one starts."""
-    top = 2**53 - 1
-    edges: list[int] = []
-    values = [binomial_draw(n, p, 0.0)]
-    while binomial_draw(n, p, top * 2.0**-53) != values[-1]:
-        lo, hi = edges[-1] if edges else 0, top
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if binomial_draw(n, p, mid * 2.0**-53) != values[-1] else (mid, hi)
-        edges.append(hi)
-        values.append(binomial_draw(n, p, hi * 2.0**-53))
-    steps = np.array(edges) * 2.0**-53, np.array(values)
-    steps[0].flags.writeable = steps[1].flags.writeable = False
-    return steps

@@ -5,12 +5,13 @@ imports this module lazily; this module imports nothing of `protocols`.
 Exact runs never import it.
 
 A `Sampler` turns each word of a trial's stream into click bits by one
-comparison with a threshold table per (word, pattern), and the tables hold
-the edge cases: a loss table without a zero ((1 - eta)^n < 2^-53) clicks
-on every word, an all -1 table (numpy's BTPE, n * min(eta, 1 - eta) > 30)
-redraws every trial that reads it, and no loss word is read at eta = 0
-(photons never click) or eta = 1 (they always do), nor a dark word at
-dark_prob = 0.
+comparison with a threshold table per (word, pattern), a loss word's found
+by bisecting `rng.binomial_draw`, and the tables hold the edge cases: a
+loss draw that is never 0 ((1 - eta)^n < 2^-53) clicks on every word, one
+that is always -1 (numpy's BTPE, n * min(eta, 1 - eta) > 30) redraws every
+trial that reads it, and no loss word is read at eta = 0 (photons never
+click) or eta = 1 (they always do), nor a dark word at dark_prob = 0.
+`protocols._run` alone cuts a run into `_BLOCK`-trial chunks.
 """
 
 from __future__ import annotations
@@ -25,18 +26,11 @@ from .detection import ClickPattern, DetectorSpec, PreparedBellAnalyzer
 from .detection import _code_probabilities, _condition_on_pattern, _distribution, _split_branches
 from .fock import MixedState, PureState
 
-#: most trials whose uniforms are drawn at once, and the chunk of a
-#: sampled run (one pool task): `trial_uniforms` then works on nine 64 KB
+#: the chunk of a sampled run (one pool task), the most trials whose
+#: uniforms are drawn at once: `trial_uniforms` then works on nine 64 KB
 #: uint64 buffers per Philox block of four words, 1.2 MB at widths 5 to 8,
 #: inside a 2 MB L2 cache; of 2048 to 12288 trials, 8192 timed best per trial
 _BLOCK = 8192
-
-
-@lru_cache(maxsize=64)
-def _step_table(n: int, eta: float) -> tuple:
-    """n and the read-only `rng.binomial_steps(n, eta)`, built once per (n, eta)."""
-    from .rng import binomial_steps
-    return (n, *binomial_steps(n, eta))
 
 
 def _sample_clicks(true_counts: Sequence[int], specs: Sequence[DetectorSpec], labels: Sequence[str], rng) -> ClickPattern:
@@ -70,19 +64,29 @@ def measure(state: PureState | MixedState, detectors: Mapping, rng) -> tuple[Cli
     return pattern, conditional, sum(p * dict(_code_probabilities(occ, specs)).get(code, 0.0) for occ, p in dist)
 
 
-def _loss_word(table: tuple, bit: int) -> tuple[float, int, int, float]:
-    """The threshold table of a loss word of the detector with click bit
-    `bit`, from its `_step_table` (n, edges, values): the threshold, the
-    bit the word sets below it and at or above it, and the redraw
-    threshold.  The draws are monotone in the word and -1 only tops the
-    table, so the click (a draw above 0) flips at most once, and a table
-    without a zero has no flip."""
-    _, edges, values = table
-    kept = int((values >= 0).sum())
-    clicks = (values[:kept] != 0).tolist() or [False]
-    flip = [k for k in range(kept - 1) if clicks[k] != clicks[k + 1]]
-    redraw = math.inf if kept == len(values) else float(edges[kept - 1]) if kept else 0.0
-    return float(edges[flip[0]]) if flip else 0.0, bit * clicks[0], bit * clicks[-1], redraw
+@lru_cache(maxsize=64)
+def _loss_word(n: int, eta: float) -> tuple[float, bool, bool, float]:
+    """The threshold table of a loss word of a detector that saw `n`
+    photons at efficiency `eta`: the threshold, whether the word clicks
+    below it and at or above it, and the redraw threshold.  The draw
+    `rng.binomial_draw(n, eta, word)` is monotone in the word and -1 only
+    tops the range, so the click (a draw above 0) flips at most once, and
+    two bisections find the redraw edge and the flip, if it comes first."""
+    from .rng import binomial_draw
+    below = binomial_draw(n, eta, 0.0) > 0
+
+    def first(stop) -> int:
+        # the first word m < 2^53 whose draw meets `stop`, or 2^53: from there on, every one does
+        lo, hi = -1, 2**53
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if stop(binomial_draw(n, eta, mid * 2.0**-53)) else (mid, hi)
+        return hi
+
+    redraw = first(lambda draw: draw < 0)
+    flip = first(lambda draw: draw < 0 or (draw > 0) != below)
+    flips = flip < redraw
+    return flip * 2.0**-53 if flips else 0.0, below, below != flips, redraw * 2.0**-53 if redraw < 2**53 else math.inf
 
 
 class Sampler:
@@ -97,18 +101,18 @@ class Sampler:
         # per pattern, the words after word 0 in stream order: detector by detector, a loss
         # word if it saw photons and 0 < eta < 1, then a dark word if dark_prob > 0
         words = [
-            [w for j, n in enumerate(occ) for w in ([_loss_word(_step_table(n, eta), 1 << j)] if n and 0.0 < eta < 1.0 else [])
-             + [(dark, 1 << j, 0, math.inf)] * (dark > 0.0)]
+            [w for j, n in enumerate(occ) for w in ([(*_loss_word(n, eta), 1 << j)] if n and 0.0 < eta < 1.0 else [])
+             + [(dark, True, False, math.inf, 1 << j)] * (dark > 0.0)]
             for occ in patterns
         ]
         #: most words one trial's stream reads
         self._width = 1 + max(map(len, words))
-        padded = [row + [(0.0, 0, 0, math.inf)] * (self._width - 1 - len(row)) for row in words]
-        table = np.array(padded).reshape(len(patterns), self._width - 1, 4).transpose(1, 0, 2)
+        padded = [row + [(0.0, False, False, math.inf, 0)] * (self._width - 1 - len(row)) for row in words]
+        table = np.array(padded).reshape(len(patterns), self._width - 1, 5).transpose(1, 0, 2)
         #: [word, pattern]: the threshold and the redraw threshold
         self._edge, self._redraw = table[..., 0].copy(), table[..., 3].copy()
-        #: flat [word, pattern, at or above the threshold]: the click bits
-        self._bits = table[..., 1:3].astype(np.uint8).ravel()
+        #: flat [word, pattern, at or above the threshold]: the click bits (clicks times detector bit)
+        self._bits = (table[..., 1:3] * table[..., 4:]).astype(np.uint8).ravel()
         #: the click code of each pattern at eta = 1, which reads no loss word
         self._base = np.array([sum(1 << j for j, n in enumerate(occ) if n) * (eta >= 1.0) for occ in patterns], np.uint8)
 
@@ -128,18 +132,14 @@ class Sampler:
 
     def sample_block(self, seed: int, start: int, count: int) -> np.ndarray:
         """`sample` on the streams `trial_rng(seed, i)` of trials
-        [start, start+count), drawn in bulk `_BLOCK` trials at a time: one
-        uint16 key per trial, its index into `distribution` times 16 plus
-        its click code (`_MAX_OUTCOMES` patterns fit).  Word 0 of a stream
-        picks the true pattern, which fixes what each later word is: one
-        comparison with its threshold gives its click bits, the code ORs
-        them, and a trial with a word at or above its redraw threshold (its
-        loss draw needs a second word) runs the analyzer's `sample` on its
-        own generator."""
+        [start, start+count), drawn in bulk, all at once: one uint16 key per
+        trial, its index into `distribution` times 16 plus its click code
+        (`_MAX_OUTCOMES` patterns fit).  Word 0 of a stream picks the true
+        pattern, which fixes what each later word is: one comparison with
+        its threshold gives its click bits, the code ORs them, and a trial
+        with a word at or above its redraw threshold (its loss draw needs a
+        second word) runs the analyzer's `sample` on its own generator."""
         from .rng import trial_rng, trial_uniforms
-        if count > _BLOCK:
-            blocks = range(start, start + count, _BLOCK)
-            return np.concatenate([self.sample_block(seed, lo, min(_BLOCK, start + count - lo)) for lo in blocks])
         u = trial_uniforms(seed, start, count, self._width).T
         pick = self.pick(u[0])
         words = u[1:]

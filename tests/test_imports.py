@@ -114,7 +114,7 @@ def test_moved_names_still_resolve_from_the_module_that_held_them(name):
 #: module -> the names it once forwarded to a module that now holds them alone
 DROPPED = {
     "fock": {"reduced_density": "metrics"},
-    "detection": {"measure": "sampling", "_step_table": "sampling"},
+    "detection": {"measure": "sampling"},
     "protocols": {"generate_entanglement": "analysis", "bell_decompose": "analysis"},
 }
 

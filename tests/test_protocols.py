@@ -456,12 +456,11 @@ def test_ideal_efficiency_outcomes_match_per_trial_sampling(name):
         assert protocols.trial_outcomes(cfg, kind, start, 200).tolist() == _scalar_outcomes(cfg, kind, start, 200)
 
 
-def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition(monkeypatch):
+def test_ideal_efficiency_outcomes_do_not_depend_on_the_partition():
     kind, base = IDEAL_SAMPLED["order-2"]
     cfg = base.replace(mode="sampled", seed=5)
     whole = protocols.trial_outcomes(cfg, kind, 0, 5000)
-    # odd-sized chunks, some split further into bulk blocks
-    monkeypatch.setattr(sampling, "_BLOCK", 97)
+    # odd-sized chunks, each drawn at once
     cuts = [0, 1, 212, 2000, 2001, 4999, 5000]
     parts = [protocols.trial_outcomes(cfg, kind, a, b - a) for a, b in zip(cuts, cuts[1:])]
     np.testing.assert_array_equal(np.concatenate(parts), whole, strict=True)
@@ -504,7 +503,8 @@ def test_the_lossy_grid_reaches_a_table_without_a_zero():
     kind, base = LOSSY_BASES["event-ready-2"]
     cfg = base.replace(detector=DetectorSpec(efficiency=0.999999), mode="sampled")
     n = max(max(occ) for occ, _ in protocols._SampledProtocol(cfg, kind).prep.distribution)
-    assert n >= 3 and 0 not in sampling._step_table(n, 0.999999)[2]
+    # (the word clicks below and at or above its threshold)
+    assert n >= 3 and sampling._loss_word(n, 0.999999)[1:3] == (True, True)
 
 
 def test_bulk_outcomes_match_per_trial_sampling_at_emission_order_2():
@@ -519,7 +519,7 @@ def test_bulk_outcomes_match_per_trial_sampling_at_emission_order_2():
     assert keys.tolist() == _scalar_outcomes(cfg, "event-ready", 0, 3000)
 
 
-def test_lossy_outcomes_do_not_depend_on_the_partition(monkeypatch):
+def test_lossy_outcomes_do_not_depend_on_the_partition():
     cfg = ProtocolConfig(
         source=SourceParams(p0=0.15, emission_order=2),
         detector=DetectorSpec(efficiency=0.8, dark_prob=1e-3),
@@ -527,7 +527,6 @@ def test_lossy_outcomes_do_not_depend_on_the_partition(monkeypatch):
         seed=5,
     )
     whole = protocols.trial_outcomes(cfg, "event-ready", 0, 5000)
-    monkeypatch.setattr(sampling, "_BLOCK", 97)
     cuts = [0, 1, 212, 2000, 2001, 4999, 5000]
     parts = [protocols.trial_outcomes(cfg, "event-ready", a, b - a) for a, b in zip(cuts, cuts[1:])]
     np.testing.assert_array_equal(np.concatenate(parts), whole, strict=True)
@@ -557,24 +556,19 @@ def test_sampled_run_draws_whole_bulk_blocks(monkeypatch):
     assert drawn == [8192, 8192, 3616]
 
 
-def test_step_tables_are_built_once_per_photon_number_and_efficiency(monkeypatch):
+def test_loss_words_are_built_once_per_photon_number_and_efficiency(monkeypatch):
     # every point of a sampled p0 sweep below unit efficiency asks for the
-    # tables of n = 1..6 photons at one detector
-    built = []
-    steps = rng.binomial_steps
-    monkeypatch.setattr(rng, "binomial_steps", lambda n, p: built.append((n, p)) or steps(n, p))
-    sampling._step_table.cache_clear()
+    # loss words of n = 1..6 photons at one detector
+    seen = set()
+    draw = rng.binomial_draw
+    monkeypatch.setattr(rng, "binomial_draw", lambda n, p, u: seen.add((n, p)) or draw(n, p, u))
+    sampling._loss_word.cache_clear()
     protocols._cached_protocol.cache_clear()
     lossy = _multipair(0.01).replace(mode="sampled", trials=100, seed=3, detector=DetectorSpec(efficiency=0.8))
     for p0 in (0.01, 0.1, 0.2):
         protocols.event_ready_generation(lossy.replace(source=lossy.source.replace(p0=p0)))
-    assert sorted(built) == [(n, 0.8) for n in range(1, 7)]
-    for n, eta in built:
-        _, *arrays = sampling._step_table(n, eta)
-        for array, fresh in zip(arrays, steps(n, eta)):
-            assert not array.flags.writeable
-            assert array.tobytes() == fresh.tobytes()
-    assert sampling._step_table.cache_info().misses == 6
+    assert sorted(seen) == [(n, 0.8) for n in range(1, 7)]
+    assert sampling._loss_word.cache_info().misses == 6
 
 
 def test_sampled_summary_adds_fidelities_in_trial_order():

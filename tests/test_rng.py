@@ -1,5 +1,5 @@
-"""Per-trial random streams: the bulk Philox draw and the binomial step
-tables must reproduce each trial's own numpy generator bit for bit, so a
+"""Per-trial random streams: the bulk Philox draw and the binomial loss
+words must reproduce each trial's own numpy generator bit for bit, so a
 (seed, trial) pair names the same numbers on either path."""
 
 import ctypes
@@ -13,7 +13,7 @@ from hypothesis import strategies as hs
 from stokesim import protocols, sampling
 from stokesim.detection import DetectorSpec
 from stokesim.protocols import ProtocolConfig
-from stokesim.rng import binomial_draw, binomial_steps, trial_rng, trial_uniforms
+from stokesim.rng import binomial_draw, trial_rng, trial_uniforms
 
 SEEDS = [0, 1, 2**63, 2**64 - 1]
 #: (start, count): a plain range, one crossing 2^32, one crossing 2^63
@@ -77,7 +77,7 @@ class _WordFeed:
     """A numpy bit generator that hands out chosen words: word k is
     `ms[k] << 11`, which numpy reads as the uniform ms[k] * 2^-53, and
     zeros follow.  It shows numpy's own binomial draw at any uniform,
-    the edges of a step table included, which random streams hit about
+    the edges of a loss word included, which random streams hit about
     once in 2^53.  `read` counts the words numpy took."""
 
     class _Bitgen(ctypes.Structure):
@@ -115,8 +115,8 @@ def test_word_feed_hands_numpy_the_chosen_uniforms():
     assert feed.read == 3
 
 
-#: (n, eta) pairs: both inversion branches, eta near 0 and 1, tables
-#: without a zero ((1 - eta)^n < 2^-53: n = 6 at 0.999, n = 3 at
+#: (n, eta) pairs: both inversion branches, eta near 0 and 1, loss words
+#: that always click ((1 - eta)^n < 2^-53: n = 6 at 0.999, n = 3 at
 #: 0.999999), and n * min(eta, 1 - eta) > 30, where numpy switches to BTPE
 BINOMIALS = [(n, eta) for n in (1, 2, 3, 4, 6) for eta in (0.001, 0.3, 0.5, 0.8, 0.999)] + [(3, 0.999999), (100, 0.5), (200, 0.9)]
 
@@ -125,11 +125,8 @@ BINOMIALS = [(n, eta) for n in (1, 2, 3, 4, 6) for eta in (0.001, 0.3, 0.5, 0.8,
 def test_binomial_replica_matches_each_trial_generator(seed):
     u = trial_uniforms(seed, 2**32 - 200, 400, 2)
     for n, eta in BINOMIALS:
-        edges, values = binomial_steps(n, eta)
-        table = values[np.searchsorted(edges, u[:, 0], side="right")]
         for k, i in enumerate(range(2**32 - 200, 2**32 + 200)):
             draw = binomial_draw(n, eta, float(u[k, 0]))
-            assert table[k] == draw
             if draw < 0:
                 assert n * min(eta, 1 - eta) > 30  # only BTPE, at these odds
                 continue
@@ -140,50 +137,47 @@ def test_binomial_replica_matches_each_trial_generator(seed):
 
 
 @pytest.mark.parametrize("n, eta", BINOMIALS)
-def test_binomial_step_edges_bound_each_draw(n, eta):
-    edges, values = binomial_steps(n, eta)
-    assert len(values) == len(edges) + 1
-    assert np.all(np.diff(edges) > 0)
-    assert values[0] == binomial_draw(n, eta, 0.0)
-    assert values[-1] == binomial_draw(n, eta, 1.0 - 2.0**-53)
-    for k, edge in enumerate(edges):
-        m = int(edge * 2.0**53)
-        assert m * 2.0**-53 == edge
-        for word, value in ((m - 1, values[k]), (m, values[k + 1])):
-            assert binomial_draw(n, eta, word * 2.0**-53) == value
-            # numpy's own draw from that word: the value, or a second word read
-            feed = _WordFeed([word])
-            draw = np.random.Generator(feed).binomial(n, eta)
-            assert (feed.read, draw) == ((1, value) if value >= 0 else (2, draw))
-    # the sampler's threshold for a loss word of this detector: one
-    # comparison gives the click bit (4 here) and another the redraw, on
-    # both sides of every edge and at the ends of the range
-    edge, below, above, redraw = sampling._loss_word((n, edges, values), 4)
-    for m in (0, 2**53 - 1, *(int(e * 2.0**53) + d for e in edges for d in (-1, 0))):
-        draw = binomial_draw(n, eta, m * 2.0**-53)
-        assert (m * 2.0**-53 >= redraw) == (draw < 0)
+def test_a_loss_word_bounds_each_draw(n, eta):
+    # the sampler's threshold for a loss word: one comparison gives the
+    # click and another the redraw, at the ends of the range and on both
+    # sides of the threshold and of the redraw edge
+    edge, below, above, redraw = sampling._loss_word(n, eta)
+    edges = [int(x * 2.0**53) for x in (edge, redraw) if x < 1.0]
+    assert all(m * 2.0**-53 == x for m, x in zip(edges, (edge, redraw)))
+    for m in {0, 2**53 - 1, *(e + d for e in edges for d in (-1, 0))} - {-1}:
+        word = m * 2.0**-53
+        draw = binomial_draw(n, eta, word)
+        # numpy's own draw from that word: the same, or more words read
+        feed = _WordFeed([m])
+        value = np.random.Generator(feed).binomial(n, eta)
+        assert (word >= redraw) == (draw < 0)
         if draw >= 0:
-            assert (above if m * 2.0**-53 >= edge else below) == 4 * (draw > 0)
+            assert (feed.read, value) == (1, draw)
+            assert (above if word >= edge else below) == (draw > 0)
+        else:  # the inversion reads exactly one more word; BTPE, as many as it needs
+            assert feed.read == 2 or n * min(eta, 1 - eta) > 30 and feed.read > 1
 
 
-def test_the_binomial_cases_include_tables_without_a_zero():
-    # (1 - eta)^n < 2^-53: all n photons are never lost, so the word always clicks
-    assert [0 in binomial_steps(n, eta)[1] for n, eta in ((6, 0.999), (3, 0.999999))] == [False, False]
+def test_the_binomial_cases_include_loss_words_that_always_click():
+    # (1 - eta)^n < 2^-53: all n photons are never lost, so the word clicks
+    # below its threshold and at or above it
+    assert [sampling._loss_word(n, eta)[1:3] for n, eta in ((6, 0.999), (3, 0.999999))] == [(True, True)] * 2
 
 
 def test_binomial_redraw_region_is_the_top_of_the_range():
     # n = 2, eta = 0.8: the inversion's probabilities sum to just under
     # 1, so numpy discards the highest words and reads another
-    edges, values = binomial_steps(2, 0.8)
-    assert values.tolist() == [2, 1, 0, -1]
-    assert 1.0 - edges[-1] < 2.0**-50
+    edge, below, above, redraw = sampling._loss_word(2, 0.8)
+    assert (below, above) == (True, False) and edge < redraw
+    assert 1.0 - redraw < 2.0**-50
+    assert [binomial_draw(2, 0.8, u) for u in (edge - 2.0**-53, edge, redraw - 2.0**-53, redraw)] == [1, 0, 0, -1]
 
 
 def test_a_loss_word_at_a_redraw_edge_runs_the_trial_generator(monkeypatch):
     cfg = ProtocolConfig(detector=DetectorSpec(efficiency=0.8, dark_prob=1e-3), mode="sampled", theta=0.7, phi=1.9)
     sp = protocols._SampledProtocol(cfg, "memory")
     occupations = np.array([occ for occ, _ in sp.prep.distribution])
-    edges, _ = binomial_steps(2, 0.8)
+    redraw = sampling._loss_word(2, 0.8)[3]
     # the first trial whose pattern puts two photons on one detector; its
     # stream reads a loss word for each detector with photons before that
     # one, and a dark-count word for every detector before it
@@ -196,7 +190,7 @@ def test_a_loss_word_at_a_redraw_edge_runs_the_trial_generator(monkeypatch):
 
     def crafted(seed, start, count, n):
         u = trial_uniforms(seed, start, count, n)
-        u[trial - start, col] = edges[-1]
+        u[trial - start, col] = redraw
         return u
 
     built = []
