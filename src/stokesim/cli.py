@@ -75,6 +75,11 @@ _KEYS = {
 }
 
 
+#: protocol -> the sweep parameters it reads; a sweep over another one is a config error
+_SWEEPS = {"generate": ("p0", "t", "emission_order"), "memory": ("theta", "phi", "eta", "dark_prob")}
+_SWEEPS["event-ready"] = (*_SWEEPS["generate"], "eta", "dark_prob")
+
+
 class ExperimentConfig(Record):
     """One command's experiment: the protocol, its config, the sweep and the report's form."""
 
@@ -202,8 +207,9 @@ def build_experiment(
     """Merge command-line overrides over `STOKESIM_SEED` over the
     config-file sections over the record defaults into a validated
     experiment description.  The records check each value again, as they
-    do for any caller; the seed of a sampled run, memory's cutoff and each
-    sweep point are checked here, before a run of one protocol drops the sweep."""
+    do for any caller; the seed of a sampled run, memory's cutoff, each sweep
+    point and the swept parameter are checked here, before a run of one
+    protocol drops the sweep."""
     swept = command == "sweep"
     values = {key: value for keys in sections.values() for key, value in keys.items()}
     if (swept or "sweep" in sections) and not (values.get("parameter") and values.get("values")):
@@ -228,6 +234,8 @@ def build_experiment(
             apply_sweep_value(exp.config, exp.sweep_parameter, value)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
+    if exp.sweep_parameter not in (None, *_SWEEPS[exp.protocol]):
+        raise ConfigError(f"{exp.protocol} does not read {exp.sweep_parameter}: it sweeps {', '.join(_SWEEPS[exp.protocol])}")
     if exp.protocol == "memory" and exp.config.cutoff < 3:
         raise ConfigError(f"memory needs cutoff >= 3 (channel plus input photon), got {exp.config.cutoff}")
     return exp if swept else exp.replace(sweep_parameter=None, sweep_values=())

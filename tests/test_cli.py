@@ -167,7 +167,7 @@ def test_parse_sweep_values():
     # [sweep] is read in full whatever the command; a run of one protocol then drops it
     with pytest.raises(ConfigError, match=r"^bad value 'voltage' for parameter in \[sweep\] \(line 2\)"):
         cli.parse_config("[sweep]\nparameter = voltage\nvalues = two\n")
-    sections = cli.parse_config("[sweep]\nparameter = p0\nvalues = 0.01\n")
+    sections = cli.parse_config("[sweep]\nparameter = theta\nvalues = 0.01\n")
     assert cli.build_experiment(sections, "memory", {}).sweep_parameter is None
     with pytest.raises(ConfigError, match="unknown key 'value'"):
         cli.parse_config("[sweep]\nvalue = 1\n")
@@ -260,6 +260,27 @@ def test_apply_sweep_value_each_parameter():
         cli.apply_sweep_value(base, "emission_order", 1.5)
     with pytest.raises(ConfigError, match=r"^bad value 'mode' for parameter of a sweep: expected str \(one of p0,"):
         cli.apply_sweep_value(base, "mode", "sampled")
+
+
+#: two values of each sweep parameter, far enough apart to move every number it feeds
+SWEEP_PAIRS = {"p0": (0.01, 0.2), "t": (0.3, 0.7), "emission_order": (1, 2), "eta": (0.5, 0.9),
+               "dark_prob": (0.0, 0.05), "theta": (0.3, 1.2), "phi": (0.3, 1.2)}
+
+
+@pytest.mark.parametrize("protocol", cli._KEYS["protocol"][3])
+@pytest.mark.parametrize("parameter", cli._KEYS["parameter"][3])
+def test_a_sweep_over_a_parameter_the_protocol_does_not_read_is_an_error(protocol, parameter, tmp_path, capsys):
+    # the two points give different exact reports, the echo of the parameter
+    # aside, exactly when the protocol reads it, and a sweep over it runs exactly then
+    base = cli.build_experiment({}, protocol, {}).config.replace(theta=0.7)  # at theta 0, phi is a global phase
+    low, high = ({key: value for key, value in cli.run_protocol(protocol, cli.apply_sweep_value(base, parameter, v)).items()
+                  if key != parameter} for v in SWEEP_PAIRS[parameter])
+    reads = low != high
+    ini = write_ini(tmp_path, f"[run]\nprotocol = {protocol}\n\n[sweep]\nparameter = {parameter}\nvalues = {' '.join(map(str, SWEEP_PAIRS[parameter]))}\n")
+    assert cli.main(["sweep", "--config", ini, "--out", str(tmp_path / "r.json")]) == (0 if reads else 2)
+    assert cli.main(["validate", "--config", ini]) == (0 if reads else 2)
+    if not reads:
+        assert f"config error: {protocol} does not read {parameter}: it sweeps " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
