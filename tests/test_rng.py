@@ -117,7 +117,8 @@ def test_word_feed_hands_numpy_the_chosen_uniforms():
 
 #: (n, eta) pairs: both inversion branches, eta near 0 and 1, loss words
 #: that always click ((1 - eta)^n < 2^-53: n = 6 at 0.999, n = 3 at
-#: 0.999999), and n * min(eta, 1 - eta) > 30, where numpy switches to BTPE
+#: 0.999999), n * min(eta, 1 - eta) > 30, where numpy switches to BTPE
+#: (n = 100 at 0.5; n = 200 at 0.9, of mean 20, stays on the inversion)
 BINOMIALS = [(n, eta) for n in (1, 2, 3, 4, 6) for eta in (0.001, 0.3, 0.5, 0.8, 0.999)] + [(3, 0.999999), (100, 0.5), (200, 0.9)]
 
 
