@@ -280,19 +280,11 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-#: the characters `json.dumps` writes with a backslash and one letter
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
-
-
-def _escape(match) -> str:
-    o = ord(c := match.group())
-    return _ESCAPES.get(c) or (f"\\u{o:04x}" if o < 0x10000 else f"\\u{0xD7C0 + (o >> 10):04x}\\u{0xDC00 | o & 0x3FF:04x}")
-
-
 def _json_str(s: str) -> str:
-    """`json.dumps(s)`: printable ASCII as it is, every other character escaped, past U+FFFF as a UTF-16 surrogate pair."""
+    """`json.dumps(s)` of a report string, a key, a choice or a formatted number: printable
+    ASCII without `"` or `\\`, which it writes as it is.  Any other string is refused."""
     if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
-        s = re.sub(r'[^ !#-\[\]-~]', _escape, s)
+        raise ValidationError(f"cannot write {s!r} in a report")
     return f'"{s}"'
 
 
@@ -344,11 +336,9 @@ def _csv_cell(value) -> str:
 
 
 def to_csv(rows: list[dict]) -> str:
-    """One header row plus one row per dict, using the same float
-    formatting as the JSON reports.  `csv` is imported here, so a JSON
-    run never loads it."""
-    import csv
-
+    """One header row plus one row per dict, using the same float formatting as the JSON reports,
+    written as `csv.writer` writes cells that need no quotes: no report cell or column name holds
+    `,`, `"`, CR or LF, and no report row is one empty cell.  Any other row is refused."""
     if not rows:
         return "\n"
     columns = list(rows[0].keys())
@@ -356,12 +346,11 @@ def to_csv(rows: list[dict]) -> str:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(c)) for c in columns])
-    return buf.getvalue()
+    lines = [",".join(cells) for cells in (columns, *([_csv_cell(row.get(c)) for c in columns] for row in rows))]
+    for line in lines:
+        if not line or line.count(",") >= len(columns) or re.search('["\r\n]', line):
+            raise ValidationError(f"cannot write {line!r} in a report")
+    return "".join(line + "\n" for line in lines)
 
 
 def config_echo(exp: ExperimentConfig) -> dict:

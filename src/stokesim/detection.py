@@ -84,13 +84,6 @@ class HeraldRule(Record):
 
     patterns: tuple
 
-    def classify(self, pattern: ClickPattern | frozenset) -> str:
-        clicks = pattern.clicks if isinstance(pattern, ClickPattern) else frozenset(pattern)
-        for pat, outcome in self.patterns:
-            if pat == clicks:
-                return outcome
-        return FAIL
-
 
 def default_herald_rule() -> HeraldRule:
     return HeraldRule(
@@ -104,7 +97,7 @@ def default_herald_rule() -> HeraldRule:
 
 
 #: the outcome of each click code under `default_herald_rule()`, bit j set when `_LABELS[j]` clicked
-_OUTCOMES = tuple(default_herald_rule().classify({lab for j, lab in enumerate(_LABELS) if code >> j & 1}) for code in range(1 << len(_LABELS)))
+_OUTCOMES = tuple(dict(default_herald_rule().patterns).get(frozenset(lab for j, lab in enumerate(_LABELS) if code >> j & 1), FAIL) for code in range(1 << len(_LABELS)))
 
 
 def _code_probabilities(occ: Sequence[int], detectors: Sequence[DetectorSpec]) -> list[tuple[int, float]]:

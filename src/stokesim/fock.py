@@ -354,10 +354,10 @@ def basis_state(registry: ModeRegistry, occ: Mapping[ModeId | str, int]) -> Pure
 # mode-operator algebra
 
 
-def check_unitary(u, tol: float = 1e-10) -> tuple[tuple[complex, ...], ...]:
+def check_unitary(u) -> tuple[tuple[complex, ...], ...]:
     """`u` (nested sequences or a numpy array) as rows of built-in complex,
     checked to be a nonempty square matrix of numbers with max|U^dag U - 1|
-    <= tol (a NaN deviation fails); the deviation is memoized per matrix."""
+    <= 1e-10 (a NaN deviation fails); the deviation is memoized per matrix."""
     try:
         rows = tuple(tuple(complex(x) for x in row) for row in u)
     except (TypeError, ValueError, OverflowError):
@@ -365,7 +365,7 @@ def check_unitary(u, tol: float = 1e-10) -> tuple[tuple[complex, ...], ...]:
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValidationError("mode matrix must be a square matrix of numbers")
     dev = _unitary_deviation(_pack(rows), len(rows))
-    if not dev <= tol:
+    if not dev <= 1e-10:
         raise ValidationError(f"matrix is not unitary (deviation {dev:.2e})")
     return rows
 

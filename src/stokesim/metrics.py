@@ -20,7 +20,7 @@ from .fock import MixedState, ModeId, PureState, Record
 _PSD_TOL = 1e-9
 
 
-def reduced_density(state: PureState | MixedState, keep: Sequence[ModeId | str], max_dim: int = 64) -> tuple[np.ndarray, list]:
+def reduced_density(state: PureState | MixedState, keep: Sequence[ModeId | str]) -> tuple[np.ndarray, list]:
     """Dense density matrix on the kept modes, with the occupation basis
     actually populated by the state (sorted for stability)."""
     mixed = fock.as_mixed(state)
@@ -33,8 +33,8 @@ def reduced_density(state: PureState | MixedState, keep: Sequence[ModeId | str],
         for occ in st.amplitudes:
             patterns.add(tuple(occ[i] for i in kidx))
     basis = sorted(patterns)
-    if len(basis) > max_dim:
-        raise ValidationError(f"kept subspace dimension {len(basis)} exceeds bound {max_dim}")
+    if len(basis) > 64:
+        raise ValidationError(f"kept subspace dimension {len(basis)} exceeds bound 64")
     pos = {p: i for i, p in enumerate(basis)}
 
     rho = np.zeros((len(basis), len(basis)), dtype=complex)

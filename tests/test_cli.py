@@ -5,7 +5,9 @@ event-ready and memory runs and of two exact sweeps; regenerate them
 deliberately if the schema changes.
 """
 
+import csv
 import gc
+import io
 import json
 import math
 import os
@@ -324,13 +326,56 @@ def test_to_json_layout_frozen():
     assert json.loads(cli.to_json(report))["amp"] == "0.5+0.5j"
 
 
-def test_report_strings_are_escaped_as_json_dumps_escapes_them():
-    # every code point of the basic plane, lone surrogates included, and a sample past it
-    chars = [chr(o) for o in (*range(0x10000), *range(0x10000, 0x110000, 4093), 0x10FFFF)]
-    assert [c for c in chars if cli._json_str(c) != json.dumps(c)] == []
-    text = 'a "quoted" C:\\path\ttab\x7f é \ud800 \U0001f600 end'
-    assert cli._json_str(text) == json.dumps(text)
-    assert cli.to_json({text: [text]}) == f"{{\n  {json.dumps(text)}: [\n    {json.dumps(text)}\n  ]\n}}\n"
+def test_a_report_string_that_json_dumps_would_escape_is_refused():
+    # printable ASCII but `"` and `\\` is written as json.dumps writes it; a quote, a backslash,
+    # a control character and anything past ASCII are refused, as a value and as a key
+    plain = [chr(o) for o in range(0x20, 0x7F) if chr(o) not in '"\\']
+    assert [c for c in plain if cli._json_str(c) != json.dumps(c)] == []
+    for text in ('a "quoted" word', "C:\\path", "tab\there", "line\n", "\x7f", "\x00", "é", "\ud800", "\U0001f600"):
+        for report in ({"key": text}, {text: 1}, {"rows": [text]}):
+            with pytest.raises(ValidationError, match=re.escape(f"cannot write {text!r} in a report")):
+                cli.to_json(report)
+
+
+@pytest.fixture(scope="module")
+def grid_reports():
+    """The report of each protocol in both modes at a lossy detector: a single run, and a sweep
+    over each parameter the protocol reads."""
+    reports = []
+    for protocol in cli._KEYS["protocol"][3]:
+        for mode in ProtocolConfig.MODES:
+            sections = {"run": {"mode": mode, "trials": 300, "seed": 3}, "detector": {"eta": 0.8, "dark_prob": 1e-3}}
+            exp = cli.build_experiment(sections, protocol, {})
+            reports.append(cli.run(exp))
+            reports += [cli.run(exp.replace(sweep_parameter=p, sweep_values=SWEEP_PAIRS[p])) for p in cli._SWEEPS[protocol]]
+    return reports
+
+
+def test_reports_of_a_cli_grid_read_back_as_json_dumps_writes_them(grid_reports):
+    # json.dumps is the reference writer; a complex number is the string of its two 17-digit parts
+    assert len(grid_reports) == 30
+    for report in grid_reports:
+        expected = json.loads(json.dumps(report, default=lambda z: f"{z.real:.17g}{z.imag:+.17g}j"))
+        assert json.loads(cli.to_json(report)) == expected
+
+
+def test_csv_reports_are_written_as_the_csv_module_writes_them(grid_reports):
+    for report in grid_reports:
+        rows = report.get("rows") or [report["summary"]]
+        columns = list(dict.fromkeys(key for row in rows for key in row))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([cli._csv_cell(row.get(c)) for c in columns] for row in rows)
+        assert cli.render(report, "csv") == buf.getvalue()
+    # a cell or column name the csv module would quote is refused, and so is a row of one
+    # empty cell, which it writes as ""
+    for text in ("a,b", 'a "quoted" word', "cr\r", "lf\n"):
+        for rows in ([{"a": text, "b": 1}], [{text: 1, "b": 1}], [{"a": 1}, {"a": [0.5, text]}]):
+            with pytest.raises(ValidationError, match="cannot write .* in a report"):
+                cli.to_csv(rows)
+    with pytest.raises(ValidationError, match="cannot write '' in a report"):
+        cli.to_csv([{"a": None}])
 
 
 def test_to_csv_union_columns_and_cells():
@@ -819,8 +864,8 @@ def test_importing_the_cli_leaves_csv_unimported():
     probe = "import sys, stokesim.cli as c; print('csv' in sys.modules, c.to_csv([{'a': 1}]) == 'a\\n1\\n', 'csv' in sys.modules)"
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    # absent after the import; CSV output imports it
-    assert proc.stdout == "False True True\n"
+    # absent after the import, and CSV output does not import it
+    assert proc.stdout == "False True False\n"
 
 
 # ---------------------------------------------------------------------------

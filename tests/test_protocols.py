@@ -199,16 +199,16 @@ def test_event_ready_psi_plus_correction_matches_singlet_branch():
 ORDER_2 = ProtocolConfig(source=SourceParams(p0=0.15, emission_order=2), detector=ideal_detector())
 
 
-def _clicks(prep, occ):
-    return frozenset(lab for lab, n in zip(prep.labels, occ) if n > 0)
+def _code(occ):
+    # the click code of true photon numbers `occ` at ideal detectors: bit j when detector j saw photons
+    return sum(1 << j for j, n in enumerate(occ) if n > 0)
 
 
 def test_exact_outcomes_group_the_distribution_through_the_rule():
     prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(ORDER_2), "p", "A", ORDER_2.detector)
-    rule = detection.default_herald_rule()
     grouped = {PSI_MINUS: [], PSI_PLUS: [], FAIL: []}
     for occ, p in prep.distribution:
-        grouped[rule.classify(_clicks(prep, occ))].append(p)
+        grouped[prep.outcomes[_code(occ)]].append(p)
     probs = {outcome: prob for outcome, _, prob in prep.exact_outcomes()}
     assert probs == {outcome: sum(ps) for outcome, ps in grouped.items()}
     assert probs[PSI_MINUS] > 0 and probs[PSI_PLUS] > 0
@@ -225,8 +225,7 @@ def test_exact_outcomes_condition_only_on_herald_patterns(monkeypatch):
     monkeypatch.setattr(detection.PreparedBellAnalyzer, "conditional", recording)
     prep = detection.PreparedBellAnalyzer(protocols._event_ready_input(ORDER_2), "p", "A", ORDER_2.detector)
     outcomes = {outcome: cond for outcome, cond, _ in prep.exact_outcomes()}
-    rule = detection.default_herald_rule()
-    heralds = [occ for occ, _ in prep.distribution if rule.classify(_clicks(prep, occ)) != FAIL]
+    heralds = [occ for occ, _ in prep.distribution if prep.outcomes[_code(occ)] != FAIL]
     assert sorted(conditioned) == heralds
     assert len(heralds) < len(prep.distribution)
     assert outcomes[FAIL] is None
