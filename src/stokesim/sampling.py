@@ -11,7 +11,9 @@ loss draw that is never 0 ((1 - eta)^n < 2^-53) clicks on every word, one
 that is always -1 (numpy's BTPE, n * min(eta, 1 - eta) > 30) redraws every
 trial that reads it, and no loss word is read at eta = 0 (photons never
 click) or eta = 1 (they always do), nor a dark word at dark_prob = 0.
-`protocols._run` alone cuts a run into `_BLOCK`-trial chunks.
+`protocols._run` cuts a run into `_BLOCK`-trial chunks, one pool task
+each, and `Sampler.sample_block` draws a longer range `_BLOCK` trials at a
+time.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .detection import ClickPattern, DetectorSpec, PreparedBellAnalyzer
 from .detection import _code_probabilities, _condition_on_pattern, _distribution, _split_branches
 from .fock import MixedState, PureState
 
-#: the chunk of a sampled run (one pool task), the most trials whose
-#: uniforms are drawn at once: `trial_uniforms` then works on nine 64 KB
+#: the chunk of a sampled run (one pool task), and the most trials whose
+#: uniforms `sample_block` draws at once: `trial_uniforms` then works on nine 64 KB
 #: uint64 buffers per Philox block of four words, 1.2 MB at widths 5 to 8,
 #: inside a 2 MB L2 cache; of 2048 to 12288 trials, 8192 timed best per trial
 _BLOCK = 8192
@@ -132,21 +134,24 @@ class Sampler:
 
     def sample_block(self, seed: int, start: int, count: int) -> np.ndarray:
         """`sample` on the streams `trial_rng(seed, i)` of trials
-        [start, start+count), drawn in bulk, all at once: one uint16 key per
-        trial, its index into `distribution` times 16 plus its click code
-        (`_MAX_OUTCOMES` patterns fit).  Word 0 of a stream picks the true
-        pattern, which fixes what each later word is: one comparison with
-        its threshold gives its click bits, the code ORs them, and a trial
-        with a word at or above its redraw threshold (its loss draw needs a
-        second word) runs the analyzer's `sample` on its own generator."""
+        [start, start+count), drawn in bulk `_BLOCK` trials at a time into one
+        array: one uint16 key per trial, its index into `distribution` times 16
+        plus its click code (`_MAX_OUTCOMES` patterns fit).  Word 0 of a stream
+        picks the true pattern, which fixes what each later word is: one
+        comparison with its threshold gives its click bits, the code ORs them,
+        and a trial with a word at or above its redraw threshold (its loss draw
+        needs a second word) runs the analyzer's `sample` on its own generator."""
         from .rng import trial_rng, trial_uniforms
-        u = trial_uniforms(seed, start, count, self._width).T
-        pick = self.pick(u[0])
-        words = u[1:]
-        index = np.arange(0, self._bits.size, 2 * len(self._cum))[:, None] + 2 * pick
-        index += words >= self._edge.take(pick, axis=1)
-        code = np.bitwise_or.reduce(self._bits.take(index), axis=0) | self._base[pick]
-        redraw = (words >= self._redraw.take(pick, axis=1)).any(axis=0)
-        for i in np.flatnonzero(redraw).tolist():
-            code[i] = self.prep.sample(trial_rng(seed, start + i))[1]
-        return (pick * len(self.prep.outcomes) + code).astype(np.uint16)
+        keys = np.empty(count, np.uint16)
+        for lo in range(0, count, _BLOCK):
+            u = trial_uniforms(seed, start + lo, min(_BLOCK, count - lo), self._width).T
+            pick = self.pick(u[0])
+            words = u[1:]
+            index = np.arange(0, self._bits.size, 2 * len(self._cum))[:, None] + 2 * pick
+            index += words >= self._edge.take(pick, axis=1)
+            code = np.bitwise_or.reduce(self._bits.take(index), axis=0) | self._base[pick]
+            redraw = (words >= self._redraw.take(pick, axis=1)).any(axis=0)
+            for i in np.flatnonzero(redraw).tolist():
+                code[i] = self.prep.sample(trial_rng(seed, start + lo + i))[1]
+            keys[lo : lo + len(pick)] = pick * len(self.prep.outcomes) + code
+        return keys

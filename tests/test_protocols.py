@@ -531,6 +531,28 @@ def test_lossy_outcomes_do_not_depend_on_the_partition():
     np.testing.assert_array_equal(np.concatenate(parts), whole, strict=True)
 
 
+@pytest.mark.parametrize("kind", ["event-ready", "memory"])
+def test_a_range_longer_than_a_block_is_drawn_a_block_at_a_time(monkeypatch, kind):
+    # a direct call over a long range asks `trial_uniforms` for at most `_BLOCK` trials at a
+    # time, as a run's chunks do, and its keys do not depend on where the blocks fall
+    cfg = ProtocolConfig(
+        source=SourceParams(p0=0.15, emission_order=2),
+        detector=DetectorSpec(efficiency=0.8, dark_prob=1e-3),
+        mode="sampled",
+        seed=5,
+        theta=0.7,
+        phi=1.9,
+    )
+    counts = []
+    monkeypatch.setattr(rng, "trial_uniforms", lambda *args: counts.append(args[2]) or trial_uniforms(*args))
+    count = 3 * sampling._BLOCK + 5
+    keys = protocols.trial_outcomes(cfg, kind, 123, count)
+    assert keys.dtype == np.uint16 and counts == [sampling._BLOCK] * 3 + [5]
+    monkeypatch.setattr(sampling, "_BLOCK", 97)
+    np.testing.assert_array_equal(protocols.trial_outcomes(cfg, kind, 123, count), keys, strict=True)
+    assert len(counts) == 4 + math.ceil(count / 97) and max(counts[4:]) == 97
+
+
 def test_lossy_trials_build_no_generator(monkeypatch):
     # guards against a per-trial loop coming back below unit efficiency
     built = []
