@@ -334,8 +334,8 @@ def _cached_protocol(config: ProtocolConfig, kind: str, channel: PureState | Non
 def trial_outcomes(
     config: ProtocolConfig, kind: str, start: int, count: int, channel: PureState | None = None
 ) -> np.ndarray:
-    """One uint16 key per trial of [start, start+count), drawn at once by
-    `sampling.Sampler.sample_block` (`_run` cuts a run into chunks): any partition agrees."""
+    """One uint16 key per trial of [start, start+count), drawn `sampling._BLOCK` trials at a time
+    by `sampling.Sampler.sample_block` (`_run` cuts a run into chunks): any partition agrees."""
     return _cached_protocol(config, kind, channel).prep.sampler.sample_block(config.seed, start, count)
 
 
