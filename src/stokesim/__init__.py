@@ -18,9 +18,7 @@ from .detection import (  # noqa: F401
 from .elements import (  # noqa: F401
     attenuate_mode,
     beam_splitter,
-    half_wave,
     pol_splitter,
-    quarter_wave,
 )
 from .errors import ConfigError, RegistryError, StokesimError, ValidationError  # noqa: F401
 from .fock import (  # noqa: F401

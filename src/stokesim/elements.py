@@ -1,12 +1,10 @@
 """Linear-optics elements as mode transformations.
 
-Each element is either a small mode unitary (half-wave plate, beam
-splitter, attenuator dilated onto a loss mode) or a pure relabeling of
-the mode registry (quarter-wave plate, polarization splitter).  The
-relabeling trick keeps basis conversions amplitude-exact: a quarter-wave
-plate turns the circular basis into the linear one, so the mode that held
-left-circular light simply *becomes* the horizontal mode, with no phase
-convention to track.
+Each element is a small mode unitary (beam splitter, attenuator dilated
+onto a loss mode), except the polarization splitter, a pure relabeling of
+the mode registry: the mode that held horizontal light in the input path
+simply *becomes* the horizontal mode of the first output path, with no
+phase convention to track.
 
 Sign conventions (they matter for heralded-state phases downstream):
 
@@ -19,43 +17,10 @@ Sign conventions (they matter for heralded-state phases downstream):
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from . import fock
 from .errors import ValidationError
 from .fock import PureState
-
-
-def _require_pols(state: PureState, path: str, pols: tuple[str, str], element: str) -> None:
-    have = state.registry.path_pols(path)
-    if have != set(pols):
-        raise ValidationError(
-            f"{element} needs path {path!r} in the {'/'.join(pols)} basis, found {sorted(have) or 'no modes'}"
-        )
-
-
-def half_wave(state: PureState, path: str) -> PureState:
-    """Half-wave plate: swap the R and L amplitudes of a path."""
-    _require_pols(state, path, fock.CIRCULAR_POLS, "half_wave")
-    swap = ((0.0, 1.0), (1.0, 0.0))
-    modes = [state.registry.path_mode(path, "R"), state.registry.path_mode(path, "L")]
-    return fock.apply_mode_unitary(state, modes, swap)
-
-
-def quarter_wave(state: PureState, path: str) -> PureState:
-    """Quarter-wave plate: convert a path from circular to linear basis.
-
-    Modeled as the relabeling L -> H, R -> V, which fixes the element's
-    free phase convention to the identity.
-    """
-    _require_pols(state, path, fock.CIRCULAR_POLS, "quarter_wave")
-    return state.with_registry(_linear_registry(state.registry, path))
-
-
-@lru_cache(maxsize=16)
-def _linear_registry(reg: fock.ModeRegistry, path: str) -> fock.ModeRegistry:
-    """`reg` with `path`'s L and R modes relabeled H and V, kept per registry and path, so sweep points share it."""
-    return reg.replace({reg.path_mode(path, "L"): fock.photonic_mode(path, "H"), reg.path_mode(path, "R"): fock.photonic_mode(path, "V")})
 
 
 def attenuate_mode(state: PureState, mode, t: float) -> PureState:
@@ -97,7 +62,9 @@ def pol_splitter(state: PureState, path: str) -> tuple[PureState, str, str]:
 
     Returns the state plus the two output path names.
     """
-    _require_pols(state, path, fock.LINEAR_POLS, "pol_splitter")
+    have = state.registry.path_pols(path)
+    if have != set(fock.LINEAR_POLS):
+        raise ValidationError(f"pol_splitter needs path {path!r} in the H/V basis, found {sorted(have) or 'no modes'}")
     out_h, out_v = f"{path}1", f"{path}2"
     reg = state.registry.replace(
         {

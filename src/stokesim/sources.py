@@ -3,9 +3,10 @@
 The workhorse is the weak off-resonant Raman emission from an atomic
 ensemble: pumping writes a two-mode-squeezed ladder onto (collective
 excitation, forward Stokes photon), amplitude p^(n/2) on |n, n>, truncated
-at a configurable order.  Two such emissions merged into one forward path
-give the photon/ensemble entangled source; an ideal polarization-entangled
-photon pair provides the ancilla used by the event-ready scheme.
+at a configurable order.  Two such emissions, one into each linear mode (H
+and V) of one forward path, give the photon/ensemble entangled source; an
+ideal polarization-entangled photon pair provides the ancilla used by the
+event-ready scheme.
 
 Branch amplitudes alpha : beta are compiled into pump strengths and an
 attenuator setting so that, relative to the vacuum component, the
@@ -18,7 +19,7 @@ beta sqrt(p0):
   no attenuation (attenuating the first ensemble can only reduce alpha).
 
 Relative phase arg(beta/alpha) is applied as a phase plate on the second
-branch.
+branch's mode, V.
 """
 
 from __future__ import annotations
@@ -102,18 +103,19 @@ def raman_emit(state: PureState, ensemble, stokes, p0: float, order: int) -> Pur
 
 @lru_cache(maxsize=8)
 def _source_registry(cutoff: int) -> ModeRegistry:
-    reg = ModeRegistry(cutoff=cutoff)
-    reg = reg.add_atomic("S1").add_atomic("S2")
-    return reg.add_photonic_path("p", basis="circular")
+    # V before H: V holds the place of the R mode and H that of the L mode that
+    # wave plates once converted, so the term keys, their order and the amplitude bits stay
+    return ModeRegistry((fock.atomic_mode("S1"), fock.atomic_mode("S2"), fock.photonic_mode("p", "V"), fock.photonic_mode("p", "H")), cutoff)
 
 
 def dual_ensemble_source(params: SourceParams, cutoff: int = fock.DEFAULT_CUTOFF) -> PureState:
     """Entangle one forward photon's polarization with which-ensemble
     excitation.
 
-    Pipeline: pump ensemble 1 into the forward path, half-wave plate
-    (R -> L), attenuator on L, pump ensemble 2 into the same path,
-    quarter-wave plate (to the linear basis).  The result is truncated to
+    Pipeline: pump ensemble 1 into the forward path's H mode, attenuator
+    on H, pump ensemble 2 into its V mode, phase plate on V.  The photon
+    is written straight into the modes it is measured in, the linear
+    ones, so no wave plate converts it.  The result is truncated to
     at most `emission_order` emission pairs in total and renormalized, so
     at order 1 the state is exactly
 
@@ -157,19 +159,17 @@ def dual_ensemble_source(params: SourceParams, cutoff: int = fock.DEFAULT_CUTOFF
     st = fock.vacuum(_source_registry(cutoff))
     order = params.emission_order
     if p1 > 0:
-        st = raman_emit(st, "S1", "p:R", p1, order)
-    st = elements.half_wave(st, "p")
-    st = elements.attenuate_mode(st, "p:L", t)
+        st = raman_emit(st, "S1", "p:H", p1, order)
+    st = elements.attenuate_mode(st, "p:H", t)
     if p2 > 0:
-        st = raman_emit(st, "S2", "p:R", p2, order)
+        st = raman_emit(st, "S2", "p:V", p2, order)
     # branch amplitudes come out real; the physical relative phase
-    # arg(beta) - arg(alpha) rides on the second ensemble's photon (the R
-    # mode at this point), so the single-emission sector equals
-    # alpha |S1 H> + beta |S2 V> up to one global phase
+    # arg(beta) - arg(alpha) rides on the second ensemble's photon, in V,
+    # so the single-emission sector equals alpha |S1 H> + beta |S2 V> up
+    # to one global phase
     rel = cmath.phase(beta) - cmath.phase(alpha) if (alpha and beta) else 0.0
     if rel:
-        st = fock.apply_phase(st, "p:R", rel)
-    st = elements.quarter_wave(st, "p")
+        st = fock.apply_phase(st, "p:V", rel)
 
     st, _ = fock.truncate_total_occupation(st, ["S1", "S2"], order)
     return PureState._wrap(st.registry, st.normalize().amplitudes, 0.0, None, st.truncation_loss)

@@ -26,44 +26,6 @@ def circular_path(path="p", extra_atomic=(), cutoff=6):
 
 
 # ---------------------------------------------------------------------------
-# wave plates
-
-
-def test_half_wave_swaps_circular_components():
-    st = fock.basis_state(circular_path(), {"p:R": 1})
-    out = elements.half_wave(st, "p")
-    assert out.amplitude({"p:L": 1}) == 1.0
-    back = elements.half_wave(out, "p")
-    assert back.amplitude({"p:R": 1}) == 1.0
-
-
-def test_half_wave_on_vacuum():
-    st = fock.vacuum(circular_path())
-    assert elements.half_wave(st, "p").amplitudes.keys() == st.amplitudes.keys()
-
-
-def test_quarter_wave_relabels_to_linear():
-    reg = circular_path()
-    st = fock.PureState(
-        reg,
-        {
-            tuple(1 if m.pol == "L" else 0 for m in reg.modes): SQRT_HALF,
-            tuple(1 if m.pol == "R" else 0 for m in reg.modes): SQRT_HALF,
-        },
-    )
-    out = elements.quarter_wave(st, "p")
-    assert out.registry.path_pols("p") == {"H", "V"}
-    np.testing.assert_allclose(out.amplitude({"p:H": 1}), SQRT_HALF)
-    np.testing.assert_allclose(out.amplitude({"p:V": 1}), SQRT_HALF)
-
-
-def test_quarter_wave_rejects_linear_input():
-    st = fock.basis_state(circular_path(), {"p:L": 2})
-    with pytest.raises(ValidationError):
-        elements.quarter_wave(elements.quarter_wave(st, "p"), "p")
-
-
-# ---------------------------------------------------------------------------
 # attenuator
 
 

@@ -579,8 +579,8 @@ def test_a_cached_split_groups_the_new_amplitudes():
 
 
 def test_an_exact_sweep_checks_each_distinct_matrix_once():
-    # the beam splitter, the half-wave plate and the pi phase plate of a
-    # PsiPlus correction are the same matrices at every point
+    # the beam splitter and the pi phase plate of a PsiPlus correction are
+    # the same matrices at every point
     fock._unitary_deviation.cache_clear()
     grid = np.linspace(0.002, 0.2, 24)
     protocols.event_ready_generation(_multipair_config(grid[0]))
@@ -643,10 +643,10 @@ def test_every_stage_keeps_the_weight_it_is_given(a, b, data):
 
 
 def test_relabeling_shares_the_amplitude_map():
-    st = fock.PureState(fock.ModeRegistry(cutoff=2).add_photonic_path("a"), {(1, 0): 0.6, (0, 1): 0.8j})
-    relabeled = elements.quarter_wave(st, "a")
+    st = fock.PureState(fock.ModeRegistry(cutoff=2).add_photonic_path("a", basis="linear"), {(1, 0): 0.6, (0, 1): 0.8j})
+    relabeled, _, _ = elements.pol_splitter(st, "a")
     assert relabeled.amplitudes is st.amplitudes
-    assert [m.name for m in relabeled.registry.modes] == ["a:V", "a:H"]
+    assert [m.name for m in relabeled.registry.modes] == ["a1:H", "a2:V"]
 
 
 def test_internal_results_hold_builtin_complex_amplitudes_above_eps():

@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from stokesim import analysis, cli, detection, elements, fock, metrics, protocols, rng, sampling, sources
+from stokesim import analysis, cli, detection, fock, metrics, protocols, rng, sampling, sources
 from stokesim.detection import FAIL, PSI_MINUS, PSI_PLUS, DetectorSpec
 from stokesim.errors import ValidationError
 from stokesim.protocols import ProtocolConfig
@@ -246,7 +246,6 @@ P0_GRID = np.linspace(0.002, 0.2, 24).tolist()
 #: caches of what an exact point reads off its term layout, paths, labels and registries
 LAYOUT_CACHES = (
     sources._source_registry,
-    elements._linear_registry,
     protocols._ancilla,
     fock._joint_registry,
     detection._analyzer_layout,
@@ -300,7 +299,7 @@ def test_an_exact_sweep_builds_each_layout_skeleton_once(monkeypatch, sweep):
 
 
 def test_two_points_of_a_p0_sweep_share_their_registries():
-    # the source's relabeled registry and the joint one are kept per input registry, not built per point
+    # the source's registry is kept per cutoff and the joint one per input registry, not built per point
     first, second = (protocols._event_ready_input(_multipair(p0)) for p0 in (0.01, 0.2))
     assert first.amplitudes != second.amplitudes
     assert first.registry is second.registry

@@ -4,13 +4,14 @@ The emission ladder is checked two ways: frozen amplitude ratios, and a
 dense two-mode-squeezing oracle built from matrix exponentials.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 import dense_oracle as oracle
-from stokesim import fock, metrics, sources
+from stokesim import elements, fock, metrics, sources
 from stokesim.errors import ValidationError
 from stokesim.sources import SourceParams
 
@@ -247,6 +248,86 @@ def test_dual_source_explicit_attenuator_knob():
     sector, _ = fock.restrict_total_occupation(surviving, ["S1", "S2"], 1)
     np.testing.assert_allclose(abs(sector.amplitude({"S1": 1, "p:H": 1})), 0.5, atol=1e-12)
     np.testing.assert_allclose(abs(sector.amplitude({"S2": 1, "p:V": 1})), SQRT3_HALF, atol=1e-12)
+
+
+def _wave_plate_source(params, cutoff):
+    """The source built in circular modes, as it once was: ensemble 1 emits
+    into R, a half-wave plate swaps R and L, L is attenuated, ensemble 2
+    emits into R and takes the relative phase there, and a quarter-wave
+    plate relabels L as H and R as V."""
+    alpha, beta = params.branch_amplitudes()
+    if params.t is not None:
+        p1 = p2 = params.p0
+        t = params.t
+    elif abs(alpha) < 1e-15:
+        p1, t = 0.0, 1.0
+        p2 = abs(beta) ** 2 * params.p0
+    elif abs(alpha) <= abs(beta):
+        p1 = p2 = abs(beta) ** 2 * params.p0
+        t = (abs(alpha) / abs(beta)) ** 2
+    else:
+        p1 = abs(alpha) ** 2 * params.p0
+        p2 = abs(beta) ** 2 * params.p0
+        t = 1.0
+    reg = fock.ModeRegistry(cutoff=cutoff).add_atomic("S1").add_atomic("S2").add_photonic_path("p", basis="circular")
+    st = fock.vacuum(reg)
+    order = params.emission_order
+    if p1 > 0:
+        st = sources.raman_emit(st, "S1", "p:R", p1, order)
+    st = fock.apply_mode_unitary(st, ["p:R", "p:L"], ((0, 1), (1, 0)))
+    st = elements.attenuate_mode(st, "p:L", t)
+    if p2 > 0:
+        st = sources.raman_emit(st, "S2", "p:R", p2, order)
+    rel = cmath.phase(beta) - cmath.phase(alpha) if (alpha and beta) else 0.0
+    if rel:
+        st = fock.apply_phase(st, "p:R", rel)
+    reg = st.registry
+    st = st.with_registry(reg.replace({reg.mode("p:L"): fock.photonic_mode("p", "H"), reg.mode("p:R"): fock.photonic_mode("p", "V")}))
+    st, _ = fock.truncate_total_occupation(st, ["S1", "S2"], order)
+    return fock.PureState._wrap(st.registry, st.normalize().amplitudes, 0.0, None, st.truncation_loss)
+
+
+def _source_bits(st):
+    """A source's registry, its keys in stored order, the bits of each
+    amplitude (the sign of a zero included) and both counters."""
+    return (
+        st.registry,
+        [(occ, c.real.hex(), c.imag.hex()) for occ, c in st.amplitudes.items()],
+        st.truncation_loss.hex(),
+        st.order_cut.hex(),
+    )
+
+
+#: alpha : beta pairs: equal, either one zero, tiny alphas on both sides of
+#: the 1e-15 rule, uneven splits both ways, and complex and negative values
+SPLITS = [
+    (SQRT_HALF, SQRT_HALF),
+    (0.0, 1.0),
+    (1.0, 0.0),
+    (1e-16, 1.0),
+    (2e-15, 1.0),
+    (0.6, 0.8),
+    (0.8, 0.6j),
+    (0.6, 0.8 * cmath.exp(0.7j)),
+    (-0.6, 0.8),
+    (0.8j, -0.6),
+]
+
+
+def test_the_source_is_the_wave_plate_pipeline_bit_for_bit():
+    # writing the photon straight into H and V, in the places R and L held,
+    # gives the same registry, key order, amplitude bits and counters
+    count = 0
+    for p0 in (0.0, 1e-6, 0.01, 0.1, 0.2):
+        for order in (1, 2, 3):
+            for cutoff in (6, 8):
+                for alpha, beta in SPLITS:
+                    for t in (None, 0.0, 0.3, 1.0):
+                        params = SourceParams(p0=p0, emission_order=order, alpha=alpha, beta=beta, t=t)
+                        got = sources.dual_ensemble_source(params, cutoff)
+                        assert _source_bits(got) == _source_bits(_wave_plate_source(params, cutoff)), params
+                        count += 1
+    assert count == 1200
 
 
 # ---------------------------------------------------------------------------
