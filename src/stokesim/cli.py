@@ -37,9 +37,9 @@ from functools import reduce
 from . import __version__, protocols
 from .detection import DetectorSpec
 from .errors import ConfigError, StokesimError, ValidationError
-from .fock import Record
+from .fock import DENSE_DIM_BOUND, LOSS, Record
 from .protocols import ProtocolConfig
-from .sources import SourceParams
+from .sources import SourceParams, dual_ensemble_source
 
 SCHEMA_VERSION = 2
 
@@ -209,7 +209,8 @@ def build_experiment(
     experiment description.  The records check each value again, as they
     do for any caller; the seed of a sampled run, memory's cutoff, each sweep
     point and the swept parameter are checked here, before a run of one
-    protocol drops the sweep."""
+    protocol drops the sweep, and so is the size of the dense matrix that
+    `generate` builds at each point it runs."""
     swept = command == "sweep"
     values = {key: value for keys in sections.values() for key, value in keys.items()}
     if (swept or "sweep" in sections) and not (values.get("parameter") and values.get("values")):
@@ -230,15 +231,26 @@ def build_experiment(
     try:
         parts = {"source": SourceParams(**groups["config.source"]), "detector": DetectorSpec(**groups["config.detector"])}
         exp = ExperimentConfig(config=ProtocolConfig(**parts, **groups["config"]), **groups[""])
-        for value in exp.sweep_values:
-            apply_sweep_value(exp.config, exp.sweep_parameter, value)
+        points = [apply_sweep_value(exp.config, exp.sweep_parameter, value) for value in exp.sweep_values]
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
     if exp.sweep_parameter not in (None, *_SWEEPS[exp.protocol]):
         raise ConfigError(f"{exp.protocol} does not read {exp.sweep_parameter}: it sweeps {', '.join(_SWEEPS[exp.protocol])}")
     if exp.protocol == "memory" and exp.config.cutoff < 3:
         raise ConfigError(f"memory needs cutoff >= 3 (channel plus input photon), got {exp.config.cutoff}")
+    for value, config in zip(exp.sweep_values, points) if swept else [(None, exp.config)]:
+        if exp.protocol == "generate" and (dim := _dense_dimension(config)) > DENSE_DIM_BOUND:
+            at = f" at {exp.sweep_parameter} = {value}" if swept else ""
+            raise ConfigError(f"generate{at} keeps a subspace of dimension {dim}, above the dense bound {DENSE_DIM_BOUND}; lower emission_order")
     return exp if swept else exp.replace(sweep_parameter=None, sweep_values=())
+
+
+def _dense_dimension(config: ProtocolConfig) -> int:
+    """The dimension of the dense matrix that `generate` builds on `config`'s
+    source: its distinct occupation patterns on the modes that are not loss modes."""
+    src = dual_ensemble_source(config.source, config.cutoff)
+    keep = [i for i, m in enumerate(src.registry.modes) if m.kind != LOSS]
+    return len({tuple(occ[i] for i in keep) for occ in src.amplitudes})
 
 
 def _ancilla_cut_warning(exp: ExperimentConfig) -> str | None:

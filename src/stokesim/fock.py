@@ -35,6 +35,9 @@ LINEAR_POLS = ("H", "V")
 #: amplitudes below this magnitude are dropped from sparse maps
 AMPLITUDE_EPS = 1e-14
 
+#: the largest occupation basis that `metrics.reduced_density` builds a dense matrix on
+DENSE_DIM_BOUND = 64
+
 #: default global excitation cutoff (largest protocol state: a second-order
 #: double emission plus an ancilla photon pair carries six excitations)
 DEFAULT_CUTOFF = 6

@@ -33,8 +33,8 @@ def reduced_density(state: PureState | MixedState, keep: Sequence[ModeId | str])
         for occ in st.amplitudes:
             patterns.add(tuple(occ[i] for i in kidx))
     basis = sorted(patterns)
-    if len(basis) > 64:
-        raise ValidationError(f"kept subspace dimension {len(basis)} exceeds bound 64")
+    if len(basis) > fock.DENSE_DIM_BOUND:
+        raise ValidationError(f"kept subspace dimension {len(basis)} exceeds bound {fock.DENSE_DIM_BOUND}")
     pos = {p: i for i, p in enumerate(basis)}
 
     rho = np.zeros((len(basis), len(basis)), dtype=complex)

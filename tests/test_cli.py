@@ -545,6 +545,57 @@ def test_configs_failing_at_run_time_are_rejected_up_front(tmp_path, capsys, com
     assert not (tmp_path / "r.json").exists()
 
 
+def _dense_grid():
+    """(id, generate config text, the configs of its points, the emission
+    orders among them past the dense bound) around that bound: emission
+    orders 8-11 lossless and 4-7 behind an attenuator, each at cutoff
+    2 * order; a tiny p0 at order 12, whose high orders fall below
+    AMPLITUDE_EPS; and emission_order sweeps that cross the bound and stay
+    below it."""
+    run = "[run]\nprotocol = generate\n\n"
+    cases = []
+    for orders, t in (range(8, 12), None), (range(4, 8), 0.3):
+        for n in orders:
+            text = f"{run}[source]\nemission_order = {n}\ncutoff = {2 * n}\n" + ("" if t is None else f"t = {t}\n")
+            over = [n] if n >= (10 if t is None else 6) else []
+            cases.append((f"order-{n}-t={t}", text, [ProtocolConfig(source=SourceParams(emission_order=n, t=t), cutoff=2 * n)], over))
+    text = f"{run}[source]\np0 = 1e-4\nemission_order = 12\ncutoff = 24\n"
+    cases.append(("order-12-tiny-p0", text, [ProtocolConfig(source=SourceParams(p0=1e-4, emission_order=12), cutoff=24)], []))
+    for values, over in ((8, 9, 10), [10]), ((4, 9), []):
+        text = f"{run}[source]\ncutoff = 20\n\n[sweep]\nparameter = emission_order\nvalues = {', '.join(map(str, values))}\n"
+        cases.append((f"sweep-{values}", text, [ProtocolConfig(source=SourceParams(emission_order=n), cutoff=20) for n in values], over))
+    return cases
+
+
+@pytest.mark.parametrize("text, points, expected", [case[1:] for case in _dense_grid()], ids=[case[0] for case in _dense_grid()])
+def test_generate_past_the_dense_bound_fails_at_validate(tmp_path, capsys, text, points, expected):
+    # validate rejects a config exactly where one of its points raises the
+    # dense bound at run time, naming the same dimension, and every config it accepts runs
+    from stokesim.analysis import generate_entanglement
+
+    over = []
+    for config in points:
+        try:
+            generate_entanglement(config)
+        except ValidationError as exc:
+            dim = re.fullmatch(r"kept subspace dimension (\d+) exceeds bound 64", str(exc)).group(1)
+            over.append((config.source.emission_order, dim))
+    ini, out = write_ini(tmp_path, text), tmp_path / "r.json"
+    command = "sweep" if len(points) > 1 else "generate"
+    assert cli.main(["validate", "--config", ini]) == (2 if over else 0)
+    assert cli.main([command, "--config", ini, "--out", str(out)]) == (2 if over else 0)
+    err = capsys.readouterr().err
+    if over:
+        order, dim = over[0]
+        at = f" at emission_order = {order}" if command == "sweep" else ""
+        assert err == f"config error: generate{at} keeps a subspace of dimension {dim}, above the dense bound 64; lower emission_order\n" * 2
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert out.exists()
+    assert [order for order, _ in over] == expected
+
+
 def _ranged_keys():
     """key -> (section, type, (low, high, text)) of every config key whose
     field has an interval in its record's range table."""
@@ -1150,6 +1201,8 @@ NUMPY_PROBES = {
     "sampled-event-ready": ("event-ready", None, ["--mode", "sampled", "--trials", "200", "--seed", "1"], 0, True, {"sampling", "rng"}),
     "exact-memory": ("memory", None, [], 0, True, {"metrics"}),
     "generate": ("generate", None, [], 0, True, {"analysis", "metrics"}),
+    "validate-generate": ("validate", "[run]\nprotocol = generate\n\n[source]\nemission_order = 9\ncutoff = 18\n", [], 0, False, set()),
+    "generate-past-the-dense-bound": ("generate", "[source]\nemission_order = 10\ncutoff = 20\n", [], 2, False, set()),
 }
 #: the package modules that import numpy at the top, directly or through each other
 NUMPY_HOLDERS = {"sampling", "analysis", "metrics", "rng"}
