@@ -107,7 +107,8 @@ def _read_ini(text: str) -> dict[str, tuple[int, dict[str, tuple[int, str]]]]:
     """{header as written: (its line, {lower-cased key: (its line, its value)})} of INI `text`,
     read as configparser read it with `=` and `:` delimiters, `#` and `;` comments, inline ones after
     whitespace, and continuation lines, blank ones included, indented deeper than their key.  A header
-    or key read twice, a key before any header and a line that is neither are syntax errors."""
+    or key read twice, a key before any header, a line that is neither and, unlike configparser, text
+    after a header's closing `]` are syntax errors."""
     sections, errors, keys, key, indent = {}, "", None, None, 0
     repeat = "config syntax error: While reading from '<string>' [line {:2d}]: {} already exists"
     for no, line in enumerate(io.StringIO(text), 1):
@@ -124,6 +125,8 @@ def _read_ini(text: str) -> dict[str, tuple[int, dict[str, tuple[int, str]]]]:
         indent, end, delim = level, value.rfind("]"), min((i for i in map(value.find, "=:") if i >= 0), default=-1)
         if value[0] == "[" and end > 1:
             name, key = value[1:end], None
+            if tail := value[end + 1 :].strip():
+                raise ConfigError(f"config syntax error: text {tail!r} after header [{name}] (line {no}); a header stands alone on its line")
             if name in sections:
                 raise ConfigError(repeat.format(no, f"section {name!r}"))
             sections[name] = no, (keys := {})

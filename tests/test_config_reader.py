@@ -4,9 +4,11 @@
 `configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
 default_section="", interpolation=None)` read it: the same sections, keys
 and values in the same order, and the same message for a text it rejects.
-`READINGS` pins that parser's readings of the dialect's corners; the corpus
-and the drawn texts are compared with the installed configparser when it
-is the 3.11 one.
+The one exception is text after a header's closing `]`, which configparser
+dropped and the reader rejects.  `READINGS` pins that parser's readings of
+the dialect's corners; the corpus and the drawn texts are compared with the
+installed configparser when it is the 3.11 one, and each of them with a
+header tail must be rejected.
 """
 
 import ast
@@ -47,12 +49,10 @@ READINGS = [
     ("[DEFAULT]\np0 = 0.9\n", [("DEFAULT", [("p0", "0.9")])]),
     ("[run]\nout = 100%.json\n[source]\nbeta = %(alpha)s\n", [("run", [("out", "100%.json")]), ("source", [("beta", "%(alpha)s")])]),
     ("[run]\nout =\nmode:\n", [("run", [("out", ""), ("mode", "")])]),
-    # a header ends at the last "]" of its line, and what follows it is dropped
-    ("[run] extra ]\n[a]b] tail\n", [("run] extra ", []), ("a]b", [])]),
+    # a header ends at the last "]" of its line
+    ("[run] extra ]\n[a]b]\n", [("run] extra ", []), ("a]b", [])]),
     ("[ source ]\n", [(" source ", [])]),
     ("[run]\r\nseed = 3\r\nmode = exact\r\r\n", [("run", [("seed", "3"), ("mode", "exact")])]),
-    # only "\n" ends a line: a lone "\r" leaves the rest in the header's line
-    ("[run]\rseed = 3\nmode = exact\n", [("run", [("mode", "exact")])]),
     ("[run]\nseed\t=\t3\t\n\tmode = exact\n", [("run", [("seed", "3\nmode = exact")])]),
     ("[run]\nseed = 3\n\f\nmode = exact\f\n", [("run", [("seed", "3"), ("mode", "exact")])]),
     ("[run]\nout = a\n\fb\n", [("run", [("out", "a\nb")])]),
@@ -86,15 +86,41 @@ def _reading(text):
     return [(name, [(key, value) for key, (_, value) in keys.items()]) for name, (_, keys) in sections.items()]
 
 
+#: `_configparser_reading` of a text in which configparser read a header with text after its `]`
+HEADER_TAIL = "header tail"
+
+
 def _configparser_reading(text):
+    """The installed configparser's reading of `text` in `READINGS`' form, or
+    `HEADER_TAIL` when it matched a header line with text after the `]`."""
     import configparser
 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="", interpolation=None)
+    tails, header = [], parser.SECTCRE
+
+    class Spy:
+        def match(self, value):
+            mo = header.match(value)
+            if mo and mo.end() < len(value):
+                tails.append(value)
+            return mo
+
+    parser.SECTCRE = Spy()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        return f"config syntax error: {exc}"
-    return [(name, parser.items(name)) for name in parser.sections()]
+        return HEADER_TAIL if tails else f"config syntax error: {exc}"
+    return HEADER_TAIL if tails else [(name, parser.items(name)) for name in parser.sections()]
+
+
+def _reads_as_configparser(text):
+    """The reader's reading of `text` is configparser's, or, where configparser
+    read a header tail, an error that names it."""
+    expected = _configparser_reading(text)
+    if expected == HEADER_TAIL:
+        assert re.match(r"config syntax error: text .* after header \[", _reading(text)), text
+    else:
+        assert _reading(text) == expected, text
 
 
 def _corpus():
@@ -117,6 +143,34 @@ def test_the_reader_reads_as_configparser_read_it(text, expected):
     assert _reading(text) == expected
 
 
+#: (text with a header tail, the reader's error)
+HEADER_TAILS = [
+    ("[source] p0 = 0.5\n", "text 'p0 = 0.5' after header [source] (line 1)"),
+    ("[run] extra ]\n[a]b] tail\n", "text 'tail' after header [a]b] (line 2)"),
+    # only "\n" ends a line: a lone "\r" leaves the rest in the header's line
+    ("[run]\rseed = 3\nmode = exact\n", "text 'seed = 3' after header [run] (line 1)"),
+    # a "#" glued to the "]" starts no comment, as in a value
+    ("[run]#c\nseed = 3\n", "text '#c' after header [run] (line 1)"),
+    ("[run]\nseed = 3\n[source]  p0 ; c\n", "text 'p0' after header [source] (line 3)"),
+]
+
+
+@pytest.mark.parametrize(("text", "message"), HEADER_TAILS, ids=[repr(text)[:40] for text, _ in HEADER_TAILS])
+def test_text_after_a_header_is_a_config_error(tmp_path, capsys, text, message):
+    # configparser dropped it, so "[source] p0 = 0.5" read as "[source]" alone
+    expected = f"config syntax error: {message}; a header stands alone on its line"
+    assert _reading(text) == expected
+    # a file is read with universal newlines, where a lone "\r" ends its line
+    for command in ("validate", "event-ready") if "\r" not in text else ():
+        assert cli.main([command, "--config", test_cli.write_ini(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == f"config error: {expected}\n"
+
+
+def test_a_comment_or_a_continuation_after_a_header_is_no_tail():
+    text = "[source]  # the source\np0 = 0.01\n  [detector] x\n[run] ; the run\nseed = 3\n"
+    assert _reading(text) == [("source", [("p0", "0.01\n[detector] x")]), ("run", [("seed", "3")])]
+
+
 def test_the_reader_records_each_header_and_key_line():
     text = "# head\n[run]\n\nseed = 3\n  ; c\nmode = exact\n  more\n[Source]  ; x\nP0: 1\n"
     assert cli._read_ini(text) == {"run": (2, {"seed": (4, "3"), "mode": (6, "exact\nmore")}), "Source": (8, {"p0": (9, "1")})}
@@ -127,7 +181,7 @@ def test_the_corpus_reads_as_the_installed_configparser_reads_it():
     corpus = _corpus()
     assert len(corpus) > 250
     for text in corpus:
-        assert _reading(text) == _configparser_reading(text), text
+        _reads_as_configparser(text)
 
 
 @only_311
@@ -142,7 +196,7 @@ def test_a_syntax_error_exits_2_with_configparsers_message(tmp_path, capsys):
 
 
 #: pieces of config lines, whole or in part
-PIECES = ["[run]", "[Run]", "[source]", "[]", "[a]b]", "seed = 3", "Seed: 4", "out = a;b #c", "mode = x ;y", "p0 = 1;; ;c #d", "= 3", ": 4",
+PIECES = ["[run]", "[Run]", "[source]", "[]", "[a]b]", "[run] x", "[a]#b", "seed = 3", "Seed: 4", "out = a;b #c", "mode = x ;y", "p0 = 1;; ;c #d", "= 3", ": 4",
           "x", "  more", "\tmore", "#c", "  ;c", "", " ", "\f", "\xa0", "\r"]
 
 
@@ -150,4 +204,4 @@ PIECES = ["[run]", "[Run]", "[source]", "[]", "[a]b]", "seed = 3", "Seed: 4", "o
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(PIECES), st.text("[]=:#; \t\r\f\xa0\x85aB0", max_size=10)), max_size=8).map("\n".join))
 def test_drawn_texts_read_as_the_installed_configparser_reads_them(text):
-    assert _reading(text) == _configparser_reading(text)
+    _reads_as_configparser(text)
