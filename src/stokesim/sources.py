@@ -103,8 +103,8 @@ def raman_emit(state: PureState, ensemble, stokes, p0: float, order: int) -> Pur
 
 @lru_cache(maxsize=8)
 def _source_registry(cutoff: int) -> ModeRegistry:
-    # V before H: V holds the place of the R mode and H that of the L mode that
-    # wave plates once converted, so the term keys, their order and the amplitude bits stay
+    # V before H: V holds the place of the R mode and H that of the L mode that wave
+    # plates once converted, so the term keys, their order and the amplitude bits stay as they were
     return ModeRegistry((fock.atomic_mode("S1"), fock.atomic_mode("S2"), fock.photonic_mode("p", "V"), fock.photonic_mode("p", "H")), cutoff)
 
 
