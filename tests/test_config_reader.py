@@ -116,11 +116,11 @@ def _configparser_reading(text):
 def _reads_as_configparser(text):
     """The reader's reading of `text` is configparser's, or, where configparser
     read a header tail, an error that names it."""
-    expected = _configparser_reading(text)
+    expected, got = _configparser_reading(text), _reading(text)
     if expected == HEADER_TAIL:
-        assert re.match(r"config syntax error: text .* after header \[", _reading(text)), text
+        assert isinstance(got, str) and re.match(r"config syntax error: text .* after header \[", got), text
     else:
-        assert _reading(text) == expected, text
+        assert got == expected, text
 
 
 def _corpus():
